@@ -133,36 +133,19 @@ def _eval_pairs(cfg: RunConfig, splits: sw.CorpusSplits) -> list[ev.EvalPair]:
     return ev.make_eval_manifest(splits, n_pairs=cfg["eval.pairs"], seed=cfg["eval.seed"])
 
 
-def _load_encoder_ckpt(path: Path, cls, dims: en.EncoderDims):
-    comps = ck.load_checkpoint(path)
-    params: dict[str, nm.Tensor] = {}
-    for comp in sorted(comps):
-        frozen, tensors = comps[comp]
-        for pname in sorted(tensors):
-            params[f"{comp}.{pname}"] = nm.Tensor(tensors[pname], requires_grad=False)
-    enc = cls(dims=dims, params=params)
-    enc.frozen = True
-    return enc
+def _load_frozen_stack(cfg: RunConfig, run: RunDir):
+    """Codec plus the four components `pretrain-encoders` saves frozen, so
+    every loaded param has requires_grad=False."""
+    def frozen(name: str) -> dict[str, nm.Tensor]:
+        path = _require(run.path("encoders", name), "pretrain-encoders")
+        return ck.components_to_params(ck.load_checkpoint(path))
 
-
-def _load_frozen_stack(cfg: RunConfig, run: RunDir, splits):
     codec = cd.load_codec(_require(run.path("codec", "codec.rvq"), "fit-codec"))
-    dims = en.EncoderDims(d_sem=cfg["enc.sem_dim"], d_spk=cfg["enc.spk_dim"],
-                          d_lm=cfg["lm.dim"])
-    sem = _load_encoder_ckpt(_require(run.path("encoders", "semantic.ckpt"),
-                                      "pretrain-encoders"), en.SemanticEncoder, dims)
-    spk = _load_encoder_ckpt(_require(run.path("encoders", "speaker.ckpt"),
-                                      "pretrain-encoders"), en.SpeakerEncoder, dims)
-    ver_comps = ck.load_checkpoint(_require(run.path("encoders", "oracle_verifier.ckpt"),
-                                            "pretrain-encoders"))
-    ver_params = {f"{c}.{p}": nm.Tensor(t, requires_grad=False)
-                  for c in sorted(ver_comps) for p, t in sorted(ver_comps[c][1].items())}
-    verifier = ev.OracleVerifier(params=ver_params, width=0, emb_dim=0)
-    tra_comps = ck.load_checkpoint(_require(run.path("encoders", "oracle_transcriber.ckpt"),
-                                            "pretrain-encoders"))
-    tra_params = {f"{c}.{p}": nm.Tensor(t, requires_grad=False)
-                  for c in sorted(tra_comps) for p, t in sorted(tra_comps[c][1].items())}
-    transcriber = ev.OracleTranscriber(params=tra_params, hidden=0)
+    dims = en.EncoderDims(d_sem=cfg["enc.sem_dim"], d_spk=cfg["enc.spk_dim"])
+    sem = en.SemanticEncoder(dims=dims, params=frozen("semantic.ckpt"), frozen=True)
+    spk = en.SpeakerEncoder(dims=dims, params=frozen("speaker.ckpt"), frozen=True)
+    verifier = ev.OracleVerifier(params=frozen("oracle_verifier.ckpt"))
+    transcriber = ev.OracleTranscriber(params=frozen("oracle_transcriber.ckpt"))
     return codec, sem, spk, verifier, transcriber
 
 
@@ -245,8 +228,7 @@ def cmd_pretrain_encoders(args, cfg: RunConfig, run: RunDir) -> int:
     _require(run.path("corpus", "manifest.tsv"), "synth-data")
     run.ensure_layout()
     splits = _world(cfg)
-    dims = en.EncoderDims(d_sem=cfg["enc.sem_dim"], d_spk=cfg["enc.spk_dim"],
-                          d_lm=cfg["lm.dim"])
+    dims = en.EncoderDims(d_sem=cfg["enc.sem_dim"], d_spk=cfg["enc.spk_dim"])
     Path(run.path("encoders")).mkdir(exist_ok=True)
     sem = en.pretrain_semantic_encoder(splits, steps=cfg["enc.sem_steps"],
                                        batch=cfg["enc.batch"], lr=cfg["enc.lr"],
@@ -277,7 +259,7 @@ def cmd_pretrain_encoders(args, cfg: RunConfig, run: RunDir) -> int:
 def _build_context(cfg: RunConfig, run: RunDir) -> tuple[tr.PipelineContext, tr.TrainPlan]:
     _require(run.path("corpus", "manifest.tsv"), "synth-data")
     splits = _world(cfg)
-    codec, sem, spk, verifier, transcriber = _load_frozen_stack(cfg, run, splits)
+    codec, sem, spk, verifier, transcriber = _load_frozen_stack(cfg, run)
     pairs = _eval_pairs(cfg, splits)
     ctx = tr.PipelineContext(splits, codec, sem, spk, verifier=verifier,
                              transcriber=transcriber, eval_pairs=pairs,
@@ -311,10 +293,7 @@ def cmd_train(args, cfg: RunConfig, run: RunDir) -> int:
         if snap is not None:
             (run.path("reports", f"metrics_{name}.json")).write_text(
                 snap.to_json() + "\n", encoding="utf-8")
-    if result.metrics_rows:
-        with open(run.path("logs", "metrics.tsv"), "a", encoding="utf-8") as fh:
-            for row in result.metrics_rows:
-                fh.write("\t".join(str(v) for v in row) + "\n")
+    tr.write_metrics_log(run.path("logs", "metrics.tsv"), result.metrics_rows)
     if stages[-1] == "joint":
         _save_trainable(run.path("checkpoints", "final.ckpt"), result.params)
     for name in stages:

@@ -15,9 +15,8 @@ import numpy as np
 from . import nn
 from . import numerics as nm
 from . import synthworld as sw
-from .errors import ConfigError, TrainingDivergedError
 from .numerics import Tensor
-from .optim import Adam, AdamConfig, grads_by_name
+from .optim import fit_classifier, freeze
 
 N_FRAME_CLASSES = sw.N_SYMBOLS + 1   # content symbols + silence
 
@@ -27,7 +26,6 @@ class EncoderDims:
     feature: int = sw.F_DIM
     d_sem: int = 48
     d_spk: int = 32
-    d_lm: int = 64
     sem_heads: int = 4
     sem_blocks: int = 2
     sem_intermediate: int = 96
@@ -41,13 +39,36 @@ def bucket_by_length(utterances) -> dict[int, list]:
     return buckets
 
 
-def _sample_bucket(buckets: dict[int, list], rng: np.random.Generator, batch: int) -> list:
+def sample_bucket(buckets: dict[int, list], rng: np.random.Generator, batch: int) -> list:
+    """Up to `batch` distinct items of one bucket, the bucket drawn in
+    proportion to its size."""
     lengths = sorted(buckets)
     sizes = np.array([len(buckets[k]) for k in lengths], dtype=np.float64)
     key = lengths[int(rng.choice(len(lengths), p=sizes / sizes.sum()))]
     pool = buckets[key]
     idx = rng.choice(len(pool), size=min(batch, len(pool)), replace=False)
     return [pool[i] for i in idx]
+
+
+def speaker_batches(splits: sw.CorpusSplits, rng: np.random.Generator, batch: int):
+    """Endless (frames, train-speaker index) batches: one text length per
+    batch, a fresh pristine render per item."""
+    spk_index = {sid: i for i, sid in enumerate(splits.train_speaker_ids)}
+    text_buckets: dict[int, list] = {}
+    for txt in splits.train_texts:
+        text_buckets.setdefault(len(txt), []).append(txt)
+    lengths = sorted(text_buckets)
+    while True:
+        sids = rng.choice(splits.train_speaker_ids, size=batch)
+        pool = text_buckets[lengths[int(rng.integers(len(lengths)))]]
+        xs, ys = [], []
+        for sid in sids:
+            text = pool[int(rng.integers(len(pool)))]
+            r = sw.render(splits.vocab, text, splits.speakers[int(sid)], sw.PRISTINE,
+                          int(rng.integers(2**31)))
+            xs.append(r.frames)
+            ys.append(spk_index[int(sid)])
+        yield np.stack(xs), np.asarray(ys)
 
 
 def downsampled_labels(transcript) -> np.ndarray:
@@ -101,53 +122,29 @@ def init_semantic_encoder(dims: EncoderDims, seed: int) -> SemanticEncoder:
 
 def pretrain_semantic_encoder(splits: sw.CorpusSplits, steps: int = 1200, batch: int = 12,
                               lr: float = 1e-3, seed: int = 0,
-                              dims: EncoderDims = EncoderDims(),
-                              shuffle_labels: bool = False) -> SemanticEncoder:
-    """Frame-label classification pretraining; returns a frozen encoder.
-
-    shuffle_labels runs the control experiment: labels permuted per batch.
-    """
+                              dims: EncoderDims = EncoderDims()) -> SemanticEncoder:
+    """Frame-label classification pretraining; returns a frozen encoder."""
     enc = init_semantic_encoder(dims, seed)
     rng = np.random.default_rng([0xE0C2, seed])
     head_rng = np.random.default_rng([0xE0C3, seed])
     nn.init_linear(enc.params, head_rng, "sem.headtmp", dims.d_sem, N_FRAME_CLASSES)
-    opt = Adam(AdamConfig(lr=lr, warmup=50, clip=1.0))
     buckets = bucket_by_length(splits.utterances)
-    frames_cache: dict[str, np.ndarray] = {}
-    labels_cache: dict[str, np.ndarray] = {}
+    cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    last_loss = float("nan")
-    for step in range(steps):
-        items = _sample_bucket(buckets, rng, batch)
-        xs, ys = [], []
-        for u in items:
-            if u.utt_id not in frames_cache:
-                frames_cache[u.utt_id] = splits.render_utterance(u).frames
-                labels_cache[u.utt_id] = downsampled_labels(u.text)
-            xs.append(frames_cache[u.utt_id])
-            ys.append(labels_cache[u.utt_id])
-        x = nm.constant(np.stack(xs))
-        labels = np.concatenate(ys)
-        if shuffle_labels:
-            labels = rng.permutation(labels)
-        tape = nm.Tape()
-        try:
-            with tape:
-                h = enc.forward_t(x)
-                logits = nn.linear(enc.params, "sem.headtmp", h)
-                loss = nm.cross_entropy(nm.reshape(logits, (-1, N_FRAME_CLASSES)), labels)
-        except nm.NumericsError as e:
-            raise TrainingDivergedError(
-                f"semantic pretraining diverged at step {step}; last finite loss {last_loss}") from e
-        grads = grads_by_name(tape, enc.params, tape.backward(loss))
-        opt.step(enc.params, grads)
-        last_loss = loss.item()
+    def batches():
+        while True:
+            items = sample_bucket(buckets, rng, batch)
+            for u in items:
+                if u.utt_id not in cache:
+                    cache[u.utt_id] = (splits.render_utterance(u).frames,
+                                       downsampled_labels(u.text))
+            yield (np.stack([cache[u.utt_id][0] for u in items]),
+                   np.concatenate([cache[u.utt_id][1] for u in items]))
 
+    fit_classifier(enc.params, lambda x: nn.linear(enc.params, "sem.headtmp", enc.forward_t(x)),
+                   batches(), steps, lr, "semantic pretraining")
     acc = _semantic_heldout_accuracy(enc, splits)
-    for name in [k for k in enc.params if k.startswith("sem.headtmp")]:
-        del enc.params[name]
-    for p in enc.params.values():
-        p.requires_grad = False
+    freeze(enc.params, drop_prefix="sem.headtmp")
     enc.frozen = True
     enc.heldout_frame_accuracy = acc
     return enc
@@ -169,15 +166,6 @@ def _semantic_heldout_accuracy(enc: SemanticEncoder, splits: sw.CorpusSplits,
         hit += int((pred == ref).sum())
         tot += len(ref)
     return hit / tot
-
-
-def extract_semantic(frames: np.ndarray, encoder: SemanticEncoder, adapter_params: dict,
-                     adapter_prefix: str = "sem_adapter") -> Tensor:
-    """Frames -> LM-space rows; gradient reaches only the adapter."""
-    if not encoder.frozen:
-        raise ConfigError("extract_semantic: encoder must be frozen")
-    feats = encoder.features(frames)
-    return apply_adapter(adapter_params, adapter_prefix, nm.constant(feats))
 
 
 # ---------------------------------------------------------------------------
@@ -230,72 +218,31 @@ def pretrain_speaker_encoder(splits: sw.CorpusSplits, steps: int = 800, batch: i
     enc = init_speaker_encoder(dims, seed)
     rng = np.random.default_rng([0xE0C6, seed])
     head_rng = np.random.default_rng([0xE0C7, seed])
-    n_spk = len(splits.train_speaker_ids)
-    nn.init_linear(enc.params, head_rng, "spk.headtmp", dims.d_spk, n_spk)
-    opt = Adam(AdamConfig(lr=lr, warmup=50, clip=1.0))
-    spk_index = {sid: i for i, sid in enumerate(splits.train_speaker_ids)}
-    text_buckets: dict[int, list] = {}
-    for txt in splits.train_texts:
-        text_buckets.setdefault(len(txt), []).append(txt)
-    lengths = sorted(text_buckets)
-
-    last_loss = float("nan")
-    for step in range(steps):
-        sids = rng.choice(splits.train_speaker_ids, size=batch)
-        pool = text_buckets[lengths[int(rng.integers(len(lengths)))]]
-        xs, ys = [], []
-        for sid in sids:
-            text = pool[int(rng.integers(len(pool)))]
-            r = sw.render(splits.vocab, text, splits.speakers[int(sid)], sw.PRISTINE,
-                          int(rng.integers(2**31)))
-            xs.append(r.frames)
-            ys.append(spk_index[int(sid)])
-        x = nm.constant(np.stack(xs))
-        tape = nm.Tape()
-        try:
-            with tape:
-                h = enc.forward_t(x)
-                logits = nn.linear(enc.params, "spk.headtmp", h)
-                loss = nm.cross_entropy(nm.reshape(logits, (-1, n_spk)), np.asarray(ys))
-        except nm.NumericsError as e:
-            raise TrainingDivergedError(
-                f"speaker pretraining diverged at step {step}; last finite loss {last_loss}") from e
-        grads = grads_by_name(tape, enc.params, tape.backward(loss))
-        opt.step(enc.params, grads)
-        last_loss = loss.item()
-
-    acc = _speaker_heldout_accuracy(enc, splits, spk_index)
-    for name in [k for k in enc.params if k.startswith("spk.headtmp")]:
-        del enc.params[name]
-    for p in enc.params.values():
-        p.requires_grad = False
+    nn.init_linear(enc.params, head_rng, "spk.headtmp", dims.d_spk,
+                   len(splits.train_speaker_ids))
+    fit_classifier(enc.params, lambda x: nn.linear(enc.params, "spk.headtmp", enc.forward_t(x)),
+                   speaker_batches(splits, rng, batch), steps, lr, "speaker pretraining")
+    acc = _speaker_heldout_accuracy(enc, splits)
+    freeze(enc.params, drop_prefix="spk.headtmp")
     enc.frozen = True
     enc.heldout_utterance_accuracy = acc
     return enc
 
 
 def _speaker_heldout_accuracy(enc: SpeakerEncoder, splits: sw.CorpusSplits,
-                              spk_index: dict, n_eval: int = 60) -> float:
+                              n_eval: int = 60) -> float:
     rng = np.random.default_rng([0xE0C8, splits.seed])
+    n_spk = len(splits.train_speaker_ids)
     hit = 0
     for i in range(n_eval):
-        sid = splits.train_speaker_ids[i % len(splits.train_speaker_ids)]
+        sid = splits.train_speaker_ids[i % n_spk]
         text = splits.heldout_texts[int(rng.integers(len(splits.heldout_texts)))]
         r = sw.render(splits.vocab, text, splits.speakers[sid], sw.PRISTINE,
                       int(rng.integers(2**31)))
         h = enc.forward_t(nm.constant(r.frames[None]))
         logits = nn.linear(enc.params, "spk.headtmp", h)
-        hit += int(logits.data[0, 0].argmax() == spk_index[sid])
+        hit += int(logits.data[0, 0].argmax() == i % n_spk)
     return hit / n_eval
-
-
-def extract_speaker(frames: np.ndarray, encoder: SpeakerEncoder, adapter_params: dict,
-                    adapter_prefix: str = "spk_adapter") -> Tensor:
-    """Frames -> single LM-space row; gradient reaches only the adapter."""
-    if not encoder.frozen:
-        raise ConfigError("extract_speaker: encoder must be frozen")
-    emb = encoder.embed(frames)
-    return apply_adapter(adapter_params, adapter_prefix, nm.constant(emb))
 
 
 # ---------------------------------------------------------------------------

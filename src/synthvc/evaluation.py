@@ -19,10 +19,10 @@ from . import numerics as nm
 from . import streamlm as sl
 from . import synthworld as sw
 from .codec import RVQCodec, decode
-from .encoders import apply_adapter, bucket_by_length
-from .errors import CalibrationError, DataError, MetricUndefinedError, TrainingDivergedError
+from .encoders import apply_adapter, bucket_by_length, sample_bucket, speaker_batches
+from .errors import CalibrationError, DataError, MetricUndefinedError
 from .numerics import Tensor
-from .optim import Adam, AdamConfig, grads_by_name
+from .optim import fit_classifier, freeze
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +91,6 @@ def cer(ref_text: str, hyp_text: str) -> float:
 @dataclass
 class OracleVerifier:
     params: dict[str, Tensor]
-    width: int
-    emb_dim: int
     eer: float | None = None
     _cache: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -145,41 +143,12 @@ def train_oracle_verifier(splits: sw.CorpusSplits, steps: int = 700, batch: int 
     nn.init_linear(params, rng_init, "ov.c1", 5 * sw.F_DIM, width)
     nn.init_linear(params, rng_init, "ov.c2", 5 * width, width)
     nn.init_linear(params, rng_init, "ov.emb", width, emb_dim)
-    n_spk = len(splits.train_speaker_ids)
-    nn.init_linear(params, rng_init, "ov.head", emb_dim, n_spk)
-    ver = OracleVerifier(params=params, width=width, emb_dim=emb_dim)
-
+    nn.init_linear(params, rng_init, "ov.head", emb_dim, len(splits.train_speaker_ids))
+    ver = OracleVerifier(params=params)
     rng = np.random.default_rng([0x0A18, seed])
-    spk_index = {sid: i for i, sid in enumerate(splits.train_speaker_ids)}
-    text_buckets: dict[int, list] = {}
-    for txt in splits.train_texts:
-        text_buckets.setdefault(len(txt), []).append(txt)
-    lengths = sorted(text_buckets)
-    opt = Adam(AdamConfig(lr=lr, warmup=50, clip=1.0))
-    for step in range(steps):
-        sids = rng.choice(splits.train_speaker_ids, size=batch)
-        pool = text_buckets[lengths[int(rng.integers(len(lengths)))]]
-        xs, ys = [], []
-        for sid in sids:
-            text = pool[int(rng.integers(len(pool)))]
-            r = sw.render(splits.vocab, text, splits.speakers[int(sid)], sw.PRISTINE,
-                          int(rng.integers(2**31)))
-            xs.append(r.frames)
-            ys.append(spk_index[int(sid)])
-        tape = nm.Tape()
-        try:
-            with tape:
-                h = ver.forward_t(nm.constant(np.stack(xs)))
-                logits = nn.linear(params, "ov.head", h)
-                loss = nm.cross_entropy(nm.reshape(logits, (-1, n_spk)), np.asarray(ys))
-        except nm.NumericsError as e:
-            raise TrainingDivergedError(f"oracle verifier diverged at step {step}") from e
-        opt.step(params, grads_by_name(tape, params, tape.backward(loss)))
-
-    for name in [k for k in params if k.startswith("ov.head")]:
-        del params[name]
-    for p in params.values():
-        p.requires_grad = False
+    fit_classifier(params, lambda x: nn.linear(params, "ov.head", ver.forward_t(x)),
+                   speaker_batches(splits, rng, batch), steps, lr, "oracle verifier")
+    freeze(params, drop_prefix="ov.head")
 
     # EER on held-out speakers over synthetic same/different pairs
     rng_e = np.random.default_rng([0x0A19, seed])
@@ -215,22 +184,21 @@ def train_oracle_verifier(splits: sw.CorpusSplits, steps: int = 700, batch: int 
 @dataclass
 class OracleTranscriber:
     params: dict[str, Tensor]
-    hidden: int
     pristine_exact_rate: float | None = None
     degraded_cer: float | None = None
 
-    def _frame_logits(self, frames: np.ndarray) -> np.ndarray:
-        x = nm.constant(frames[None])
+    def forward_t(self, x: Tensor) -> Tensor:
+        """(B, T, F) -> (B, T, N_SYMBOLS + 1) per-frame logits."""
         h = nm.unfold_time(x, kernel=3, stride=1, pad=1)
         h = nm.silu(nn.linear(self.params, "ot.h", h))
-        return nn.linear(self.params, "ot.out", h).data[0]
+        return nn.linear(self.params, "ot.out", h)
 
     def transcribe(self, frames: np.ndarray) -> tuple[int, ...]:
         """Framewise labels collapsed per 3-frame template span, silence-valued
         spans stripped. Span majority voting absorbs isolated frame errors."""
         if frames.shape[0] == 0:
             return ()
-        labels = self._frame_logits(frames).argmax(axis=-1)
+        labels = self.forward_t(nm.constant(frames[None])).data[0].argmax(axis=-1)
         t_total = len(labels)
         interior = t_total - 2 * sw.SILENCE_EDGE
         if interior < 1:
@@ -256,40 +224,23 @@ def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int = 900, batch: i
     params: dict[str, Tensor] = {}
     nn.init_linear(params, rng_init, "ot.h", 3 * sw.F_DIM, hidden)
     nn.init_linear(params, rng_init, "ot.out", hidden, sw.N_SYMBOLS + 1)
-    trans = OracleTranscriber(params=params, hidden=hidden)
-
+    trans = OracleTranscriber(params=params)
     rng = np.random.default_rng([0x0A28, seed])
     buckets = bucket_by_length(splits.utterances)
-    opt = Adam(AdamConfig(lr=lr, warmup=50, clip=1.0))
-    lengths = sorted(buckets)
-    sizes = np.array([len(buckets[k]) for k in lengths], dtype=np.float64)
-    for step in range(steps):
-        key = lengths[int(rng.choice(len(lengths), p=sizes / sizes.sum()))]
-        pool = buckets[key]
-        idx = rng.choice(len(pool), size=min(batch, len(pool)), replace=False)
-        xs, ys = [], []
-        for i in idx:
-            u = pool[i]
-            channel = sw.DEGRADED if rng.random() < 0.5 else sw.PRISTINE
-            r = sw.render(splits.vocab, u.text, splits.speakers[u.speaker_id], channel,
-                          int(rng.integers(2**31)))
-            xs.append(r.frames)
-            ys.append(sw.frame_labels(u.text))
-        tape = nm.Tape()
-        try:
-            with tape:
-                x = nm.constant(np.stack(xs))
-                h = nm.unfold_time(x, kernel=3, stride=1, pad=1)
-                h = nm.silu(nn.linear(params, "ot.h", h))
-                logits = nn.linear(params, "ot.out", h)
-                loss = nm.cross_entropy(nm.reshape(logits, (-1, sw.N_SYMBOLS + 1)),
-                                        np.concatenate(ys))
-        except nm.NumericsError as e:
-            raise TrainingDivergedError(f"oracle transcriber diverged at step {step}") from e
-        opt.step(params, grads_by_name(tape, params, tape.backward(loss)))
 
-    for p in params.values():
-        p.requires_grad = False
+    def batches():
+        while True:
+            xs, ys = [], []
+            for u in sample_bucket(buckets, rng, batch):
+                channel = sw.DEGRADED if rng.random() < 0.5 else sw.PRISTINE
+                r = sw.render(splits.vocab, u.text, splits.speakers[u.speaker_id], channel,
+                              int(rng.integers(2**31)))
+                xs.append(r.frames)
+                ys.append(sw.frame_labels(u.text))
+            yield np.stack(xs), np.concatenate(ys)
+
+    fit_classifier(params, trans.forward_t, batches(), steps, lr, "oracle transcriber")
+    freeze(params)
 
     # measured gates on held-out texts and speakers
     rng_g = np.random.default_rng([0x0A29, seed])

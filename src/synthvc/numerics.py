@@ -186,13 +186,6 @@ class Tape:
         self._tensors.clear()
 
 
-def backward(loss: Tensor) -> dict[int, Tensor]:
-    """Backward on the active tape (module-level convenience)."""
-    if _ACTIVE is None:
-        raise NumericsError("backward: no active tape")
-    return _ACTIVE.backward(loss)
-
-
 def _apply(op: str, parents: Sequence[Tensor], out_arr: Array,
            vjps_builder: Callable[[], tuple]) -> Tensor:
     _finite_or_raise(out_arr, op)

@@ -1,4 +1,5 @@
-"""Adam with linear warmup and global-norm gradient clipping.
+"""Adam with linear warmup and global-norm gradient clipping, and the one
+classifier-pretraining loop shared by the frozen encoders and the oracles.
 
 Only parameters that received a gradient this step are touched, so
 frozen or unrouted components keep bit-identical values.
@@ -7,9 +8,12 @@ frozen or unrouted components keep bit-identical values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
+from . import numerics as nm
+from .errors import TrainingDivergedError
 from .numerics import Tensor
 
 
@@ -80,3 +84,39 @@ def grads_by_name(tape, params: dict[str, Tensor], grad_map) -> dict[str, np.nda
         if g is not None:
             out[name] = g
     return out
+
+
+def fit_classifier(params: dict[str, Tensor], logits_fn: Callable[[Tensor], Tensor],
+                   sample: Iterator[tuple[np.ndarray, np.ndarray]], steps: int, lr: float,
+                   what: str) -> None:
+    """Minimize the cross entropy of logits_fn(inputs) against labels over
+    `steps` batches drawn from `sample`, updating `params` in place.
+
+    Adam with warmup 50 and clip 1.0. Logits of any rank are scored over
+    their last axis, so per-frame and per-utterance heads share the loop.
+    """
+    opt = Adam(AdamConfig(lr=lr, warmup=50, clip=1.0))
+    last_loss = float("nan")
+    for step in range(steps):
+        inputs, labels = next(sample)
+        x = nm.constant(inputs)
+        tape = nm.Tape()
+        try:
+            with tape:
+                logits = logits_fn(x)
+                loss = nm.cross_entropy(nm.reshape(logits, (-1, logits.shape[-1])), labels)
+        except nm.NumericsError as e:
+            raise TrainingDivergedError(
+                f"{what} diverged at step {step}; last finite loss {last_loss}") from e
+        opt.step(params, grads_by_name(tape, params, tape.backward(loss)))
+        last_loss = loss.item()
+
+
+def freeze(params: dict[str, Tensor], drop_prefix: str | None = None) -> None:
+    """Drop the params named drop_prefix* (a temporary head), then mark the
+    rest as not requiring gradients."""
+    if drop_prefix is not None:
+        for name in [k for k in params if k.startswith(drop_prefix)]:
+            del params[name]
+    for p in params.values():
+        p.requires_grad = False

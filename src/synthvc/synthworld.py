@@ -79,9 +79,6 @@ class SymbolVocab:
         templates.flags.writeable = False
         return cls(seed=seed, names=SYMBOL_NAMES, templates=templates, min_template_gap=gap)
 
-    def name_of(self, sym: int) -> str:
-        return self.names[sym]
-
     def id_of(self, name: str) -> int:
         return self.names.index(name)
 

@@ -21,7 +21,7 @@ from . import streamlm as sl
 from . import synthworld as sw
 from .codec import RVQCodec, encode
 from .encoders import (SemanticEncoder, SpeakerEncoder, apply_adapter,
-                       bucket_by_length, init_adapter)
+                       bucket_by_length, init_adapter, sample_bucket)
 from .errors import ConfigError, TrainingDivergedError
 from .evaluation import (EvalPair, MetricsReport, OracleTranscriber, OracleVerifier,
                          evaluate_conversion)
@@ -138,10 +138,6 @@ class PipelineContext:
         self.eval_pairs = eval_pairs
         self.lm_cfg = lm_cfg
         self.buckets = bucket_by_length(splits.utterances)
-        self.bucket_lengths = sorted(self.buckets)
-        self.bucket_sizes = np.array([len(self.buckets[k]) for k in self.bucket_lengths],
-                                     dtype=np.float64)
-        self.render_cache: dict[str, sw.Rendering] = {}
         self._ref_pool: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         self._ref_emb: dict[tuple[int, int], np.ndarray] = {}
         self._build_ref_pool()
@@ -155,16 +151,6 @@ class PipelineContext:
             for _ in range(self.REF_POOL_SIZE):
                 pool.append((texts[int(rng.integers(len(texts)))], int(rng.integers(2**31))))
             self._ref_pool[sid] = pool
-
-    def rendering(self, utt: sw.Utterance) -> sw.Rendering:
-        r = self.render_cache.get(utt.utt_id)
-        if r is None:
-            r = self.splits.render_utterance(utt)
-            self.render_cache[utt.utt_id] = r
-        return r
-
-    def sem_features(self, utt: sw.Utterance) -> np.ndarray:
-        return self.sem_enc.features(self.rendering(utt).frames, key=utt.utt_id)
 
     def reference_embedding(self, speaker_id: int, pool_idx: int,
                             avoid_text: tuple[int, ...]) -> np.ndarray:
@@ -235,14 +221,6 @@ def init_pipeline_params(ctx: PipelineContext, seed: int) -> dict[str, Tensor]:
 # batch assembly
 
 
-def _sample_batch(ctx: PipelineContext, rng: np.random.Generator, batch: int):
-    key = ctx.bucket_lengths[int(rng.choice(len(ctx.bucket_lengths),
-                                            p=ctx.bucket_sizes / ctx.bucket_sizes.sum()))]
-    pool = ctx.buckets[key]
-    idx = rng.choice(len(pool), size=min(batch, len(pool)), replace=False)
-    return [pool[i] for i in idx]
-
-
 def _source_features(ctx: PipelineContext, utts, rng: np.random.Generator) -> np.ndarray:
     """Semantic features of speaker-augmented fresh source renders.
 
@@ -290,7 +268,7 @@ def select_target(ctx: PipelineContext, source: sw.Utterance, target_speaker: in
                      channel, int(rng.integers(2**31)))
 
 
-def _text_ce(ctx, params, logits, grids, text_only: bool):
+def _text_ce(ctx, logits, grids, text_only: bool):
     layout = ctx.lm_cfg.layout
     masks = np.stack([sl.supervised_mask(g, layout, text_only=text_only) for g in grids])
     targets = np.stack([g.tokens for g in grids])
@@ -316,7 +294,7 @@ def _asr_pool_loss(ctx, params, utts, stage, rng):
     tokens = np.stack([g.tokens for g in grids])
     tokens_in = _dropped_text_inputs(tokens, stage.text_input_dropout, rng)
     logits = sl.forward_batch(params, ctx.lm_cfg, sem, spk, tokens_in)
-    ce_text, _ = _text_ce(ctx, params, logits, grids, text_only=True)
+    ce_text, _ = _text_ce(ctx, logits, grids, text_only=True)
     return nm.scale(ce_text, stage.text_loss_scale), float(ce_text.item())
 
 
@@ -341,7 +319,7 @@ def _vc_pool_loss(ctx, params, utts, stage, rng):
     tokens = np.stack([g.tokens for g in grids])
     tokens_in = _dropped_text_inputs(tokens, stage.text_input_dropout, rng)
     logits = sl.forward_batch(params, ctx.lm_cfg, sem, spk, tokens_in)
-    ce_text, ce_ac = _text_ce(ctx, params, logits, grids, text_only=False)
+    ce_text, ce_ac = _text_ce(ctx, logits, grids, text_only=False)
     loss = combine_vc_loss(ce_text, ce_ac, stage)
     return loss, float(ce_text.item()), tuple(float(c.item()) for c in ce_ac)
 
@@ -357,7 +335,7 @@ def combine_vc_loss(ce_text, ce_ac, stage: StageConfig):
     return nm.weighted_sum([ce_text, *ce_ac], weights)
 
 
-def _apply_step(ctx, state: TrainState, tape: nm.Tape, loss) -> None:
+def _apply_step(state: TrainState, tape: nm.Tape, loss) -> None:
     grads = grads_by_name(tape, state.params, tape.backward(loss))
     state.opt.step(state.params, grads)
     state.step += 1
@@ -373,7 +351,7 @@ def asr_step(batch, state: TrainState, ctx: PipelineContext, stage: StageConfig,
         raise TrainingDivergedError(
             f"stage {stage.name} step {state.step}: non-finite loss on batch "
             f"{[u.utt_id for u in batch]}") from e
-    _apply_step(ctx, state, tape, loss)
+    _apply_step(state, tape, loss)
     return StepResult(loss=float(loss.item()), ce_text=ce_text, ce_acoustic=None,
                       n_asr=len(batch), n_vc=0)
 
@@ -388,7 +366,7 @@ def vc_step(batch, state: TrainState, ctx: PipelineContext, stage: StageConfig,
         raise TrainingDivergedError(
             f"stage {stage.name} step {state.step}: non-finite loss on batch "
             f"{[u.utt_id for u in batch]}") from e
-    _apply_step(ctx, state, tape, loss)
+    _apply_step(state, tape, loss)
     return StepResult(loss=float(loss.item()), ce_text=ce_text, ce_acoustic=ce_ac,
                       n_asr=0, n_vc=len(batch))
 
@@ -425,7 +403,7 @@ def joint_step(batch, state: TrainState, ctx: PipelineContext, stage: StageConfi
         raise TrainingDivergedError(
             f"stage {stage.name} step {state.step}: non-finite loss on batch "
             f"{[u.utt_id for u in batch]}") from e
-    _apply_step(ctx, state, tape, loss)
+    _apply_step(state, tape, loss)
     return StepResult(loss=float(loss.item()), ce_text=ce_text, ce_acoustic=ce_ac,
                       n_asr=len(asr_items), n_vc=len(vc_items))
 
@@ -475,7 +453,7 @@ def train_stage(state: TrainState, ctx: PipelineContext, stage: StageConfig,
     last = None
     loss_history = []
     for local_step in range(stage.steps):
-        batch = _sample_batch(ctx, rng, stage.batch)
+        batch = sample_bucket(ctx.buckets, rng, stage.batch)
         if stage.name == STAGE_ASR:
             last = asr_step(batch, state, ctx, stage, rng)
         elif stage.name == STAGE_VC:
@@ -547,5 +525,8 @@ def run_pipeline(ctx: PipelineContext, plan: TrainPlan,
 
 
 def write_metrics_log(path: Path, rows) -> None:
-    lines = ["\t".join(str(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Append one tab-separated line per (step, stage, loss, heldout text
+    accuracy, heldout acoustic CE) row."""
+    with open(path, "a", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write("\t".join(str(v) for v in row) + "\n")

@@ -7,6 +7,7 @@ from synthvc import numerics as nm
 from synthvc import streamlm as sl
 from synthvc import synthworld as sw
 from synthvc import trainer as tr
+from synthvc.encoders import sample_bucket
 from synthvc.errors import ConfigError
 from synthvc.optim import Adam, AdamConfig, grads_by_name
 
@@ -65,7 +66,7 @@ def test_vc_loss_w0_zero_grad_on_text_head(bare_context):
     state = make_state(ctx)
     stage = stage_cfg("vc", w=0.0)
     rng = np.random.default_rng(5)
-    batch = tr._sample_batch(ctx, rng, 3)
+    batch = sample_bucket(ctx.buckets, rng, 3)
     tape = nm.Tape()
     with tape:
         loss, _, _ = tr._vc_pool_loss(ctx, state.params, batch, stage, rng)
@@ -80,7 +81,7 @@ def test_loss_decomposition_matches_independent_recomputation(bare_context):
     stage = stage_cfg("vc", w=0.5)
     rng = np.random.default_rng(11)
     for _ in range(10):
-        batch = tr._sample_batch(ctx, rng, 4)
+        batch = sample_bucket(ctx.buckets, rng, 4)
         res = tr.vc_step(batch, state, ctx, stage, rng)
         expected = stage.w * res.ce_text + (1 - stage.w) * sum(
             lam * ce for lam, ce in zip(stage.lambdas, res.ce_acoustic))
@@ -96,7 +97,7 @@ def test_asr_step_no_speaker_adapter_gradient(bare_context):
     state = make_state(ctx)
     stage = stage_cfg("asr")
     rng = np.random.default_rng(7)
-    batch = tr._sample_batch(ctx, rng, 3)
+    batch = sample_bucket(ctx.buckets, rng, 3)
     tape = nm.Tape()
     with tape:
         loss, _ = tr._asr_pool_loss(ctx, state.params, batch, stage, rng)
@@ -112,7 +113,7 @@ def test_joint_all_asr_leaves_speaker_adapter_bits(bare_context):
     rng = np.random.default_rng(9)
     before = {k: state.params[k].data.copy() for k in state.params
               if k.startswith("spk_adapter")}
-    batch = tr._sample_batch(ctx, rng, 4)
+    batch = sample_bucket(ctx.buckets, rng, 4)
     res = tr.joint_step(batch, state, ctx, stage, coin=rng)
     assert res.n_vc == 0 and res.n_asr == 4
     for k, v in before.items():
@@ -124,7 +125,7 @@ def test_joint_all_vc_reduces_to_vc_path(bare_context):
     state = make_state(ctx)
     stage = stage_cfg("joint", asr_fraction=0.0, w_prime=0.2)
     rng = np.random.default_rng(13)
-    batch = tr._sample_batch(ctx, rng, 4)
+    batch = sample_bucket(ctx.buckets, rng, 4)
     res = tr.joint_step(batch, state, ctx, stage, coin=rng)
     assert res.n_asr == 0 and res.n_vc == 4
     vc_part = stage.w * res.ce_text + (1 - stage.w) * sum(
@@ -151,7 +152,7 @@ def test_frozen_bits_unchanged_across_steps(bare_context):
     rng = np.random.default_rng(19)
     before = ctx.frozen_hash()
     for _ in range(3):
-        batch = tr._sample_batch(ctx, rng, 3)
+        batch = sample_bucket(ctx.buckets, rng, 3)
         tr.vc_step(batch, state, ctx, stage, rng)
     assert ctx.frozen_hash() == before
 
