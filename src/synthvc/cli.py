@@ -3,7 +3,8 @@ run training stages, convert utterances, evaluate, and inspect artifacts.
 
 Run directory layout (fixed names so commands find upstream artifacts):
     corpus/ codec/ encoders/ checkpoints/ reports/ logs/
-Every command appends a line to logs/run.tsv and exits nonzero on error
+Every command whose run directory was resolved appends a line to
+logs/run.tsv, with status "ok" or "ERR:<CODE>", and exits nonzero on error
 with a machine-parseable "ERR:<CODE>" prefix on stderr.
 """
 
@@ -41,7 +42,8 @@ _ERROR_CODES = [
     (ConfigError, ("USAGE", EXIT_USAGE)),
     (ArtifactFormatError, ("FORMAT", EXIT_FORMAT)),
     ((NumericsError, TrainingDivergedError), ("NUMERIC", EXIT_NUMERIC)),
-    ((DataError, StateError, MetricUndefinedError, CalibrationError), ("DATA", EXIT_DATA)),
+    (StateError, ("STATE", EXIT_DATA)),
+    ((DataError, MetricUndefinedError, CalibrationError), ("DATA", EXIT_DATA)),
 ]
 
 SUBDIRS = ("corpus", "codec", "encoders", "checkpoints", "reports", "logs")
@@ -67,9 +69,15 @@ class RunDir:
             self.path(d).mkdir(exist_ok=True)
 
     def lock(self) -> None:
+        """Create .runlock holding this pid. A lock whose pid names no live
+        process was left by a killed command and is replaced."""
         self.root.mkdir(parents=True, exist_ok=True)
+        path = self.path(".runlock")
+        if _lock_is_stale(path):
+            print(f"warning: replacing stale lock {path}", file=sys.stderr)
+            path.unlink(missing_ok=True)
         try:
-            fd = os.open(self.path(".runlock"), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise ConfigError(
                 f"run directory {self.root} is locked (.runlock exists); "
@@ -85,6 +93,7 @@ class RunDir:
 
     def log_command(self, command: str, cfg: RunConfig, seed: int,
                     started: float, status: str) -> None:
+        self.path("logs").mkdir(parents=True, exist_ok=True)
         line = "\t".join([
             time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
             command, cfg.config_hash(), str(seed),
@@ -103,6 +112,19 @@ class RunDir:
                     "config drift: resolved config differs from the one this run "
                     "directory was built with; pass --allow-config-drift to proceed")
             print("warning: proceeding with drifted config", file=sys.stderr)
+
+
+def _lock_is_stale(path: Path) -> bool:
+    """True when the lock file names a pid that no live process has."""
+    try:
+        pid = int(path.read_text(encoding="utf-8"))
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass   # no lock, a lock whose pid is not written yet, or another user's process
+    return False
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -446,6 +468,7 @@ _COMMAND_SEEDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
+    run = None
     try:
         cfg = _load_cfg(args)
         if args.command == "synth-data" and getattr(args, "out", None):
@@ -461,15 +484,16 @@ def main(argv=None) -> int:
         try:
             code = args.fn(args, cfg, run)
             run.ensure_layout()
-            run.log_command(args.command, cfg, cfg[_COMMAND_SEEDS[args.command]],
-                            started, "ok")
-            return code
         finally:
             run.unlock()
+        status = "ok"
     except SynthVCError as e:
         tag, code = _classify(e)
         print(f"ERR:{tag} {e}", file=sys.stderr)
-        return code
+        status = f"ERR:{tag}"
+    if run is not None:
+        run.log_command(args.command, cfg, cfg[_COMMAND_SEEDS[args.command]], started, status)
+    return code
 
 
 if __name__ == "__main__":

@@ -341,6 +341,25 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _apply("narrow", (a,), out, build)
 
 
+def write_rows(buffer: Array, start: int, new: Tensor) -> Tensor:
+    """Copy new (R, t, D) into buffer[:, start:start + t] and return
+    buffer[:, :start + t]: the append of a decode-time key/value cache.
+
+    The result is a read-only view that carries no gradient, so the op is
+    refused while a tape records an input that needs one.
+    """
+    arr = new.data
+    if (arr.ndim != 3 or arr.dtype != buffer.dtype or arr.shape[0::2] != buffer.shape[0::2]
+            or not 0 <= start <= buffer.shape[1] - arr.shape[1]):
+        raise ShapeError(f"write_rows: {arr.dtype} {arr.shape} at row {start} does not fit "
+                         f"{buffer.dtype} buffer {buffer.shape}")
+    stop = start + arr.shape[1]
+    if _ACTIVE is not None and new.requires_grad:
+        raise NumericsError("write_rows: no gradient flows through a key/value cache")
+    buffer[:, start:stop] = arr
+    return _apply("write_rows", (), buffer[:, :stop], lambda: ())
+
+
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
 

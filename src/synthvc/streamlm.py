@@ -4,8 +4,16 @@ One grid column per generation step carries 1 text token plus n acoustic
 tokens. Stream s is offset by d_s steps with d = [0, 1, ..., n], so every
 text token is emitted one step before the first acoustic token of the same
 step index, and acoustic layers stagger by one. The model consumes a prefix
-of [speaker row, semantic rows] followed by the summed per-stream embeddings
-of previous grid columns; logits at generation step j predict column j.
+of p = 1 + T' positions, [speaker row, semantic rows], followed by the
+summed per-stream embeddings of previous grid columns; the output at
+position p - 1 + j predicts column j.
+
+Training scores a whole grid in one teacher-forced causal pass
+(`forward_batch`). Decoding (`generate`) prefills the prefix once, which
+fills per-block key/value caches and gives the logits of column 0, then
+runs the trunk over one new position per column: column j - 1's summed
+embeddings at position p - 1 + j, attending over the cache. Both share the
+embeddings, the trunk and the stream heads.
 """
 
 from __future__ import annotations
@@ -242,23 +250,30 @@ def forward_batch(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
     if total > cfg.capacity:
         raise CapacityError(f"sequence length {total} exceeds capacity {cfg.capacity}")
 
-    parts = []
-    for s in range(cfg.layout.n_streams):
-        table = params["lm.text_emb"] if s == 0 else params[f"lm.ac_emb{s - 1}"]
-        emb = nm.embedding_lookup(table, tokens[:, s, :length - 1].reshape(-1))
-        parts.append(nm.reshape(emb, (b, length - 1, cfg.dim)))
-    gen = parts[0]
-    for extra in parts[1:]:
-        gen = nm.add(gen, extra)
-
-    x = nm.concat([spk, sem, gen], axis=1)
+    x = nm.concat([spk, sem, _embed_columns(params, cfg, tokens[:, :, :length - 1])], axis=1)
     h = nn.trunk(params, "lm", x, np.arange(total), cfg.heads, cfg.blocks,
                  nn.causal_mask(total))
     h_gen = nm.narrow(h, 1, p - 1, total)
-    logits = [nn.linear(params, "lm.text_head", h_gen)]
-    for i in range(cfg.layout.n_layers):
-        logits.append(nn.linear(params, f"lm.ac_head{i}", h_gen))
-    return logits
+    return [_head(params, s, h_gen) for s in range(cfg.layout.n_streams)]
+
+
+def _embed_columns(params: dict, cfg: LMConfig, tokens: np.ndarray) -> Tensor:
+    """Summed per-stream embeddings of grid columns: (B, 1+n, L) -> (B, L, dim)."""
+    b, _, length = tokens.shape
+    parts = []
+    for s in range(cfg.layout.n_streams):
+        table = params["lm.text_emb"] if s == 0 else params[f"lm.ac_emb{s - 1}"]
+        emb = nm.embedding_lookup(table, tokens[:, s].reshape(-1))
+        parts.append(nm.reshape(emb, (b, length, cfg.dim)))
+    out = parts[0]
+    for extra in parts[1:]:
+        out = nm.add(out, extra)
+    return out
+
+
+def _head(params: dict, s: int, h: Tensor) -> Tensor:
+    """Stream s's logits from trunk outputs h."""
+    return nn.linear(params, "lm.text_head" if s == 0 else f"lm.ac_head{s - 1}", h)
 
 
 def forward(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
@@ -305,7 +320,14 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
              max_steps: int = 128, tail: int = 40, mode: str = "greedy",
              temperature: float = 1.0, top_k: int = 0,
              rng: np.random.Generator | None = None) -> GenerationResult:
-    """Step-by-step decoding with structural tokens forced by construction.
+    """Greedy or sampled decoding with structural tokens forced by construction.
+
+    A prefill over [speaker row, semantic rows] (p positions) fills per-block
+    key/value caches, sized min(capacity, p + max_steps), and yields column
+    0's logits; each later column j runs the trunk over one position, column
+    j - 1's summed embeddings at p - 1 + j, against the cache. Only the heads
+    of streams still emitting are evaluated. CapacityError is raised at the
+    first column j with p + j > capacity.
 
     Stops once the text stream has emitted EOS and every acoustic stream has
     closed with PAD, or tail steps past EOS, or at max_steps (truncation
@@ -328,7 +350,15 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
     code_only = np.arange(layout.code_vocab)
     code_or_pad = np.concatenate([np.arange(layout.code_vocab), [layout.ac_pad]])
 
-    def pick(row, allowed):
+    if spk is None:
+        spk = params["lm.null_spk"]
+    p = 1 + sem.shape[0]
+    cache = [nn.BlockCache(cfg.heads, min(cfg.capacity, p + max_steps), cfg.dim // cfg.heads)
+             for _ in range(cfg.blocks)]
+
+    def pick(s, allowed):
+        """Stream s's token for the current column, from the latest trunk output h."""
+        row = _head(params, s, h).data[0, 0]
         if mode == "greedy":
             return greedy_pick(row, allowed)
         return sample_pick(row, allowed, temperature, top_k, rng)
@@ -338,18 +368,24 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
     closed = [False] * n
     eos_step: int | None = None
     truncated = False
-    cols: list[np.ndarray] = []
     steps = 0
 
     for j in range(max_steps):
-        partial = np.stack(cols + [np.full(layout.n_streams, 0, dtype=np.int64)], axis=1)
-        grid_j = DelayedGrid(tokens=partial, valid=_content_valid(partial, layout))
-        logits = forward(params, cfg, sem, spk, grid_j)
+        if p + j > cfg.capacity:
+            raise CapacityError(f"sequence length {p + j} exceeds capacity {cfg.capacity}")
+        if j == 0:
+            x = nm.concat([nm.reshape(spk, (1, 1, cfg.dim)), nm.reshape(sem, (1,) + sem.shape)],
+                          axis=1)
+            h = nm.narrow(nn.trunk(params, "lm", x, np.arange(p), cfg.heads, cfg.blocks,
+                                   nn.causal_mask(p), cache), 1, p - 1, p)
+        else:
+            x = _embed_columns(params, cfg, col[None, :, None])
+            h = nn.trunk(params, "lm", x, np.array([p - 1 + j]), cfg.heads, cfg.blocks,
+                         None, cache)
         col = np.empty(layout.n_streams, dtype=np.int64)
 
         if eos_step is None:
-            allowed = text_allowed_first if j == 0 else text_allowed
-            tok = pick(logits[0].data[j], allowed)
+            tok = pick(0, text_allowed_first if j == 0 else text_allowed)
             if tok == TEXT_EOS:
                 eos_step = j
             else:
@@ -365,15 +401,13 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
             elif closed[i]:
                 col[i + 1] = layout.ac_pad
             else:
-                allowed = code_only if j == d else code_or_pad
-                tok = pick(logits[i + 1].data[j], allowed)
+                tok = pick(i + 1, code_only if j == d else code_or_pad)
                 if tok == layout.ac_pad:
                     closed[i] = True
                 else:
                     codes[i].append(tok)
                 col[i + 1] = tok
 
-        cols.append(col)
         steps = j + 1
         if eos_step is not None:
             if all(closed):

@@ -460,6 +460,33 @@ def test_unfold_time_matches_manual_windows():
         np.testing.assert_array_equal(out[i], padded[2 * i:2 * i + 4].reshape(-1))
 
 
+def test_write_rows_appends_and_returns_filled_prefix():
+    buf = np.zeros((2, 5, 3), dtype=np.float32)
+    a = np.arange(12, dtype=np.float32).reshape(2, 2, 3)
+    b = np.full((2, 1, 3), 7.0, dtype=np.float32)
+    first = nm.write_rows(buf, 0, t(a))
+    second = nm.write_rows(buf, 2, t(b))
+    assert first.shape == (2, 2, 3) and second.shape == (2, 3, 3)
+    np.testing.assert_array_equal(second.data, np.concatenate([a, b], axis=1))
+    np.testing.assert_array_equal(first.data, a)    # later appends leave it alone
+    assert not second.requires_grad and not second.data.flags.writeable
+    assert (buf[:, 3:] == 0).all()
+
+
+def test_write_rows_rejects_misfits_and_taped_inputs():
+    buf = np.zeros((2, 4, 3), dtype=np.float32)
+    for arr, start in ((np.zeros((2, 2, 3), np.float32), 3),     # past the end
+                       (np.zeros((3, 1, 3), np.float32), 0),     # row count
+                       (np.zeros((2, 1, 2), np.float32), 0),     # width
+                       (np.zeros((2, 1, 3), np.float64), 0)):    # dtype
+        with pytest.raises(ShapeError):
+            nm.write_rows(buf, start, t(arr))
+    with nm.Tape(), pytest.raises(NumericsError, match="no gradient"):
+        nm.write_rows(buf, 0, t(np.zeros((2, 1, 3), np.float32), rg=True))
+    with pytest.raises(NumericsError):
+        nm.write_rows(buf, 0, t(np.full((2, 1, 3), np.nan, np.float32)))
+
+
 def test_unfold_time_ceil_halving():
     # kernel 3 / stride 2 / pad 1 halves the time axis with ceiling rounding
     for T in (9, 10, 11, 40):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synthvc import nn
 from synthvc import numerics as nm
 from synthvc import streamlm as sl
 from synthvc.errors import CapacityError, ConfigError, DataError, GridFormatError
@@ -229,6 +230,128 @@ def test_generate_sampling_mode(lm):
         sl.generate(params, cfg, sem, spk, mode="sample")
     with pytest.raises(ConfigError):
         sl.generate(params, cfg, sem, spk, mode="beam")
+
+
+def _record_decode(monkeypatch, params, cfg, sem, spk, **kw):
+    """Greedy decode that records the width of every trunk call and, per
+    column, every (row, allowed, token) pick; returns (result or error, widths, picks)."""
+    widths, picks = [], []
+    real_pick, real_trunk = sl.greedy_pick, nn.trunk
+
+    def pick(row, allowed):
+        tok = real_pick(row, allowed)
+        picks[-1].append((row.copy(), allowed, tok))
+        return tok
+
+    def trunk(params, prefix, x, *args, **kwargs):
+        widths.append(x.shape[1])
+        picks.append([])
+        return real_trunk(params, prefix, x, *args, **kwargs)
+
+    monkeypatch.setattr(sl, "greedy_pick", pick)
+    monkeypatch.setattr(nn, "trunk", trunk)
+    try:
+        out = sl.generate(params, cfg, sem, spk, **kw)
+    except CapacityError as e:
+        out = e
+    finally:
+        monkeypatch.undo()
+    return out, widths, picks
+
+
+def _emitted_columns(picks, layout):
+    """Replay the forced structure over the recorded picks: the (1+n, steps)
+    emitted tokens and, per column, the picking streams as (s, row, allowed, tok)."""
+    n = layout.n_layers
+    eos, closed = False, [False] * n
+    cols, picked = [], []
+    for j, col_picks in enumerate(picks):
+        it = iter(col_picks)
+        col, here = [sl.TEXT_PAD] + [layout.ac_bos] * n, []
+        if not eos:
+            row, allowed, tok = next(it)
+            col[0], eos = tok, tok == sl.TEXT_EOS
+            here.append((0, row, allowed, tok))
+        for i in range(n):
+            if j < i + 1:
+                continue
+            if closed[i]:
+                col[i + 1] = layout.ac_pad
+                continue
+            row, allowed, tok = next(it)
+            col[i + 1], closed[i] = tok, tok == layout.ac_pad
+            here.append((i + 1, row, allowed, tok))
+        assert next(it, None) is None
+        cols.append(col)
+        picked.append(here)
+    return np.asarray(cols, dtype=np.int64).T, picked
+
+
+def _stopping_params(params, cfg):
+    """The same model with EOS and every acoustic PAD favoured: text stops
+    after a few tokens and each acoustic stream after one code."""
+    out = dict(params)
+    text_b = params["lm.text_head.b"].data.copy()
+    text_b[sl.TEXT_EOS] += 0.2
+    out["lm.text_head.b"] = nm.Tensor(text_b, requires_grad=True)
+    for i in range(cfg.layout.n_layers):
+        ac_b = params[f"lm.ac_head{i}.b"].data.copy()
+        ac_b[cfg.layout.ac_pad] += 5.0
+        out[f"lm.ac_head{i}.b"] = nm.Tensor(ac_b, requires_grad=True)
+    return out
+
+
+@pytest.mark.parametrize("stops", [True, False])
+def test_cached_decode_matches_teacher_forced_rescoring(lm, monkeypatch, stops):
+    cfg, params, sem, spk, _ = lm
+    if stops:
+        params = _stopping_params(params, cfg)
+    res, widths, picks = _record_decode(monkeypatch, params, cfg, sem, spk,
+                                        max_steps=48, tail=40)
+    assert res.truncated != stops
+    tokens, picked = _emitted_columns(picks, cfg.layout)
+    assert tokens.shape[1] == res.steps
+    if stops:   # a clean stop emits exactly the canonical grid
+        assert np.array_equal(tokens, res.grid.tokens)
+    grid = sl.DelayedGrid(tokens=tokens, valid=np.ones(tokens.shape, dtype=bool))
+    forced = sl.forward(params, cfg, sem, spk, grid)
+    for j, here in enumerate(picked):
+        for s, row, allowed, tok in here:
+            want = forced[s].data[j]
+            assert np.abs(row - want).max() <= 1e-5, (j, s)
+            assert sl.greedy_pick(want, allowed) == tok, (j, s)
+
+
+def test_decode_runs_one_trunk_position_per_column_after_prefill(lm, monkeypatch):
+    cfg, params, sem, spk, _ = lm
+    res, widths, _ = _record_decode(monkeypatch, params, cfg, sem, spk, max_steps=40, tail=8)
+    p = 1 + sem.shape[0]
+    assert widths[0] == p
+    assert widths[1:] == [1] * (res.steps - 1)
+
+
+@pytest.mark.parametrize("capacity", [9, 10, 14, 30])
+def test_decode_capacity_error_at_predicted_column(lm, monkeypatch, capacity):
+    cfg, params, sem, spk, _ = lm
+    small = sl.LMConfig(capacity=capacity)
+    p = 1 + sem.shape[0]
+    err, widths, _ = _record_decode(monkeypatch, params, small, sem, spk, max_steps=48, tail=40)
+    # column j needs p + j positions; the first column past capacity raises
+    j = capacity - p + 1
+    assert isinstance(err, CapacityError)
+    assert f"sequence length {p + j} exceeds capacity {capacity}" in str(err)
+    assert len(widths) == max(j, 0)
+    # the teacher-forced pass draws the same line
+    for cols, fits in ((j, True), (j + 1, False)):
+        if cols < 1:
+            continue
+        grid = sl.DelayedGrid(tokens=np.zeros((5, cols), dtype=np.int64),
+                              valid=np.ones((5, cols), dtype=bool))
+        if fits:
+            sl.forward(params, small, sem, spk, grid)
+        else:
+            with pytest.raises(CapacityError):
+                sl.forward(params, small, sem, spk, grid)
 
 
 def test_greedy_pick_argmax_scale_invariance():
