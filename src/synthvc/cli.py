@@ -270,6 +270,16 @@ def cmd_pretrain_encoders(args, cfg: RunConfig, run: RunDir) -> int:
                                               seed=cfg["oracle.seed"] + 1)
     ck.save_checkpoint(run.path("encoders", "oracle_transcriber.ckpt"),
                        ck.params_to_components(transcriber.params, frozen=True))
+    quality = {
+        "semantic_heldout_frame_accuracy": sem.heldout_frame_accuracy,
+        "speaker_heldout_utterance_accuracy": spk.heldout_utterance_accuracy,
+        "oracle_verifier_eer": verifier.eer,
+        "oracle_transcriber_pristine_exact_rate": transcriber.pristine_exact_rate,
+        "oracle_transcriber_degraded_cer": transcriber.degraded_cer,
+    }
+    run.path("reports", "pretrain.json").write_text(
+        json.dumps({k: float(v) for k, v in quality.items()}, sort_keys=True, indent=1) + "\n",
+        encoding="utf-8")
     print(f"semantic heldout frame accuracy: {sem.heldout_frame_accuracy:.4f}")
     print(f"speaker heldout utterance accuracy: {spk.heldout_utterance_accuracy:.4f}")
     print(f"oracle verifier EER: {verifier.eer:.4f}")
@@ -361,8 +371,7 @@ def cmd_convert(args, cfg: RunConfig, run: RunDir) -> int:
     frames = cd.decode(codes, ctx.codec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(f"{out}.frames.bin", "wb") as fh:
-        nm.write_tensor_record(fh, f"{args.source}->{args.target_ref}", frames)
+    sw.write_frames(Path(f"{out}.frames.bin"), {f"{args.source}->{args.target_ref}": frames})
     Path(f"{out}.text.txt").write_text(
         ctx.splits.vocab.transcript_names(text_tokens) + "\n", encoding="utf-8")
     Path(f"{out}.grid.txt").write_text(sl.dump_grid(res.grid, ctx.lm_cfg.layout),

@@ -9,28 +9,26 @@ offline and frozen for all LM training.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint as ck
 from .errors import ArtifactFormatError, DataError, StateError
-from . import numerics as nm
-
-CODEC_MAGIC = b"RVQ1"
 
 
 @dataclass(frozen=True)
 class Codebook:
     layer: int
-    centroids: np.ndarray    # (K, F) float32; row 0 is exactly zero
+    centroids: np.ndarray    # (K, F) float32; row 0 is exactly zero; read-only
 
     def __post_init__(self):
         if not np.isfinite(self.centroids).all():
             raise DataError(f"codebook layer {self.layer}: non-finite centroids")
         if np.any(self.centroids[0] != 0.0):
             raise DataError(f"codebook layer {self.layer}: row 0 must be the zero vector")
+        self.centroids.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,6 @@ def fit_codebooks(frames: np.ndarray, n: int = 4, k: int = 64,
         cents64 = _lloyd(residual, k, iters, rng)
         cents = cents64.astype(np.float32)
         cents[0] = 0.0
-        cents.flags.writeable = False
         books.append(Codebook(layer=layer, centroids=cents))
         labels = _assign_fit(residual, cents.astype(np.float64))
         residual = residual - cents.astype(np.float64)[labels]
@@ -213,39 +210,25 @@ def reconstruction_snr_db(frames: np.ndarray, codec: RVQCodec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# artifact file: magic, n, K, F, centroid tensor records, fit-time SNR (f32)
+# artifact file: a checkpoint container (checkpoint.py) with one frozen
+# component "codec" holding "layer0".."layer{n-1}" (K, F) centroids and the
+# rank-0 fit-time SNR "fit_snr_db"
 
 
 def save_codec(path: Path, codec: RVQCodec) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CODEC_MAGIC)
-        fh.write(struct.pack("<III", codec.n_layers, codec.codebook_size, codec.feature_dim))
-        for book in codec.codebooks:
-            nm.write_tensor_record(fh, f"layer{book.layer}", book.centroids)
-        fh.write(struct.pack("<f", np.float32(codec.fit_snr_db)))
+    tensors = {f"layer{book.layer}": book.centroids for book in codec.codebooks}
+    tensors["fit_snr_db"] = np.float32(codec.fit_snr_db)
+    ck.save_checkpoint(path, {"codec": (True, tensors)})
 
 
 def load_codec(path: Path) -> RVQCodec:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CODEC_MAGIC:
-            raise ArtifactFormatError(f"codec artifact: bad magic {magic!r}")
-        head = fh.read(12)
-        if len(head) != 12:
-            raise ArtifactFormatError("codec artifact: truncated header")
-        n, k, f = struct.unpack("<III", head)
-        books = []
-        for layer in range(n):
-            rec = nm.read_tensor_record(fh)
-            if rec is None:
-                raise ArtifactFormatError("codec artifact: missing codebook record")
-            name, cents = rec
-            if name != f"layer{layer}" or cents.shape != (k, f):
-                raise ArtifactFormatError(f"codec artifact: unexpected record {name} {cents.shape}")
-            cents.flags.writeable = False
-            books.append(Codebook(layer=layer, centroids=cents))
-        tail = fh.read(4)
-        if len(tail) != 4:
-            raise ArtifactFormatError("codec artifact: missing SNR field")
-        (snr,) = struct.unpack("<f", tail)
-    return RVQCodec(codebooks=books, fit_snr_db=float(snr))
+    comps = ck.load_checkpoint(path)
+    tensors = dict(comps["codec"][1]) if list(comps) == ["codec"] else {}
+    snr = tensors.pop("fit_snr_db", None)
+    cents = [tensors.get(f"layer{i}") for i in range(len(tensors))]
+    if (snr is None or snr.shape != () or not cents or any(c is None for c in cents)
+            or len({c.shape for c in cents}) != 1 or cents[0].ndim != 2):
+        raise ArtifactFormatError(f"codec artifact {path}: expected one component 'codec' "
+                                  "holding fit_snr_db and equal-shape (K, F) layer0..layer{n-1}")
+    return RVQCodec(codebooks=[Codebook(layer=i, centroids=c) for i, c in enumerate(cents)],
+                    fit_snr_db=float(snr))

@@ -12,13 +12,11 @@ training step. Ops called with no active tape run as pure functions.
 
 from __future__ import annotations
 
-import struct
-from typing import BinaryIO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
-    ArtifactFormatError,
     ConfigError,
     DegenerateBatchError,
     DeterminismError,
@@ -679,47 +677,3 @@ def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-4) -> float:
             continue
         worst = max(worst, abs(fd - an) / denom)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# serialization: named tensor records (little-endian)
-
-
-def write_tensor_record(fh: BinaryIO, name: str, arr: Array) -> None:
-    """name length (u32), name bytes, rank (u32), dims (u32 each), f32 payload."""
-    nb = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(nb)))
-    fh.write(nb)
-    fh.write(struct.pack("<I", arr.ndim))
-    for d in arr.shape:
-        fh.write(struct.pack("<I", d))
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def read_tensor_record(fh: BinaryIO) -> tuple[str, Array] | None:
-    """Read one record; None at clean EOF."""
-    head = fh.read(4)
-    if head == b"":
-        return None
-    if len(head) != 4:
-        raise ArtifactFormatError("tensor record: truncated name length")
-    (nlen,) = struct.unpack("<I", head)
-    nb = fh.read(nlen)
-    if len(nb) != nlen:
-        raise ArtifactFormatError("tensor record: truncated name")
-    rank_b = fh.read(4)
-    if len(rank_b) != 4:
-        raise ArtifactFormatError("tensor record: truncated rank")
-    (rank,) = struct.unpack("<I", rank_b)
-    dims = []
-    for _ in range(rank):
-        db = fh.read(4)
-        if len(db) != 4:
-            raise ArtifactFormatError("tensor record: truncated dims")
-        dims.append(struct.unpack("<I", db)[0])
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    payload = fh.read(4 * count)
-    if len(payload) != 4 * count:
-        raise ArtifactFormatError("tensor record: truncated payload")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
-    return nb.decode("utf-8"), arr

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from . import numerics as nm
+from . import checkpoint as ck
+from .errors import ArtifactFormatError, ConfigError, DataError
 
 F_DIM = 16
 CONTENT_DIMS = 15           # features 0..14 carry symbol content
@@ -321,16 +321,13 @@ def load_manifest(path: Path, vocab: SymbolVocab) -> list[Utterance]:
 
 
 def write_frames(path: Path, renders: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        for utt_id in sorted(renders):
-            nm.write_tensor_record(fh, utt_id, renders[utt_id])
+    """One frozen checkpoint component "frames": utt_id -> (T, F) frames."""
+    ck.save_checkpoint(path, {"frames": (True, renders)})
 
 
 def load_frames(path: Path) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        while True:
-            rec = nm.read_tensor_record(fh)
-            if rec is None:
-                return out
-            out[rec[0]] = rec[1]
+    comps = ck.load_checkpoint(path)
+    if list(comps) != ["frames"]:
+        raise ArtifactFormatError(f"frames file {path}: components {sorted(comps)}, "
+                                  "expected ['frames']")
+    return comps["frames"][1]

@@ -1,6 +1,6 @@
 """Every CLI command end to end at a tiny config: exit codes, artifacts, one
 logs/run.tsv line per command (failed ones included), the typed failures of
-a missing upstream artifact, a truncated codec file and an unknown config
+a missing upstream artifact, a corrupt codec file and an unknown config
 key, and the run-directory lock."""
 
 import json
@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from synthvc import cli
+from synthvc import synthworld as sw
 from synthvc.errors import ConfigError
 
 TINY_CONFIG = """\
@@ -44,6 +45,16 @@ def test_cli_every_command_end_to_end(tmp_path, capsys):
     assert cli.main(["--config", str(cfg_path), "synth-data", "--out", str(run)]) == 0
     assert cli.main(base + ["fit-codec"]) == 0
     assert cli.main(base + ["pretrain-encoders"]) == 0
+    quality = json.loads((run / "reports" / "pretrain.json").read_text())
+    assert sorted(quality) == [
+        "oracle_transcriber_degraded_cer", "oracle_transcriber_pristine_exact_rate",
+        "oracle_verifier_eer", "semantic_heldout_frame_accuracy",
+        "speaker_heldout_utterance_accuracy"]
+    for key in ("semantic_heldout_frame_accuracy", "speaker_heldout_utterance_accuracy",
+                "oracle_transcriber_pristine_exact_rate"):
+        assert 0.0 <= quality[key] <= 1.0
+    assert 0.0 <= quality["oracle_verifier_eer"] <= 0.10      # the verifier's calibration gate
+    assert quality["oracle_transcriber_degraded_cer"] >= 0.0
     src, ref = (run / "corpus" / "eval_manifest.tsv").read_text().splitlines()[0].split("\t")
     out = run / "out" / "conv"
     convert = base + ["convert", "--source", src, "--target-ref", ref, "--out", str(out)]
@@ -67,6 +78,8 @@ def test_cli_every_command_end_to_end(tmp_path, capsys):
     for suffix in (".frames.bin", ".text.txt", ".grid.txt"):
         assert (run / "out" / f"conv{suffix}").stat().st_size > 0
     assert "converted " + src in capsys.readouterr().out
+    converted = sw.load_frames(run / "out" / "conv.frames.bin")
+    assert list(converted) == [f"{src}->{ref}"] and converted[f"{src}->{ref}"].ndim == 2
 
     assert cli.main(base + ["evaluate"]) == 0
     report = json.loads((run / "reports" / "evaluate.json").read_text())
@@ -75,10 +88,15 @@ def test_cli_every_command_end_to_end(tmp_path, capsys):
     assert cli.main(base + ["inspect-grid", "--in", f"{out}.grid.txt"]) == 0
     assert "layout: valid" in capsys.readouterr().out
 
+    # a flipped byte in layer 0's last centroid, then a truncated file
     codec = run / "codec" / "codec.rvq"
-    codec.write_bytes(codec.read_bytes()[:-6])
-    assert cli.main(base + ["evaluate"]) == cli.EXIT_FORMAT
-    assert capsys.readouterr().err.startswith("ERR:FORMAT ")
+    good = codec.read_bytes()
+    flipped = bytearray(good)
+    flipped[good.index(b"codec/layer1") - 4 - 2] ^= 0x01
+    for corrupt in (bytes(flipped), good[:-6]):
+        codec.write_bytes(corrupt)
+        assert cli.main(base + ["evaluate"]) == cli.EXIT_FORMAT
+        assert capsys.readouterr().err.startswith("ERR:FORMAT ")
 
     # an unknown key fails before the run directory is known: nothing to log in
     bad_cfg = tmp_path / "bad.cfg"
@@ -89,7 +107,7 @@ def test_cli_every_command_end_to_end(tmp_path, capsys):
     assert _run_log(run) == [
         ("synth-data", "ok"), ("fit-codec", "ok"), ("pretrain-encoders", "ok"),
         ("convert", "ERR:STATE"), ("train", "ok"), ("convert", "ok"), ("evaluate", "ok"),
-        ("inspect-grid", "ok"), ("evaluate", "ERR:FORMAT")]
+        ("inspect-grid", "ok"), ("evaluate", "ERR:FORMAT"), ("evaluate", "ERR:FORMAT")]
 
 
 def test_lock_with_dead_pid_is_replaced(tmp_path):

@@ -1,7 +1,5 @@
 """Tensor/autodiff tests: every derived value comes from an independent oracle."""
 
-import io
-
 import mpmath
 import numpy as np
 import pytest
@@ -509,30 +507,3 @@ def test_tape_reset_and_reuse():
     assert tape.backward(loss)
     tape.reset()
     assert tape.tid_of(x) is None and not tape.nodes
-
-
-def test_tensor_record_round_trip():
-    buf = io.BytesIO()
-    rng = np.random.default_rng(55)
-    arr = rng.normal(size=(3, 2)).astype(np.float32)
-    nm.write_tensor_record(buf, "weights/w1", arr)
-    nm.write_tensor_record(buf, "b", np.float32([1, 2, 3]))
-    buf.seek(0)
-    name1, a1 = nm.read_tensor_record(buf)
-    name2, a2 = nm.read_tensor_record(buf)
-    assert nm.read_tensor_record(buf) is None
-    assert name1 == "weights/w1" and name2 == "b"
-    np.testing.assert_array_equal(a1, arr)
-
-
-def test_tensor_record_layout_bytes():
-    # byte-level oracle for the record format
-    buf = io.BytesIO()
-    nm.write_tensor_record(buf, "ab", np.array([[1.0]], dtype=np.float32))
-    raw = buf.getvalue()
-    assert raw[:4] == (2).to_bytes(4, "little")
-    assert raw[4:6] == b"ab"
-    assert raw[6:10] == (2).to_bytes(4, "little")          # rank
-    assert raw[10:14] == (1).to_bytes(4, "little")         # dim 0
-    assert raw[14:18] == (1).to_bytes(4, "little")         # dim 1
-    assert raw[18:] == np.float32(1.0).tobytes()
