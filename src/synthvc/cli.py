@@ -11,6 +11,7 @@ with a machine-parseable "ERR:<CODE>" prefix on stderr.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -70,20 +71,27 @@ class RunDir:
 
     def lock(self) -> None:
         """Create .runlock holding this pid. A lock whose pid names no live
-        process was left by a killed command and is replaced."""
+        process was left by a killed command and is replaced.
+
+        The stale check, the replacement and the create run under an flock
+        on .runlock.guard, so two commands cannot both replace one stale
+        lock, and none reads a lock whose pid is not written yet.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(".runlock")
-        if _lock_is_stale(path):
-            print(f"warning: replacing stale lock {path}", file=sys.stderr)
-            path.unlink(missing_ok=True)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                f"run directory {self.root} is locked (.runlock exists); "
-                "remove the lock if no other command is running") from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
+        with open(self.path(".runlock.guard"), "a") as guard:
+            fcntl.flock(guard, fcntl.LOCK_EX)   # released when the file closes
+            if _lock_is_stale(path):
+                print(f"warning: replacing stale lock {path}", file=sys.stderr)
+                path.unlink(missing_ok=True)
+            try:
+                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                raise ConfigError(
+                    f"run directory {self.root} is locked (.runlock exists); "
+                    "remove the lock if no other command is running") from None
+            with os.fdopen(fd, "w") as fh:
+                fh.write(str(os.getpid()))
 
     def unlock(self) -> None:
         try:
@@ -123,7 +131,7 @@ def _lock_is_stale(path: Path) -> bool:
     except ProcessLookupError:
         return True
     except (OSError, ValueError, OverflowError):
-        pass   # no lock, a lock whose pid is not written yet, or another user's process
+        pass   # no lock, one with no valid pid, or another user's process
     return False
 
 

@@ -103,7 +103,8 @@ class SemanticEncoder:
         return nm.reshape(h, h.shape[1:]) if squeeze else h
 
     def features(self, frames: np.ndarray, key: str | None = None) -> np.ndarray:
-        """Frozen forward with optional caching; output (ceil(T/2), d_sem)."""
+        """Frozen forward with optional caching: (T, F) frames give
+        (ceil(T/2), d_sem), a (B, T, F) stack gives (B, ceil(T/2), d_sem)."""
         if key is not None and key in self._cache:
             return self._cache[key]
         out = self.forward_t(nm.constant(frames)).data

@@ -30,14 +30,8 @@ def init_linear(params: dict, rng: np.random.Generator, name: str,
 
 
 def linear(params: dict, name: str, x: Tensor) -> Tensor:
-    w, b = params[f"{name}.w"], params[f"{name}.b"]
-    d_in = w.shape[0]
-    lead = x.shape[:-1]
-    flat = nm.reshape(x, (-1, d_in)) if x.ndim != 2 else x
-    out = nm.add(nm.matmul(flat, w), b)
-    if x.ndim != 2:
-        out = nm.reshape(out, lead + (w.shape[1],))
-    return out
+    """x @ {name}.w + {name}.b over x's last axis, as one taped `nm.affine`."""
+    return nm.affine(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def init_block(params: dict, rng: np.random.Generator, name: str,

@@ -3,7 +3,13 @@
 float32 is the storage dtype for everything trained; float64 tensors are
 permitted so the finite-difference oracles can run at full precision.
 Reductions (sums, means, weighted sums, cross entropy) accumulate in
-float64 regardless of the storage dtype and round once to it. Every forward result is checked for NaN/Inf.
+float64 regardless of the storage dtype and round once to it.
+Every forward result is checked for NaN/Inf.
+
+`affine` is the one fused op: x @ w + b over the last axis of x, taped as
+a single node whose forward and VJPs make the same numpy calls, in the same
+order, as the reshape -> matmul -> add -> reshape chain they stand for, so
+results are bit-identical to that chain.
 
 A tape is single-threaded: activate it with `with tape:` around the forward
 pass, call `tape.backward(loss)` afterwards, and build a fresh tape per
@@ -271,6 +277,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (fa if a.requires_grad else None, fb if b.requires_grad else None)
 
     return _apply("matmul", (a, b), out, build)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b with x (..., D), w (D, E) and b (E,): one taped node.
+
+    Leading axes are flattened into rows for a single 2-D matmul and
+    restored afterwards; the b gradient sums over those rows.
+    """
+    if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"affine: weight {w.shape} and bias {b.shape} do not form (D, E), (E,)")
+    if x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"affine: input {x.shape} does not end in weight rows {w.shape[0]}")
+    xshape, n_out = x.data.shape, w.data.shape[1]
+    flat = x.data.reshape(-1, xshape[-1])
+    out = (np.matmul(flat, w.data) + b.data).reshape(xshape[:-1] + (n_out,))
+
+    def build():
+        wd = w.data
+
+        def fx(g):
+            return np.matmul(g.reshape(-1, n_out), np.swapaxes(wd, -1, -2)).reshape(xshape)
+
+        def fw(g):
+            return np.matmul(np.swapaxes(flat, -1, -2), g.reshape(-1, n_out))
+
+        def fb(g):
+            return _unbroadcast(g.reshape(-1, n_out), b.data.shape)
+
+        return (fx if x.requires_grad else None, fw if w.requires_grad else None,
+                fb if b.requires_grad else None)
+
+    return _apply("affine", (x, w, b), out, build)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:

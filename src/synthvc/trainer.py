@@ -222,20 +222,22 @@ def init_pipeline_params(ctx: PipelineContext, seed: int) -> dict[str, Tensor]:
 
 
 def _source_features(ctx: PipelineContext, utts, rng: np.random.Generator) -> np.ndarray:
-    """Semantic features of speaker-augmented fresh source renders.
+    """Semantic features (B, T', d_sem) of speaker-augmented fresh source renders.
 
     Re-rendering each text under a random train speaker with fresh noise
     mirrors the parallel-augmentation story and stops the LM keying on the
-    fixed (text, speaker) corpus pairing.
+    fixed (text, speaker) corpus pairing. The renders draw from rng item by
+    item; the items share one text length, so their frames stack to one
+    (B, T, F) array and the frozen encoder runs once over the batch, with
+    the same bits as one call per item.
     """
     train_ids = ctx.splits.train_speaker_ids
-    feats = []
+    frames = []
     for u in utts:
         sid = int(train_ids[rng.integers(len(train_ids))])
-        r = sw.render(ctx.splits.vocab, u.text, ctx.splits.speakers[sid], sw.PRISTINE,
-                      int(rng.integers(2**31)))
-        feats.append(ctx.sem_enc.features(r.frames))
-    return np.stack(feats)
+        frames.append(sw.render(ctx.splits.vocab, u.text, ctx.splits.speakers[sid],
+                                sw.PRISTINE, int(rng.integers(2**31))).frames)
+    return ctx.sem_enc.features(np.stack(frames))
 
 
 def _dropped_text_inputs(tokens: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -305,14 +307,17 @@ def _vc_pool_loss(ctx, params, utts, stage, rng):
         raise ConfigError(f"stage {stage.name}: lambdas length {len(stage.lambdas)} "
                           f"does not match {layout.n_layers} codec layers")
     train_ids = ctx.splits.train_speaker_ids
-    grids, spk_embs = [], []
+    targets, spk_embs = [], []
     for u in utts:
         tgt = int(train_ids[rng.integers(len(train_ids))])
         ref_idx = int(rng.integers(PipelineContext.REF_POOL_SIZE))
         spk_embs.append(ctx.reference_embedding(tgt, ref_idx, tuple(u.text)))
-        target = select_target(ctx, u, tgt, stage, rng)
-        codes = encode(target.frames, ctx.codec)
-        grids.append(sl.build_delayed_grid(u.text, codes, layout))
+        targets.append(select_target(ctx, u, tgt, stage, rng).frames)
+    # encode quantizes frame by frame, so one call over all targets' rows
+    # gives each target the codes of its own call
+    codes = encode(np.concatenate(targets), ctx.codec).codes
+    per_target = np.split(codes, np.cumsum([len(f) for f in targets])[:-1], axis=1)
+    grids = [sl.build_delayed_grid(u.text, c, layout) for u, c in zip(utts, per_target)]
     sem = apply_adapter(params, "sem_adapter",
                         nm.constant(_source_features(ctx, utts, rng)))
     spk = apply_adapter(params, "spk_adapter", nm.constant(np.stack(spk_embs)))
@@ -451,6 +456,7 @@ def train_stage(state: TrainState, ctx: PipelineContext, stage: StageConfig,
     state.opt = Adam(AdamConfig(lr=stage.lr, warmup=stage.warmup, clip=stage.clip))
     frozen_start = ctx.frozen_hash()
     last = None
+    heldout = None
     loss_history = []
     for local_step in range(stage.steps):
         batch = sample_bucket(ctx.buckets, rng, stage.batch)
@@ -462,19 +468,21 @@ def train_stage(state: TrainState, ctx: PipelineContext, stage: StageConfig,
             last = joint_step(batch, state, ctx, stage, coin=rng)
         loss_history.append((last.loss, last.ce_acoustic))
         if (local_step + 1) % eval_interval == 0 or local_step + 1 == stage.steps:
-            row = (state.step, stage.name, last.loss,
-                   heldout_text_accuracy(ctx, state.params),
-                   heldout_acoustic_ce(ctx, state.params))
+            heldout = (heldout_text_accuracy(ctx, state.params),
+                       heldout_acoustic_ce(ctx, state.params))
             if metrics_rows is not None:
-                metrics_rows.append(row)
+                metrics_rows.append((state.step, stage.name, last.loss, *heldout))
+    if heldout is None:   # a stage of 0 steps: nothing was scored yet
+        heldout = (heldout_text_accuracy(ctx, state.params),
+                   heldout_acoustic_ce(ctx, state.params))
     frozen_end = ctx.frozen_hash()
     ac_losses = [h[1] for h in loss_history if h[1] is not None]
     report = {
         "stage": stage.name,
         "steps": stage.steps,
         "final_loss": last.loss if last else None,
-        "heldout_text_accuracy": heldout_text_accuracy(ctx, state.params),
-        "heldout_acoustic_ce": heldout_acoustic_ce(ctx, state.params),
+        "heldout_text_accuracy": heldout[0],
+        "heldout_acoustic_ce": heldout[1],
         "frozen_hash_start": frozen_start,
         "frozen_hash_end": frozen_end,
         "acoustic_ce_first_window": (float(np.mean([np.mean(a) for a in ac_losses[:200]]))

@@ -3,10 +3,12 @@ logs/run.tsv line per command (failed ones included), the typed failures of
 a missing upstream artifact, a corrupt codec file and an unknown config
 key, and the run-directory lock."""
 
+import fcntl
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -134,3 +136,38 @@ def test_lock_held_by_live_pid_refuses_and_logs(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERR:USAGE ")
     assert _run_log(run) == [("inspect-grid", "ERR:USAGE")]
     assert (run / ".runlock").read_text() == str(os.getpid())
+
+
+def _guard_is_free(run):
+    with open(run / ".runlock.guard", "a") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return False
+        fcntl.flock(fh, fcntl.LOCK_UN)
+        return True
+
+
+def test_lock_guard_released_after_refused_and_successful_lock(tmp_path):
+    run = cli.RunDir(tmp_path / "run")
+    run.lock()
+    assert _guard_is_free(run.root)
+    with pytest.raises(ConfigError, match="locked"):
+        run.lock()          # this process's own live pid holds the lock
+    assert _guard_is_free(run.root)
+    run.unlock()
+
+
+def test_lock_waits_while_guard_is_held(tmp_path):
+    run = cli.RunDir(tmp_path / "run")
+    run.root.mkdir()
+    with open(run.root / ".runlock.guard", "a") as guard:
+        fcntl.flock(guard, fcntl.LOCK_EX)
+        locker = threading.Thread(target=run.lock)
+        locker.start()
+        locker.join(timeout=0.3)
+        assert locker.is_alive() and not (run.root / ".runlock").exists()
+    locker.join(timeout=10)
+    assert not locker.is_alive()
+    assert (run.root / ".runlock").read_text() == str(os.getpid())
+    run.unlock()

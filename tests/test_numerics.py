@@ -389,6 +389,13 @@ def _op_checks(seed):
         "mul": lambda xt: nm.sum_all(nm.mul(nm.mul(xt, nm.constant(w.T, dtype=xt.dtype)), xt)),
         "scale": lambda xt: nm.sum_all(nm.scale(xt, 2.5)),
         "matmul": lambda xt: nm.mean_all(nm.matmul(xt, nm.constant(w, dtype=xt.dtype))),
+        "affine": lambda xt: nm.mean_all(nm.mul(
+            nm.affine(nm.reshape(xt, (3, 1, 4)), nm.constant(w, dtype=xt.dtype),
+                      nm.constant(gain[:3], dtype=xt.dtype)),
+            nm.constant(w[:3, None, :], dtype=xt.dtype))),
+        "affine_wb": lambda xt: nm.sum_all(nm.mul(
+            nm.affine(nm.constant(b3[:, :, :3], dtype=xt.dtype), xt,
+                      nm.reshape(nm.narrow(xt, 0, 0, 1), (4,))), nm.constant(b3, dtype=xt.dtype))),
         "matmul_b": lambda xt: nm.mean_all(
             nm.matmul(nm.reshape(xt, (1, 3, 4)), nm.constant(b3.transpose(0, 2, 1)[:1], dtype=xt.dtype))),
         "transpose": lambda xt: nm.sum_all(nm.mul(nm.transpose(xt, (1, 0)), nm.constant(w, dtype=xt.dtype))),
@@ -419,6 +426,51 @@ def test_every_differentiable_op_grad_checks(seed):
     for name, f in checks.items():
         err = nm.grad_check(f, nm.Tensor(x_mat), step=1e-4)
         assert err < 1e-3, f"op {name} failed grad check with rel err {err}"
+
+
+def _reshape_matmul_add_chain(x, w, b):
+    """The four-op composition that `affine` replaces."""
+    flat = nm.reshape(x, (-1, w.shape[0])) if x.ndim != 2 else x
+    out = nm.add(nm.matmul(flat, w), b)
+    return nm.reshape(out, x.shape[:-1] + (w.shape[1],)) if x.ndim != 2 else out
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+@pytest.mark.parametrize("grad", ["x+wb", "wb", "x", "none"])
+def test_affine_bitwise_equals_reshape_matmul_add_chain(shape, grad):
+    rng = np.random.default_rng(len(shape) * 10 + len(grad))
+    x = rng.normal(size=shape).astype(np.float32)
+    w = rng.normal(size=(4, 6)).astype(np.float32)
+    b = rng.normal(size=6).astype(np.float32)
+    g = rng.normal(size=shape[:-1] + (6,)).astype(np.float32)
+    runs = []
+    for f in (nm.affine, _reshape_matmul_add_chain):
+        xt, wt, bt = t(x, rg="x" in grad), t(w, rg="wb" in grad), t(b, rg="wb" in grad)
+        tape = nm.Tape()
+        with tape:
+            out = f(xt, wt, bt)
+            loss = nm.sum_all(nm.mul(out, t(g)))   # upstream gradient g, exactly
+        grads = tape.backward(loss) if grad != "none" else {}
+        runs.append((out.data, [tape.grad_for(grads, p) for p in (xt, wt, bt)],
+                     len(tape.nodes)))
+    (fused, fused_grads, fused_nodes), (chain, chain_grads, _) = runs
+    assert fused.dtype == chain.dtype and np.array_equal(fused, chain)
+    for got, want in zip(fused_grads, chain_grads):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.shape == want.shape and np.array_equal(got, want)
+    # x, w, b, the op, g, mul, sum_all when anything needs a gradient
+    assert fused_nodes == (7 if grad != "none" else 0)
+
+
+def test_affine_rejects_mismatched_shapes():
+    x, w, b = t(np.zeros((2, 4))), t(np.zeros((4, 3))), t(np.zeros(3))
+    with pytest.raises(ShapeError):
+        nm.affine(t(np.zeros((2, 5))), w, b)
+    with pytest.raises(ShapeError):
+        nm.affine(x, w, t(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        nm.affine(x, t(np.zeros((4, 3, 1))), b)
 
 
 def test_weighted_sum_rounds_float64_sum_once():

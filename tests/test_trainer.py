@@ -7,6 +7,7 @@ from synthvc import numerics as nm
 from synthvc import streamlm as sl
 from synthvc import synthworld as sw
 from synthvc import trainer as tr
+from synthvc.codec import encode
 from synthvc.encoders import sample_bucket
 from synthvc.errors import ConfigError
 from synthvc.optim import Adam, AdamConfig, grads_by_name
@@ -155,6 +156,68 @@ def test_frozen_bits_unchanged_across_steps(bare_context):
         batch = sample_bucket(ctx.buckets, rng, 3)
         tr.vc_step(batch, state, ctx, stage, rng)
     assert ctx.frozen_hash() == before
+
+
+@pytest.mark.parametrize("seed,size", [(41, 6), (42, 6), (43, 3), (44, 1)])
+def test_source_features_batched_equals_per_item_loop(bare_context, seed, size):
+    ctx = bare_context
+    batch = sample_bucket(ctx.buckets, np.random.default_rng(seed), size)
+    rng_batched, rng_loop = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+    got = tr._source_features(ctx, batch, rng_batched)
+    train_ids = ctx.splits.train_speaker_ids
+    want = []
+    for u in batch:   # one render and one frozen forward per item, in draw order
+        sid = int(train_ids[rng_loop.integers(len(train_ids))])
+        r = sw.render(ctx.splits.vocab, u.text, ctx.splits.speakers[sid], sw.PRISTINE,
+                      int(rng_loop.integers(2**31)))
+        want.append(ctx.sem_enc.features(r.frames))
+    assert got.shape == (len(batch),) + want[0].shape
+    assert np.array_equal(got, np.stack(want))
+    assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_vc_pool_grids_hold_each_targets_own_codes(bare_context, monkeypatch):
+    ctx = bare_context
+    targets, grid_codes = [], []
+    select, build = tr.select_target, sl.build_delayed_grid
+
+    def recording_select(*args):
+        r = select(*args)
+        targets.append(r.frames)
+        return r
+
+    def recording_build(text, codes, layout):
+        grid_codes.append(np.array(codes))
+        return build(text, codes, layout)
+
+    monkeypatch.setattr(tr, "select_target", recording_select)
+    monkeypatch.setattr(sl, "build_delayed_grid", recording_build)
+    batch = sample_bucket(ctx.buckets, np.random.default_rng(47), 6)
+    tr._vc_pool_loss(ctx, make_state(ctx).params, batch, stage_cfg("vc"),
+                     np.random.default_rng(48))
+    assert len(targets) == len(grid_codes) == len(batch)
+    for frames, codes in zip(targets, grid_codes):   # one encode call per target
+        assert np.array_equal(codes, encode(frames, ctx.codec).codes)
+
+
+@pytest.mark.parametrize("steps,interval,evals", [(4, 2, 2), (3, 2, 2), (0, 2, 1)])
+def test_train_stage_scores_heldout_once_per_eval(bare_context, monkeypatch,
+                                                  steps, interval, evals):
+    calls = {"heldout_text_accuracy": 0, "heldout_acoustic_ce": 0}
+    for name in calls:
+        def counted(ctx, params, _f=getattr(tr, name), _name=name):
+            calls[_name] += 1
+            return _f(ctx, params)
+        monkeypatch.setattr(tr, name, counted)
+    rows = []
+    report = tr.train_stage(make_state(bare_context), bare_context,
+                            stage_cfg("vc", steps=steps), eval_interval=interval,
+                            metrics_rows=rows)
+    assert calls == {"heldout_text_accuracy": evals, "heldout_acoustic_ce": evals}
+    assert len(rows) == (evals if steps else 0)
+    if rows:
+        assert rows[-1][0] == steps and rows[-1][2] == report["final_loss"]
+        assert rows[-1][3:] == (report["heldout_text_accuracy"], report["heldout_acoustic_ce"])
 
 
 # ---------------------------------------------------------------------------
