@@ -172,8 +172,8 @@ def _load_frozen_stack(cfg: RunConfig, run: RunDir):
 
     codec = cd.load_codec(_require(run.path("codec", "codec.rvq"), "fit-codec"))
     dims = en.EncoderDims(d_sem=cfg["enc.sem_dim"], d_spk=cfg["enc.spk_dim"])
-    sem = en.SemanticEncoder(dims=dims, params=frozen("semantic.ckpt"), frozen=True)
-    spk = en.SpeakerEncoder(dims=dims, params=frozen("speaker.ckpt"), frozen=True)
+    sem = en.SemanticEncoder(dims=dims, params=frozen("semantic.ckpt"))
+    spk = en.SpeakerEncoder(dims=dims, params=frozen("speaker.ckpt"))
     verifier = ev.OracleVerifier(params=frozen("oracle_verifier.ckpt"))
     transcriber = ev.OracleTranscriber(params=frozen("oracle_transcriber.ckpt"))
     return codec, sem, spk, verifier, transcriber
@@ -187,6 +187,7 @@ def _lm_cfg(cfg: RunConfig, codec: cd.RVQCodec) -> sl.LMConfig:
 
 
 def _plan(cfg: RunConfig) -> tr.TrainPlan:
+    """The training plan; its values are range-checked as it is built."""
     return tr.TrainPlan(
         asr_steps=cfg["train.asr_steps"], vc_steps=cfg["train.vc_steps"],
         joint_steps=cfg["train.joint_steps"], w=cfg["train.w"],
@@ -307,16 +308,13 @@ def _build_context(cfg: RunConfig, run: RunDir) -> tuple[tr.PipelineContext, tr.
     return ctx, _plan(cfg)
 
 
-_STAGE_ORDER = {"asr": (), "vc": ("asr",), "joint": ("asr", "vc")}
-
-
 def cmd_train(args, cfg: RunConfig, run: RunDir) -> int:
     ctx, plan = _build_context(cfg, run)
     run.ensure_layout()
     stages = tr.STAGES if args.stage == "all" else (args.stage,)
     init_params = None
-    if args.stage in _STAGE_ORDER and _STAGE_ORDER[args.stage]:
-        prev = _STAGE_ORDER[args.stage][-1]
+    if args.stage in tr.STAGES[1:]:
+        prev = tr.STAGES[tr.STAGES.index(args.stage) - 1]
         prev_path = run.path("checkpoints", f"{prev}.ckpt")
         if not prev_path.exists():
             raise StateError(f"stage {args.stage} requires {prev_path}; "

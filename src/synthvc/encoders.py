@@ -8,7 +8,7 @@ Both are frozen afterwards; only the adapters stay trainable downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,17 +19,17 @@ from .numerics import Tensor
 from .optim import fit_classifier, freeze
 
 N_FRAME_CLASSES = sw.N_SYMBOLS + 1   # content symbols + silence
+SEM_HEADS = 4
+SEM_BLOCKS = 2
+SEM_INTERMEDIATE = 96
+SPK_HIDDEN = 48
+ADAPTER_HIDDEN = 64
 
 
 @dataclass(frozen=True)
 class EncoderDims:
-    feature: int = sw.F_DIM
     d_sem: int = 48
     d_spk: int = 32
-    sem_heads: int = 4
-    sem_blocks: int = 2
-    sem_intermediate: int = 96
-    spk_hidden: int = 48
 
 
 def bucket_by_length(utterances) -> dict[int, list]:
@@ -86,9 +86,7 @@ def downsampled_labels(transcript) -> np.ndarray:
 class SemanticEncoder:
     dims: EncoderDims
     params: dict[str, Tensor]
-    frozen: bool = False
     heldout_frame_accuracy: float | None = None
-    _cache: dict[str, np.ndarray] = field(default_factory=dict)
 
     def forward_t(self, x: Tensor) -> Tensor:
         """(B, T, F) -> (B, ceil(T/2), d_sem); also accepts (T, F)."""
@@ -98,26 +96,21 @@ class SemanticEncoder:
         h = nm.unfold_time(x, kernel=3, stride=2, pad=1)
         h = nm.silu(nn.linear(self.params, "sem.in", h))
         t_half = h.shape[1]
-        h = nn.trunk(self.params, "sem", h, np.arange(t_half), self.dims.sem_heads,
-                     self.dims.sem_blocks, mask=None)
+        h = nn.trunk(self.params, "sem", h, np.arange(t_half), SEM_HEADS, SEM_BLOCKS,
+                     mask=None)
         return nm.reshape(h, h.shape[1:]) if squeeze else h
 
-    def features(self, frames: np.ndarray, key: str | None = None) -> np.ndarray:
-        """Frozen forward with optional caching: (T, F) frames give
-        (ceil(T/2), d_sem), a (B, T, F) stack gives (B, ceil(T/2), d_sem)."""
-        if key is not None and key in self._cache:
-            return self._cache[key]
-        out = self.forward_t(nm.constant(frames)).data
-        if key is not None:
-            self._cache[key] = out
-        return out
+    def features(self, frames: np.ndarray) -> np.ndarray:
+        """Frozen forward: (T, F) frames give (ceil(T/2), d_sem), a (B, T, F)
+        stack gives (B, ceil(T/2), d_sem)."""
+        return self.forward_t(nm.constant(frames)).data
 
 
 def init_semantic_encoder(dims: EncoderDims, seed: int) -> SemanticEncoder:
     rng = np.random.default_rng([0xE0C1, seed])
     params: dict[str, Tensor] = {}
-    nn.init_linear(params, rng, "sem.in", 3 * dims.feature, dims.d_sem)
-    nn.init_trunk(params, rng, "sem", dims.d_sem, dims.sem_intermediate, dims.sem_blocks)
+    nn.init_linear(params, rng, "sem.in", 3 * sw.F_DIM, dims.d_sem)
+    nn.init_trunk(params, rng, "sem", dims.d_sem, SEM_INTERMEDIATE, SEM_BLOCKS)
     return SemanticEncoder(dims=dims, params=params)
 
 
@@ -146,16 +139,14 @@ def pretrain_semantic_encoder(splits: sw.CorpusSplits, steps: int = 1200, batch:
                    batches(), steps, lr, "semantic pretraining")
     acc = _semantic_heldout_accuracy(enc, splits)
     freeze(enc.params, drop_prefix="sem.headtmp")
-    enc.frozen = True
     enc.heldout_frame_accuracy = acc
     return enc
 
 
-def _semantic_heldout_accuracy(enc: SemanticEncoder, splits: sw.CorpusSplits,
-                               n_eval: int = 24) -> float:
+def _semantic_heldout_accuracy(enc: SemanticEncoder, splits: sw.CorpusSplits) -> float:
     rng = np.random.default_rng([0xE0C4, splits.seed])
     hit = tot = 0
-    for i in range(n_eval):
+    for i in range(24):
         text = splits.heldout_texts[i % len(splits.heldout_texts)]
         sid = splits.heldout_speaker_ids[i % len(splits.heldout_speaker_ids)]
         r = sw.render(splits.vocab, text, splits.speakers[sid], sw.PRISTINE,
@@ -177,9 +168,7 @@ def _semantic_heldout_accuracy(enc: SemanticEncoder, splits: sw.CorpusSplits,
 class SpeakerEncoder:
     dims: EncoderDims
     params: dict[str, Tensor]
-    frozen: bool = False
     heldout_utterance_accuracy: float | None = None
-    _cache: dict[str, np.ndarray] = field(default_factory=dict)
 
     def forward_t(self, x: Tensor) -> Tensor:
         """(B, T, F) -> (B, 1, d_spk); length-independent output."""
@@ -190,25 +179,20 @@ class SpeakerEncoder:
         h = nm.silu(nn.linear(self.params, "spk.c1", h))
         h = nm.unfold_time(h, kernel=3, stride=2, pad=1)
         h = nm.silu(nn.linear(self.params, "spk.c2", h))
-        h = nm.mean_axis(h, axis=1, keepdims=True)
+        h = nm.mean_axis(h, axis=1)
         h = nn.linear(self.params, "spk.proj", h)
         return nm.reshape(h, h.shape[1:]) if squeeze else h
 
-    def embed(self, frames: np.ndarray, key: str | None = None) -> np.ndarray:
-        if key is not None and key in self._cache:
-            return self._cache[key]
-        out = self.forward_t(nm.constant(frames)).data
-        if key is not None:
-            self._cache[key] = out
-        return out
+    def embed(self, frames: np.ndarray) -> np.ndarray:
+        return self.forward_t(nm.constant(frames)).data
 
 
 def init_speaker_encoder(dims: EncoderDims, seed: int) -> SpeakerEncoder:
     rng = np.random.default_rng([0xE0C5, seed])
     params: dict[str, Tensor] = {}
-    nn.init_linear(params, rng, "spk.c1", 3 * dims.feature, dims.spk_hidden)
-    nn.init_linear(params, rng, "spk.c2", 3 * dims.spk_hidden, dims.spk_hidden)
-    nn.init_linear(params, rng, "spk.proj", dims.spk_hidden, dims.d_spk)
+    nn.init_linear(params, rng, "spk.c1", 3 * sw.F_DIM, SPK_HIDDEN)
+    nn.init_linear(params, rng, "spk.c2", 3 * SPK_HIDDEN, SPK_HIDDEN)
+    nn.init_linear(params, rng, "spk.proj", SPK_HIDDEN, dims.d_spk)
     return SpeakerEncoder(dims=dims, params=params)
 
 
@@ -225,15 +209,14 @@ def pretrain_speaker_encoder(splits: sw.CorpusSplits, steps: int = 800, batch: i
                    speaker_batches(splits, rng, batch), steps, lr, "speaker pretraining")
     acc = _speaker_heldout_accuracy(enc, splits)
     freeze(enc.params, drop_prefix="spk.headtmp")
-    enc.frozen = True
     enc.heldout_utterance_accuracy = acc
     return enc
 
 
-def _speaker_heldout_accuracy(enc: SpeakerEncoder, splits: sw.CorpusSplits,
-                              n_eval: int = 60) -> float:
+def _speaker_heldout_accuracy(enc: SpeakerEncoder, splits: sw.CorpusSplits) -> float:
     rng = np.random.default_rng([0xE0C8, splits.seed])
     n_spk = len(splits.train_speaker_ids)
+    n_eval = 60
     hit = 0
     for i in range(n_eval):
         sid = splits.train_speaker_ids[i % n_spk]
@@ -250,11 +233,10 @@ def _speaker_heldout_accuracy(enc: SpeakerEncoder, splits: sw.CorpusSplits,
 # adapters: affine + SiLU + affine into LM space
 
 
-def init_adapter(params: dict, seed: int, prefix: str, d_in: int, d_out: int,
-                 hidden: int = 64) -> None:
+def init_adapter(params: dict, seed: int, prefix: str, d_in: int, d_out: int) -> None:
     rng = np.random.default_rng([0xADA0, seed, len(prefix)])
-    nn.init_linear(params, rng, f"{prefix}.a1", d_in, hidden)
-    nn.init_linear(params, rng, f"{prefix}.a2", hidden, d_out)
+    nn.init_linear(params, rng, f"{prefix}.a1", d_in, ADAPTER_HIDDEN)
+    nn.init_linear(params, rng, f"{prefix}.a2", ADAPTER_HIDDEN, d_out)
 
 
 def apply_adapter(params: dict, prefix: str, x: Tensor) -> Tensor:

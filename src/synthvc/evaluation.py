@@ -9,7 +9,7 @@ itself with its own features.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,13 @@ from .encoders import apply_adapter, bucket_by_length, sample_bucket, speaker_ba
 from .errors import CalibrationError, DataError, MetricUndefinedError
 from .numerics import Tensor
 from .optim import fit_classifier, freeze
+
+ORACLE_LR = 1e-3
+VERIFIER_BATCH = 16
+VERIFIER_WIDTH = 40
+VERIFIER_EMB = 24
+TRANSCRIBER_BATCH = 10
+TRANSCRIBER_HIDDEN = 72
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +99,6 @@ def cer(ref_text: str, hyp_text: str) -> float:
 class OracleVerifier:
     params: dict[str, Tensor]
     eer: float | None = None
-    _cache: dict[str, np.ndarray] = field(default_factory=dict)
 
     def forward_t(self, x: Tensor) -> Tensor:
         squeeze = x.ndim == 2
@@ -102,17 +108,12 @@ class OracleVerifier:
         h = nm.silu(nn.linear(self.params, "ov.c1", h))
         h = nm.unfold_time(h, kernel=5, stride=2, pad=2)
         h = nm.silu(nn.linear(self.params, "ov.c2", h))
-        h = nm.mean_axis(h, axis=1, keepdims=True)
+        h = nm.mean_axis(h, axis=1)
         h = nn.linear(self.params, "ov.emb", h)
         return nm.reshape(h, h.shape[1:]) if squeeze else h
 
-    def embed(self, frames: np.ndarray, key: str | None = None) -> np.ndarray:
-        if key is not None and key in self._cache:
-            return self._cache[key]
-        out = self.forward_t(nm.constant(frames)).data[0]
-        if key is not None:
-            self._cache[key] = out
-        return out
+    def embed(self, frames: np.ndarray) -> np.ndarray:
+        return self.forward_t(nm.constant(frames)).data[0]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -134,20 +135,20 @@ def _equal_error_rate(same_scores: np.ndarray, diff_scores: np.ndarray) -> float
     return best
 
 
-def train_oracle_verifier(splits: sw.CorpusSplits, steps: int = 700, batch: int = 16,
-                          lr: float = 1e-3, seed: int = 9001, width: int = 40,
-                          emb_dim: int = 24, eer_gate: float = 0.10) -> OracleVerifier:
+def train_oracle_verifier(splits: sw.CorpusSplits, steps: int = 700, seed: int = 9001,
+                          eer_gate: float = 0.10) -> OracleVerifier:
     """Speaker-classification training; EER measured on held-out speakers."""
     rng_init = np.random.default_rng([0x0A17, seed])
     params: dict[str, Tensor] = {}
-    nn.init_linear(params, rng_init, "ov.c1", 5 * sw.F_DIM, width)
-    nn.init_linear(params, rng_init, "ov.c2", 5 * width, width)
-    nn.init_linear(params, rng_init, "ov.emb", width, emb_dim)
-    nn.init_linear(params, rng_init, "ov.head", emb_dim, len(splits.train_speaker_ids))
+    nn.init_linear(params, rng_init, "ov.c1", 5 * sw.F_DIM, VERIFIER_WIDTH)
+    nn.init_linear(params, rng_init, "ov.c2", 5 * VERIFIER_WIDTH, VERIFIER_WIDTH)
+    nn.init_linear(params, rng_init, "ov.emb", VERIFIER_WIDTH, VERIFIER_EMB)
+    nn.init_linear(params, rng_init, "ov.head", VERIFIER_EMB, len(splits.train_speaker_ids))
     ver = OracleVerifier(params=params)
     rng = np.random.default_rng([0x0A18, seed])
     fit_classifier(params, lambda x: nn.linear(params, "ov.head", ver.forward_t(x)),
-                   speaker_batches(splits, rng, batch), steps, lr, "oracle verifier")
+                   speaker_batches(splits, rng, VERIFIER_BATCH), steps, ORACLE_LR,
+                   "oracle verifier")
     freeze(params, drop_prefix="ov.head")
 
     # EER on held-out speakers over synthetic same/different pairs
@@ -216,14 +217,13 @@ class OracleTranscriber:
         return tuple(out)
 
 
-def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int = 900, batch: int = 10,
-                             lr: float = 1e-3, seed: int = 9002,
-                             hidden: int = 72) -> OracleTranscriber:
+def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int = 900,
+                             seed: int = 9002) -> OracleTranscriber:
     """Frame classification on both channels; independent of the pipeline."""
     rng_init = np.random.default_rng([0x0A27, seed])
     params: dict[str, Tensor] = {}
-    nn.init_linear(params, rng_init, "ot.h", 3 * sw.F_DIM, hidden)
-    nn.init_linear(params, rng_init, "ot.out", hidden, sw.N_SYMBOLS + 1)
+    nn.init_linear(params, rng_init, "ot.h", 3 * sw.F_DIM, TRANSCRIBER_HIDDEN)
+    nn.init_linear(params, rng_init, "ot.out", TRANSCRIBER_HIDDEN, sw.N_SYMBOLS + 1)
     trans = OracleTranscriber(params=params)
     rng = np.random.default_rng([0x0A28, seed])
     buckets = bucket_by_length(splits.utterances)
@@ -231,7 +231,7 @@ def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int = 900, batch: i
     def batches():
         while True:
             xs, ys = [], []
-            for u in sample_bucket(buckets, rng, batch):
+            for u in sample_bucket(buckets, rng, TRANSCRIBER_BATCH):
                 channel = sw.DEGRADED if rng.random() < 0.5 else sw.PRISTINE
                 r = sw.render(splits.vocab, u.text, splits.speakers[u.speaker_id], channel,
                               int(rng.integers(2**31)))
@@ -239,7 +239,7 @@ def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int = 900, batch: i
                 ys.append(sw.frame_labels(u.text))
             yield np.stack(xs), np.concatenate(ys)
 
-    fit_classifier(params, trans.forward_t, batches(), steps, lr, "oracle transcriber")
+    fit_classifier(params, trans.forward_t, batches(), steps, ORACLE_LR, "oracle transcriber")
     freeze(params)
 
     # measured gates on held-out texts and speakers
@@ -337,19 +337,7 @@ class MetricsReport:
     truncated: int
 
     def to_json(self) -> str:
-        payload = {
-            "wer": self.wer, "cer": self.cer,
-            "wer_text": self.wer_text, "cer_text": self.cer_text,
-            "secs_oracle": self.secs_oracle, "secs_to_source": self.secs_to_source,
-            "secs_win_rate": self.secs_win_rate, "top1": self.top1,
-            "pairs": self.pairs, "truncated": self.truncated,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        d = json.loads(text)
-        return cls(**d)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _validate_heldout(splits: sw.CorpusSplits, utt: sw.Utterance) -> None:
@@ -364,7 +352,13 @@ def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
                         verifier: OracleVerifier, transcriber: OracleTranscriber,
                         splits: sw.CorpusSplits, pairs: list[EvalPair],
                         max_steps: int = 128, tail: int = 40) -> MetricsReport:
-    """Convert every pair, score text and speaker metrics, aggregate."""
+    """Convert every pair, score text and speaker metrics, aggregate.
+
+    Each distinct utterance is rendered and embedded by the verifier once
+    per call. Nothing is cached across calls, so the report depends only on
+    the arguments: a second manifest scored with the same encoder and oracle
+    objects gives the report that fresh objects give.
+    """
     assert_oracle_independence(verifier.params, {**adapter_params, **sem_enc.params,
                                                  **spk_enc.params})
     assert_oracle_independence(transcriber.params, {**adapter_params, **sem_enc.params,
@@ -375,13 +369,14 @@ def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
 
     # speaker centroids in oracle space from the reference (real) renders
     by_spk: dict[int, list[np.ndarray]] = {}
-    renders: dict[str, sw.Rendering] = {}
+    renders: dict[sw.Utterance, sw.Rendering] = {}
+    oracle_embs: dict[sw.Utterance, np.ndarray] = {}
     for p in pairs:
         for u in (p.source, p.target_ref):
-            if u.utt_id not in renders:
-                renders[u.utt_id] = splits.render_utterance(u)
-                by_spk.setdefault(u.speaker_id, []).append(
-                    verifier.embed(renders[u.utt_id].frames, key=u.utt_id))
+            if u not in renders:
+                renders[u] = splits.render_utterance(u)
+                oracle_embs[u] = verifier.embed(renders[u].frames)
+                by_spk.setdefault(u.speaker_id, []).append(oracle_embs[u])
     centroid_ids = sorted(by_spk)
     centroids = np.stack([np.mean(by_spk[s], axis=0) for s in centroid_ids])
 
@@ -390,12 +385,10 @@ def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
     secs_t, secs_s, wins, top_hits = [], [], [], []
     truncated = 0
     for p in pairs:
-        src = renders[p.source.utt_id]
-        ref = renders[p.target_ref.utt_id]
         sem = apply_adapter(adapter_params, "sem_adapter",
-                            nm.constant(sem_enc.features(src.frames, key=p.source.utt_id)))
+                            nm.constant(sem_enc.features(renders[p.source].frames)))
         spk = apply_adapter(adapter_params, "spk_adapter",
-                            nm.constant(spk_enc.embed(ref.frames, key=p.target_ref.utt_id)))
+                            nm.constant(spk_enc.embed(renders[p.target_ref].frames)))
         res = sl.generate(lm_params, lm_cfg, sem, spk, max_steps=max_steps, tail=tail)
         if res.truncated:
             truncated += 1
@@ -418,8 +411,8 @@ def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
         ct_len += len(ref_str)
 
         e_conv = verifier.embed(conv)
-        st = cosine(e_conv, verifier.embed(ref.frames, key=p.target_ref.utt_id))
-        ss = cosine(e_conv, verifier.embed(src.frames, key=p.source.utt_id))
+        st = cosine(e_conv, oracle_embs[p.target_ref])
+        ss = cosine(e_conv, oracle_embs[p.source])
         secs_t.append(st)
         secs_s.append(ss)
         wins.append(st > ss)

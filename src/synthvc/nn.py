@@ -22,8 +22,8 @@ NEG_INF = -1e9
 
 
 def init_linear(params: dict, rng: np.random.Generator, name: str,
-                d_in: int, d_out: int, scale: float | None = None) -> None:
-    s = (1.0 / np.sqrt(d_in)) if scale is None else scale
+                d_in: int, d_out: int) -> None:
+    s = 1.0 / np.sqrt(d_in)
     params[f"{name}.w"] = Tensor(rng.normal(0.0, s, size=(d_in, d_out)).astype(np.float32),
                                  requires_grad=True)
     params[f"{name}.b"] = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)

@@ -32,6 +32,8 @@ from .errors import (
 
 Array = np.ndarray
 STORAGE_DTYPE = np.float32
+RMS_NORM_EPS = 1e-5
+ROPE_BASE = 10000.0
 
 _ACTIVE: "Tape | None" = None
 
@@ -139,9 +141,6 @@ class Tape:
             self._tensors[nid] = t
         return nid
 
-    def tid_of(self, t: Tensor) -> int | None:
-        return self._ids.get(id(t))
-
     def record(self, op: str, parents: Sequence[Tensor], out: Tensor,
                vjps: tuple[Callable[[Array], Array] | None, ...]) -> None:
         pids = tuple(self._enroll(p) for p in parents)
@@ -183,11 +182,6 @@ class Tape:
             return None
         g = grads.get(nid)
         return None if g is None else g.data
-
-    def reset(self) -> None:
-        self.nodes.clear()
-        self._ids.clear()
-        self._tensors.clear()
 
 
 def _apply(op: str, parents: Sequence[Tensor], out_arr: Array,
@@ -434,13 +428,13 @@ def softmax(a: Tensor) -> Tensor:
     return _apply("softmax", (a,), out, build)
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     arr, gn = x.data, gain.data
     d = arr.shape[-1]
     if gn.shape != (d,):
         raise ShapeError(f"rms_norm: gain shape {gain.shape} does not match last axis {d}")
     ms = np.mean(arr.astype(np.float64) ** 2, axis=-1, keepdims=True)
-    inv = (1.0 / np.sqrt(ms + eps)).astype(arr.dtype)
+    inv = (1.0 / np.sqrt(ms + RMS_NORM_EPS)).astype(arr.dtype)
     out = arr * inv * gn
 
     def build():
@@ -458,7 +452,7 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     return _apply("rms_norm", (x, gain), out, build)
 
 
-def rope_apply(x: Tensor, positions, theta_base: float = 10000.0) -> Tensor:
+def rope_apply(x: Tensor, positions) -> Tensor:
     arr = x.data
     d = arr.shape[-1]
     if d % 2 != 0:
@@ -467,7 +461,7 @@ def rope_apply(x: Tensor, positions, theta_base: float = 10000.0) -> Tensor:
     if pos.shape != (arr.shape[0],):
         raise ShapeError(f"rope_apply: positions length {pos.shape} does not match axis 0 of {arr.shape}")
     half = d // 2
-    freqs = theta_base ** (-(2.0 * np.arange(half, dtype=np.float64)) / d)
+    freqs = ROPE_BASE ** (-(2.0 * np.arange(half, dtype=np.float64)) / d)
     ang = pos[:, None] * freqs[None, :]
     bshape = (arr.shape[0],) + (1,) * (arr.ndim - 2) + (half,)
     cos = np.cos(ang).astype(arr.dtype).reshape(bshape)
@@ -536,16 +530,16 @@ def mean_all(a: Tensor) -> Tensor:
     return _apply("mean_all", (a,), out, build)
 
 
-def mean_axis(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
+def mean_axis(a: Tensor, axis: int) -> Tensor:
+    """Mean over one axis, kept with size 1."""
     n = a.data.shape[axis]
-    out = (np.sum(a.data, axis=axis, keepdims=keepdims, dtype=np.float64) / n).astype(a.data.dtype)
+    out = (np.sum(a.data, axis=axis, keepdims=True, dtype=np.float64) / n).astype(a.data.dtype)
 
     def build():
         shape = a.data.shape
 
         def fn(g):
-            gg = g if keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(gg, shape).astype(g.dtype) / n
+            return np.broadcast_to(g, shape).astype(g.dtype) / n
 
         return (fn if a.requires_grad else None,)
 
@@ -588,13 +582,12 @@ def weighted_sum(tensors: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
     return _apply("weighted_sum", tuple(tensors), out, build)
 
 
-def cross_entropy(logits: Tensor, targets, mask=None, allow_empty: bool = False) -> Tensor:
+def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     """Mean negative log-softmax over unmasked positions.
 
     The forward value is accumulated in float64 and rounded once to the
     logits dtype, so independent float64 recomputation matches to ~1 ulp.
-    With allow_empty, a fully masked batch contributes an exact zero and the
-    returned tensor carries `degenerate = True`.
+    A fully masked batch has no mean and raises DegenerateBatchError.
     """
     x = logits.data
     if x.ndim != 2:
@@ -608,12 +601,7 @@ def cross_entropy(logits: Tensor, targets, mask=None, allow_empty: bool = False)
         raise ShapeError(f"cross_entropy: mask shape {m.shape} does not match {n_rows} rows")
     n_live = int(m.sum())
     if n_live == 0:
-        if not allow_empty:
-            raise DegenerateBatchError("cross_entropy: all positions masked")
-        zero = _apply("cross_entropy", (logits,), np.asarray(0.0, dtype=x.dtype),
-                      lambda: ((lambda g: np.zeros_like(x)) if logits.requires_grad else None,))
-        zero.degenerate = True
-        return zero
+        raise DegenerateBatchError("cross_entropy: all positions masked")
     live_t = t_idx[m]
     if live_t.min() < 0 or live_t.max() >= n_cls:
         bad = live_t[(live_t < 0) | (live_t >= n_cls)][0]

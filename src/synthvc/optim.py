@@ -17,12 +17,14 @@ from .errors import TrainingDivergedError
 from .numerics import Tensor
 
 
+BETA1 = 0.9
+BETA2 = 0.95
+EPS = 1e-8
+
+
 @dataclass
 class AdamConfig:
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
     warmup: int = 0
     clip: float = 0.0       # 0 disables clipping
 
@@ -59,7 +61,7 @@ class Adam:
             scale = self.cfg.clip / norm
             clipped = True
 
-        b1, b2, eps = self.cfg.beta1, self.cfg.beta2, self.cfg.eps
+        b1, b2, eps = BETA1, BETA2, EPS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for n in names:

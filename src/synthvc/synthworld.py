@@ -57,7 +57,6 @@ class SymbolVocab:
     seed: int
     names: tuple[str, ...]
     templates: np.ndarray        # (32, 3, F_DIM), pitch channel zero
-    min_template_gap: float
 
     @classmethod
     def build(cls, seed: int) -> "SymbolVocab":
@@ -73,11 +72,10 @@ class SymbolVocab:
         flat = templates.reshape(N_SYMBOLS, -1)
         gaps = np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=-1)
         np.fill_diagonal(gaps, np.inf)
-        gap = float(gaps.min())
-        if gap <= 0.0:
+        if gaps.min() <= 0.0:
             raise DataError("symbol templates are not pairwise distinguishable")
         templates.flags.writeable = False
-        return cls(seed=seed, names=SYMBOL_NAMES, templates=templates, min_template_gap=gap)
+        return cls(seed=seed, names=SYMBOL_NAMES, templates=templates)
 
     def id_of(self, name: str) -> int:
         return self.names.index(name)
@@ -165,12 +163,6 @@ def render(vocab: SymbolVocab, transcript, speaker: SpeakerProfile, channel: str
     return Rendering(frames=frames, channel=channel, transcript=text, speaker_id=speaker.id)
 
 
-def parallel_pair(vocab: SymbolVocab, source: Rendering, target_speaker: SpeakerProfile,
-                  channel: str, seed: int) -> Rendering:
-    """Same transcript re-rendered under the target speaker."""
-    return render(vocab, source.transcript, target_speaker, channel, seed)
-
-
 @dataclass(frozen=True)
 class Utterance:
     utt_id: str
@@ -193,9 +185,6 @@ class CorpusSplits:
     train_texts: tuple[tuple[int, ...], ...]
     heldout_texts: tuple[tuple[int, ...], ...]
     utterances: tuple[Utterance, ...]
-
-    def profile(self, speaker_id: int) -> SpeakerProfile:
-        return self.speakers[speaker_id]
 
     def render_utterance(self, utt: Utterance) -> Rendering:
         return render(self.vocab, utt.text, self.speakers[utt.speaker_id], utt.channel, utt.seed)

@@ -1,10 +1,12 @@
 """Three-stage optimization: ASR pretraining, VC training, joint ASR-VC.
 
-The frozen components (encoders, codec) never enter the optimizer state;
-ASR-mode instances condition on a learned null-speaker row and route no
-gradient to the speaker adapter. Batches are drawn from same-text-length
-buckets so grids stack without padding. Everything is a deterministic
-function of the stage seeds.
+One `TrainPlan` configures all three stages and is validated when it is
+built, so a bad value fails before any training runs. The frozen
+components (encoders, codec) never enter the optimizer state; ASR-mode
+instances condition on a learned null-speaker row and route no gradient to
+the speaker adapter. Batches are drawn from same-text-length buckets so
+grids stack without padding. Everything is a deterministic function of the
+plan's seed.
 """
 
 from __future__ import annotations
@@ -35,35 +37,16 @@ STAGES = (STAGE_ASR, STAGE_VC, STAGE_JOINT)
 
 
 @dataclass(frozen=True)
-class StageConfig:
-    name: str
-    steps: int
-    w: float = 0.5
-    lambdas: tuple[float, ...] = (1.0, 0.9, 0.8, 0.7)
-    w_prime: float = 0.2
-    asr_fraction: float = 0.2
-    aug_real_prob: float = 0.5
-    lr: float = 1e-3
-    warmup: int = 100
-    clip: float = 1.0
-    batch: int = 6
-    seed: int = 0
-    text_loss_scale: float = 1.0
-    text_input_dropout: float = 0.5
-
-    def __post_init__(self):
-        if self.name not in STAGES:
-            raise ConfigError(f"unknown stage {self.name!r}")
-        for label, v in (("w", self.w), ("w_prime", self.w_prime),
-                         ("asr_fraction", self.asr_fraction),
-                         ("aug_real_prob", self.aug_real_prob),
-                         ("text_input_dropout", self.text_input_dropout)):
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"stage {self.name}: {label}={v} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class TrainPlan:
+    """The one training config: the three-stage schedule and its losses.
+
+    Stage `name` runs its own step count from seed `seed + STAGES.index(name)`;
+    the vc and joint stages render pristine targets with probability
+    vc_real_prob and joint_real_prob. Values are range-checked here, so a
+    bad one fails before any stage runs; `run_pipeline` checks `lambdas`
+    against the codec's layer count.
+    """
+
     asr_steps: int = 2000
     vc_steps: int = 4000
     joint_steps: int = 4000
@@ -84,17 +67,17 @@ class TrainPlan:
     gen_max_steps: int = 128
     gen_tail: int = 40
 
-    def stage(self, name: str) -> StageConfig:
-        steps = {STAGE_ASR: self.asr_steps, STAGE_VC: self.vc_steps,
-                 STAGE_JOINT: self.joint_steps}[name]
-        aug = {STAGE_ASR: 1.0, STAGE_VC: self.vc_real_prob,
-               STAGE_JOINT: self.joint_real_prob}[name]
-        return StageConfig(
-            name=name, steps=steps, w=self.w, lambdas=self.lambdas,
-            w_prime=self.w_prime, asr_fraction=self.asr_fraction, aug_real_prob=aug,
-            lr=self.lr, warmup=self.warmup, clip=self.clip, batch=self.batch,
-            seed=self.seed + STAGES.index(name), text_loss_scale=self.text_loss_scale,
-            text_input_dropout=self.text_input_dropout)
+    def __post_init__(self):
+        for label in ("w", "w_prime", "asr_fraction", "vc_real_prob", "joint_real_prob",
+                      "text_input_dropout"):
+            v = getattr(self, label)
+            if not (0.0 <= v <= 1.0):
+                raise ConfigError(f"train plan: {label}={v} outside [0, 1]")
+        for label, least in (("asr_steps", 0), ("vc_steps", 0), ("joint_steps", 0),
+                             ("batch", 1), ("eval_interval", 1)):
+            v = getattr(self, label)
+            if v < least:
+                raise ConfigError(f"train plan: {label}={v} below {least}")
 
 
 @dataclass
@@ -263,9 +246,9 @@ def _null_rows(ctx: PipelineContext, params: dict, batch: int) -> Tensor:
 
 
 def select_target(ctx: PipelineContext, source: sw.Utterance, target_speaker: int,
-                  stage: StageConfig, rng: np.random.Generator) -> sw.Rendering:
-    """Parallel target render: pristine with probability aug_real_prob."""
-    channel = sw.PRISTINE if rng.random() < stage.aug_real_prob else sw.DEGRADED
+                  real_prob: float, rng: np.random.Generator) -> sw.Rendering:
+    """Parallel target render: pristine with probability real_prob."""
+    channel = sw.PRISTINE if rng.random() < real_prob else sw.DEGRADED
     return sw.render(ctx.splits.vocab, source.text, ctx.splits.speakers[target_speaker],
                      channel, int(rng.integers(2**31)))
 
@@ -287,32 +270,30 @@ def _text_ce(ctx, logits, grids, text_only: bool):
     return ce_text, ce_ac
 
 
-def _asr_pool_loss(ctx, params, utts, stage, rng):
+def _asr_pool_loss(ctx, params, utts, plan, rng):
     """Text-stream CE with the null-speaker prefix; acoustic rows all PAD."""
     grids = [sl.build_asr_grid(u.text, ctx.lm_cfg.layout) for u in utts]
     sem = apply_adapter(params, "sem_adapter",
                         nm.constant(_source_features(ctx, utts, rng)))
     spk = _null_rows(ctx, params, len(utts))
     tokens = np.stack([g.tokens for g in grids])
-    tokens_in = _dropped_text_inputs(tokens, stage.text_input_dropout, rng)
+    tokens_in = _dropped_text_inputs(tokens, plan.text_input_dropout, rng)
     logits = sl.forward_batch(params, ctx.lm_cfg, sem, spk, tokens_in)
     ce_text, _ = _text_ce(ctx, logits, grids, text_only=True)
-    return nm.scale(ce_text, stage.text_loss_scale), float(ce_text.item())
+    return nm.scale(ce_text, plan.text_loss_scale), float(ce_text.item())
 
 
-def _vc_pool_loss(ctx, params, utts, stage, rng):
-    """w * CE_text + (1 - w) * sum_i lambda_i * CE_ac_i over a sub-batch."""
+def _vc_pool_loss(ctx, params, utts, plan, real_prob, rng):
+    """w * CE_text + (1 - w) * sum_i lambda_i * CE_ac_i over a sub-batch whose
+    targets are pristine with probability real_prob."""
     layout = ctx.lm_cfg.layout
-    if len(stage.lambdas) != layout.n_layers:
-        raise ConfigError(f"stage {stage.name}: lambdas length {len(stage.lambdas)} "
-                          f"does not match {layout.n_layers} codec layers")
     train_ids = ctx.splits.train_speaker_ids
     targets, spk_embs = [], []
     for u in utts:
         tgt = int(train_ids[rng.integers(len(train_ids))])
         ref_idx = int(rng.integers(PipelineContext.REF_POOL_SIZE))
         spk_embs.append(ctx.reference_embedding(tgt, ref_idx, tuple(u.text)))
-        targets.append(select_target(ctx, u, tgt, stage, rng).frames)
+        targets.append(select_target(ctx, u, tgt, real_prob, rng).frames)
     # encode quantizes frame by frame, so one call over all targets' rows
     # gives each target the codes of its own call
     codes = encode(np.concatenate(targets), ctx.codec).codes
@@ -322,21 +303,21 @@ def _vc_pool_loss(ctx, params, utts, stage, rng):
                         nm.constant(_source_features(ctx, utts, rng)))
     spk = apply_adapter(params, "spk_adapter", nm.constant(np.stack(spk_embs)))
     tokens = np.stack([g.tokens for g in grids])
-    tokens_in = _dropped_text_inputs(tokens, stage.text_input_dropout, rng)
+    tokens_in = _dropped_text_inputs(tokens, plan.text_input_dropout, rng)
     logits = sl.forward_batch(params, ctx.lm_cfg, sem, spk, tokens_in)
     ce_text, ce_ac = _text_ce(ctx, logits, grids, text_only=False)
-    loss = combine_vc_loss(ce_text, ce_ac, stage)
+    loss = combine_vc_loss(ce_text, ce_ac, plan)
     return loss, float(ce_text.item()), tuple(float(c.item()) for c in ce_ac)
 
 
-def combine_vc_loss(ce_text, ce_ac, stage: StageConfig):
+def combine_vc_loss(ce_text, ce_ac, plan: TrainPlan):
     """w * CE_text + (1 - w) * sum_i lambda_i * CE_ac_i, as one taped tensor.
 
     The mix is a single float64 weighted sum rounded once, so the value is
     within 0.5 ulp of an independent float64 recomputation from its inputs.
     """
-    weights = [stage.w * stage.text_loss_scale] + [(1.0 - stage.w) * lam
-                                                   for lam in stage.lambdas]
+    weights = [plan.w * plan.text_loss_scale] + [(1.0 - plan.w) * lam
+                                                 for lam in plan.lambdas]
     return nm.weighted_sum([ce_text, *ce_ac], weights)
 
 
@@ -346,31 +327,33 @@ def _apply_step(state: TrainState, tape: nm.Tape, loss) -> None:
     state.step += 1
 
 
-def asr_step(batch, state: TrainState, ctx: PipelineContext, stage: StageConfig,
+def _diverged(name: str, state: TrainState, batch) -> TrainingDivergedError:
+    return TrainingDivergedError(f"stage {name} step {state.step}: non-finite loss on "
+                                 f"batch {[u.utt_id for u in batch]}")
+
+
+def asr_step(batch, state: TrainState, ctx: PipelineContext, plan: TrainPlan,
              rng: np.random.Generator) -> StepResult:
     tape = nm.Tape()
     try:
         with tape:
-            loss, ce_text = _asr_pool_loss(ctx, state.params, batch, stage, rng)
+            loss, ce_text = _asr_pool_loss(ctx, state.params, batch, plan, rng)
     except nm.NumericsError as e:
-        raise TrainingDivergedError(
-            f"stage {stage.name} step {state.step}: non-finite loss on batch "
-            f"{[u.utt_id for u in batch]}") from e
+        raise _diverged(STAGE_ASR, state, batch) from e
     _apply_step(state, tape, loss)
     return StepResult(loss=float(loss.item()), ce_text=ce_text, ce_acoustic=None,
                       n_asr=len(batch), n_vc=0)
 
 
-def vc_step(batch, state: TrainState, ctx: PipelineContext, stage: StageConfig,
+def vc_step(batch, state: TrainState, ctx: PipelineContext, plan: TrainPlan,
             rng: np.random.Generator) -> StepResult:
     tape = nm.Tape()
     try:
         with tape:
-            loss, ce_text, ce_ac = _vc_pool_loss(ctx, state.params, batch, stage, rng)
+            loss, ce_text, ce_ac = _vc_pool_loss(ctx, state.params, batch, plan,
+                                                 plan.vc_real_prob, rng)
     except nm.NumericsError as e:
-        raise TrainingDivergedError(
-            f"stage {stage.name} step {state.step}: non-finite loss on batch "
-            f"{[u.utt_id for u in batch]}") from e
+        raise _diverged(STAGE_VC, state, batch) from e
     _apply_step(state, tape, loss)
     return StepResult(loss=float(loss.item()), ce_text=ce_text, ce_acoustic=ce_ac,
                       n_asr=0, n_vc=len(batch))
@@ -384,30 +367,29 @@ def joint_split(batch, asr_fraction: float, coin: np.random.Generator):
     return asr_items, vc_items
 
 
-def joint_step(batch, state: TrainState, ctx: PipelineContext, stage: StageConfig,
+def joint_step(batch, state: TrainState, ctx: PipelineContext, plan: TrainPlan,
                coin: np.random.Generator) -> StepResult:
     """Each instance is ASR with probability asr_fraction, else VC; the pools
     combine as w' * L_ASR + (1 - w') * L_VC."""
-    asr_items, vc_items = joint_split(batch, stage.asr_fraction, coin)
+    asr_items, vc_items = joint_split(batch, plan.asr_fraction, coin)
     tape = nm.Tape()
     ce_text = None
     ce_ac = None
     try:
         with tape:
             if asr_items:
-                asr_loss, _ = _asr_pool_loss(ctx, state.params, asr_items, stage, coin)
+                asr_loss, _ = _asr_pool_loss(ctx, state.params, asr_items, plan, coin)
             else:
                 asr_loss = nm.constant(np.float32(0.0))
             if vc_items:
-                vc_loss, ce_text, ce_ac = _vc_pool_loss(ctx, state.params, vc_items, stage, coin)
+                vc_loss, ce_text, ce_ac = _vc_pool_loss(ctx, state.params, vc_items, plan,
+                                                        plan.joint_real_prob, coin)
             else:
                 vc_loss = nm.constant(np.float32(0.0))
             loss = nm.weighted_sum([asr_loss, vc_loss],
-                                   [stage.w_prime, 1.0 - stage.w_prime])
+                                   [plan.w_prime, 1.0 - plan.w_prime])
     except nm.NumericsError as e:
-        raise TrainingDivergedError(
-            f"stage {stage.name} step {state.step}: non-finite loss on batch "
-            f"{[u.utt_id for u in batch]}") from e
+        raise _diverged(STAGE_JOINT, state, batch) from e
     _apply_step(state, tape, loss)
     return StepResult(loss=float(loss.item()), ce_text=ce_text, ce_acoustic=ce_ac,
                       n_asr=len(asr_items), n_vc=len(vc_items))
@@ -449,37 +431,36 @@ def heldout_acoustic_ce(ctx: PipelineContext, params: dict) -> float:
 # stages and the full schedule
 
 
-def train_stage(state: TrainState, ctx: PipelineContext, stage: StageConfig,
-                eval_interval: int = 200,
+def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: str,
                 metrics_rows: list | None = None) -> dict:
-    rng = np.random.default_rng([0x7A10, stage.seed])
-    state.opt = Adam(AdamConfig(lr=stage.lr, warmup=stage.warmup, clip=stage.clip))
+    """Run stage `name` of the plan on state, scoring the held-out metrics
+    every eval_interval steps and at the stage's end."""
+    steps = {STAGE_ASR: plan.asr_steps, STAGE_VC: plan.vc_steps,
+             STAGE_JOINT: plan.joint_steps}[name]
+    step_fn = {STAGE_ASR: asr_step, STAGE_VC: vc_step, STAGE_JOINT: joint_step}[name]
+    rng = np.random.default_rng([0x7A10, plan.seed + STAGES.index(name)])
+    state.opt = Adam(AdamConfig(lr=plan.lr, warmup=plan.warmup, clip=plan.clip))
     frozen_start = ctx.frozen_hash()
     last = None
     heldout = None
     loss_history = []
-    for local_step in range(stage.steps):
-        batch = sample_bucket(ctx.buckets, rng, stage.batch)
-        if stage.name == STAGE_ASR:
-            last = asr_step(batch, state, ctx, stage, rng)
-        elif stage.name == STAGE_VC:
-            last = vc_step(batch, state, ctx, stage, rng)
-        else:
-            last = joint_step(batch, state, ctx, stage, coin=rng)
+    for local_step in range(steps):
+        batch = sample_bucket(ctx.buckets, rng, plan.batch)
+        last = step_fn(batch, state, ctx, plan, rng)
         loss_history.append((last.loss, last.ce_acoustic))
-        if (local_step + 1) % eval_interval == 0 or local_step + 1 == stage.steps:
+        if (local_step + 1) % plan.eval_interval == 0 or local_step + 1 == steps:
             heldout = (heldout_text_accuracy(ctx, state.params),
                        heldout_acoustic_ce(ctx, state.params))
             if metrics_rows is not None:
-                metrics_rows.append((state.step, stage.name, last.loss, *heldout))
+                metrics_rows.append((state.step, name, last.loss, *heldout))
     if heldout is None:   # a stage of 0 steps: nothing was scored yet
         heldout = (heldout_text_accuracy(ctx, state.params),
                    heldout_acoustic_ce(ctx, state.params))
     frozen_end = ctx.frozen_hash()
     ac_losses = [h[1] for h in loss_history if h[1] is not None]
     report = {
-        "stage": stage.name,
-        "steps": stage.steps,
+        "stage": name,
+        "steps": steps,
         "final_loss": last.loss if last else None,
         "heldout_text_accuracy": heldout[0],
         "heldout_acoustic_ce": heldout[1],
@@ -491,7 +472,7 @@ def train_stage(state: TrainState, ctx: PipelineContext, stage: StageConfig,
                                     if ac_losses else None),
     }
     if frozen_start != frozen_end:
-        raise TrainingDivergedError(f"stage {stage.name}: frozen component bits changed")
+        raise TrainingDivergedError(f"stage {name}: frozen component bits changed")
     return report
 
 
@@ -512,13 +493,14 @@ def run_pipeline(ctx: PipelineContext, plan: TrainPlan,
     for i, name in enumerate(stages):
         if name not in STAGES or (i and STAGES.index(name) <= STAGES.index(stages[i - 1])):
             raise ConfigError(f"stages must follow {STAGES}, got {stages}")
+    if len(plan.lambdas) != ctx.lm_cfg.layout.n_layers:
+        raise ConfigError(f"train plan: lambdas length {len(plan.lambdas)} does not match "
+                          f"{ctx.lm_cfg.layout.n_layers} codec layers")
     params = init_params if init_params is not None else init_pipeline_params(ctx, plan.seed)
     state = TrainState(params=params, opt=Adam(AdamConfig()))
     result = PipelineResult(params=params, stage_reports={}, stage_metrics={})
     for name in stages:
-        report = train_stage(state, ctx, plan.stage(name),
-                             eval_interval=plan.eval_interval,
-                             metrics_rows=result.metrics_rows)
+        report = train_stage(state, ctx, plan, name, metrics_rows=result.metrics_rows)
         result.stage_reports[name] = report
         result.params = state.params
         result.stage_params[name] = dict(state.params)

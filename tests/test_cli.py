@@ -1,11 +1,12 @@
 """Every CLI command end to end at a tiny config: exit codes, artifacts, one
 logs/run.tsv line per command (failed ones included), the typed failures of
-a missing upstream artifact, a corrupt codec file and an unknown config
-key, and the run-directory lock."""
+a missing upstream artifact, a corrupt codec file, an unknown config key and
+a bad training-plan value, and the run-directory lock."""
 
 import fcntl
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -14,6 +15,7 @@ import pytest
 
 from synthvc import cli
 from synthvc import synthworld as sw
+from synthvc import trainer as tr
 from synthvc.errors import ConfigError
 
 TINY_CONFIG = """\
@@ -110,6 +112,49 @@ def test_cli_every_command_end_to_end(tmp_path, capsys):
         ("synth-data", "ok"), ("fit-codec", "ok"), ("pretrain-encoders", "ok"),
         ("convert", "ERR:STATE"), ("train", "ok"), ("convert", "ok"), ("evaluate", "ok"),
         ("inspect-grid", "ok"), ("evaluate", "ERR:FORMAT"), ("evaluate", "ERR:FORMAT")]
+
+
+@pytest.fixture(scope="module")
+def prepared_run(tmp_path_factory):
+    """A tiny run directory holding the corpus, the codec and the frozen stack."""
+    root = tmp_path_factory.mktemp("prepared")
+    cfg_path = root / "tiny.cfg"
+    cfg_path.write_text(TINY_CONFIG, encoding="utf-8")
+    run = root / "run"
+    base = ["--config", str(cfg_path), "--run", str(run)]
+    assert cli.main(["--config", str(cfg_path), "synth-data", "--out", str(run)]) == 0
+    assert cli.main(base + ["fit-codec"]) == 0
+    assert cli.main(base + ["pretrain-encoders"]) == 0
+    return run
+
+
+@pytest.mark.parametrize("bad", ["eval.interval = 0", "train.batch = 0",
+                                 "train.joint_real_prob = 1.5"])
+def test_bad_plan_value_fails_typed_before_any_stage(prepared_run, tmp_path, capsys,
+                                                     monkeypatch, bad):
+    run = tmp_path / "run"
+    shutil.copytree(prepared_run, run)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(TINY_CONFIG + bad + "\n", encoding="utf-8")
+    stages = []
+    real_stage = tr.train_stage
+
+    def recording_stage(state, ctx, plan, name, *args, **kwargs):
+        stages.append(name)
+        return real_stage(state, ctx, plan, name, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "train_stage", recording_stage)
+    capsys.readouterr()
+    argv = ["--config", str(cfg_path), "--run", str(run), "--allow-config-drift",
+            "train", "--stage", "all"]
+    assert cli.main(argv) == cli.EXIT_USAGE == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: proceeding with drifted config", err[-1]]
+    assert err[-1].startswith("ERR:USAGE train plan: ")
+    assert _run_log(run)[-1] == ("train", "ERR:USAGE")
+    assert stages == []
+    assert not list((run / "checkpoints").glob("*.ckpt"))
+    assert not list((run / "reports").glob("stage_*.json"))
 
 
 def test_lock_with_dead_pid_is_replaced(tmp_path):

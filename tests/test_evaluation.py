@@ -1,11 +1,14 @@
 """Metric suite and oracle judges."""
 
+import dataclasses
+import json
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synthvc import encoders as en
 from synthvc import evaluation as ev
 from synthvc import numerics as nm
 from synthvc import streamlm as sl
@@ -196,8 +199,28 @@ def test_evaluate_conversion_report_shape(context):
               report.secs_oracle, report.secs_to_source, report.top1):
         assert np.isfinite(v)
     assert 0 <= report.truncated <= 4
-    back = ev.MetricsReport.from_json(report.to_json())
-    assert back == report
+    assert json.loads(report.to_json()) == dataclasses.asdict(report)
+
+
+def test_second_manifest_on_shared_objects_scores_like_fresh_objects(context):
+    # every manifest names its pairs eval_src00, eval_tgt00, ...: nothing keyed
+    # by those ids may carry over from one evaluate_conversion call to the next
+    params = tr.init_pipeline_params(context, seed=2)
+
+    def score(pairs, sem_enc, spk_enc, verifier):
+        return ev.evaluate_conversion(params, context.lm_cfg, context.codec, sem_enc, spk_enc,
+                                      params, verifier, context.transcriber, context.splits,
+                                      pairs, max_steps=48, tail=8)
+
+    first, second = (ev.make_eval_manifest(context.splits, n_pairs=3, seed=s) for s in (3, 4))
+    assert [p.source.utt_id for p in first] == [p.source.utt_id for p in second]
+    assert [p.source for p in first] != [p.source for p in second]
+    shared = (context.sem_enc, context.spk_enc, context.verifier)
+    score(first, *shared)
+    fresh = (en.SemanticEncoder(dims=context.sem_enc.dims, params=context.sem_enc.params),
+             en.SpeakerEncoder(dims=context.spk_enc.dims, params=context.spk_enc.params),
+             ev.OracleVerifier(params=context.verifier.params))
+    assert score(second, *shared) == score(second, *fresh)
 
 
 def test_identity_conversion_secs_symmetric(context):

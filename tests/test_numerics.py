@@ -144,8 +144,6 @@ def test_cross_entropy_mask_and_errors():
     logits = t(np.zeros((2, 3), dtype=np.float32))
     with pytest.raises(DegenerateBatchError):
         nm.cross_entropy(logits, [0, 1], mask=[False, False])
-    z = nm.cross_entropy(logits, [0, 1], mask=[False, False], allow_empty=True)
-    assert z.item() == 0.0 and getattr(z, "degenerate", False)
     with pytest.raises(IndexError):
         nm.cross_entropy(logits, [0, 3])
     # masked-out positions may carry junk targets
@@ -549,13 +547,3 @@ def test_tensor_immutable():
     x = t(np.ones(3))
     with pytest.raises(ValueError):
         x.data[0] = 5.0
-
-
-def test_tape_reset_and_reuse():
-    tape = nm.Tape()
-    x = nm.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-    with tape:
-        loss = nm.sum_all(x)
-    assert tape.backward(loss)
-    tape.reset()
-    assert tape.tid_of(x) is None and not tape.nodes

@@ -102,7 +102,7 @@ def test_parallel_pair_same_speaker_identity(splits):
     utt = splits.utterances[0]
     src = splits.render_utterance(utt)
     prof = splits.speakers[utt.speaker_id]
-    again = sw.parallel_pair(splits.vocab, src, prof, sw.PRISTINE, seed=utt.seed)
+    again = sw.render(splits.vocab, src.transcript, prof, sw.PRISTINE, seed=utt.seed)
     assert np.array_equal(src.frames, again.frames)
 
 
@@ -110,7 +110,8 @@ def test_parallel_pair_preserves_transcript(splits):
     utt = splits.utterances[3]
     src = splits.render_utterance(utt)
     tgt_id = splits.train_speaker_ids[5]
-    pair = sw.parallel_pair(splits.vocab, src, splits.speakers[tgt_id], sw.DEGRADED, seed=99)
+    pair = sw.render(splits.vocab, src.transcript, splits.speakers[tgt_id], sw.DEGRADED,
+                     seed=99)
     assert pair.transcript == src.transcript
     assert pair.speaker_id == tgt_id
 

@@ -18,12 +18,6 @@ def make_state(ctx, seed=7401, lr=1e-3):
     return tr.TrainState(params=params, opt=Adam(AdamConfig(lr=lr, warmup=10, clip=1.0)))
 
 
-def stage_cfg(name, **kw):
-    base = dict(steps=10, seed=1)
-    base.update(kw)
-    return tr.StageConfig(name=name, **base)
-
-
 # ---------------------------------------------------------------------------
 # loss formulas
 
@@ -46,31 +40,31 @@ def test_asr_loss_perfect_prediction_near_zero():
 
 def test_vc_loss_formula_oracle():
     # direct formula evaluation: 0.3*2.0 + 0.7*(1.0*1.0 + 0.9*2.0) = 2.56
-    stage = stage_cfg("vc", w=0.3, lambdas=(1.0, 0.9))
+    plan = tr.TrainPlan(w=0.3, lambdas=(1.0, 0.9))
     ce_t = nm.constant(np.float32(2.0))
     ce_a = [nm.constant(np.float32(1.0)), nm.constant(np.float32(2.0))]
-    loss = tr.combine_vc_loss(ce_t, ce_a, stage)
+    loss = tr.combine_vc_loss(ce_t, ce_a, plan)
     assert abs(loss.item() - 2.56) < 1e-6
 
 
 def test_vc_loss_w1_reduces_bitwise_to_text_ce():
-    stage = stage_cfg("vc", w=1.0, lambdas=(1.0, 0.9, 0.8, 0.7))
+    plan = tr.TrainPlan(w=1.0, lambdas=(1.0, 0.9, 0.8, 0.7))
     rng = np.random.default_rng(3)
     ce_t = nm.constant(np.float32(rng.uniform(0.5, 4.0)))
     ce_a = [nm.constant(np.float32(rng.uniform(0.5, 4.0))) for _ in range(4)]
-    loss = tr.combine_vc_loss(ce_t, ce_a, stage)
+    loss = tr.combine_vc_loss(ce_t, ce_a, plan)
     assert loss.item() == ce_t.item()
 
 
 def test_vc_loss_w0_zero_grad_on_text_head(bare_context):
     ctx = bare_context
     state = make_state(ctx)
-    stage = stage_cfg("vc", w=0.0)
+    plan = tr.TrainPlan(w=0.0)
     rng = np.random.default_rng(5)
     batch = sample_bucket(ctx.buckets, rng, 3)
     tape = nm.Tape()
     with tape:
-        loss, _, _ = tr._vc_pool_loss(ctx, state.params, batch, stage, rng)
+        loss, _, _ = tr._vc_pool_loss(ctx, state.params, batch, plan, plan.vc_real_prob, rng)
     grads = grads_by_name(tape, state.params, tape.backward(loss))
     g = grads.get("lm.text_head.w")
     assert g is None or not np.any(g)
@@ -79,13 +73,13 @@ def test_vc_loss_w0_zero_grad_on_text_head(bare_context):
 def test_loss_decomposition_matches_independent_recomputation(bare_context):
     ctx = bare_context
     state = make_state(ctx)
-    stage = stage_cfg("vc", w=0.5)
+    plan = tr.TrainPlan(w=0.5)
     rng = np.random.default_rng(11)
     for _ in range(10):
         batch = sample_bucket(ctx.buckets, rng, 4)
-        res = tr.vc_step(batch, state, ctx, stage, rng)
-        expected = stage.w * res.ce_text + (1 - stage.w) * sum(
-            lam * ce for lam, ce in zip(stage.lambdas, res.ce_acoustic))
+        res = tr.vc_step(batch, state, ctx, plan, rng)
+        expected = plan.w * res.ce_text + (1 - plan.w) * sum(
+            lam * ce for lam, ce in zip(plan.lambdas, res.ce_acoustic))
         assert abs(res.loss - expected) < 1e-6
 
 
@@ -96,12 +90,11 @@ def test_loss_decomposition_matches_independent_recomputation(bare_context):
 def test_asr_step_no_speaker_adapter_gradient(bare_context):
     ctx = bare_context
     state = make_state(ctx)
-    stage = stage_cfg("asr")
     rng = np.random.default_rng(7)
     batch = sample_bucket(ctx.buckets, rng, 3)
     tape = nm.Tape()
     with tape:
-        loss, _ = tr._asr_pool_loss(ctx, state.params, batch, stage, rng)
+        loss, _ = tr._asr_pool_loss(ctx, state.params, batch, tr.TrainPlan(), rng)
     grads = grads_by_name(tape, state.params, tape.backward(loss))
     assert not any(name.startswith("spk_adapter") for name in grads)
     assert any(name.startswith("sem_adapter") for name in grads)
@@ -110,12 +103,12 @@ def test_asr_step_no_speaker_adapter_gradient(bare_context):
 def test_joint_all_asr_leaves_speaker_adapter_bits(bare_context):
     ctx = bare_context
     state = make_state(ctx)
-    stage = stage_cfg("joint", asr_fraction=1.0)
+    plan = tr.TrainPlan(asr_fraction=1.0)
     rng = np.random.default_rng(9)
     before = {k: state.params[k].data.copy() for k in state.params
               if k.startswith("spk_adapter")}
     batch = sample_bucket(ctx.buckets, rng, 4)
-    res = tr.joint_step(batch, state, ctx, stage, coin=rng)
+    res = tr.joint_step(batch, state, ctx, plan, coin=rng)
     assert res.n_vc == 0 and res.n_asr == 4
     for k, v in before.items():
         assert np.array_equal(state.params[k].data, v)
@@ -124,14 +117,14 @@ def test_joint_all_asr_leaves_speaker_adapter_bits(bare_context):
 def test_joint_all_vc_reduces_to_vc_path(bare_context):
     ctx = bare_context
     state = make_state(ctx)
-    stage = stage_cfg("joint", asr_fraction=0.0, w_prime=0.2)
+    plan = tr.TrainPlan(asr_fraction=0.0, w_prime=0.2)
     rng = np.random.default_rng(13)
     batch = sample_bucket(ctx.buckets, rng, 4)
-    res = tr.joint_step(batch, state, ctx, stage, coin=rng)
+    res = tr.joint_step(batch, state, ctx, plan, coin=rng)
     assert res.n_asr == 0 and res.n_vc == 4
-    vc_part = stage.w * res.ce_text + (1 - stage.w) * sum(
-        lam * ce for lam, ce in zip(stage.lambdas, res.ce_acoustic))
-    assert abs(res.loss - (1 - stage.w_prime) * vc_part) < 1e-5
+    vc_part = plan.w * res.ce_text + (1 - plan.w) * sum(
+        lam * ce for lam, ce in zip(plan.lambdas, res.ce_acoustic))
+    assert abs(res.loss - (1 - plan.w_prime) * vc_part) < 1e-5
 
 
 def test_joint_draw_fraction_binomial():
@@ -149,12 +142,11 @@ def test_joint_draw_fraction_binomial():
 def test_frozen_bits_unchanged_across_steps(bare_context):
     ctx = bare_context
     state = make_state(ctx)
-    stage = stage_cfg("vc")
     rng = np.random.default_rng(19)
     before = ctx.frozen_hash()
     for _ in range(3):
         batch = sample_bucket(ctx.buckets, rng, 3)
-        tr.vc_step(batch, state, ctx, stage, rng)
+        tr.vc_step(batch, state, ctx, tr.TrainPlan(), rng)
     assert ctx.frozen_hash() == before
 
 
@@ -193,7 +185,7 @@ def test_vc_pool_grids_hold_each_targets_own_codes(bare_context, monkeypatch):
     monkeypatch.setattr(tr, "select_target", recording_select)
     monkeypatch.setattr(sl, "build_delayed_grid", recording_build)
     batch = sample_bucket(ctx.buckets, np.random.default_rng(47), 6)
-    tr._vc_pool_loss(ctx, make_state(ctx).params, batch, stage_cfg("vc"),
+    tr._vc_pool_loss(ctx, make_state(ctx).params, batch, tr.TrainPlan(), 0.5,
                      np.random.default_rng(48))
     assert len(targets) == len(grid_codes) == len(batch)
     for frames, codes in zip(targets, grid_codes):   # one encode call per target
@@ -210,8 +202,8 @@ def test_train_stage_scores_heldout_once_per_eval(bare_context, monkeypatch,
             return _f(ctx, params)
         monkeypatch.setattr(tr, name, counted)
     rows = []
-    report = tr.train_stage(make_state(bare_context), bare_context,
-                            stage_cfg("vc", steps=steps), eval_interval=interval,
+    plan = tr.TrainPlan(vc_steps=steps, eval_interval=interval)
+    report = tr.train_stage(make_state(bare_context), bare_context, plan, "vc",
                             metrics_rows=rows)
     assert calls == {"heldout_text_accuracy": evals, "heldout_acoustic_ce": evals}
     assert len(rows) == (evals if steps else 0)
@@ -226,23 +218,21 @@ def test_train_stage_scores_heldout_once_per_eval(bare_context, monkeypatch,
 
 def test_select_target_always_pristine_at_prob_one(bare_context):
     ctx = bare_context
-    stage = stage_cfg("vc", aug_real_prob=1.0)
     rng = np.random.default_rng(23)
     for utt in ctx.splits.utterances[:20]:
-        t = tr.select_target(ctx, utt, ctx.splits.train_speaker_ids[0], stage, rng)
+        t = tr.select_target(ctx, utt, ctx.splits.train_speaker_ids[0], 1.0, rng)
         assert t.channel == sw.PRISTINE
 
 
 def test_select_target_percentage_and_transcript(bare_context):
     ctx = bare_context
-    stage = stage_cfg("joint", aug_real_prob=0.8)
     rng = np.random.default_rng(29)
     utt = ctx.splits.utterances[0]
     tgt = ctx.splits.train_speaker_ids[3]
     pristine = 0
     n = 10000
     for _ in range(n):
-        t = tr.select_target(ctx, utt, tgt, stage, rng)
+        t = tr.select_target(ctx, utt, tgt, 0.8, rng)
         pristine += t.channel == sw.PRISTINE
         assert t.transcript == utt.text
     assert abs(pristine / n - 0.80) <= 0.02
@@ -279,16 +269,26 @@ def test_optimizer_touches_only_named_grads():
 # pipeline scaffolding
 
 
-def test_stage_config_validation():
-    with pytest.raises(ConfigError):
-        tr.StageConfig(name="warmup", steps=1)
-    with pytest.raises(ConfigError):
-        tr.StageConfig(name="vc", steps=1, w=1.5)
+@pytest.mark.parametrize("field,bad", [
+    ("w", 1.5), ("w_prime", -0.1), ("asr_fraction", 2.0), ("vc_real_prob", -1.0),
+    ("joint_real_prob", 1.5), ("text_input_dropout", float("nan")), ("asr_steps", -1),
+    ("vc_steps", -1), ("joint_steps", -1), ("batch", 0), ("eval_interval", 0)])
+def test_train_plan_validation(field, bad):
+    with pytest.raises(ConfigError, match=field):
+        tr.TrainPlan(**{field: bad})
 
 
 def test_run_pipeline_enforces_stage_order(bare_context):
     with pytest.raises(ConfigError):
         tr.run_pipeline(bare_context, tr.TrainPlan(), stages=("vc", "asr"))
+
+
+def test_run_pipeline_checks_lambdas_before_any_stage(bare_context, monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+    monkeypatch.setattr(tr, "train_stage", no_stage)
+    with pytest.raises(ConfigError, match="lambdas"):
+        tr.run_pipeline(bare_context, tr.TrainPlan(lambdas=(1.0, 0.9)))
 
 
 def test_run_pipeline_tiny_deterministic(splits, codec, sem_enc, spk_enc):
