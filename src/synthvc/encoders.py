@@ -31,6 +31,9 @@ class EncoderDims:
     d_sem: int = 48
     d_spk: int = 32
 
+    def __post_init__(self):
+        nn.check_heads("enc.sem_dim", self.d_sem, SEM_HEADS)
+
 
 def bucket_by_length(utterances) -> dict[int, list]:
     buckets: dict[int, list] = {}
@@ -196,7 +199,7 @@ def init_speaker_encoder(dims: EncoderDims, seed: int) -> SpeakerEncoder:
     return SpeakerEncoder(dims=dims, params=params)
 
 
-def pretrain_speaker_encoder(splits: sw.CorpusSplits, steps: int = 800, batch: int = 16,
+def pretrain_speaker_encoder(splits: sw.CorpusSplits, steps: int = 800, batch: int = 12,
                              lr: float = 1e-3, seed: int = 0,
                              dims: EncoderDims = EncoderDims()) -> SpeakerEncoder:
     """Speaker-classification pretraining over train speakers; frozen on return."""

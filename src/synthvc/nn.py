@@ -4,9 +4,10 @@ Everything operates on (B, T, D) tensors; params live in flat string-keyed
 dicts so optimizers and checkpoints can treat models uniformly.
 
 For incremental decoding, `trunk` takes an optional `cache`, one
-`BlockCache` per block: each block then appends its new keys and values to
-preallocated buffers and attends over every position cached so far. With
-no cache the ops are those of a plain causal pass, as in training.
+`nm.BlockCache` per block: each block's `nm.attend` then appends its new keys
+and values to preallocated buffers and attends over every position cached
+so far. With no cache the ops are those of a plain causal pass, as in
+training.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics as nm
+from .errors import ConfigError
 from .numerics import Tensor
 
 NEG_INF = -1e9
@@ -46,6 +48,14 @@ def init_block(params: dict, rng: np.random.Generator, name: str,
     init_linear(params, rng, f"{name}.down", intermediate, dim)
 
 
+def check_heads(field: str, width: int, heads: int) -> None:
+    """ConfigError naming config key `field` unless `width` splits into
+    `heads` heads of an even width, as rotary embeddings need."""
+    if heads < 1 or width % heads or (width // heads) % 2:
+        raise ConfigError(f"{field}: width {width} does not split into {heads} heads "
+                          f"of an even width")
+
+
 @lru_cache(maxsize=64)
 def causal_mask(n: int) -> np.ndarray:
     m = np.triu(np.full((n, n), NEG_INF, dtype=np.float32), k=1)
@@ -53,62 +63,19 @@ def causal_mask(n: int) -> np.ndarray:
     return m
 
 
-class BlockCache:
-    """One block's keys and values for positions [0, length), in preallocated
-    (B * heads, capacity, dh) buffers, already rotated (RoPE positions are
-    absolute, so cached keys stay valid). Decode only: nothing cached
-    carries a gradient."""
-
-    def __init__(self, rows: int, capacity: int, dh: int):
-        self.k = np.zeros((rows, capacity, dh), dtype=nm.STORAGE_DTYPE)
-        self.v = np.zeros((rows, capacity, dh), dtype=nm.STORAGE_DTYPE)
-        self.length = 0
-
-    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append (B * heads, t, dh) keys and values; return all cached ones."""
-        k_all = nm.write_rows(self.k, self.length, k)
-        v_all = nm.write_rows(self.v, self.length, v)
-        self.length += k.shape[1]
-        return k_all, v_all
-
-
-def _heads_split(x: Tensor, b: int, t: int, heads: int, dh: int) -> Tensor:
-    x = nm.reshape(x, (b, t, heads, dh))
-    x = nm.transpose(x, (0, 2, 1, 3))
-    return nm.reshape(x, (b * heads, t, dh))
-
-
 def attention(params: dict, name: str, x: Tensor, positions: np.ndarray,
               heads: int, mask: np.ndarray | None,
-              cache: BlockCache | None = None) -> Tensor:
+              cache: nm.BlockCache | None = None) -> Tensor:
     """Self-attention of x's t positions at `positions`. With a cache they
     attend over the cached positions too, so `mask` is (t, cached + t) or
     None."""
-    b, t, d = x.shape
-    dh = d // heads
-    q = linear(params, f"{name}.q", x)
-    k = linear(params, f"{name}.k", x)
-    v = linear(params, f"{name}.v", x)
-    tiled = np.tile(positions, b)
-    q = nm.rope_apply(nm.reshape(q, (b * t, heads, dh)), tiled)
-    k = nm.rope_apply(nm.reshape(k, (b * t, heads, dh)), tiled)
-    q = _heads_split(nm.reshape(q, (b, t, d)), b, t, heads, dh)
-    k = _heads_split(nm.reshape(k, (b, t, d)), b, t, heads, dh)
-    v = _heads_split(v, b, t, heads, dh)
-    if cache is not None:
-        k, v = cache.extend(k, v)
-    scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    if mask is not None:
-        scores = nm.add(scores, nm.constant(mask))
-    probs = nm.softmax(scores)
-    ctx = nm.matmul(probs, v)
-    ctx = nm.reshape(ctx, (b, heads, t, dh))
-    ctx = nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
+    ctx = nm.attend(linear(params, f"{name}.q", x), linear(params, f"{name}.k", x),
+                    linear(params, f"{name}.v", x), positions, heads, mask, cache)
     return linear(params, f"{name}.o", ctx)
 
 
 def block(params: dict, name: str, x: Tensor, positions: np.ndarray,
-          heads: int, mask: np.ndarray | None, cache: BlockCache | None = None) -> Tensor:
+          heads: int, mask: np.ndarray | None, cache: nm.BlockCache | None = None) -> Tensor:
     h = nm.add(x, attention(params, name, nm.rms_norm(x, params[f"{name}.norm1"]),
                             positions, heads, mask, cache))
     inner = linear(params, f"{name}.down",
@@ -119,7 +86,7 @@ def block(params: dict, name: str, x: Tensor, positions: np.ndarray,
 
 def trunk(params: dict, prefix: str, x: Tensor, positions: np.ndarray,
           heads: int, n_blocks: int, mask: np.ndarray | None,
-          cache: list[BlockCache] | None = None) -> Tensor:
+          cache: list[nm.BlockCache] | None = None) -> Tensor:
     for i in range(n_blocks):
         x = block(params, f"{prefix}.blk{i}", x, positions, heads, mask,
                   None if cache is None else cache[i])

@@ -6,10 +6,16 @@ Reductions (sums, means, weighted sums, cross entropy) accumulate in
 float64 regardless of the storage dtype and round once to it.
 Every forward result is checked for NaN/Inf.
 
-`affine` is the one fused op: x @ w + b over the last axis of x, taped as
-a single node whose forward and VJPs make the same numpy calls, in the same
-order, as the reshape -> matmul -> add -> reshape chain they stand for, so
-results are bit-identical to that chain.
+Two ops are fused: each is taped as a single node whose forward and VJPs
+make the same numpy calls, in the same order, as the op chain it stands for,
+so results are bit-identical to that chain.
+- `affine` is x @ w + b over the last axis of x: reshape -> matmul -> add
+  -> reshape.
+- `attend` is multi-head self-attention between the q/k/v and output
+  projections, including the append to a decode-time key/value cache. It
+  checks its masked scores and its output, and the public ops it calls
+  (rope_apply, transpose, matmul, softmax) check theirs, so no computed
+  intermediate goes unchecked.
 
 A tape is single-threaded: activate it with `with tape:` around the forward
 pass, call `tape.backward(loss)` afterwards, and build a fresh tape per
@@ -371,25 +377,6 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _apply("narrow", (a,), out, build)
 
 
-def write_rows(buffer: Array, start: int, new: Tensor) -> Tensor:
-    """Copy new (R, t, D) into buffer[:, start:start + t] and return
-    buffer[:, :start + t]: the append of a decode-time key/value cache.
-
-    The result is a read-only view that carries no gradient, so the op is
-    refused while a tape records an input that needs one.
-    """
-    arr = new.data
-    if (arr.ndim != 3 or arr.dtype != buffer.dtype or arr.shape[0::2] != buffer.shape[0::2]
-            or not 0 <= start <= buffer.shape[1] - arr.shape[1]):
-        raise ShapeError(f"write_rows: {arr.dtype} {arr.shape} at row {start} does not fit "
-                         f"{buffer.dtype} buffer {buffer.shape}")
-    stop = start + arr.shape[1]
-    if _ACTIVE is not None and new.requires_grad:
-        raise NumericsError("write_rows: no gradient flows through a key/value cache")
-    buffer[:, start:stop] = arr
-    return _apply("write_rows", (), buffer[:, :stop], lambda: ())
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
 
@@ -452,36 +439,163 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     return _apply("rms_norm", (x, gain), out, build)
 
 
+def _rope_tables(positions, d: int, dtype, ndim: int) -> tuple[Array, Array]:
+    """cos and sin of each position's rotary angles, shaped to broadcast over
+    an (N, ..., d) array whose axis 0 holds the positions."""
+    pos = np.asarray(positions, dtype=np.float64)
+    half = d // 2
+    freqs = ROPE_BASE ** (-(2.0 * np.arange(half, dtype=np.float64)) / d)
+    ang = pos[:, None] * freqs[None, :]
+    bshape = (pos.shape[0],) + (1,) * (ndim - 2) + (half,)
+    return (np.cos(ang).astype(dtype).reshape(bshape),
+            np.sin(ang).astype(dtype).reshape(bshape))
+
+
+def _rope_vjp(g: Array, cos: Array, sin: Array) -> Array:
+    ge, go = g[..., 0::2], g[..., 1::2]
+    gx = np.empty_like(g)
+    gx[..., 0::2] = ge * cos + go * sin
+    gx[..., 1::2] = -ge * sin + go * cos
+    return gx
+
+
 def rope_apply(x: Tensor, positions) -> Tensor:
     arr = x.data
     d = arr.shape[-1]
     if d % 2 != 0:
         raise ConfigError(f"rope_apply: head dimension must be even, got {d}")
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape != (arr.shape[0],):
-        raise ShapeError(f"rope_apply: positions length {pos.shape} does not match axis 0 of {arr.shape}")
-    half = d // 2
-    freqs = ROPE_BASE ** (-(2.0 * np.arange(half, dtype=np.float64)) / d)
-    ang = pos[:, None] * freqs[None, :]
-    bshape = (arr.shape[0],) + (1,) * (arr.ndim - 2) + (half,)
-    cos = np.cos(ang).astype(arr.dtype).reshape(bshape)
-    sin = np.sin(ang).astype(arr.dtype).reshape(bshape)
+    if np.shape(positions) != (arr.shape[0],):
+        raise ShapeError(f"rope_apply: positions length {np.shape(positions)} does not match "
+                         f"axis 0 of {arr.shape}")
+    cos, sin = _rope_tables(positions, d, arr.dtype, arr.ndim)
     xe, xo = arr[..., 0::2], arr[..., 1::2]
     out = np.empty_like(arr)
     out[..., 0::2] = xe * cos - xo * sin
     out[..., 1::2] = xe * sin + xo * cos
 
     def build():
-        def fn(g):
-            ge, go = g[..., 0::2], g[..., 1::2]
-            gx = np.empty_like(g)
-            gx[..., 0::2] = ge * cos + go * sin
-            gx[..., 1::2] = -ge * sin + go * cos
-            return gx
-
-        return (fn if x.requires_grad else None,)
+        return ((lambda g: _rope_vjp(g, cos, sin)) if x.requires_grad else None,)
 
     return _apply("rope_apply", (x,), out, build)
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+
+class BlockCache:
+    """One attention block's keys and values for positions [0, length), in
+    preallocated (B * heads, capacity, dh) buffers, already rotated (RoPE
+    positions are absolute, so cached keys stay valid). `attend` appends to
+    them. Decode only: nothing cached carries a gradient."""
+
+    def __init__(self, rows: int, capacity: int, dh: int):
+        self.k = np.zeros((rows, capacity, dh), dtype=STORAGE_DTYPE)
+        self.v = np.zeros((rows, capacity, dh), dtype=STORAGE_DTYPE)
+        self.length = 0
+
+
+def _split_heads(x: Array, b: int, t: int, heads: int, dh: int) -> Array:
+    """(B, t, heads * dh), or (B * t, heads, dh), -> (B * heads, t, dh)."""
+    return np.ascontiguousarray(np.transpose(x.reshape(b, t, heads, dh), (0, 2, 1, 3))
+                                ).reshape(b * heads, t, dh)
+
+
+def _merge_heads(x: Array, b: int, t: int, heads: int, dh: int) -> Array:
+    """(B * heads, t, dh) -> (B, t, heads * dh)."""
+    return np.ascontiguousarray(np.transpose(x.reshape(b, heads, t, dh), (0, 2, 1, 3))
+                                ).reshape(b, t, heads * dh)
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, positions, heads: int, mask=None,
+           cache: BlockCache | None = None) -> Tensor:
+    """Multi-head self-attention of (B, t, D) projections at `positions`: one
+    taped node.
+
+    Rotary on q and k, a split into `heads` heads of width dh = D / heads,
+    softmax(q k^T / sqrt(dh) + mask) v, and the heads merged back to (B, t, D).
+    With a `cache` the rotated keys and values are first appended to its
+    buffers and the t queries attend over every cached
+    position, so `mask` is (t, cached + t) or None. No gradient flows through
+    a cache, so one is refused while a tape records an input that needs one.
+
+    The forward calls the public rope_apply (once, over the stacked q and k
+    heads), transpose, matmul and softmax on untaped inputs; the rest is plain
+    numpy. Forward and VJPs make the same numpy calls, in the same order, as
+    the rope -> split -> matmul -> scale -> add -> softmax -> matmul -> merge
+    chain they stand for, so results are bit-identical to that chain.
+    """
+    shape, dtype = q.data.shape, q.data.dtype
+    if (len(shape) != 3 or k.data.shape != shape or v.data.shape != shape
+            or k.data.dtype != dtype or v.data.dtype != dtype or heads < 1 or shape[2] % heads):
+        raise ShapeError(f"attend: q {q.shape}, k {k.shape}, v {v.shape} are not one "
+                         f"(B, t, D) shape and dtype with D divisible by {heads} heads")
+    b, t, d = shape
+    dh = d // heads
+    if cache is not None:
+        if _ACTIVE is not None and (q.requires_grad or k.requires_grad or v.requires_grad):
+            raise NumericsError("attend: no gradient flows through a key/value cache")
+        start, stop = cache.length, cache.length + t
+        if (dtype != cache.k.dtype or cache.k.shape[0::2] != (b * heads, dh)
+                or stop > cache.k.shape[1]):
+            raise ShapeError(f"attend: {dtype} keys for {b * heads} rows of width {dh} at "
+                             f"positions [{start}, {stop}) do not fit {cache.k.dtype} cache "
+                             f"{cache.k.shape}")
+    n_keys = t if cache is None else stop
+    if mask is not None and np.shape(mask) != (t, n_keys):
+        raise ShapeError(f"attend: mask {np.shape(mask)} is not ({t}, {n_keys})")
+
+    tiled = np.tile(positions, b)
+    qk = np.concatenate([q.data, k.data], axis=-1).reshape(b * t, 2 * heads, dh)
+    qk = rope_apply(_wrap(qk), tiled).data
+    q_h = _split_heads(qk[:, :heads], b, t, heads, dh)
+    k_h = _split_heads(qk[:, heads:], b, t, heads, dh)
+    v_h = _split_heads(v.data, b, t, heads, dh)
+    if cache is not None:
+        cache.k[:, start:stop] = k_h
+        cache.v[:, start:stop] = v_h
+        cache.length = stop
+        k_h, v_h = cache.k[:, :stop], cache.v[:, :stop]
+    kt = transpose(_wrap(k_h), (0, 2, 1))
+    cc = dtype.type(1.0 / np.sqrt(dh))
+    scores = matmul(_wrap(q_h), kt).data * cc
+    if mask is not None:
+        scores = scores + mask
+    _finite_or_raise(scores, "attend")
+    probs = softmax(_wrap(scores)).data
+    out = _merge_heads(np.matmul(probs, v_h), b, t, heads, dh)
+
+    def build():
+        cos, sin = _rope_tables(tiled, dh, dtype, 3)
+        memo: dict = {}
+
+        def grads(g):
+            """All three input gradients at once; the tape asks for each in turn."""
+            if memo.get("g") is not g:
+                memo.clear()
+                memo["g"] = g
+                g_ctx = _split_heads(g, b, t, heads, dh)
+                if v.requires_grad:
+                    memo["v"] = _merge_heads(np.matmul(np.swapaxes(probs, -1, -2), g_ctx),
+                                             b, t, heads, dh)
+                g_probs = np.matmul(g_ctx, np.swapaxes(v_h, -1, -2))
+                g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+                g_raw = g_scores * cc
+                if k.requires_grad:
+                    g_kt = np.matmul(np.swapaxes(q_h, -1, -2), g_raw)
+                    g_k = np.ascontiguousarray(np.transpose(g_kt, (0, 2, 1)))
+                    g_k = _merge_heads(g_k, b, t, heads, dh).reshape(b * t, heads, dh)
+                    memo["k"] = _rope_vjp(g_k, cos, sin).reshape(b, t, d)
+                if q.requires_grad:
+                    g_q = np.matmul(g_raw, np.swapaxes(kt.data, -1, -2))
+                    g_q = _merge_heads(g_q, b, t, heads, dh).reshape(b * t, heads, dh)
+                    memo["q"] = _rope_vjp(g_q, cos, sin).reshape(b, t, d)
+            return memo
+
+        return tuple((lambda g, n=n: grads(g).pop(n)) if p.requires_grad else None
+                     for n, p in zip("qkv", (q, k, v)))
+
+    return _apply("attend", (q, k, v), out, build)
 
 
 # ---------------------------------------------------------------------------

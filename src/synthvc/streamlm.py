@@ -216,6 +216,9 @@ class LMConfig:
     capacity: int = 512
     layout: StreamLayout = StreamLayout()
 
+    def __post_init__(self):
+        nn.check_heads("lm.heads", self.dim, self.heads)
+
 
 def init_lm(cfg: LMConfig, seed: int) -> dict[str, Tensor]:
     rng = np.random.default_rng([0x11A0, seed])
@@ -353,7 +356,7 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
     if spk is None:
         spk = params["lm.null_spk"]
     p = 1 + sem.shape[0]
-    cache = [nn.BlockCache(cfg.heads, min(cfg.capacity, p + max_steps), cfg.dim // cfg.heads)
+    cache = [nm.BlockCache(cfg.heads, min(cfg.capacity, p + max_steps), cfg.dim // cfg.heads)
              for _ in range(cfg.blocks)]
 
     def pick(s, allowed):

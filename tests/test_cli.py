@@ -1,7 +1,8 @@
 """Every CLI command end to end at a tiny config: exit codes, artifacts, one
 logs/run.tsv line per command (failed ones included), the typed failures of
-a missing upstream artifact, a corrupt codec file, an unknown config key and
-a bad training-plan value, and the run-directory lock."""
+a missing upstream artifact, a corrupt codec file, an unknown config key,
+a bad training-plan value and a head count that does not split the LM
+width, and the run-directory lock."""
 
 import fcntl
 import json
@@ -155,6 +156,21 @@ def test_bad_plan_value_fails_typed_before_any_stage(prepared_run, tmp_path, cap
     assert stages == []
     assert not list((run / "checkpoints").glob("*.ckpt"))
     assert not list((run / "reports").glob("stage_*.json"))
+
+
+def test_head_count_that_does_not_split_the_width_fails_typed(prepared_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(prepared_run, run)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(TINY_CONFIG + "lm.heads = 3\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["--config", str(cfg_path), "--run", str(run), "--allow-config-drift",
+            "train", "--stage", "all"]
+    assert cli.main(argv) == cli.EXIT_USAGE == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("ERR:USAGE lm.heads: ")
+    assert _run_log(run)[-1] == ("train", "ERR:USAGE")
+    assert not list((run / "checkpoints").glob("*.ckpt"))
 
 
 def test_lock_with_dead_pid_is_replaced(tmp_path):

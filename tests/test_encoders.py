@@ -12,7 +12,7 @@ from synthvc import nn
 from synthvc import numerics as nm
 from synthvc import synthworld as sw
 from synthvc.config import RunConfig
-from synthvc.errors import TrainingDivergedError
+from synthvc.errors import ConfigError, TrainingDivergedError
 from synthvc.optim import fit_classifier
 
 # kind -> (trainer(splits, steps, **kw), temporary head prefix, quality attributes)
@@ -49,6 +49,12 @@ def test_trainer_same_seed_same_bits(splits, kind):
     a = train(splits, 20, **kw)
     b = train(splits, 20, **kw)
     assert nn.param_bytes(a.params) == nn.param_bytes(b.params)
+
+
+@pytest.mark.parametrize("d_sem", [50, 36])     # 4 heads: width 12.5, then odd width 9
+def test_semantic_width_must_split_into_even_heads(d_sem):
+    with pytest.raises(ConfigError, match="enc.sem_dim"):
+        en.EncoderDims(d_sem=d_sem)
 
 
 def test_sample_bucket_draws_one_length_distinct_items(splits):

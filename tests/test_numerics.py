@@ -373,6 +373,9 @@ def test_grad_check_detects_nondeterminism():
         nm.grad_check(f, nm.Tensor(np.ones(2, dtype=np.float32)))
 
 
+CAUSAL3 = np.triu(np.full((3, 3), -1e9, dtype=np.float32), k=1)
+
+
 def _op_checks(seed):
     rng = np.random.default_rng(seed)
     x_mat = rng.normal(size=(3, 4)).astype(np.float32)
@@ -414,6 +417,11 @@ def _op_checks(seed):
             [xt, nm.mul(xt, xt), nm.silu(xt), nm.constant(w.T, dtype=xt.dtype)],
             [0.7, -1.3, 0.0, 2.0]), xt)),
         "unfold": lambda xt: nm.mean_all(nm.mul(nm.unfold_time(xt, 2, 2, 1), nm.unfold_time(xt, 2, 2, 1))),
+        "attend": lambda xt: nm.mean_all(nm.mul(nm.attend(
+            nm.reshape(xt, (1, 3, 4)),
+            nm.mul(nm.reshape(xt, (1, 3, 4)), nm.constant(b3[:1], dtype=xt.dtype)),
+            nm.add(nm.reshape(xt, (1, 3, 4)), nm.constant(b3[1:], dtype=xt.dtype)),
+            [2, 5, 9], 2, CAUSAL3), nm.constant(b3[:1] + 1.0, dtype=xt.dtype))),
     }
     return x_mat, checks
 
@@ -471,6 +479,98 @@ def test_affine_rejects_mismatched_shapes():
         nm.affine(x, t(np.zeros((4, 3, 1))), b)
 
 
+def _attention_chain(q, k, v, positions, heads, mask):
+    """The op chain that `attend` replaces, built from the public ops."""
+    b, t, d = q.shape
+    dh = d // heads
+    tiled = np.tile(positions, b)
+
+    def split(x):
+        x = nm.transpose(nm.reshape(x, (b, t, heads, dh)), (0, 2, 1, 3))
+        return nm.reshape(x, (b * heads, t, dh))
+
+    q = split(nm.reshape(nm.rope_apply(nm.reshape(q, (b * t, heads, dh)), tiled), (b, t, d)))
+    k = split(nm.reshape(nm.rope_apply(nm.reshape(k, (b * t, heads, dh)), tiled), (b, t, d)))
+    scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
+    if mask is not None:
+        scores = nm.add(scores, nm.constant(mask))
+    ctx = nm.reshape(nm.matmul(nm.softmax(scores), split(v)), (b, heads, t, dh))
+    return nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("grad", ["qkv", "qv", "k", "none"])
+def test_attend_bitwise_equals_unfused_chain(masked, grad):
+    rng = np.random.default_rng(len(grad) * 2 + masked)
+    b, n, d, heads = 3, 5, 12, 2    # dh = 6: 1 / sqrt(dh) is inexact, so scaling order shows
+    q, k, v, g = (rng.normal(size=(b, n, d)).astype(np.float32) for _ in range(4))
+    positions = np.arange(4, 4 + n)
+    mask = np.triu(np.full((n, n), -1e9, dtype=np.float32), k=1) if masked else None
+    runs = []
+    for f in (nm.attend, _attention_chain):
+        qt, kt, vt = (t(x, rg=name in grad) for x, name in ((q, "q"), (k, "k"), (v, "v")))
+        tape = nm.Tape()
+        with tape:
+            out = f(qt, kt, vt, positions, heads, mask)
+            loss = nm.sum_all(nm.mul(out, t(g)))   # upstream gradient g, exactly
+        grads = tape.backward(loss) if grad != "none" else {}
+        runs.append((out.data, [tape.grad_for(grads, p) for p in (qt, kt, vt)],
+                     len(tape.nodes)))
+    (fused, fused_grads, fused_nodes), (chain, chain_grads, _) = runs
+    assert fused.dtype == chain.dtype and np.array_equal(fused, chain)
+    for got, want in zip(fused_grads, chain_grads):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.shape == want.shape and np.array_equal(got, want)
+    # q, k, v, the op, g, mul, sum_all when anything needs a gradient
+    assert fused_nodes == (7 if grad != "none" else 0)
+
+
+def test_attend_cached_prefill_and_steps_equal_one_causal_pass():
+    rng = np.random.default_rng(83)
+    n, p, d, heads = 7, 4, 12, 2
+    q, k, v = (rng.normal(size=(1, n, d)).astype(np.float32) for _ in range(3))
+    causal = np.triu(np.full((n, n), -1e9, dtype=np.float32), k=1)
+    full = nm.attend(t(q), t(k), t(v), np.arange(n), heads, causal).data
+    cache = nm.BlockCache(heads, n + 2, d // heads)
+    parts = [nm.attend(t(q[:, :p]), t(k[:, :p]), t(v[:, :p]), np.arange(p), heads,
+                       causal[:p, :p], cache).data]
+    for j in range(p, n):
+        parts.append(nm.attend(t(q[:, j:j + 1]), t(k[:, j:j + 1]), t(v[:, j:j + 1]),
+                               np.array([j]), heads, None, cache).data)
+    assert cache.length == n and (cache.k[:, n:] == 0).all() and (cache.v[:, n:] == 0).all()
+    np.testing.assert_array_equal(parts[0], full[:, :p])    # same shapes, same calls
+    for j, part in enumerate(parts[1:], start=p):
+        assert part.shape == (1, 1, d)
+        np.testing.assert_allclose(part[0, 0], full[0, j], rtol=1e-5, atol=1e-6)
+
+
+def test_attend_cache_rejects_misfits_and_taped_inputs():
+    heads, dh = 2, 6
+    x = np.zeros((1, 2, heads * dh), np.float32)
+    for arr, length in ((x, 3),                                      # past the end
+                        (np.zeros((2, 1, heads * dh), np.float32), 0),  # row count
+                        (x.astype(np.float64), 0)):                  # dtype
+        cache = nm.BlockCache(heads, 4, dh)
+        cache.length = length
+        with pytest.raises(ShapeError):
+            nm.attend(t(arr), t(arr), t(arr), np.arange(arr.shape[1]), heads, None, cache)
+        assert cache.length == length and not cache.k.any()
+    cache = nm.BlockCache(heads, 4, dh)
+    with nm.Tape(), pytest.raises(NumericsError, match="no gradient"):
+        nm.attend(t(x), t(x, rg=True), t(x), np.arange(2), heads, None, cache)
+    with pytest.raises(ShapeError):      # heads that do not split the width
+        nm.attend(t(x), t(x), t(x), np.arange(2), 5, None)
+    with pytest.raises(ShapeError):      # a mask that does not cover every key
+        nm.attend(t(x), t(x), t(x), np.arange(2), heads, np.zeros((2, 3), np.float32))
+
+
+def test_attend_score_overflow_raises():
+    x = np.full((1, 2, 4), 1e20, dtype=np.float32)
+    with np.errstate(over="ignore"), pytest.raises(NumericsError):
+        nm.attend(t(x), t(x), t(x), np.arange(2), 2, None)
+
+
 def test_weighted_sum_rounds_float64_sum_once():
     rng = np.random.default_rng(61)
     xs = rng.uniform(0.5, 12.0, size=(5, 200)).astype(np.float32)
@@ -506,33 +606,6 @@ def test_unfold_time_matches_manual_windows():
     assert out.shape == (3, 8)
     for i in range(3):
         np.testing.assert_array_equal(out[i], padded[2 * i:2 * i + 4].reshape(-1))
-
-
-def test_write_rows_appends_and_returns_filled_prefix():
-    buf = np.zeros((2, 5, 3), dtype=np.float32)
-    a = np.arange(12, dtype=np.float32).reshape(2, 2, 3)
-    b = np.full((2, 1, 3), 7.0, dtype=np.float32)
-    first = nm.write_rows(buf, 0, t(a))
-    second = nm.write_rows(buf, 2, t(b))
-    assert first.shape == (2, 2, 3) and second.shape == (2, 3, 3)
-    np.testing.assert_array_equal(second.data, np.concatenate([a, b], axis=1))
-    np.testing.assert_array_equal(first.data, a)    # later appends leave it alone
-    assert not second.requires_grad and not second.data.flags.writeable
-    assert (buf[:, 3:] == 0).all()
-
-
-def test_write_rows_rejects_misfits_and_taped_inputs():
-    buf = np.zeros((2, 4, 3), dtype=np.float32)
-    for arr, start in ((np.zeros((2, 2, 3), np.float32), 3),     # past the end
-                       (np.zeros((3, 1, 3), np.float32), 0),     # row count
-                       (np.zeros((2, 1, 2), np.float32), 0),     # width
-                       (np.zeros((2, 1, 3), np.float64), 0)):    # dtype
-        with pytest.raises(ShapeError):
-            nm.write_rows(buf, start, t(arr))
-    with nm.Tape(), pytest.raises(NumericsError, match="no gradient"):
-        nm.write_rows(buf, 0, t(np.zeros((2, 1, 3), np.float32), rg=True))
-    with pytest.raises(NumericsError):
-        nm.write_rows(buf, 0, t(np.full((2, 1, 3), np.nan, np.float32)))
 
 
 def test_unfold_time_ceil_halving():

@@ -1,5 +1,7 @@
 """Delay-pattern grid and multi-stream LM tests."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +148,20 @@ def lm():
     grid = sl.build_delayed_grid(
         rng.integers(0, 32, size=4).tolist(), rng.integers(0, 64, size=(4, 16)), cfg.layout)
     return cfg, params, sem, spk, grid
+
+
+def test_forward_batch_tape_op_counts(lm):
+    """One taped LM pass at the default config: attention is one `attend` node
+    per block, so un-fusing any op on the LM path changes these counts."""
+    cfg, params, sem, spk, grid = lm
+    tape = nm.Tape()
+    with tape:
+        sl.forward_batch(params, cfg, nm.reshape(sem, (1,) + sem.shape),
+                         nm.reshape(spk, (1, 1, cfg.dim)), grid.tokens[None])
+    counts = Counter(node.op for node in tape.nodes if node.op != "leaf")
+    assert counts == {"affine": 29, "add": 12, "rms_norm": 9, "embedding_lookup": 5,
+                      "reshape": 5, "attend": 4, "silu": 4, "concat": 1, "narrow": 1}
+    assert sum(counts.values()) == 70
 
 
 def test_forward_shapes_and_finite(lm):
