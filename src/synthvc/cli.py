@@ -30,7 +30,7 @@ from . import synthworld as sw
 from . import trainer as tr
 from .config import RunConfig
 from .errors import (ArtifactFormatError, CalibrationError, ConfigError, DataError,
-                     MetricUndefinedError, NumericsError, StateError, SynthVCError,
+                     GridFormatError, NumericsError, StateError, SynthVCError,
                      TrainingDivergedError)
 
 EXIT_OK = 0
@@ -44,7 +44,7 @@ _ERROR_CODES = [
     (ArtifactFormatError, ("FORMAT", EXIT_FORMAT)),
     ((NumericsError, TrainingDivergedError), ("NUMERIC", EXIT_NUMERIC)),
     (StateError, ("STATE", EXIT_DATA)),
-    ((DataError, MetricUndefinedError, CalibrationError), ("DATA", EXIT_DATA)),
+    ((DataError, CalibrationError), ("DATA", EXIT_DATA)),
 ]
 
 SUBDIRS = ("corpus", "codec", "encoders", "checkpoints", "reports", "logs")
@@ -163,6 +163,10 @@ def _eval_pairs(cfg: RunConfig, splits: sw.CorpusSplits) -> list[ev.EvalPair]:
     return ev.make_eval_manifest(splits, n_pairs=cfg["eval.pairs"], seed=cfg["eval.seed"])
 
 
+def _dims(cfg: RunConfig) -> en.EncoderDims:
+    return en.EncoderDims(d_sem=cfg["enc.sem_dim"], d_spk=cfg["enc.spk_dim"])
+
+
 def _load_frozen_stack(cfg: RunConfig, run: RunDir):
     """Codec plus the four components `pretrain-encoders` saves frozen, so
     every loaded param has requires_grad=False."""
@@ -171,9 +175,8 @@ def _load_frozen_stack(cfg: RunConfig, run: RunDir):
         return ck.components_to_params(ck.load_checkpoint(path))
 
     codec = cd.load_codec(_require(run.path("codec", "codec.rvq"), "fit-codec"))
-    dims = en.EncoderDims(d_sem=cfg["enc.sem_dim"], d_spk=cfg["enc.spk_dim"])
-    sem = en.SemanticEncoder(dims=dims, params=frozen("semantic.ckpt"))
-    spk = en.SpeakerEncoder(dims=dims, params=frozen("speaker.ckpt"))
+    sem = en.SemanticEncoder(dims=_dims(cfg), params=frozen("semantic.ckpt"))
+    spk = en.SpeakerEncoder(dims=_dims(cfg), params=frozen("speaker.ckpt"))
     verifier = ev.OracleVerifier(params=frozen("oracle_verifier.ckpt"))
     transcriber = ev.OracleTranscriber(params=frozen("oracle_transcriber.ckpt"))
     return codec, sem, spk, verifier, transcriber
@@ -259,16 +262,15 @@ def cmd_pretrain_encoders(args, cfg: RunConfig, run: RunDir) -> int:
     _require(run.path("corpus", "manifest.tsv"), "synth-data")
     run.ensure_layout()
     splits = _world(cfg)
-    dims = en.EncoderDims(d_sem=cfg["enc.sem_dim"], d_spk=cfg["enc.spk_dim"])
     Path(run.path("encoders")).mkdir(exist_ok=True)
     sem = en.pretrain_semantic_encoder(splits, steps=cfg["enc.sem_steps"],
                                        batch=cfg["enc.batch"], lr=cfg["enc.lr"],
-                                       seed=cfg["enc.seed"], dims=dims)
+                                       seed=cfg["enc.seed"], dims=_dims(cfg))
     ck.save_checkpoint(run.path("encoders", "semantic.ckpt"),
                        ck.params_to_components(sem.params, frozen=True))
     spk = en.pretrain_speaker_encoder(splits, steps=cfg["enc.spk_steps"],
                                       batch=cfg["enc.batch"], lr=cfg["enc.lr"],
-                                      seed=cfg["enc.seed"], dims=dims)
+                                      seed=cfg["enc.seed"], dims=_dims(cfg))
     ck.save_checkpoint(run.path("encoders", "speaker.ckpt"),
                        ck.params_to_components(spk.params, frozen=True))
     verifier = ev.train_oracle_verifier(splits, steps=cfg["oracle.verifier_steps"],
@@ -276,7 +278,7 @@ def cmd_pretrain_encoders(args, cfg: RunConfig, run: RunDir) -> int:
     ck.save_checkpoint(run.path("encoders", "oracle_verifier.ckpt"),
                        ck.params_to_components(verifier.params, frozen=True))
     transcriber = ev.train_oracle_transcriber(splits, steps=cfg["oracle.transcriber_steps"],
-                                              seed=cfg["oracle.seed"] + 1)
+                                              seed=cfg["oracle.seed"])
     ck.save_checkpoint(run.path("encoders", "oracle_transcriber.ckpt"),
                        ck.params_to_components(transcriber.params, frozen=True))
     quality = {
@@ -302,9 +304,8 @@ def _build_context(cfg: RunConfig, run: RunDir) -> tuple[tr.PipelineContext, tr.
     splits = _world(cfg)
     codec, sem, spk, verifier, transcriber = _load_frozen_stack(cfg, run)
     pairs = _eval_pairs(cfg, splits)
-    ctx = tr.PipelineContext(splits, codec, sem, spk, verifier=verifier,
-                             transcriber=transcriber, eval_pairs=pairs,
-                             lm_cfg=_lm_cfg(cfg, codec))
+    ctx = tr.PipelineContext(splits, codec, sem, spk, _lm_cfg(cfg, codec), verifier=verifier,
+                             transcriber=transcriber, eval_pairs=pairs)
     return ctx, _plan(cfg)
 
 
@@ -323,17 +324,11 @@ def cmd_train(args, cfg: RunConfig, run: RunDir) -> int:
     result = tr.run_pipeline(ctx, plan, stages=stages, init_params=init_params)
     for name in stages:
         _save_trainable(run.path("checkpoints", f"{name}.ckpt"), result.stage_params[name])
-    # per-stage snapshots and metrics log
+    # per-stage reports, each holding its stage's conversion metrics, and the metrics log
     for name, report in result.stage_reports.items():
-        snap = result.stage_metrics.get(name)
         (run.path("reports", f"stage_{name}.json")).write_text(
-            json.dumps(dict(report), sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        if snap is not None:
-            (run.path("reports", f"metrics_{name}.json")).write_text(
-                snap.to_json() + "\n", encoding="utf-8")
+            json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     tr.write_metrics_log(run.path("logs", "metrics.tsv"), result.metrics_rows)
-    if stages[-1] == "joint":
-        _save_trainable(run.path("checkpoints", "final.ckpt"), result.params)
     for name in stages:
         rep = result.stage_reports[name]
         print(f"stage {name}: loss {rep['final_loss']:.4f} "
@@ -342,7 +337,7 @@ def cmd_train(args, cfg: RunConfig, run: RunDir) -> int:
 
 
 def _latest_checkpoint(run: RunDir) -> Path:
-    for name in ("final", "joint", "vc", "asr"):
+    for name in ("joint", "vc", "asr"):
         p = run.path("checkpoints", f"{name}.ckpt")
         if p.exists():
             return p
@@ -417,7 +412,10 @@ def cmd_evaluate(args, cfg: RunConfig, run: RunDir) -> int:
 def cmd_inspect_grid(args, cfg: RunConfig, run: RunDir) -> int:
     text = Path(args.infile).read_text(encoding="utf-8")
     layout = sl.StreamLayout(n_layers=cfg["codec.layers"], code_vocab=cfg["codec.codebook"])
-    grid = sl.parse_grid(text, layout)
+    try:
+        grid = sl.parse_grid(text, layout)
+    except GridFormatError as e:
+        raise GridFormatError(f"{args.infile}: {e}") from None
     print(f"streams: {grid.n_streams}, steps: {grid.length}")
     try:
         tokens, codes = sl.invert_delayed_grid(grid, layout)

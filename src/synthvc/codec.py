@@ -120,8 +120,8 @@ def _lloyd(data: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> np
     return centroids
 
 
-def build_fit_corpus(splits, parallel_per_utt: int = 4, degraded_per_utt: int = 2,
-                     seed: int = 0) -> np.ndarray:
+def build_fit_corpus(splits, parallel_per_utt: int, degraded_per_utt: int,
+                     seed: int) -> np.ndarray:
     """Stack the frames the codec will quantize during training.
 
     Training targets are parallel renders of each utterance under other train
@@ -145,8 +145,7 @@ def build_fit_corpus(splits, parallel_per_utt: int = 4, degraded_per_utt: int = 
     return np.concatenate(chunks, axis=0)
 
 
-def fit_codebooks(frames: np.ndarray, n: int = 4, k: int = 64,
-                  iters: int = 25, seed: int = 0) -> RVQCodec:
+def fit_codebooks(frames: np.ndarray, n: int, k: int, iters: int, seed: int) -> RVQCodec:
     """Fit n residual codebooks on a frame corpus; bit-reproducible per seed."""
     data = np.asarray(frames, dtype=np.float64)
     if data.ndim != 2:
@@ -200,13 +199,6 @@ def decode(grid: CodeGrid, codec: RVQCodec) -> np.ndarray:
     for layer, book in enumerate(codec.codebooks):
         out += book.centroids.astype(np.float64)[codes[layer]]
     return out.astype(np.float32)
-
-
-def reconstruction_snr_db(frames: np.ndarray, codec: RVQCodec) -> float:
-    recon = decode(encode(frames, codec), codec)
-    err = float(np.sum((np.asarray(frames, dtype=np.float64) - recon) ** 2))
-    sig = float(np.sum(np.asarray(frames, dtype=np.float64) ** 2))
-    return 10.0 * np.log10(sig / err) if err > 0 else float("inf")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Flat key = value run configuration with typo-safe parsing.
 
-Every tunable in the pipeline has a documented default here; unknown keys
-are rejected. The resolved config is echoed into the run directory and its
+Every tunable in the pipeline has its one documented default here: the
+functions and dataclasses the CLI fills from a key take that value as a
+required argument, so no default is written twice. Unknown keys are
+rejected. The resolved config is echoed into the run directory and its
 hash guards against config drift between pipeline stages.
 """
 

@@ -28,8 +28,8 @@ ADAPTER_HIDDEN = 64
 
 @dataclass(frozen=True)
 class EncoderDims:
-    d_sem: int = 48
-    d_spk: int = 32
+    d_sem: int
+    d_spk: int
 
     def __post_init__(self):
         nn.check_heads("enc.sem_dim", self.d_sem, SEM_HEADS)
@@ -117,9 +117,8 @@ def init_semantic_encoder(dims: EncoderDims, seed: int) -> SemanticEncoder:
     return SemanticEncoder(dims=dims, params=params)
 
 
-def pretrain_semantic_encoder(splits: sw.CorpusSplits, steps: int = 1200, batch: int = 12,
-                              lr: float = 1e-3, seed: int = 0,
-                              dims: EncoderDims = EncoderDims()) -> SemanticEncoder:
+def pretrain_semantic_encoder(splits: sw.CorpusSplits, steps: int, batch: int, lr: float,
+                              seed: int, dims: EncoderDims) -> SemanticEncoder:
     """Frame-label classification pretraining; returns a frozen encoder."""
     enc = init_semantic_encoder(dims, seed)
     rng = np.random.default_rng([0xE0C2, seed])
@@ -199,9 +198,8 @@ def init_speaker_encoder(dims: EncoderDims, seed: int) -> SpeakerEncoder:
     return SpeakerEncoder(dims=dims, params=params)
 
 
-def pretrain_speaker_encoder(splits: sw.CorpusSplits, steps: int = 800, batch: int = 12,
-                             lr: float = 1e-3, seed: int = 0,
-                             dims: EncoderDims = EncoderDims()) -> SpeakerEncoder:
+def pretrain_speaker_encoder(splits: sw.CorpusSplits, steps: int, batch: int, lr: float,
+                             seed: int, dims: EncoderDims) -> SpeakerEncoder:
     """Speaker-classification pretraining over train speakers; frozen on return."""
     enc = init_speaker_encoder(dims, seed)
     rng = np.random.default_rng([0xE0C6, seed])

@@ -53,9 +53,5 @@ class ArtifactFormatError(SynthVCError):
     """Serialized artifact has a bad magic, CRC, or structure."""
 
 
-class MetricUndefinedError(SynthVCError):
-    """Metric requested against an empty reference."""
-
-
 class CalibrationError(SynthVCError):
     """A measured quality gate for an oracle or encoder was not met."""

@@ -20,7 +20,7 @@ from . import streamlm as sl
 from . import synthworld as sw
 from .codec import RVQCodec, decode
 from .encoders import apply_adapter, bucket_by_length, sample_bucket, speaker_batches
-from .errors import CalibrationError, DataError, MetricUndefinedError
+from .errors import CalibrationError, DataError
 from .numerics import Tensor
 from .optim import fit_classifier, freeze
 
@@ -36,20 +36,8 @@ TRANSCRIBER_HIDDEN = 72
 # edit distance and rates
 
 
-@dataclass(frozen=True)
-class EditOps:
-    distance: int
-    substitutions: int
-    deletions: int
-    insertions: int
-
-
-def edit_distance(ref, hyp) -> EditOps:
-    """Unit-cost Levenshtein alignment with op counts.
-
-    Tie-break for counting prefers substitution over deletion over insertion;
-    the distance itself is unaffected.
-    """
+def edit_distance(ref, hyp) -> int:
+    """Unit-cost Levenshtein distance."""
     r, h = list(ref), list(hyp)
     nr, nh = len(r), len(h)
     dist = np.zeros((nr + 1, nh + 1), dtype=np.int64)
@@ -61,34 +49,7 @@ def edit_distance(ref, hyp) -> EditOps:
             dist[i, j] = min(dist[i - 1, j - 1] + (0 if same else 1),
                              dist[i - 1, j] + 1,
                              dist[i, j - 1] + 1)
-    subs = dels = ins = 0
-    i, j = nr, nh
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] and r[i - 1] == h[j - 1]:
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] + 1:
-            subs += 1
-            i, j = i - 1, j - 1
-        elif i > 0 and dist[i, j] == dist[i - 1, j] + 1:
-            dels += 1
-            i = i - 1
-        else:
-            ins += 1
-            j = j - 1
-    return EditOps(distance=int(dist[nr, nh]), substitutions=subs, deletions=dels, insertions=ins)
-
-
-def wer(ref_tokens, hyp_tokens) -> float:
-    ref_tokens = list(ref_tokens)
-    if not ref_tokens:
-        raise MetricUndefinedError("wer: empty reference")
-    return edit_distance(ref_tokens, hyp_tokens).distance / len(ref_tokens)
-
-
-def cer(ref_text: str, hyp_text: str) -> float:
-    if not ref_text:
-        raise MetricUndefinedError("cer: empty reference")
-    return edit_distance(ref_text, hyp_text).distance / len(ref_text)
+    return int(dist[nr, nh])
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +96,7 @@ def _equal_error_rate(same_scores: np.ndarray, diff_scores: np.ndarray) -> float
     return best
 
 
-def train_oracle_verifier(splits: sw.CorpusSplits, steps: int = 700, seed: int = 9001,
+def train_oracle_verifier(splits: sw.CorpusSplits, steps: int, seed: int,
                           eer_gate: float = 0.10) -> OracleVerifier:
     """Speaker-classification training; EER measured on held-out speakers."""
     rng_init = np.random.default_rng([0x0A17, seed])
@@ -217,9 +178,14 @@ class OracleTranscriber:
         return tuple(out)
 
 
-def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int = 900,
-                             seed: int = 9002) -> OracleTranscriber:
-    """Frame classification on both channels; independent of the pipeline."""
+def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int,
+                             seed: int) -> OracleTranscriber:
+    """Frame classification on both channels; independent of the pipeline.
+
+    `seed` is the oracle seed the verifier also takes; the transcriber draws
+    from seed + 1, so the two oracles share no random stream.
+    """
+    seed += 1
     rng_init = np.random.default_rng([0x0A27, seed])
     params: dict[str, Tensor] = {}
     nn.init_linear(params, rng_init, "ot.h", 3 * sw.F_DIM, TRANSCRIBER_HIDDEN)
@@ -258,7 +224,7 @@ def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int = 900,
         hyp = trans.transcribe(rough.frames)
         ref_s = splits.vocab.transcript_names(text)
         hyp_s = splits.vocab.transcript_names(hyp)
-        deg_dist += edit_distance(ref_s, hyp_s).distance
+        deg_dist += edit_distance(ref_s, hyp_s)
         deg_len += len(ref_s)
     trans.pristine_exact_rate = exact / total
     trans.degraded_cer = deg_dist / deg_len
@@ -282,8 +248,7 @@ class EvalPair:
     target_ref: sw.Utterance
 
 
-def make_eval_manifest(splits: sw.CorpusSplits, n_pairs: int = 32,
-                       seed: int = 7501) -> list[EvalPair]:
+def make_eval_manifest(splits: sw.CorpusSplits, n_pairs: int, seed: int) -> list[EvalPair]:
     """n source + n target held-out utterances, paired across speakers."""
     rng = np.random.default_rng([0xE7A1, seed])
     spk = list(splits.heldout_speaker_ids)
@@ -312,10 +277,13 @@ def write_eval_manifest(path: Path, pairs: list[EvalPair]) -> None:
 
 def load_eval_manifest(path: Path) -> list[tuple[str, str]]:
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for ln_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if line.strip():
-            a, b = line.split("\t")
-            out.append((a, b))
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise DataError(f"{path}:{ln_no}: expected 2 tab-separated fields, "
+                                f"got {len(fields)}")
+            out.append((fields[0], fields[1]))
     return out
 
 
@@ -351,7 +319,7 @@ def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
                         sem_enc, spk_enc, adapter_params: dict,
                         verifier: OracleVerifier, transcriber: OracleTranscriber,
                         splits: sw.CorpusSplits, pairs: list[EvalPair],
-                        max_steps: int = 128, tail: int = 40) -> MetricsReport:
+                        max_steps: int, tail: int) -> MetricsReport:
     """Convert every pair, score text and speaker metrics, aggregate.
 
     Each distinct utterance is rendered and embedded by the verifier once
@@ -399,15 +367,15 @@ def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
         ref_str = splits.vocab.transcript_names(ref_tokens)
         hyp_oracle = list(transcriber.transcribe(conv))
         hyp_oracle_str = splits.vocab.transcript_names(hyp_oracle)
-        w_dist += edit_distance(ref_tokens, hyp_oracle).distance
+        w_dist += edit_distance(ref_tokens, hyp_oracle)
         w_len += len(ref_tokens)
-        c_dist += edit_distance(ref_str, hyp_oracle_str).distance
+        c_dist += edit_distance(ref_str, hyp_oracle_str)
         c_len += len(ref_str)
 
         hyp_text_str = splits.vocab.transcript_names(text_tokens)
-        wt_dist += edit_distance(ref_tokens, text_tokens).distance
+        wt_dist += edit_distance(ref_tokens, text_tokens)
         wt_len += len(ref_tokens)
-        ct_dist += edit_distance(ref_str, hyp_text_str).distance
+        ct_dist += edit_distance(ref_str, hyp_text_str)
         ct_len += len(ref_str)
 
         e_conv = verifier.embed(conv)

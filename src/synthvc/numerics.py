@@ -108,14 +108,13 @@ def constant(data, dtype=None) -> Tensor:
 
 
 class TapeNode:
-    """One recorded operation: kind, parent ids, cached output, per-parent vjps."""
+    """One recorded operation: kind, parent ids, per-parent vjps."""
 
-    __slots__ = ("op", "parents", "out", "vjps")
+    __slots__ = ("op", "parents", "vjps")
 
-    def __init__(self, op, parents, out, vjps):
+    def __init__(self, op, parents, vjps):
         self.op = op
         self.parents = parents
-        self.out = out
         self.vjps = vjps
 
 
@@ -142,7 +141,7 @@ class Tape:
         nid = self._ids.get(id(t))
         if nid is None:
             nid = len(self.nodes)
-            self.nodes.append(TapeNode("leaf", (), t.data, None))
+            self.nodes.append(TapeNode("leaf", (), None))
             self._ids[id(t)] = nid
             self._tensors[nid] = t
         return nid
@@ -151,7 +150,7 @@ class Tape:
                vjps: tuple[Callable[[Array], Array] | None, ...]) -> None:
         pids = tuple(self._enroll(p) for p in parents)
         nid = len(self.nodes)
-        self.nodes.append(TapeNode(op, pids, out.data, vjps))
+        self.nodes.append(TapeNode(op, pids, vjps))
         self._ids[id(out)] = nid
         self._tensors[nid] = out
 

@@ -24,9 +24,9 @@ EPS = 1e-8
 
 @dataclass
 class AdamConfig:
-    lr: float = 3e-4
-    warmup: int = 0
-    clip: float = 0.0       # 0 disables clipping
+    lr: float
+    warmup: int
+    clip: float       # 0 disables clipping
 
 
 @dataclass

@@ -40,16 +40,12 @@ TEXT_VOCAB = sw.TEXT_VOCAB
 class StreamLayout:
     """1 + n streams; text leads every acoustic stream."""
 
-    n_layers: int = 4
-    code_vocab: int = 64        # content codes per acoustic stream
+    n_layers: int
+    code_vocab: int             # content codes per acoustic stream
 
     @property
     def n_streams(self) -> int:
         return 1 + self.n_layers
-
-    @property
-    def delays(self) -> tuple[int, ...]:
-        return tuple(range(self.n_layers + 1))
 
     @property
     def ac_pad(self) -> int:
@@ -209,12 +205,12 @@ def invert_delayed_grid(grid: DelayedGrid, layout: StreamLayout) -> tuple[list[i
 
 @dataclass(frozen=True)
 class LMConfig:
-    dim: int = 64
-    heads: int = 4
-    blocks: int = 4
-    intermediate: int = 256
-    capacity: int = 512
-    layout: StreamLayout = StreamLayout()
+    dim: int
+    heads: int
+    blocks: int
+    intermediate: int
+    capacity: int
+    layout: StreamLayout
 
     def __post_init__(self):
         nn.check_heads("lm.heads", self.dim, self.heads)
@@ -320,7 +316,7 @@ def sample_pick(logits_row: np.ndarray, allowed: np.ndarray, temperature: float,
 
 
 def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
-             max_steps: int = 128, tail: int = 40, mode: str = "greedy",
+             max_steps: int, tail: int, mode: str = "greedy",
              temperature: float = 1.0, top_k: int = 0,
              rng: np.random.Generator | None = None) -> GenerationResult:
     """Greedy or sampled decoding with structural tokens forced by construction.
@@ -444,10 +440,10 @@ def dump_grid(grid: DelayedGrid, layout: StreamLayout) -> str:
 
 def parse_grid(text: str, layout: StreamLayout) -> DelayedGrid:
     rows = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if len(lines) != layout.n_streams:
         raise GridFormatError(f"grid dump has {len(lines)} streams, expected {layout.n_streams}")
-    for s, line in enumerate(lines):
+    for s, (ln_no, line) in enumerate(lines):
         specials = ({"<pad>": TEXT_PAD, "<bos>": TEXT_BOS, "<eos>": TEXT_EOS} if s == 0
                     else {"<pad>": layout.ac_pad, "<bos>": layout.ac_bos})
         row = []
@@ -455,7 +451,11 @@ def parse_grid(text: str, layout: StreamLayout) -> DelayedGrid:
             if tok in specials:
                 row.append(specials[tok])
             else:
-                row.append(int(tok))
+                try:
+                    row.append(int(tok))
+                except ValueError:
+                    raise GridFormatError(f"line {ln_no}: token {tok!r} is neither an integer "
+                                          "nor <pad>, <bos> or <eos>") from None
         rows.append(row)
     if len(set(len(r) for r in rows)) != 1:
         raise GridFormatError("grid dump rows have differing lengths")

@@ -190,9 +190,8 @@ class CorpusSplits:
         return render(self.vocab, utt.text, self.speakers[utt.speaker_id], utt.channel, utt.seed)
 
 
-def make_corpus(seed: int, n_speakers: int = 24, n_texts: int = 400,
-                text_len_min: int = 4, text_len_max: int = 12,
-                heldout_speakers: int = 4, heldout_texts: int = 40) -> CorpusSplits:
+def make_corpus(seed: int, n_speakers: int, n_texts: int, text_len_min: int,
+                text_len_max: int, heldout_speakers: int, heldout_texts: int) -> CorpusSplits:
     if n_speakers < 4:
         raise ConfigError(f"make_corpus: need at least 4 speakers, got {n_speakers}")
     if n_texts < 20:
@@ -295,17 +294,20 @@ def write_manifest(path: Path, utterances, vocab: SymbolVocab) -> None:
 
 def load_manifest(path: Path, vocab: SymbolVocab) -> list[Utterance]:
     utts = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for ln_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 6:
-            raise DataError(f"manifest: malformed line: {line!r}")
+            raise DataError(f"{path}:{ln_no}: expected 6 tab-separated fields, got {len(parts)}")
         utt_id, spk, channel, transcript, seed, split = parts
-        utts.append(Utterance(
-            utt_id=utt_id, text=vocab.parse_transcript(transcript),
-            speaker_id=int(spk), channel=channel, seed=int(seed), split=split,
-        ))
+        try:
+            utts.append(Utterance(
+                utt_id=utt_id, text=vocab.parse_transcript(transcript),
+                speaker_id=int(spk), channel=channel, seed=int(seed), split=split,
+            ))
+        except ValueError as e:   # an unknown symbol name or a non-integer field
+            raise DataError(f"{path}:{ln_no}: malformed utterance {utt_id!r}: {e}") from None
     return utts
 
 

@@ -12,7 +12,7 @@ plan's seed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,7 @@ from .codec import RVQCodec, encode
 from .encoders import (SemanticEncoder, SpeakerEncoder, apply_adapter,
                        bucket_by_length, init_adapter, sample_bucket)
 from .errors import ConfigError, TrainingDivergedError
-from .evaluation import (EvalPair, MetricsReport, OracleTranscriber, OracleVerifier,
-                         evaluate_conversion)
+from .evaluation import EvalPair, OracleTranscriber, OracleVerifier, evaluate_conversion
 from .numerics import Tensor
 from .optim import Adam, AdamConfig, grads_by_name
 
@@ -47,25 +46,25 @@ class TrainPlan:
     against the codec's layer count.
     """
 
-    asr_steps: int = 2000
-    vc_steps: int = 4000
-    joint_steps: int = 4000
-    w: float = 0.5
-    lambdas: tuple[float, ...] = (1.0, 0.9, 0.8, 0.7)
-    w_prime: float = 0.2
-    asr_fraction: float = 0.2
-    vc_real_prob: float = 0.5
-    joint_real_prob: float = 0.8
-    lr: float = 1e-3
-    warmup: int = 100
-    clip: float = 1.0
-    batch: int = 6
-    seed: int = 7401
-    text_loss_scale: float = 1.0
-    text_input_dropout: float = 0.5
-    eval_interval: int = 200
-    gen_max_steps: int = 128
-    gen_tail: int = 40
+    asr_steps: int
+    vc_steps: int
+    joint_steps: int
+    w: float
+    lambdas: tuple[float, ...]
+    w_prime: float
+    asr_fraction: float
+    vc_real_prob: float
+    joint_real_prob: float
+    lr: float
+    warmup: int
+    clip: float
+    batch: int
+    seed: int
+    text_loss_scale: float
+    text_input_dropout: float
+    eval_interval: int
+    gen_max_steps: int
+    gen_tail: int
 
     def __post_init__(self):
         for label in ("w", "w_prime", "asr_fraction", "vc_real_prob", "joint_real_prob",
@@ -91,8 +90,11 @@ class StepResult:
 
 @dataclass
 class TrainState:
+    """Params and global step across stages; each stage starts its own
+    optimizer, so there is none before the first."""
+
     params: dict[str, Tensor]
-    opt: Adam
+    opt: Adam | None = None
     step: int = 0
 
 
@@ -102,14 +104,10 @@ class PipelineContext:
     REF_POOL_SIZE = 8
 
     def __init__(self, splits: sw.CorpusSplits, codec: RVQCodec,
-                 sem_enc: SemanticEncoder, spk_enc: SpeakerEncoder,
+                 sem_enc: SemanticEncoder, spk_enc: SpeakerEncoder, lm_cfg: sl.LMConfig,
                  verifier: OracleVerifier | None = None,
                  transcriber: OracleTranscriber | None = None,
-                 eval_pairs: list[EvalPair] | None = None,
-                 lm_cfg: sl.LMConfig | None = None):
-        if lm_cfg is None:
-            lm_cfg = sl.LMConfig(layout=sl.StreamLayout(
-                n_layers=codec.n_layers, code_vocab=codec.codebook_size))
+                 eval_pairs: list[EvalPair] | None = None):
         if lm_cfg.layout.n_layers != codec.n_layers:
             raise ConfigError("LM layout layer count does not match codec")
         self.splits = splits
@@ -480,7 +478,6 @@ def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: 
 class PipelineResult:
     params: dict[str, Tensor]
     stage_reports: dict[str, dict]
-    stage_metrics: dict[str, MetricsReport]
     stage_params: dict[str, dict[str, Tensor]] = field(default_factory=dict)
     metrics_rows: list = field(default_factory=list)
 
@@ -497,20 +494,18 @@ def run_pipeline(ctx: PipelineContext, plan: TrainPlan,
         raise ConfigError(f"train plan: lambdas length {len(plan.lambdas)} does not match "
                           f"{ctx.lm_cfg.layout.n_layers} codec layers")
     params = init_params if init_params is not None else init_pipeline_params(ctx, plan.seed)
-    state = TrainState(params=params, opt=Adam(AdamConfig()))
-    result = PipelineResult(params=params, stage_reports={}, stage_metrics={})
+    state = TrainState(params=params)
+    result = PipelineResult(params=params, stage_reports={})
     for name in stages:
         report = train_stage(state, ctx, plan, name, metrics_rows=result.metrics_rows)
         result.stage_reports[name] = report
         result.params = state.params
         result.stage_params[name] = dict(state.params)
         if ctx.verifier is not None and ctx.eval_pairs is not None:
-            snap = evaluate_conversion(
+            report["metrics"] = asdict(evaluate_conversion(
                 state.params, ctx.lm_cfg, ctx.codec, ctx.sem_enc, ctx.spk_enc,
                 state.params, ctx.verifier, ctx.transcriber, ctx.splits, ctx.eval_pairs,
-                max_steps=plan.gen_max_steps, tail=plan.gen_tail)
-            result.stage_metrics[name] = snap
-            report["metrics"] = snap.to_json()
+                max_steps=plan.gen_max_steps, tail=plan.gen_tail))
     return result
 
 

@@ -1,8 +1,8 @@
 """Every CLI command end to end at a tiny config: exit codes, artifacts, one
 logs/run.tsv line per command (failed ones included), the typed failures of
-a missing upstream artifact, a corrupt codec file, an unknown config key,
-a bad training-plan value and a head count that does not split the LM
-width, and the run-directory lock."""
+a missing upstream artifact, a corrupt codec file, malformed input files,
+an unknown config key, a bad training-plan value and a head count that does
+not split the LM width, and the run-directory lock."""
 
 import fcntl
 import json
@@ -17,6 +17,7 @@ import pytest
 from synthvc import cli
 from synthvc import synthworld as sw
 from synthvc import trainer as tr
+from synthvc.config import RunConfig
 from synthvc.errors import ConfigError
 
 TINY_CONFIG = """\
@@ -72,11 +73,15 @@ def test_cli_every_command_end_to_end(tmp_path, capsys):
     assert not (run / ".runlock").exists()
 
     assert cli.main(base + ["train", "--stage", "all"]) == 0
-    for name in ("asr", "vc", "joint", "final"):
-        assert (run / "checkpoints" / f"{name}.ckpt").stat().st_size > 0
+    assert sorted(p.name for p in (run / "checkpoints").iterdir()) == [
+        "asr.ckpt", "joint.ckpt", "vc.ckpt"]
     for name in ("asr", "vc", "joint"):
+        assert (run / "checkpoints" / f"{name}.ckpt").stat().st_size > 0
         report = json.loads((run / "reports" / f"stage_{name}.json").read_text())
         assert 0.0 <= report["heldout_text_accuracy"] <= 1.0
+        assert report["metrics"]["pairs"] == 4     # the stage's conversion metrics
+    assert sorted(p.name for p in (run / "reports").iterdir()) == [
+        "pretrain.json", "stage_asr.json", "stage_joint.json", "stage_vc.json"]
     assert (run / "logs" / "metrics.tsv").exists()
 
     assert cli.main(convert) == 0
@@ -171,6 +176,58 @@ def test_head_count_that_does_not_split_the_width_fails_typed(prepared_run, tmp_
     assert err[-1].startswith("ERR:USAGE lm.heads: ")
     assert _run_log(run)[-1] == ("train", "ERR:USAGE")
     assert not list((run / "checkpoints").glob("*.ckpt"))
+
+
+@pytest.fixture(scope="module")
+def checkpointed_run(prepared_run, tmp_path_factory):
+    """The prepared run plus an untrained joint-stage checkpoint, which is
+    all `convert` and `evaluate` load before reading their input files."""
+    run = tmp_path_factory.mktemp("checkpointed") / "run"
+    shutil.copytree(prepared_run, run)
+    cfg = RunConfig.from_file(prepared_run.parent / "tiny.cfg")
+    ctx, plan = cli._build_context(cfg, cli.RunDir(run))
+    cli._save_trainable(run / "checkpoints" / "joint.ckpt",
+                        tr.init_pipeline_params(ctx, plan.seed))
+    return run
+
+
+# case -> (the corpus manifest's line 2 field to spoil and its bad value) or None
+MALFORMED = {"grid-token": None, "eval-manifest-fields": None, "manifest-symbol": (3, "zz"),
+             "manifest-speaker": (1, "one"), "manifest-seed": (4, "4.5")}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_file_fails_typed_and_is_logged(checkpointed_run, tmp_path, capsys,
+                                                        case):
+    """A malformed grid dump, evaluation manifest or corpus manifest is a
+    typed data error that names the file and line, not a traceback."""
+    run = tmp_path / "run"
+    shutil.copytree(checkpointed_run, run)
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_CONFIG, encoding="utf-8")
+    bad = tmp_path / "bad.txt"
+    if case == "grid-token":
+        bad.write_text("1 <eos>\n<bos> 3x\n<bos> <bos>\n<bos> <bos>\n<bos> <bos>\n")
+        argv, where = ["inspect-grid", "--in", str(bad)], f"{bad}: line 2: "
+    elif case == "eval-manifest-fields":
+        bad.write_text("eval_src00\teval_tgt00\n\neval_src01\teval_tgt01\textra\n")
+        argv, where = ["evaluate", "--manifest", str(bad)], f"{bad}:3: "
+    else:
+        manifest = run / "corpus" / "manifest.tsv"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split("\t")
+        column, value = MALFORMED[case]
+        fields[column] = value
+        lines[1] = "\t".join(fields)
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["convert", "--source", lines[0].split("\t")[0], "--target-ref", "eval_tgt00",
+                "--out", str(tmp_path / "conv")]
+        where = f"{manifest}:2: "
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg_path), "--run", str(run)] + argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("ERR:DATA ") and where in err, err
+    assert _run_log(run)[-1] == (argv[0], "ERR:DATA")
 
 
 def test_lock_with_dead_pid_is_replaced(tmp_path):

@@ -15,25 +15,29 @@ from synthvc.config import RunConfig
 from synthvc.errors import ConfigError, TrainingDivergedError
 from synthvc.optim import fit_classifier
 
-# kind -> (trainer(splits, steps, **kw), temporary head prefix, quality attributes)
+# kind -> (trainer(splits, cfg, steps, **kw), temporary head prefix, quality attributes);
+# each trains as `synthvc pretrain-encoders` does, but for `steps` steps
 TRAINERS = {
-    "semantic": (lambda splits, steps, **kw: en.pretrain_semantic_encoder(
-        splits, steps=steps, seed=7201, **kw), "sem.headtmp", ("heldout_frame_accuracy",)),
-    "speaker": (lambda splits, steps, **kw: en.pretrain_speaker_encoder(
-        splits, steps=steps, seed=7201, **kw), "spk.headtmp", ("heldout_utterance_accuracy",)),
-    "verifier": (lambda splits, steps, **kw: ev.train_oracle_verifier(
-        splits, steps=steps, seed=9001, **kw), "ov.head", ("eer",)),
-    "transcriber": (lambda splits, steps, **kw: ev.train_oracle_transcriber(
-        splits, steps=steps, seed=9002, **kw), None, ("pristine_exact_rate", "degraded_cer")),
+    "semantic": (lambda splits, cfg, steps, **kw: en.pretrain_semantic_encoder(
+        splits, steps=steps, batch=cfg["enc.batch"], lr=cfg["enc.lr"], seed=cfg["enc.seed"],
+        dims=cli._dims(cfg), **kw), "sem.headtmp", ("heldout_frame_accuracy",)),
+    "speaker": (lambda splits, cfg, steps, **kw: en.pretrain_speaker_encoder(
+        splits, steps=steps, batch=cfg["enc.batch"], lr=cfg["enc.lr"], seed=cfg["enc.seed"],
+        dims=cli._dims(cfg), **kw), "spk.headtmp", ("heldout_utterance_accuracy",)),
+    "verifier": (lambda splits, cfg, steps, **kw: ev.train_oracle_verifier(
+        splits, steps=steps, seed=cfg["oracle.seed"], **kw), "ov.head", ("eer",)),
+    "transcriber": (lambda splits, cfg, steps, **kw: ev.train_oracle_transcriber(
+        splits, steps=steps, seed=cfg["oracle.seed"], **kw), None,
+        ("pristine_exact_rate", "degraded_cer")),
 }
 # enough verifier steps for its default EER gate (0.10) to hold
 STEPS = {"semantic": 20, "speaker": 20, "verifier": 450, "transcriber": 20}
 
 
 @pytest.mark.parametrize("kind", sorted(TRAINERS))
-def test_trainer_returns_frozen_component_without_head(splits, kind):
+def test_trainer_returns_frozen_component_without_head(splits, cfg, kind):
     train, head, quality = TRAINERS[kind]
-    comp = train(splits, STEPS[kind])
+    comp = train(splits, cfg, STEPS[kind])
     assert comp.params
     if head is not None:
         assert not any(name.startswith(head) for name in comp.params)
@@ -43,18 +47,18 @@ def test_trainer_returns_frozen_component_without_head(splits, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(TRAINERS))
-def test_trainer_same_seed_same_bits(splits, kind):
+def test_trainer_same_seed_same_bits(splits, cfg, kind):
     train, _, _ = TRAINERS[kind]
     kw = {"eer_gate": 1.0} if kind == "verifier" else {}
-    a = train(splits, 20, **kw)
-    b = train(splits, 20, **kw)
+    a = train(splits, cfg, 20, **kw)
+    b = train(splits, cfg, 20, **kw)
     assert nn.param_bytes(a.params) == nn.param_bytes(b.params)
 
 
 @pytest.mark.parametrize("d_sem", [50, 36])     # 4 heads: width 12.5, then odd width 9
 def test_semantic_width_must_split_into_even_heads(d_sem):
     with pytest.raises(ConfigError, match="enc.sem_dim"):
-        en.EncoderDims(d_sem=d_sem)
+        cli._dims(RunConfig({"enc.sem_dim": d_sem}))
 
 
 def test_sample_bucket_draws_one_length_distinct_items(splits):

@@ -1,5 +1,6 @@
 """Delay-pattern grid and multi-stream LM tests."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ from synthvc import numerics as nm
 from synthvc import streamlm as sl
 from synthvc.errors import CapacityError, ConfigError, DataError, GridFormatError
 
-LAYOUT4 = sl.StreamLayout()
+LAYOUT4 = sl.StreamLayout(n_layers=4, code_vocab=64)
 
 
 def random_pair(rng, n_layers=4, max_lt=13, max_ta=44):
@@ -28,7 +29,7 @@ def random_pair(rng, n_layers=4, max_lt=13, max_ta=44):
 
 def test_build_matches_worked_example():
     # text [t1,t2] with n=2 and 2 acoustic steps: forced by d=[0,1,2]
-    lay = sl.StreamLayout(n_layers=2)
+    lay = sl.StreamLayout(n_layers=2, code_vocab=64)
     g = sl.build_delayed_grid([5, 9], np.array([[10, 11], [12, 13]]), lay)
     assert g.length == 5
     assert g.tokens[0].tolist() == [5, 9, sl.TEXT_EOS, sl.TEXT_PAD, sl.TEXT_PAD]
@@ -37,7 +38,7 @@ def test_build_matches_worked_example():
 
 
 def test_build_single_token_single_frame():
-    lay = sl.StreamLayout(n_layers=1)
+    lay = sl.StreamLayout(n_layers=1, code_vocab=64)
     g = sl.build_delayed_grid([7], np.array([[3]]), lay)
     assert g.tokens[0].tolist() == [7, sl.TEXT_EOS, sl.TEXT_PAD]
     assert g.tokens[1].tolist() == [lay.ac_bos, 3, lay.ac_pad]
@@ -139,12 +140,13 @@ def test_asr_grid_text_only():
 
 
 @pytest.fixture(scope="module")
-def lm():
-    cfg = sl.LMConfig()
+def lm(lm_cfg):
+    """The default LM config, untrained params and a random prefix and grid."""
+    cfg = lm_cfg
     params = sl.init_lm(cfg, seed=11)
     rng = np.random.default_rng(3)
-    sem = nm.constant(rng.normal(size=(9, 64)).astype(np.float32))
-    spk = nm.constant(rng.normal(size=(1, 64)).astype(np.float32))
+    sem = nm.constant(rng.normal(size=(9, cfg.dim)).astype(np.float32))
+    spk = nm.constant(rng.normal(size=(1, cfg.dim)).astype(np.float32))
     grid = sl.build_delayed_grid(
         rng.integers(0, 32, size=4).tolist(), rng.integers(0, 64, size=(4, 16)), cfg.layout)
     return cfg, params, sem, spk, grid
@@ -243,9 +245,9 @@ def test_generate_sampling_mode(lm):
                       mode="sample", temperature=0.8, top_k=8, rng=rng)
     sl.invert_delayed_grid(res.grid, cfg.layout)
     with pytest.raises(ConfigError):
-        sl.generate(params, cfg, sem, spk, mode="sample")
+        sl.generate(params, cfg, sem, spk, max_steps=24, tail=4, mode="sample")
     with pytest.raises(ConfigError):
-        sl.generate(params, cfg, sem, spk, mode="beam")
+        sl.generate(params, cfg, sem, spk, max_steps=24, tail=4, mode="beam")
 
 
 def _record_decode(monkeypatch, params, cfg, sem, spk, **kw):
@@ -349,7 +351,7 @@ def test_decode_runs_one_trunk_position_per_column_after_prefill(lm, monkeypatch
 @pytest.mark.parametrize("capacity", [9, 10, 14, 30])
 def test_decode_capacity_error_at_predicted_column(lm, monkeypatch, capacity):
     cfg, params, sem, spk, _ = lm
-    small = sl.LMConfig(capacity=capacity)
+    small = dataclasses.replace(cfg, capacity=capacity)
     p = 1 + sem.shape[0]
     err, widths, _ = _record_decode(monkeypatch, params, small, sem, spk, max_steps=48, tail=40)
     # column j needs p + j positions; the first column past capacity raises

@@ -5,15 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from synthvc import cli
 from synthvc import synthworld as sw
+from synthvc.config import RunConfig
 from synthvc.errors import ConfigError, DataError
-
-CORPUS_SEED = 7001
-
-
-@pytest.fixture(scope="module")
-def splits():
-    return sw.make_corpus(seed=CORPUS_SEED)
 
 
 def test_render_identity_speaker_zero_noise(splits):
@@ -68,9 +63,9 @@ def test_cross_speaker_distance_exceeds_rerender(splits):
     assert np.mean(diffs) > np.mean(sames)
 
 
-def test_make_corpus_deterministic():
-    a = sw.make_corpus(seed=CORPUS_SEED)
-    b = sw.make_corpus(seed=CORPUS_SEED)
+def test_make_corpus_deterministic(cfg):
+    a = cli._world(cfg)
+    b = cli._world(cfg)
     assert a.train_speaker_ids == b.train_speaker_ids
     assert a.heldout_texts == b.heldout_texts
     assert all(x == y for x, y in zip(a.utterances, b.utterances))
@@ -90,12 +85,10 @@ def test_every_train_speaker_well_covered(splits):
 
 
 def test_make_corpus_parameter_bounds():
-    with pytest.raises(ConfigError):
-        sw.make_corpus(seed=1, n_speakers=3)
-    with pytest.raises(ConfigError):
-        sw.make_corpus(seed=1, n_texts=19)
-    with pytest.raises(ConfigError):
-        sw.make_corpus(seed=1, n_speakers=8, heldout_speakers=8)
+    for values in ({"corpus.speakers": 3}, {"corpus.texts": 19},
+                   {"corpus.speakers": 8, "corpus.heldout_speakers": 8}):
+        with pytest.raises(ConfigError):
+            cli._world(RunConfig({"corpus.seed": 1, **values}))
 
 
 def test_parallel_pair_same_speaker_identity(splits):

@@ -1,5 +1,7 @@
 """Trainer mechanics: loss algebra, routing, freezing, mixing, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,17 +40,17 @@ def test_asr_loss_perfect_prediction_near_zero():
     assert loss.item() < 1e-4
 
 
-def test_vc_loss_formula_oracle():
+def test_vc_loss_formula_oracle(default_plan):
     # direct formula evaluation: 0.3*2.0 + 0.7*(1.0*1.0 + 0.9*2.0) = 2.56
-    plan = tr.TrainPlan(w=0.3, lambdas=(1.0, 0.9))
+    plan = dataclasses.replace(default_plan, w=0.3, lambdas=(1.0, 0.9))
     ce_t = nm.constant(np.float32(2.0))
     ce_a = [nm.constant(np.float32(1.0)), nm.constant(np.float32(2.0))]
     loss = tr.combine_vc_loss(ce_t, ce_a, plan)
     assert abs(loss.item() - 2.56) < 1e-6
 
 
-def test_vc_loss_w1_reduces_bitwise_to_text_ce():
-    plan = tr.TrainPlan(w=1.0, lambdas=(1.0, 0.9, 0.8, 0.7))
+def test_vc_loss_w1_reduces_bitwise_to_text_ce(default_plan):
+    plan = dataclasses.replace(default_plan, w=1.0, lambdas=(1.0, 0.9, 0.8, 0.7))
     rng = np.random.default_rng(3)
     ce_t = nm.constant(np.float32(rng.uniform(0.5, 4.0)))
     ce_a = [nm.constant(np.float32(rng.uniform(0.5, 4.0))) for _ in range(4)]
@@ -56,10 +58,10 @@ def test_vc_loss_w1_reduces_bitwise_to_text_ce():
     assert loss.item() == ce_t.item()
 
 
-def test_vc_loss_w0_zero_grad_on_text_head(bare_context):
+def test_vc_loss_w0_zero_grad_on_text_head(bare_context, default_plan):
     ctx = bare_context
     state = make_state(ctx)
-    plan = tr.TrainPlan(w=0.0)
+    plan = dataclasses.replace(default_plan, w=0.0)
     rng = np.random.default_rng(5)
     batch = sample_bucket(ctx.buckets, rng, 3)
     tape = nm.Tape()
@@ -70,10 +72,10 @@ def test_vc_loss_w0_zero_grad_on_text_head(bare_context):
     assert g is None or not np.any(g)
 
 
-def test_loss_decomposition_matches_independent_recomputation(bare_context):
+def test_loss_decomposition_matches_independent_recomputation(bare_context, default_plan):
     ctx = bare_context
     state = make_state(ctx)
-    plan = tr.TrainPlan(w=0.5)
+    plan = dataclasses.replace(default_plan, w=0.5)
     rng = np.random.default_rng(11)
     for _ in range(10):
         batch = sample_bucket(ctx.buckets, rng, 4)
@@ -87,23 +89,23 @@ def test_loss_decomposition_matches_independent_recomputation(bare_context):
 # routing and freezing
 
 
-def test_asr_step_no_speaker_adapter_gradient(bare_context):
+def test_asr_step_no_speaker_adapter_gradient(bare_context, default_plan):
     ctx = bare_context
     state = make_state(ctx)
     rng = np.random.default_rng(7)
     batch = sample_bucket(ctx.buckets, rng, 3)
     tape = nm.Tape()
     with tape:
-        loss, _ = tr._asr_pool_loss(ctx, state.params, batch, tr.TrainPlan(), rng)
+        loss, _ = tr._asr_pool_loss(ctx, state.params, batch, default_plan, rng)
     grads = grads_by_name(tape, state.params, tape.backward(loss))
     assert not any(name.startswith("spk_adapter") for name in grads)
     assert any(name.startswith("sem_adapter") for name in grads)
 
 
-def test_joint_all_asr_leaves_speaker_adapter_bits(bare_context):
+def test_joint_all_asr_leaves_speaker_adapter_bits(bare_context, default_plan):
     ctx = bare_context
     state = make_state(ctx)
-    plan = tr.TrainPlan(asr_fraction=1.0)
+    plan = dataclasses.replace(default_plan, asr_fraction=1.0)
     rng = np.random.default_rng(9)
     before = {k: state.params[k].data.copy() for k in state.params
               if k.startswith("spk_adapter")}
@@ -114,10 +116,10 @@ def test_joint_all_asr_leaves_speaker_adapter_bits(bare_context):
         assert np.array_equal(state.params[k].data, v)
 
 
-def test_joint_all_vc_reduces_to_vc_path(bare_context):
+def test_joint_all_vc_reduces_to_vc_path(bare_context, default_plan):
     ctx = bare_context
     state = make_state(ctx)
-    plan = tr.TrainPlan(asr_fraction=0.0, w_prime=0.2)
+    plan = dataclasses.replace(default_plan, asr_fraction=0.0, w_prime=0.2)
     rng = np.random.default_rng(13)
     batch = sample_bucket(ctx.buckets, rng, 4)
     res = tr.joint_step(batch, state, ctx, plan, coin=rng)
@@ -139,14 +141,14 @@ def test_joint_draw_fraction_binomial():
     assert abs(frac - 0.20) <= 0.02
 
 
-def test_frozen_bits_unchanged_across_steps(bare_context):
+def test_frozen_bits_unchanged_across_steps(bare_context, default_plan):
     ctx = bare_context
     state = make_state(ctx)
     rng = np.random.default_rng(19)
     before = ctx.frozen_hash()
     for _ in range(3):
         batch = sample_bucket(ctx.buckets, rng, 3)
-        tr.vc_step(batch, state, ctx, tr.TrainPlan(), rng)
+        tr.vc_step(batch, state, ctx, default_plan, rng)
     assert ctx.frozen_hash() == before
 
 
@@ -168,7 +170,7 @@ def test_source_features_batched_equals_per_item_loop(bare_context, seed, size):
     assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
 
 
-def test_vc_pool_grids_hold_each_targets_own_codes(bare_context, monkeypatch):
+def test_vc_pool_grids_hold_each_targets_own_codes(bare_context, monkeypatch, default_plan):
     ctx = bare_context
     targets, grid_codes = [], []
     select, build = tr.select_target, sl.build_delayed_grid
@@ -185,7 +187,7 @@ def test_vc_pool_grids_hold_each_targets_own_codes(bare_context, monkeypatch):
     monkeypatch.setattr(tr, "select_target", recording_select)
     monkeypatch.setattr(sl, "build_delayed_grid", recording_build)
     batch = sample_bucket(ctx.buckets, np.random.default_rng(47), 6)
-    tr._vc_pool_loss(ctx, make_state(ctx).params, batch, tr.TrainPlan(), 0.5,
+    tr._vc_pool_loss(ctx, make_state(ctx).params, batch, default_plan, 0.5,
                      np.random.default_rng(48))
     assert len(targets) == len(grid_codes) == len(batch)
     for frames, codes in zip(targets, grid_codes):   # one encode call per target
@@ -194,7 +196,7 @@ def test_vc_pool_grids_hold_each_targets_own_codes(bare_context, monkeypatch):
 
 @pytest.mark.parametrize("steps,interval,evals", [(4, 2, 2), (3, 2, 2), (0, 2, 1)])
 def test_train_stage_scores_heldout_once_per_eval(bare_context, monkeypatch,
-                                                  steps, interval, evals):
+                                                  steps, interval, evals, default_plan):
     calls = {"heldout_text_accuracy": 0, "heldout_acoustic_ce": 0}
     for name in calls:
         def counted(ctx, params, _f=getattr(tr, name), _name=name):
@@ -202,7 +204,7 @@ def test_train_stage_scores_heldout_once_per_eval(bare_context, monkeypatch,
             return _f(ctx, params)
         monkeypatch.setattr(tr, name, counted)
     rows = []
-    plan = tr.TrainPlan(vc_steps=steps, eval_interval=interval)
+    plan = dataclasses.replace(default_plan, vc_steps=steps, eval_interval=interval)
     report = tr.train_stage(make_state(bare_context), bare_context, plan, "vc",
                             metrics_rows=rows)
     assert calls == {"heldout_text_accuracy": evals, "heldout_acoustic_ce": evals}
@@ -246,7 +248,7 @@ def test_optimizer_lr_zero_changes_nothing():
     rng = np.random.default_rng(31)
     params = {"a.w": nm.Tensor(rng.normal(size=(3, 3)).astype(np.float32), requires_grad=True)}
     before = params["a.w"].data.copy()
-    opt = Adam(AdamConfig(lr=0.0))
+    opt = Adam(AdamConfig(lr=0.0, warmup=0, clip=0.0))
     for _ in range(5):
         opt.step(params, {"a.w": rng.normal(size=(3, 3)).astype(np.float32)})
     assert np.array_equal(params["a.w"].data, before)
@@ -259,7 +261,7 @@ def test_optimizer_touches_only_named_grads():
         "b.w": nm.Tensor(rng.normal(size=(2, 2)).astype(np.float32), requires_grad=True),
     }
     before_b = params["b.w"].data.copy()
-    opt = Adam(AdamConfig(lr=1e-2))
+    opt = Adam(AdamConfig(lr=1e-2, warmup=0, clip=0.0))
     opt.step(params, {"a.w": np.ones((2, 2), dtype=np.float32)})
     assert np.array_equal(params["b.w"].data, before_b)
     assert not np.array_equal(params["a.w"].data, before_b)
@@ -273,28 +275,30 @@ def test_optimizer_touches_only_named_grads():
     ("w", 1.5), ("w_prime", -0.1), ("asr_fraction", 2.0), ("vc_real_prob", -1.0),
     ("joint_real_prob", 1.5), ("text_input_dropout", float("nan")), ("asr_steps", -1),
     ("vc_steps", -1), ("joint_steps", -1), ("batch", 0), ("eval_interval", 0)])
-def test_train_plan_validation(field, bad):
+def test_train_plan_validation(field, bad, default_plan):
     with pytest.raises(ConfigError, match=field):
-        tr.TrainPlan(**{field: bad})
+        dataclasses.replace(default_plan, **{field: bad})
 
 
-def test_run_pipeline_enforces_stage_order(bare_context):
+def test_run_pipeline_enforces_stage_order(bare_context, default_plan):
     with pytest.raises(ConfigError):
-        tr.run_pipeline(bare_context, tr.TrainPlan(), stages=("vc", "asr"))
+        tr.run_pipeline(bare_context, default_plan, stages=("vc", "asr"))
 
 
-def test_run_pipeline_checks_lambdas_before_any_stage(bare_context, monkeypatch):
+def test_run_pipeline_checks_lambdas_before_any_stage(bare_context, monkeypatch, default_plan):
     def no_stage(*args, **kwargs):
         raise AssertionError("a stage ran")
     monkeypatch.setattr(tr, "train_stage", no_stage)
     with pytest.raises(ConfigError, match="lambdas"):
-        tr.run_pipeline(bare_context, tr.TrainPlan(lambdas=(1.0, 0.9)))
+        tr.run_pipeline(bare_context, dataclasses.replace(default_plan, lambdas=(1.0, 0.9)))
 
 
-def test_run_pipeline_tiny_deterministic(splits, codec, sem_enc, spk_enc):
-    plan = tr.TrainPlan(asr_steps=12, vc_steps=12, joint_steps=12, eval_interval=6)
-    ctx_a = tr.PipelineContext(splits, codec, sem_enc, spk_enc)
-    ctx_b = tr.PipelineContext(splits, codec, sem_enc, spk_enc)
+def test_run_pipeline_tiny_deterministic(splits, codec, sem_enc, spk_enc, lm_cfg,
+                                        default_plan):
+    plan = dataclasses.replace(default_plan, asr_steps=12, vc_steps=12, joint_steps=12,
+                               eval_interval=6)
+    ctx_a = tr.PipelineContext(splits, codec, sem_enc, spk_enc, lm_cfg)
+    ctx_b = tr.PipelineContext(splits, codec, sem_enc, spk_enc, lm_cfg)
     a = tr.run_pipeline(ctx_a, plan)
     b = tr.run_pipeline(ctx_b, plan)
     assert set(a.params) == set(b.params)
