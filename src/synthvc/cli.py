@@ -31,7 +31,7 @@ from . import trainer as tr
 from .config import RunConfig
 from .errors import (ArtifactFormatError, CalibrationError, ConfigError, DataError,
                      GridFormatError, NumericsError, StateError, SynthVCError,
-                     TrainingDivergedError)
+                     TrainingDivergedError, read_text)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -410,7 +410,7 @@ def cmd_evaluate(args, cfg: RunConfig, run: RunDir) -> int:
 
 
 def cmd_inspect_grid(args, cfg: RunConfig, run: RunDir) -> int:
-    text = Path(args.infile).read_text(encoding="utf-8")
+    text = read_text(args.infile, DataError)
     layout = sl.StreamLayout(n_layers=cfg["codec.layers"], code_vocab=cfg["codec.codebook"])
     try:
         grid = sl.parse_grid(text, layout)

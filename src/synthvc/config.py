@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 
 def _floats(s: str) -> tuple[float, ...]:
@@ -96,7 +96,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: Path) -> "RunConfig":
         values = {}
-        for ln_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for ln_no, line in enumerate(read_text(path, ConfigError).splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline, and the reader of text
+input files that turns a failure to read one into it.
 
 CLI exit codes: ConfigError -> 1, data/state problems -> 2,
 numeric problems -> 3, artifact format problems -> 4.
 """
+
+from pathlib import Path
 
 
 class SynthVCError(Exception):
@@ -55,3 +58,12 @@ class ArtifactFormatError(SynthVCError):
 
 class CalibrationError(SynthVCError):
     """A measured quality gate for an oracle or encoder was not met."""
+
+
+def read_text(path, error: type[SynthVCError]) -> str:
+    """The UTF-8 text of an input file. A file that is missing, unreadable or
+    not UTF-8 raises `error` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise error(f"{path}: cannot read as UTF-8 text: {e}") from None

@@ -20,7 +20,7 @@ from . import streamlm as sl
 from . import synthworld as sw
 from .codec import RVQCodec, decode
 from .encoders import apply_adapter, bucket_by_length, sample_bucket, speaker_batches
-from .errors import CalibrationError, DataError
+from .errors import CalibrationError, DataError, read_text
 from .numerics import Tensor
 from .optim import fit_classifier, freeze
 
@@ -28,6 +28,7 @@ ORACLE_LR = 1e-3
 VERIFIER_BATCH = 16
 VERIFIER_WIDTH = 40
 VERIFIER_EMB = 24
+VERIFIER_EER_GATE = 0.10   # largest held-out EER a trained verifier may grade with
 TRANSCRIBER_BATCH = 10
 TRANSCRIBER_HIDDEN = 72
 
@@ -96,8 +97,7 @@ def _equal_error_rate(same_scores: np.ndarray, diff_scores: np.ndarray) -> float
     return best
 
 
-def train_oracle_verifier(splits: sw.CorpusSplits, steps: int, seed: int,
-                          eer_gate: float = 0.10) -> OracleVerifier:
+def train_oracle_verifier(splits: sw.CorpusSplits, steps: int, seed: int) -> OracleVerifier:
     """Speaker-classification training; EER measured on held-out speakers."""
     rng_init = np.random.default_rng([0x0A17, seed])
     params: dict[str, Tensor] = {}
@@ -133,8 +133,8 @@ def train_oracle_verifier(splits: sw.CorpusSplits, steps: int, seed: int,
                 for eb in embs[other][:6]:
                     diff.append(cosine(ea, eb))
     eer = _equal_error_rate(np.asarray(same), np.asarray(diff))
-    if eer > eer_gate:
-        raise CalibrationError(f"oracle verifier EER {eer:.3f} exceeds gate {eer_gate}")
+    if eer > VERIFIER_EER_GATE:
+        raise CalibrationError(f"oracle verifier EER {eer:.3f} exceeds gate {VERIFIER_EER_GATE}")
     ver.eer = eer
     return ver
 
@@ -277,7 +277,7 @@ def write_eval_manifest(path: Path, pairs: list[EvalPair]) -> None:
 
 def load_eval_manifest(path: Path) -> list[tuple[str, str]]:
     out = []
-    for ln_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln_no, line in enumerate(read_text(path, DataError).splitlines(), 1):
         if line.strip():
             fields = line.split("\t")
             if len(fields) != 2:

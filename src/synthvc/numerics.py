@@ -18,8 +18,9 @@ so results are bit-identical to that chain.
   intermediate goes unchecked.
 
 A tape is single-threaded: activate it with `with tape:` around the forward
-pass, call `tape.backward(loss)` afterwards, and build a fresh tape per
-training step. Ops called with no active tape run as pure functions.
+pass, call `tape.backward(loss, params)` afterwards for the gradients of the
+named parameters, and build a fresh tape per training step (`optim.descend`
+does all three). Ops called with no active tape run as pure functions.
 """
 
 from __future__ import annotations
@@ -79,18 +80,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 def _wrap(arr: Array, requires_grad: bool = False) -> Tensor:
     t = Tensor.__new__(Tensor)
@@ -108,14 +97,17 @@ def constant(data, dtype=None) -> Tensor:
 
 
 class TapeNode:
-    """One recorded operation: kind, parent ids, per-parent vjps."""
+    """One recorded tensor: the op that made it ("leaf" for an input), parent
+    ids and per-parent vjps. Holding the tensor keeps its id from being
+    reused by a new tensor while the tape lives."""
 
-    __slots__ = ("op", "parents", "vjps")
+    __slots__ = ("op", "parents", "vjps", "tensor")
 
-    def __init__(self, op, parents, vjps):
+    def __init__(self, op, parents, vjps, tensor):
         self.op = op
         self.parents = parents
         self.vjps = vjps
+        self.tensor = tensor
 
 
 class Tape:
@@ -124,7 +116,6 @@ class Tape:
     def __init__(self):
         self.nodes: list[TapeNode] = []
         self._ids: dict[int, int] = {}
-        self._tensors: dict[int, Tensor] = {}
 
     def __enter__(self) -> "Tape":
         global _ACTIVE
@@ -141,21 +132,20 @@ class Tape:
         nid = self._ids.get(id(t))
         if nid is None:
             nid = len(self.nodes)
-            self.nodes.append(TapeNode("leaf", (), None))
+            self.nodes.append(TapeNode("leaf", (), None, t))
             self._ids[id(t)] = nid
-            self._tensors[nid] = t
         return nid
 
     def record(self, op: str, parents: Sequence[Tensor], out: Tensor,
                vjps: tuple[Callable[[Array], Array] | None, ...]) -> None:
         pids = tuple(self._enroll(p) for p in parents)
         nid = len(self.nodes)
-        self.nodes.append(TapeNode(op, pids, vjps))
+        self.nodes.append(TapeNode(op, pids, vjps, out))
         self._ids[id(out)] = nid
-        self._tensors[nid] = out
 
-    def backward(self, loss: Tensor) -> dict[int, Tensor]:
-        """Gradients for every requires-grad leaf, keyed by node id."""
+    def backward(self, loss: Tensor, params: dict[str, Tensor]) -> dict[str, Array]:
+        """Gradient of the scalar loss for each requires-grad tensor in
+        params that the loss depends on, keyed by its name."""
         lid = self._ids.get(id(loss))
         if lid is None:
             raise NumericsError("backward: loss tensor is not on this tape")
@@ -173,20 +163,12 @@ class Tape:
                 contrib = fn(g)
                 prev = grads.get(pid)
                 grads[pid] = contrib if prev is None else prev + contrib
-        out: dict[int, Tensor] = {}
-        for nid, node in enumerate(self.nodes):
-            if node.op == "leaf" and nid in grads:
-                t = self._tensors[nid]
-                if t.requires_grad:
-                    out[nid] = _wrap(np.ascontiguousarray(grads[nid]))
+        out: dict[str, Array] = {}
+        for name, p in params.items():
+            g = grads.get(self._ids.get(id(p)))
+            if g is not None and p.requires_grad:
+                out[name] = np.ascontiguousarray(g)
         return out
-
-    def grad_for(self, grads: dict[int, Tensor], t: Tensor) -> Array | None:
-        nid = self._ids.get(id(t))
-        if nid is None:
-            return None
-        g = grads.get(nid)
-        return None if g is None else g.data
 
 
 def _apply(op: str, parents: Sequence[Tensor], out_arr: Array,
@@ -222,17 +204,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return (fa, fb)
 
     return _apply("add", (a, b), out, build)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def build():
-        fa = (lambda g: _unbroadcast(g, a.data.shape)) if a.requires_grad else None
-        fb = (lambda g: _unbroadcast(-g, b.data.shape)) if b.requires_grad else None
-        return (fa, fb)
-
-    return _apply("sub", (a, b), out, build)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -795,10 +766,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-4) -> float:
     with t:
         xt = Tensor(base, requires_grad=True, dtype=np.float64)
         loss = f(xt)
-    grads = t.backward(loss)
-    analytic = t.grad_for(grads, xt)
-    if analytic is None:
-        analytic = np.zeros_like(base)
+    analytic = t.backward(loss, {"x": xt}).get("x", np.zeros_like(base))
 
     worst = 0.0
     flat = base.reshape(-1)

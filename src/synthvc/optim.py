@@ -1,8 +1,11 @@
-"""Adam with linear warmup and global-norm gradient clipping, and the one
-classifier-pretraining loop shared by the frozen encoders and the oracles.
+"""Adam with linear warmup and global-norm gradient clipping, the one
+descent step every trained model takes, and the classifier-pretraining loop
+shared by the frozen encoders and the oracles.
 
-Only parameters that received a gradient this step are touched, so
-frozen or unrouted components keep bit-identical values.
+`descend` records a loss on a fresh tape and steps Adam on the gradients
+`tape.backward(loss, params)` returns by name. Only parameters that received
+a gradient are touched, so frozen or unrouted components keep bit-identical
+values.
 """
 
 from __future__ import annotations
@@ -23,13 +26,6 @@ EPS = 1e-8
 
 
 @dataclass
-class AdamConfig:
-    lr: float
-    warmup: int
-    clip: float       # 0 disables clipping
-
-
-@dataclass
 class StepStats:
     lr: float
     grad_norm: float
@@ -38,16 +34,18 @@ class StepStats:
 
 @dataclass
 class Adam:
-    cfg: AdamConfig
+    lr: float
+    warmup: int
+    clip: float       # 0 disables clipping
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
 
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> StepStats:
         self.t += 1
-        lr = self.cfg.lr
-        if self.cfg.warmup > 0:
-            lr = lr * min(1.0, self.t / self.cfg.warmup)
+        lr = self.lr
+        if self.warmup > 0:
+            lr = lr * min(1.0, self.t / self.warmup)
 
         names = sorted(grads)
         sq = 0.0
@@ -57,8 +55,8 @@ class Adam:
         norm = float(np.sqrt(sq))
         clipped = False
         scale = 1.0
-        if self.cfg.clip > 0.0 and norm > self.cfg.clip:
-            scale = self.cfg.clip / norm
+        if self.clip > 0.0 and norm > self.clip:
+            scale = self.clip / norm
             clipped = True
 
         b1, b2, eps = BETA1, BETA2, EPS
@@ -78,14 +76,19 @@ class Adam:
         return StepStats(lr=lr, grad_norm=norm, clipped=clipped)
 
 
-def grads_by_name(tape, params: dict[str, Tensor], grad_map) -> dict[str, np.ndarray]:
-    """Translate a tape gradient map into parameter-name keys."""
-    out: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = tape.grad_for(grad_map, p)
-        if g is not None:
-            out[name] = g
-    return out
+def descend(opt: Adam, params: dict[str, Tensor], loss_fn: Callable[[], Tensor],
+            what: str) -> float:
+    """One Adam step on the scalar loss_fn() records on a fresh tape; returns
+    the loss. A non-finite forward value raises TrainingDivergedError(what)
+    before any parameter or optimizer state changes."""
+    tape = nm.Tape()
+    try:
+        with tape:
+            loss = loss_fn()
+    except nm.NumericsError as e:
+        raise TrainingDivergedError(what) from e
+    opt.step(params, tape.backward(loss, params))
+    return loss.item()
 
 
 def fit_classifier(params: dict[str, Tensor], logits_fn: Callable[[Tensor], Tensor],
@@ -97,21 +100,17 @@ def fit_classifier(params: dict[str, Tensor], logits_fn: Callable[[Tensor], Tens
     Adam with warmup 50 and clip 1.0. Logits of any rank are scored over
     their last axis, so per-frame and per-utterance heads share the loop.
     """
-    opt = Adam(AdamConfig(lr=lr, warmup=50, clip=1.0))
+    opt = Adam(lr=lr, warmup=50, clip=1.0)
     last_loss = float("nan")
     for step in range(steps):
         inputs, labels = next(sample)
-        x = nm.constant(inputs)
-        tape = nm.Tape()
-        try:
-            with tape:
-                logits = logits_fn(x)
-                loss = nm.cross_entropy(nm.reshape(logits, (-1, logits.shape[-1])), labels)
-        except nm.NumericsError as e:
-            raise TrainingDivergedError(
-                f"{what} diverged at step {step}; last finite loss {last_loss}") from e
-        opt.step(params, grads_by_name(tape, params, tape.backward(loss)))
-        last_loss = loss.item()
+
+        def loss_fn():
+            logits = logits_fn(nm.constant(inputs))
+            return nm.cross_entropy(nm.reshape(logits, (-1, logits.shape[-1])), labels)
+
+        last_loss = descend(opt, params, loss_fn,
+                            f"{what} diverged at step {step}; last finite loss {last_loss}")
 
 
 def freeze(params: dict[str, Tensor], drop_prefix: str | None = None) -> None:

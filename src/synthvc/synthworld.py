@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ck
-from .errors import ArtifactFormatError, ConfigError, DataError
+from .errors import ArtifactFormatError, ConfigError, DataError, read_text
 
 F_DIM = 16
 CONTENT_DIMS = 15           # features 0..14 carry symbol content
@@ -127,7 +127,7 @@ def frame_labels(transcript) -> np.ndarray:
 
 
 def render(vocab: SymbolVocab, transcript, speaker: SpeakerProfile, channel: str,
-           seed: int, noise_scale: float | None = None) -> Rendering:
+           seed: int) -> Rendering:
     """Render a transcript under a speaker; bit-deterministic per inputs."""
     text = tuple(int(s) for s in transcript)
     if any(s < 0 or s >= N_SYMBOLS for s in text):
@@ -155,10 +155,7 @@ def render(vocab: SymbolVocab, transcript, speaker: SpeakerProfile, channel: str
         sigma = DEGRADED_NOISE
     else:
         sigma = PRISTINE_NOISE
-    if noise_scale is not None:
-        sigma = float(noise_scale)
-    if sigma > 0.0:
-        frames = frames + rng.normal(0.0, sigma, size=frames.shape).astype(np.float32)
+    frames = frames + rng.normal(0.0, sigma, size=frames.shape).astype(np.float32)
     frames.flags.writeable = False
     return Rendering(frames=frames, channel=channel, transcript=text, speaker_id=speaker.id)
 
@@ -294,7 +291,7 @@ def write_manifest(path: Path, utterances, vocab: SymbolVocab) -> None:
 
 def load_manifest(path: Path, vocab: SymbolVocab) -> list[Utterance]:
     utts = []
-    for ln_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln_no, line in enumerate(read_text(path, DataError).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")

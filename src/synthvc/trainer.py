@@ -27,7 +27,7 @@ from .encoders import (SemanticEncoder, SpeakerEncoder, apply_adapter,
 from .errors import ConfigError, TrainingDivergedError
 from .evaluation import EvalPair, OracleTranscriber, OracleVerifier, evaluate_conversion
 from .numerics import Tensor
-from .optim import Adam, AdamConfig, grads_by_name
+from .optim import Adam, descend
 
 STAGE_ASR = "asr"
 STAGE_VC = "vc"
@@ -81,11 +81,12 @@ class TrainPlan:
 
 @dataclass
 class StepResult:
+    """A step's loss and its last pool's text CE; ce_acoustic is set when
+    the VC pool ran."""
+
     loss: float
     ce_text: float | None
     ce_acoustic: tuple[float, ...] | None
-    n_asr: int
-    n_vc: int
 
 
 @dataclass
@@ -319,42 +320,43 @@ def combine_vc_loss(ce_text, ce_ac, plan: TrainPlan):
     return nm.weighted_sum([ce_text, *ce_ac], weights)
 
 
-def _apply_step(state: TrainState, tape: nm.Tape, loss) -> None:
-    grads = grads_by_name(tape, state.params, tape.backward(loss))
-    state.opt.step(state.params, grads)
+def _step(name, batch, state: TrainState, ctx: PipelineContext, plan: TrainPlan,
+          rng: np.random.Generator, asr_items, vc_items, asr_weight: float,
+          real_prob: float) -> StepResult:
+    """One descent step on asr_weight * L_ASR(asr_items) + (1 - asr_weight) *
+    L_VC(vc_items), the VC targets pristine with probability real_prob. An
+    empty pool adds no term, so a one-pool step's loss is its pool's loss."""
+    ce_text = ce_ac = None
+
+    def loss_fn():
+        nonlocal ce_text, ce_ac
+        terms, weights = [], []
+        if asr_items:
+            asr_loss, ce_text = _asr_pool_loss(ctx, state.params, asr_items, plan, rng)
+            terms.append(asr_loss)
+            weights.append(asr_weight)
+        if vc_items:
+            vc_loss, ce_text, ce_ac = _vc_pool_loss(ctx, state.params, vc_items, plan,
+                                                    real_prob, rng)
+            terms.append(vc_loss)
+            weights.append(1.0 - asr_weight)
+        return nm.weighted_sum(terms, weights)
+
+    loss = descend(state.opt, state.params, loss_fn,
+                   f"stage {name} step {state.step}: non-finite loss on "
+                   f"batch {[u.utt_id for u in batch]}")
     state.step += 1
-
-
-def _diverged(name: str, state: TrainState, batch) -> TrainingDivergedError:
-    return TrainingDivergedError(f"stage {name} step {state.step}: non-finite loss on "
-                                 f"batch {[u.utt_id for u in batch]}")
+    return StepResult(loss=loss, ce_text=ce_text, ce_acoustic=ce_ac)
 
 
 def asr_step(batch, state: TrainState, ctx: PipelineContext, plan: TrainPlan,
              rng: np.random.Generator) -> StepResult:
-    tape = nm.Tape()
-    try:
-        with tape:
-            loss, ce_text = _asr_pool_loss(ctx, state.params, batch, plan, rng)
-    except nm.NumericsError as e:
-        raise _diverged(STAGE_ASR, state, batch) from e
-    _apply_step(state, tape, loss)
-    return StepResult(loss=float(loss.item()), ce_text=ce_text, ce_acoustic=None,
-                      n_asr=len(batch), n_vc=0)
+    return _step(STAGE_ASR, batch, state, ctx, plan, rng, batch, [], 1.0, 0.0)
 
 
 def vc_step(batch, state: TrainState, ctx: PipelineContext, plan: TrainPlan,
             rng: np.random.Generator) -> StepResult:
-    tape = nm.Tape()
-    try:
-        with tape:
-            loss, ce_text, ce_ac = _vc_pool_loss(ctx, state.params, batch, plan,
-                                                 plan.vc_real_prob, rng)
-    except nm.NumericsError as e:
-        raise _diverged(STAGE_VC, state, batch) from e
-    _apply_step(state, tape, loss)
-    return StepResult(loss=float(loss.item()), ce_text=ce_text, ce_acoustic=ce_ac,
-                      n_asr=0, n_vc=len(batch))
+    return _step(STAGE_VC, batch, state, ctx, plan, rng, [], batch, 0.0, plan.vc_real_prob)
 
 
 def joint_split(batch, asr_fraction: float, coin: np.random.Generator):
@@ -369,28 +371,9 @@ def joint_step(batch, state: TrainState, ctx: PipelineContext, plan: TrainPlan,
                coin: np.random.Generator) -> StepResult:
     """Each instance is ASR with probability asr_fraction, else VC; the pools
     combine as w' * L_ASR + (1 - w') * L_VC."""
-    asr_items, vc_items = joint_split(batch, plan.asr_fraction, coin)
-    tape = nm.Tape()
-    ce_text = None
-    ce_ac = None
-    try:
-        with tape:
-            if asr_items:
-                asr_loss, _ = _asr_pool_loss(ctx, state.params, asr_items, plan, coin)
-            else:
-                asr_loss = nm.constant(np.float32(0.0))
-            if vc_items:
-                vc_loss, ce_text, ce_ac = _vc_pool_loss(ctx, state.params, vc_items, plan,
-                                                        plan.joint_real_prob, coin)
-            else:
-                vc_loss = nm.constant(np.float32(0.0))
-            loss = nm.weighted_sum([asr_loss, vc_loss],
-                                   [plan.w_prime, 1.0 - plan.w_prime])
-    except nm.NumericsError as e:
-        raise _diverged(STAGE_JOINT, state, batch) from e
-    _apply_step(state, tape, loss)
-    return StepResult(loss=float(loss.item()), ce_text=ce_text, ce_acoustic=ce_ac,
-                      n_asr=len(asr_items), n_vc=len(vc_items))
+    return _step(STAGE_JOINT, batch, state, ctx, plan, coin,
+                 *joint_split(batch, plan.asr_fraction, coin), plan.w_prime,
+                 plan.joint_real_prob)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +420,7 @@ def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: 
              STAGE_JOINT: plan.joint_steps}[name]
     step_fn = {STAGE_ASR: asr_step, STAGE_VC: vc_step, STAGE_JOINT: joint_step}[name]
     rng = np.random.default_rng([0x7A10, plan.seed + STAGES.index(name)])
-    state.opt = Adam(AdamConfig(lr=plan.lr, warmup=plan.warmup, clip=plan.clip))
+    state.opt = Adam(lr=plan.lr, warmup=plan.warmup, clip=plan.clip)
     frozen_start = ctx.frozen_hash()
     last = None
     heldout = None

@@ -192,26 +192,43 @@ def checkpointed_run(prepared_run, tmp_path_factory):
 
 
 # case -> (the corpus manifest's line 2 field to spoil and its bad value) or None
-MALFORMED = {"grid-token": None, "eval-manifest-fields": None, "manifest-symbol": (3, "zz"),
+MALFORMED = {"grid-token": None, "grid-missing": None, "grid-not-utf8": None,
+             "eval-manifest-fields": None, "eval-manifest-not-utf8": None,
+             "config-missing": None, "manifest-symbol": (3, "zz"),
              "manifest-speaker": (1, "one"), "manifest-seed": (4, "4.5")}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_file_fails_typed_and_is_logged(checkpointed_run, tmp_path, capsys,
                                                         case):
-    """A malformed grid dump, evaluation manifest or corpus manifest is a
-    typed data error that names the file and line, not a traceback."""
+    """A malformed, missing or non-UTF-8 grid dump, evaluation manifest or
+    corpus manifest is a typed data error that names the file (and the line
+    of a malformed one), not a traceback. A missing config file is a usage
+    error that, like an unknown key, comes before any run directory is
+    resolved, so no log line is written."""
     run = tmp_path / "run"
     shutil.copytree(checkpointed_run, run)
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY_CONFIG, encoding="utf-8")
     bad = tmp_path / "bad.txt"
+    missing = tmp_path / "missing.txt"
     if case == "grid-token":
         bad.write_text("1 <eos>\n<bos> 3x\n<bos> <bos>\n<bos> <bos>\n<bos> <bos>\n")
         argv, where = ["inspect-grid", "--in", str(bad)], f"{bad}: line 2: "
+    elif case == "grid-missing":
+        argv, where = ["inspect-grid", "--in", str(missing)], f"{missing}: "
+    elif case == "grid-not-utf8":
+        bad.write_bytes(b"1 <eos>\n<bos> \xff\n")
+        argv, where = ["inspect-grid", "--in", str(bad)], f"{bad}: "
     elif case == "eval-manifest-fields":
         bad.write_text("eval_src00\teval_tgt00\n\neval_src01\teval_tgt01\textra\n")
         argv, where = ["evaluate", "--manifest", str(bad)], f"{bad}:3: "
+    elif case == "eval-manifest-not-utf8":
+        bad.write_bytes(b"eval_src00\teval_tgt00\xff\n")
+        argv, where = ["evaluate", "--manifest", str(bad)], f"{bad}: "
+    elif case == "config-missing":
+        cfg_path = missing
+        argv, where = ["inspect-grid", "--in", str(bad)], f"{missing}: "
     else:
         manifest = run / "corpus" / "manifest.tsv"
         lines = manifest.read_text(encoding="utf-8").splitlines()
@@ -223,11 +240,16 @@ def test_malformed_input_file_fails_typed_and_is_logged(checkpointed_run, tmp_pa
         argv = ["convert", "--source", lines[0].split("\t")[0], "--target-ref", "eval_tgt00",
                 "--out", str(tmp_path / "conv")]
         where = f"{manifest}:2: "
+    logged = _run_log(run)
     capsys.readouterr()
-    assert cli.main(["--config", str(cfg_path), "--run", str(run)] + argv) == cli.EXIT_DATA
+    code = cli.main(["--config", str(cfg_path), "--run", str(run)] + argv)
     err = capsys.readouterr().err
-    assert err.startswith("ERR:DATA ") and where in err, err
-    assert _run_log(run)[-1] == (argv[0], "ERR:DATA")
+    if case == "config-missing":
+        assert code == cli.EXIT_USAGE and err.startswith("ERR:USAGE ") and where in err, err
+        assert _run_log(run) == logged
+    else:
+        assert code == cli.EXIT_DATA and err.startswith("ERR:DATA ") and where in err, err
+        assert _run_log(run) == logged + [(argv[0], "ERR:DATA")]
 
 
 def test_lock_with_dead_pid_is_replaced(tmp_path):

@@ -1,8 +1,10 @@
-"""Every setting and every function has a reader, and every default is
-written once: each documented config default is read outside config.py,
-no parameter the CLI fills from the config restates a default, each
-function in the package is referenced somewhere besides its definition, and
-the benchmark's tracer still finds every function it names."""
+"""Every setting and every function has a reader, every default is written
+once, and every trained model updates through one step: each documented
+config default is read outside config.py, no parameter the CLI fills from the
+config restates a default, each function in the package is referenced
+somewhere besides its definition, only `optim.descend` and the gradient
+checker open a tape, and the benchmark's tracer still finds every function it
+names."""
 
 import ast
 import inspect
@@ -21,9 +23,13 @@ NO_CALLER_NEEDED = {
     "nearest_template_decode",
     # the finite-difference gradient checker every differentiable op is tested with
     "grad_check",
-    # scalar reductions that turn an op's output into a loss in those gradient checks
-    "sum_all", "mean_all",
+    # scalar reductions and the product that turn an op's output into a loss
+    # in those gradient checks
+    "sum_all", "mean_all", "mul",
 }
+# the functions in the package that may construct a tape: the one descent
+# step every trained model takes, and the gradient checker
+TAPE_OWNERS = {("optim.py", "descend"), ("numerics.py", "grad_check")}
 # (function, parameter) pairs that the CLI fills from the config but that keep
 # a default, each with its reason
 DEFAULT_KEPT = {
@@ -113,6 +119,26 @@ def test_every_function_is_named_outside_its_definition():
             if not (name.startswith("__") and name.endswith("__"))]
     assert dead == []
     assert NO_CALLER_NEEDED <= defined, "an allowance for a function that is gone"
+
+
+def _tape_calls(node: ast.AST) -> int:
+    return sum(isinstance(n, ast.Call) and "Tape" in (getattr(n.func, "id", None),
+                                                      getattr(n.func, "attr", None))
+               for n in ast.walk(node))
+
+
+def test_only_descend_and_grad_check_construct_a_tape():
+    """A second place that opens a tape would fork the training step: its
+    own divergence handling, backward and optimizer step."""
+    owners = set()
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {n.name: _tape_calls(n) for n in ast.walk(tree)
+                   if isinstance(n, ast.FunctionDef) and (path.name, n.name) in TAPE_OWNERS}
+        assert _tape_calls(tree) == sum(allowed.values()), \
+            f"{path.name} constructs a Tape outside {sorted(TAPE_OWNERS)}"
+        owners |= {(path.name, name) for name, calls in allowed.items() if calls}
+    assert owners == TAPE_OWNERS, "an allowance for a function that opens no tape"
 
 
 def test_perfbench_selftest_passes():

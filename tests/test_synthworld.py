@@ -11,7 +11,8 @@ from synthvc.config import RunConfig
 from synthvc.errors import ConfigError, DataError
 
 
-def test_render_identity_speaker_zero_noise(splits):
+def test_render_identity_speaker_zero_noise(splits, monkeypatch):
+    monkeypatch.setattr(sw, "PRISTINE_NOISE", 0.0)
     prof = sw.SpeakerProfile(
         id=999,
         gain=np.ones(sw.F_DIM, dtype=np.float32),
@@ -19,7 +20,7 @@ def test_render_identity_speaker_zero_noise(splits):
         pitch_rate=0.2,
     )
     text = (0, 5, 17)
-    r = sw.render(splits.vocab, text, prof, sw.PRISTINE, seed=3, noise_scale=0.0)
+    r = sw.render(splits.vocab, text, prof, sw.PRISTINE, seed=3)
     t_total = sw.frames_for_text(3)
     assert r.frames.shape == (t_total, sw.F_DIM)
     for i, s in enumerate(text):
