@@ -227,7 +227,7 @@ def cmd_synth_data(args, cfg: RunConfig, run: RunDir) -> int:
     eval_utts = [u for p in pairs for u in (p.source, p.target_ref)]
     all_utts = list(splits.utterances) + eval_utts
     sw.write_manifest(corpus_dir / "manifest.tsv", all_utts, splits.vocab)
-    renders = {u.utt_id: splits.render_utterance(u).frames for u in all_utts}
+    renders = {u.utt_id: splits.render_utterance(u) for u in all_utts}
     sw.write_frames(corpus_dir / "frames.bin", renders)
     ev.write_eval_manifest(corpus_dir / "eval_manifest.tsv", pairs)
     lines = [
@@ -359,9 +359,9 @@ def cmd_convert(args, cfg: RunConfig, run: RunDir) -> int:
     src = ctx.splits.render_utterance(src_u)
     ref = ctx.splits.render_utterance(ref_u)
     sem_rows = en.apply_adapter(params, "sem_adapter",
-                                nm.constant(ctx.sem_enc.features(src.frames)))
+                                nm.constant(ctx.sem_enc.features(src)))
     spk_row = en.apply_adapter(params, "spk_adapter",
-                               nm.constant(ctx.spk_enc.embed(ref.frames)))
+                               nm.constant(ctx.spk_enc.embed(ref)))
     rng = (np.random.default_rng([0xC04F, cfg["eval.seed"]])
            if cfg["gen.mode"] == "sample" else None)
     res = sl.generate(params, ctx.lm_cfg, sem_rows, spk_row,
@@ -387,8 +387,8 @@ def cmd_evaluate(args, cfg: RunConfig, run: RunDir) -> int:
     ctx, plan = _build_context(cfg, run)
     run.ensure_layout()
     params = _load_trainable(_latest_checkpoint(run))
-    manifest_path = Path(args.manifest) if args.manifest else run.path("corpus", "eval_manifest.tsv")
-    _require(manifest_path, "synth-data")
+    manifest_path = (Path(args.manifest) if args.manifest
+                     else _require(run.path("corpus", "eval_manifest.tsv"), "synth-data"))
     id_pairs = ev.load_eval_manifest(manifest_path)
     by_id = {}
     for p in ctx.eval_pairs:
@@ -419,7 +419,7 @@ def cmd_inspect_grid(args, cfg: RunConfig, run: RunDir) -> int:
     print(f"streams: {grid.n_streams}, steps: {grid.length}")
     try:
         tokens, codes = sl.invert_delayed_grid(grid, layout)
-        print(f"text tokens: {len(tokens)}; acoustic steps: {codes.codes.shape[1]}; "
+        print(f"text tokens: {len(tokens)}; acoustic steps: {codes.shape[1]}; "
               "layout: valid")
     except SynthVCError as e:
         print(f"layout: INVALID ({e})")

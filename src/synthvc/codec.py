@@ -3,8 +3,9 @@
 Each layer's codebook is fit by batch Lloyd k-means (k-means++ init) on the
 residual left by the previous layers. Centroid index 0 of every layer is
 pinned to the exact zero vector and never updated, which makes per-frame
-residual-norm monotonicity an exact invariant of encode. The codec is fit
-offline and frozen for all LM training.
+residual-norm monotonicity an exact invariant of encode. Codes are a plain
+(n_layers, T) int64 array: `encode` returns one and `decode` checks one.
+The codec is fit offline and frozen for all LM training.
 """
 
 from __future__ import annotations
@@ -29,25 +30,6 @@ class Codebook:
         if np.any(self.centroids[0] != 0.0):
             raise DataError(f"codebook layer {self.layer}: row 0 must be the zero vector")
         self.centroids.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class CodeGrid:
-    """n-layer x T_a integer code matrix."""
-
-    codes: np.ndarray        # (n, T_a) int64
-
-    def __post_init__(self):
-        if self.codes.ndim != 2:
-            raise DataError(f"code grid must be 2-D, got shape {self.codes.shape}")
-
-    @property
-    def n_layers(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.codes.shape[1]
 
 
 @dataclass
@@ -133,15 +115,13 @@ def build_fit_corpus(splits, parallel_per_utt: int, degraded_per_utt: int,
     chunks = []
     train_ids = np.asarray(splits.train_speaker_ids)
     for utt in splits.utterances:
-        chunks.append(splits.render_utterance(utt).frames)
+        chunks.append(splits.render_utterance(utt))
         for _ in range(parallel_per_utt):
             sid = int(train_ids[rng.integers(len(train_ids))])
-            chunks.append(sw.render(splits.vocab, utt.text, splits.speakers[sid],
-                                    sw.PRISTINE, int(rng.integers(2**31))).frames)
+            chunks.append(splits.render_text(utt.text, sid, sw.PRISTINE, rng))
         for _ in range(degraded_per_utt):
             sid = int(train_ids[rng.integers(len(train_ids))])
-            chunks.append(sw.render(splits.vocab, utt.text, splits.speakers[sid],
-                                    sw.DEGRADED, int(rng.integers(2**31))).frames)
+            chunks.append(splits.render_text(utt.text, sid, sw.DEGRADED, rng))
     return np.concatenate(chunks, axis=0)
 
 
@@ -170,8 +150,9 @@ def fit_codebooks(frames: np.ndarray, n: int, k: int, iters: int, seed: int) -> 
     return RVQCodec(codebooks=books, fit_snr_db=float(snr), layer_distortions=distortions)
 
 
-def encode(frames: np.ndarray, codec: RVQCodec) -> CodeGrid:
-    """Greedy nearest-centroid per layer on the running residual."""
+def encode(frames: np.ndarray, codec: RVQCodec) -> np.ndarray:
+    """(n_layers, T) int64 codes: greedy nearest centroid per layer on the
+    running residual."""
     if not codec.codebooks:
         raise StateError("encode: codec has no fitted codebooks")
     data = np.asarray(frames, dtype=np.float64)
@@ -184,14 +165,16 @@ def encode(frames: np.ndarray, codec: RVQCodec) -> CodeGrid:
         labels = _assign(residual, cents)
         residual -= cents[labels]
         rows.append(labels)
-    return CodeGrid(codes=np.stack(rows).astype(np.int64))
+    return np.stack(rows).astype(np.int64)
 
 
-def decode(grid: CodeGrid, codec: RVQCodec) -> np.ndarray:
-    """Sum of selected centroids across layers."""
-    codes = grid.codes if isinstance(grid, CodeGrid) else np.asarray(grid)
-    if codes.shape[0] != codec.n_layers:
-        raise DataError(f"decode: grid has {codes.shape[0]} layers, codec has {codec.n_layers}")
+def decode(codes, codec: RVQCodec) -> np.ndarray:
+    """(T, F) frames: the sum of the selected centroids across layers of
+    (n_layers, T) codes."""
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.shape[0] != codec.n_layers:
+        raise DataError(f"decode: codes shape {codes.shape} is not "
+                        f"({codec.n_layers} layers, T)")
     k = codec.codebook_size
     if codes.size and (codes.min() < 0 or codes.max() >= k):
         raise IndexError(f"decode: code out of range [0, {k})")

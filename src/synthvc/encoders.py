@@ -67,9 +67,7 @@ def speaker_batches(splits: sw.CorpusSplits, rng: np.random.Generator, batch: in
         xs, ys = [], []
         for sid in sids:
             text = pool[int(rng.integers(len(pool)))]
-            r = sw.render(splits.vocab, text, splits.speakers[int(sid)], sw.PRISTINE,
-                          int(rng.integers(2**31)))
-            xs.append(r.frames)
+            xs.append(splits.render_text(text, int(sid), sw.PRISTINE, rng))
             ys.append(spk_index[int(sid)])
         yield np.stack(xs), np.asarray(ys)
 
@@ -132,7 +130,7 @@ def pretrain_semantic_encoder(splits: sw.CorpusSplits, steps: int, batch: int, l
             items = sample_bucket(buckets, rng, batch)
             for u in items:
                 if u.utt_id not in cache:
-                    cache[u.utt_id] = (splits.render_utterance(u).frames,
+                    cache[u.utt_id] = (splits.render_utterance(u),
                                        downsampled_labels(u.text))
             yield (np.stack([cache[u.utt_id][0] for u in items]),
                    np.concatenate([cache[u.utt_id][1] for u in items]))
@@ -151,9 +149,8 @@ def _semantic_heldout_accuracy(enc: SemanticEncoder, splits: sw.CorpusSplits) ->
     for i in range(24):
         text = splits.heldout_texts[i % len(splits.heldout_texts)]
         sid = splits.heldout_speaker_ids[i % len(splits.heldout_speaker_ids)]
-        r = sw.render(splits.vocab, text, splits.speakers[sid], sw.PRISTINE,
-                      int(rng.integers(2**31)))
-        h = enc.forward_t(nm.constant(r.frames[None]))
+        frames = splits.render_text(text, sid, sw.PRISTINE, rng)
+        h = enc.forward_t(nm.constant(frames[None]))
         logits = nn.linear(enc.params, "sem.headtmp", h)
         pred = logits.data[0].argmax(axis=-1)
         ref = downsampled_labels(text)
@@ -222,9 +219,8 @@ def _speaker_heldout_accuracy(enc: SpeakerEncoder, splits: sw.CorpusSplits) -> f
     for i in range(n_eval):
         sid = splits.train_speaker_ids[i % n_spk]
         text = splits.heldout_texts[int(rng.integers(len(splits.heldout_texts)))]
-        r = sw.render(splits.vocab, text, splits.speakers[sid], sw.PRISTINE,
-                      int(rng.integers(2**31)))
-        h = enc.forward_t(nm.constant(r.frames[None]))
+        frames = splits.render_text(text, sid, sw.PRISTINE, rng)
+        h = enc.forward_t(nm.constant(frames[None]))
         logits = nn.linear(enc.params, "spk.headtmp", h)
         hit += int(logits.data[0, 0].argmax() == i % n_spk)
     return hit / n_eval

@@ -86,15 +86,10 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _equal_error_rate(same_scores: np.ndarray, diff_scores: np.ndarray) -> float:
-    thresholds = np.sort(np.concatenate([same_scores, diff_scores]))
-    best = 1.0
-    for th in thresholds:
-        frr = float(np.mean(same_scores < th))
-        far = float(np.mean(diff_scores >= th))
-        gap = abs(far - frr)
-        if gap < 1e-9 or (far + frr) / 2 < best:
-            best = min(best, (far + frr) / 2)
-    return best
+    """Least (FAR + FRR) / 2 over thresholds at every score, at most 1.0."""
+    return min([1.0] + [(float(np.mean(diff_scores >= th))
+                         + float(np.mean(same_scores < th))) / 2
+                        for th in np.concatenate([same_scores, diff_scores])])
 
 
 def train_oracle_verifier(splits: sw.CorpusSplits, steps: int, seed: int) -> OracleVerifier:
@@ -118,9 +113,7 @@ def train_oracle_verifier(splits: sw.CorpusSplits, steps: int, seed: int) -> Ora
     for sid in splits.heldout_speaker_ids:
         for _ in range(12):
             text = splits.heldout_texts[int(rng_e.integers(len(splits.heldout_texts)))]
-            r = sw.render(splits.vocab, text, splits.speakers[sid], sw.PRISTINE,
-                          int(rng_e.integers(2**31)))
-            embs[sid].append(ver.embed(r.frames))
+            embs[sid].append(ver.embed(splits.render_text(text, sid, sw.PRISTINE, rng_e)))
     same, diff = [], []
     sids = list(embs)
     for a_i, sid in enumerate(sids):
@@ -199,9 +192,7 @@ def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int,
             xs, ys = [], []
             for u in sample_bucket(buckets, rng, TRANSCRIBER_BATCH):
                 channel = sw.DEGRADED if rng.random() < 0.5 else sw.PRISTINE
-                r = sw.render(splits.vocab, u.text, splits.speakers[u.speaker_id], channel,
-                              int(rng.integers(2**31)))
-                xs.append(r.frames)
+                xs.append(splits.render_text(u.text, u.speaker_id, channel, rng))
                 ys.append(sw.frame_labels(u.text))
             yield np.stack(xs), np.concatenate(ys)
 
@@ -215,13 +206,11 @@ def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int,
     for i in range(60):
         text = splits.heldout_texts[i % len(splits.heldout_texts)]
         sid = splits.heldout_speaker_ids[i % len(splits.heldout_speaker_ids)]
-        prof = splits.speakers[sid]
-        clean = sw.render(splits.vocab, text, prof, sw.PRISTINE, int(rng_g.integers(2**31)))
-        if trans.transcribe(clean.frames) == tuple(text):
+        clean = splits.render_text(text, sid, sw.PRISTINE, rng_g)
+        if trans.transcribe(clean) == tuple(text):
             exact += 1
         total += 1
-        rough = sw.render(splits.vocab, text, prof, sw.DEGRADED, int(rng_g.integers(2**31)))
-        hyp = trans.transcribe(rough.frames)
+        hyp = trans.transcribe(splits.render_text(text, sid, sw.DEGRADED, rng_g))
         ref_s = splits.vocab.transcript_names(text)
         hyp_s = splits.vocab.transcript_names(hyp)
         deg_dist += edit_distance(ref_s, hyp_s)
@@ -337,13 +326,13 @@ def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
 
     # speaker centroids in oracle space from the reference (real) renders
     by_spk: dict[int, list[np.ndarray]] = {}
-    renders: dict[sw.Utterance, sw.Rendering] = {}
+    renders: dict[sw.Utterance, np.ndarray] = {}
     oracle_embs: dict[sw.Utterance, np.ndarray] = {}
     for p in pairs:
         for u in (p.source, p.target_ref):
             if u not in renders:
                 renders[u] = splits.render_utterance(u)
-                oracle_embs[u] = verifier.embed(renders[u].frames)
+                oracle_embs[u] = verifier.embed(renders[u])
                 by_spk.setdefault(u.speaker_id, []).append(oracle_embs[u])
     centroid_ids = sorted(by_spk)
     centroids = np.stack([np.mean(by_spk[s], axis=0) for s in centroid_ids])
@@ -354,9 +343,9 @@ def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
     truncated = 0
     for p in pairs:
         sem = apply_adapter(adapter_params, "sem_adapter",
-                            nm.constant(sem_enc.features(renders[p.source].frames)))
+                            nm.constant(sem_enc.features(renders[p.source])))
         spk = apply_adapter(adapter_params, "spk_adapter",
-                            nm.constant(spk_enc.embed(renders[p.target_ref].frames)))
+                            nm.constant(spk_enc.embed(renders[p.target_ref])))
         res = sl.generate(lm_params, lm_cfg, sem, spk, max_steps=max_steps, tail=tail)
         if res.truncated:
             truncated += 1

@@ -714,31 +714,26 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
 def unfold_time(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
     """Sliding windows along the time axis, flattened per step (im2col).
 
-    x is (T, F) or (B, T, F); output is (T', kernel*F) or (B, T', kernel*F)
-    with zero padding of `pad` frames at both ends.
+    x is (B, T, F); output is (B, T', kernel*F) with zero padding of `pad`
+    frames at both ends.
     """
     arr = x.data
-    batched = arr.ndim == 3
-    a3 = arr if batched else arr[None]
-    b, t, f = a3.shape
+    b, t, f = arr.shape
     tp = t + 2 * pad
     if tp < kernel:
         raise ShapeError(f"unfold_time: padded length {tp} shorter than kernel {kernel}")
     padded = np.zeros((b, tp, f), dtype=arr.dtype)
-    padded[:, pad:pad + t] = a3
+    padded[:, pad:pad + t] = arr
     n_out = (tp - kernel) // stride + 1
     idx = np.arange(n_out)[:, None] * stride + np.arange(kernel)[None, :]
     out = padded[:, idx, :].reshape(b, n_out, kernel * f)
-    if not batched:
-        out = out[0]
 
     def build():
         def fn(g):
             g4 = g.reshape(b, n_out, kernel, f)
             gp = np.zeros((b, tp, f), dtype=g.dtype)
             np.add.at(gp, (slice(None), idx), g4)
-            gx = gp[:, pad:pad + t]
-            return np.ascontiguousarray(gx if batched else gx[0])
+            return np.ascontiguousarray(gp[:, pad:pad + t])
 
         return (fn if x.requires_grad else None,)
 

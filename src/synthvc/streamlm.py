@@ -25,7 +25,6 @@ import numpy as np
 from . import nn
 from . import numerics as nm
 from . import synthworld as sw
-from .codec import CodeGrid
 from .errors import CapacityError, ConfigError, DataError, GridFormatError
 from .numerics import Tensor
 
@@ -62,10 +61,10 @@ class StreamLayout:
 
 @dataclass(frozen=True)
 class DelayedGrid:
-    """(1 + n) x L token matrix plus the mask of real (content) positions."""
+    """(1 + n) x L int64 token matrix; which positions are content is read
+    off the tokens themselves (`supervised_mask`)."""
 
-    tokens: np.ndarray       # int64
-    valid: np.ndarray        # bool, same shape
+    tokens: np.ndarray
 
     @property
     def length(self) -> int:
@@ -76,21 +75,15 @@ class DelayedGrid:
         return self.tokens.shape[0]
 
 
-def _content_valid(tokens: np.ndarray, layout: StreamLayout) -> np.ndarray:
-    valid = np.zeros_like(tokens, dtype=bool)
-    valid[0] = tokens[0] < TEXT_CONTENT
-    valid[1:] = tokens[1:] < layout.code_vocab
-    return valid
-
-
 def build_delayed_grid(text, codes, layout: StreamLayout) -> DelayedGrid:
     """Lay out text plus code streams under the delay pattern.
 
-    L = max over streams of (delay + length) + 1, where the text length
-    includes its EOS, so every stream ends with at least one PAD.
+    `codes` is array-like (n_layers, T_a). L = max over streams of
+    (delay + length) + 1, where the text length includes its EOS, so every
+    stream ends with at least one PAD.
     """
     text = [int(t) for t in text]
-    code_arr = codes.codes if isinstance(codes, CodeGrid) else np.asarray(codes, dtype=np.int64)
+    code_arr = np.asarray(codes, dtype=np.int64)
     if len(text) < 1:
         raise DataError("build_delayed_grid: empty text")
     if code_arr.ndim != 2 or code_arr.shape[0] != layout.n_layers or code_arr.shape[1] < 1:
@@ -112,7 +105,7 @@ def build_delayed_grid(text, codes, layout: StreamLayout) -> DelayedGrid:
         tokens[i + 1] = layout.ac_pad
         tokens[i + 1, :d] = layout.ac_bos
         tokens[i + 1, d:d + t_a] = code_arr[i]
-    return DelayedGrid(tokens=tokens, valid=_content_valid(tokens, layout))
+    return DelayedGrid(tokens=tokens)
 
 
 def build_asr_grid(text, layout: StreamLayout) -> DelayedGrid:
@@ -126,23 +119,21 @@ def build_asr_grid(text, layout: StreamLayout) -> DelayedGrid:
     tokens[0] = TEXT_PAD
     tokens[0, :l_t] = text
     tokens[0, l_t] = TEXT_EOS
-    return DelayedGrid(tokens=tokens, valid=_content_valid(tokens, layout))
+    return DelayedGrid(tokens=tokens)
 
 
-def supervised_mask(grid: DelayedGrid, layout: StreamLayout,
-                    text_only: bool = False) -> np.ndarray:
-    """Loss positions: real tokens, plus text EOS, plus each acoustic
-    stream's first PAD so the model learns to stop."""
-    mask = grid.valid.copy()
+def supervised_mask(grid: DelayedGrid, layout: StreamLayout) -> np.ndarray:
+    """Loss positions: content tokens, plus text EOS, plus each acoustic
+    stream's first PAD after its content so the model learns to stop. An
+    ASR grid's acoustic rows are all PAD, so its mask is text-only."""
+    mask = np.zeros_like(grid.tokens, dtype=bool)
+    mask[0] = grid.tokens[0] < TEXT_CONTENT
+    mask[1:] = grid.tokens[1:] < layout.code_vocab
     eos_cols = np.nonzero(grid.tokens[0] == TEXT_EOS)[0]
     if eos_cols.size:
         mask[0, eos_cols[0]] = True
-    if text_only:
-        mask[1:] = False
-        return mask
     for s in range(1, grid.n_streams):
-        row = grid.tokens[s]
-        content = np.nonzero(row < layout.code_vocab)[0]
+        content = np.nonzero(mask[s])[0]
         if content.size:
             stop = content[-1] + 1
             if stop < grid.length:
@@ -150,8 +141,9 @@ def supervised_mask(grid: DelayedGrid, layout: StreamLayout,
     return mask
 
 
-def invert_delayed_grid(grid: DelayedGrid, layout: StreamLayout) -> tuple[list[int], CodeGrid]:
-    """Strip specials and undo delays; rejects malformed layouts."""
+def invert_delayed_grid(grid: DelayedGrid, layout: StreamLayout) -> tuple[list[int], np.ndarray]:
+    """(text, (n_layers, T_a) int64 codes): strip specials and undo delays;
+    rejects malformed layouts."""
     tokens = grid.tokens
     if tokens.shape[0] != layout.n_streams:
         raise GridFormatError(f"grid has {tokens.shape[0]} streams, layout expects {layout.n_streams}")
@@ -195,8 +187,7 @@ def invert_delayed_grid(grid: DelayedGrid, layout: StreamLayout) -> tuple[list[i
         rows.append(content)
     if len(set(lengths)) != 1:
         raise GridFormatError(f"acoustic streams disagree on length: {lengths}")
-    codes = np.asarray(rows, dtype=np.int64)
-    return text, CodeGrid(codes=codes)
+    return text, np.asarray(rows, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -459,5 +450,4 @@ def parse_grid(text: str, layout: StreamLayout) -> DelayedGrid:
         rows.append(row)
     if len(set(len(r) for r in rows)) != 1:
         raise GridFormatError("grid dump rows have differing lengths")
-    tokens = np.asarray(rows, dtype=np.int64)
-    return DelayedGrid(tokens=tokens, valid=_content_valid(tokens, layout))
+    return DelayedGrid(tokens=np.asarray(rows, dtype=np.int64))

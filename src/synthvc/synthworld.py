@@ -1,6 +1,8 @@
 """Deterministic synthetic speech world.
 
-Symbol-sequence "texts" are rendered into speaker-conditioned frame matrices.
+Symbol-sequence "texts" are rendered into speaker-conditioned frame matrices:
+`render` returns the read-only (T, F_DIM) float32 frames, and
+`CorpusSplits.render_text` draws a fresh render's seed from a caller's rng.
 Each content symbol owns a 3-frame template whose frames sum to zero per
 feature, so utterance-mean frames isolate the speaker's offset vector; a
 per-speaker sinusoid on one reserved channel adds a temporal signature.
@@ -107,16 +109,6 @@ def speaker_profile(corpus_seed: int, speaker_id: int) -> SpeakerProfile:
     return SpeakerProfile(id=speaker_id, gain=gain, offset=offset, pitch_rate=rate)
 
 
-@dataclass(frozen=True)
-class Rendering:
-    """Frame matrix for one utterance, plus the generating metadata."""
-
-    frames: np.ndarray      # (T, F_DIM)
-    channel: str
-    transcript: tuple[int, ...]
-    speaker_id: int
-
-
 def frame_labels(transcript) -> np.ndarray:
     """Per-frame symbol label, silence at the edges (label 32)."""
     labels = [SILENCE_LABEL] * SILENCE_EDGE
@@ -127,8 +119,9 @@ def frame_labels(transcript) -> np.ndarray:
 
 
 def render(vocab: SymbolVocab, transcript, speaker: SpeakerProfile, channel: str,
-           seed: int) -> Rendering:
-    """Render a transcript under a speaker; bit-deterministic per inputs."""
+           seed: int) -> np.ndarray:
+    """Read-only (T, F_DIM) float32 frames of a transcript under a speaker;
+    bit-deterministic per inputs."""
     text = tuple(int(s) for s in transcript)
     if any(s < 0 or s >= N_SYMBOLS for s in text):
         raise DataError(f"render: transcript contains non-content symbols: {text}")
@@ -157,7 +150,7 @@ def render(vocab: SymbolVocab, transcript, speaker: SpeakerProfile, channel: str
         sigma = PRISTINE_NOISE
     frames = frames + rng.normal(0.0, sigma, size=frames.shape).astype(np.float32)
     frames.flags.writeable = False
-    return Rendering(frames=frames, channel=channel, transcript=text, speaker_id=speaker.id)
+    return frames
 
 
 @dataclass(frozen=True)
@@ -183,8 +176,14 @@ class CorpusSplits:
     heldout_texts: tuple[tuple[int, ...], ...]
     utterances: tuple[Utterance, ...]
 
-    def render_utterance(self, utt: Utterance) -> Rendering:
+    def render_utterance(self, utt: Utterance) -> np.ndarray:
         return render(self.vocab, utt.text, self.speakers[utt.speaker_id], utt.channel, utt.seed)
+
+    def render_text(self, text, speaker_id: int, channel: str,
+                    rng: np.random.Generator) -> np.ndarray:
+        """A fresh render whose seed is one `rng.integers(2**31)` draw."""
+        return render(self.vocab, text, self.speakers[speaker_id], channel,
+                      int(rng.integers(2**31)))
 
 
 def make_corpus(seed: int, n_speakers: int, n_texts: int, text_len_min: int,

@@ -147,9 +147,9 @@ class PipelineContext:
         key = (speaker_id, idx)
         if key not in self._ref_emb:
             text, seed = pool[idx]
-            r = sw.render(self.splits.vocab, text, self.splits.speakers[speaker_id],
-                          sw.PRISTINE, seed)
-            self._ref_emb[key] = self.spk_enc.embed(r.frames)
+            frames = sw.render(self.splits.vocab, text, self.splits.speakers[speaker_id],
+                               sw.PRISTINE, seed)
+            self._ref_emb[key] = self.spk_enc.embed(frames)
         return self._ref_emb[key]
 
     def frozen_hash(self) -> str:
@@ -164,13 +164,13 @@ class PipelineContext:
         """Fixed held-out fixtures for the training-time metrics columns."""
         if self._metric_items is None:
             rng = np.random.default_rng([0x3E7A, self.splits.seed])
+            render_text = self.splits.render_text
             text_items = []
             for i in range(10):
                 text = self.splits.heldout_texts[i % len(self.splits.heldout_texts)]
                 sid = self.splits.heldout_speaker_ids[i % len(self.splits.heldout_speaker_ids)]
-                r = sw.render(self.splits.vocab, text, self.splits.speakers[sid],
-                              sw.PRISTINE, int(rng.integers(2**31)))
-                text_items.append((text, self.sem_enc.features(r.frames)))
+                frames = render_text(text, sid, sw.PRISTINE, rng)
+                text_items.append((text, self.sem_enc.features(frames)))
             ac_items = []
             hid = self.splits.heldout_speaker_ids
             for i in range(8):
@@ -178,15 +178,11 @@ class PipelineContext:
                 s_sid = hid[i % len(hid)]
                 t_sid = hid[(i + 1) % len(hid)]
                 r_text = self.splits.heldout_texts[(i * 3 + 1) % len(self.splits.heldout_texts)]
-                src = sw.render(self.splits.vocab, s_text, self.splits.speakers[s_sid],
-                                sw.PRISTINE, int(rng.integers(2**31)))
-                ref = sw.render(self.splits.vocab, r_text, self.splits.speakers[t_sid],
-                                sw.PRISTINE, int(rng.integers(2**31)))
-                tgt = sw.render(self.splits.vocab, s_text, self.splits.speakers[t_sid],
-                                sw.PRISTINE, int(rng.integers(2**31)))
-                codes = encode(tgt.frames, self.codec)
-                ac_items.append((s_text, self.sem_enc.features(src.frames),
-                                 self.spk_enc.embed(ref.frames), codes))
+                src = render_text(s_text, s_sid, sw.PRISTINE, rng)
+                ref = render_text(r_text, t_sid, sw.PRISTINE, rng)
+                tgt = render_text(s_text, t_sid, sw.PRISTINE, rng)
+                ac_items.append((s_text, self.sem_enc.features(src),
+                                 self.spk_enc.embed(ref), encode(tgt, self.codec)))
             self._metric_items = (text_items, ac_items)
         return self._metric_items
 
@@ -217,8 +213,7 @@ def _source_features(ctx: PipelineContext, utts, rng: np.random.Generator) -> np
     frames = []
     for u in utts:
         sid = int(train_ids[rng.integers(len(train_ids))])
-        frames.append(sw.render(ctx.splits.vocab, u.text, ctx.splits.speakers[sid],
-                                sw.PRISTINE, int(rng.integers(2**31))).frames)
+        frames.append(ctx.splits.render_text(u.text, sid, sw.PRISTINE, rng))
     return ctx.sem_enc.features(np.stack(frames))
 
 
@@ -245,16 +240,15 @@ def _null_rows(ctx: PipelineContext, params: dict, batch: int) -> Tensor:
 
 
 def select_target(ctx: PipelineContext, source: sw.Utterance, target_speaker: int,
-                  real_prob: float, rng: np.random.Generator) -> sw.Rendering:
-    """Parallel target render: pristine with probability real_prob."""
+                  real_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Parallel target frames: pristine with probability real_prob."""
     channel = sw.PRISTINE if rng.random() < real_prob else sw.DEGRADED
-    return sw.render(ctx.splits.vocab, source.text, ctx.splits.speakers[target_speaker],
-                     channel, int(rng.integers(2**31)))
+    return ctx.splits.render_text(source.text, target_speaker, channel, rng)
 
 
 def _text_ce(ctx, logits, grids, text_only: bool):
     layout = ctx.lm_cfg.layout
-    masks = np.stack([sl.supervised_mask(g, layout, text_only=text_only) for g in grids])
+    masks = np.stack([sl.supervised_mask(g, layout) for g in grids])
     targets = np.stack([g.tokens for g in grids])
     ce_text = nm.cross_entropy(
         nm.reshape(logits[0], (-1, sl.TEXT_VOCAB)),
@@ -292,10 +286,10 @@ def _vc_pool_loss(ctx, params, utts, plan, real_prob, rng):
         tgt = int(train_ids[rng.integers(len(train_ids))])
         ref_idx = int(rng.integers(PipelineContext.REF_POOL_SIZE))
         spk_embs.append(ctx.reference_embedding(tgt, ref_idx, tuple(u.text)))
-        targets.append(select_target(ctx, u, tgt, real_prob, rng).frames)
+        targets.append(select_target(ctx, u, tgt, real_prob, rng))
     # encode quantizes frame by frame, so one call over all targets' rows
     # gives each target the codes of its own call
-    codes = encode(np.concatenate(targets), ctx.codec).codes
+    codes = encode(np.concatenate(targets), ctx.codec)
     per_target = np.split(codes, np.cumsum([len(f) for f in targets])[:-1], axis=1)
     grids = [sl.build_delayed_grid(u.text, c, layout) for u, c in zip(utts, per_target)]
     sem = apply_adapter(params, "sem_adapter",
@@ -386,7 +380,7 @@ def heldout_text_accuracy(ctx: PipelineContext, params: dict) -> float:
         grid = sl.build_asr_grid(text, ctx.lm_cfg.layout)
         sem = apply_adapter(params, "sem_adapter", nm.constant(feats))
         logits = sl.forward(params, ctx.lm_cfg, sem, None, grid)
-        mask = sl.supervised_mask(grid, ctx.lm_cfg.layout, text_only=True)[0]
+        mask = sl.supervised_mask(grid, ctx.lm_cfg.layout)[0]
         pred = logits[0].data.argmax(axis=-1)
         hit += int((pred[mask] == grid.tokens[0][mask]).sum())
         tot += int(mask.sum())

@@ -193,7 +193,8 @@ def checkpointed_run(prepared_run, tmp_path_factory):
 
 # case -> (the corpus manifest's line 2 field to spoil and its bad value) or None
 MALFORMED = {"grid-token": None, "grid-missing": None, "grid-not-utf8": None,
-             "eval-manifest-fields": None, "eval-manifest-not-utf8": None,
+             "eval-manifest-fields": None, "eval-manifest-missing": None,
+             "eval-manifest-not-utf8": None,
              "config-missing": None, "manifest-symbol": (3, "zz"),
              "manifest-speaker": (1, "one"), "manifest-seed": (4, "4.5")}
 
@@ -223,6 +224,8 @@ def test_malformed_input_file_fails_typed_and_is_logged(checkpointed_run, tmp_pa
     elif case == "eval-manifest-fields":
         bad.write_text("eval_src00\teval_tgt00\n\neval_src01\teval_tgt01\textra\n")
         argv, where = ["evaluate", "--manifest", str(bad)], f"{bad}:3: "
+    elif case == "eval-manifest-missing":   # a user's file is data, not a pipeline artifact
+        argv, where = ["evaluate", "--manifest", str(missing)], f"{missing}: "
     elif case == "eval-manifest-not-utf8":
         bad.write_bytes(b"eval_src00\teval_tgt00\xff\n")
         argv, where = ["evaluate", "--manifest", str(bad)], f"{bad}: "

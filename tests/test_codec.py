@@ -62,15 +62,15 @@ def test_fit_reproducible_bitwise():
 def test_encode_centroid_frame_zero_deeper_codes(small_codec):
     _, codec = small_codec
     frame = codec.codebooks[0].centroids[7][None, :]
-    grid = cd.encode(frame, codec)
-    assert grid.codes[0, 0] == 7
-    assert (grid.codes[1:, 0] == 0).all()
+    codes = cd.encode(frame, codec)
+    assert codes[0, 0] == 7
+    assert (codes[1:, 0] == 0).all()
 
 
 def test_encode_zero_frame_all_zero_codes(small_codec):
     _, codec = small_codec
-    grid = cd.encode(np.zeros((3, 16), dtype=np.float32), codec)
-    assert (grid.codes == 0).all()
+    codes = cd.encode(np.zeros((3, 16), dtype=np.float32), codec)
+    assert (codes == 0).all()
 
 
 def test_encode_residual_monotonic_exhaustive(small_codec):
@@ -79,9 +79,9 @@ def test_encode_residual_monotonic_exhaustive(small_codec):
     probe = rng.normal(scale=2.0, size=(500, 16)).astype(np.float32)
     residual = probe.astype(np.float64).copy()
     prev = np.linalg.norm(residual, axis=1)
-    grid = cd.encode(probe, codec)
+    codes = cd.encode(probe, codec)
     for layer, book in enumerate(codec.codebooks):
-        residual -= book.centroids.astype(np.float64)[grid.codes[layer]]
+        residual -= book.centroids.astype(np.float64)[codes[layer]]
         cur = np.linalg.norm(residual, axis=1)
         assert np.all(cur <= prev)
         prev = cur
@@ -91,7 +91,7 @@ def test_encode_deterministic(small_codec):
     frames, codec = small_codec
     a = cd.encode(frames[:50], codec)
     b = cd.encode(frames[:50], codec)
-    assert np.array_equal(a.codes, b.codes)
+    assert np.array_equal(a, b)
 
 
 def test_encode_unfitted_rejected():
@@ -102,23 +102,30 @@ def test_encode_unfitted_rejected():
 
 def test_decode_all_zero_grid(small_codec):
     _, codec = small_codec
-    out = cd.decode(cd.CodeGrid(np.zeros((3, 5), dtype=np.int64)), codec)
+    out = cd.decode(np.zeros((3, 5), dtype=np.int64), codec)
     np.testing.assert_array_equal(out, np.zeros((5, 16), dtype=np.float32))
 
 
 def test_decode_code_out_of_range(small_codec):
     _, codec = small_codec
     with pytest.raises(IndexError):
-        cd.decode(cd.CodeGrid(np.full((3, 2), 16, dtype=np.int64)), codec)
+        cd.decode(np.full((3, 2), 16, dtype=np.int64), codec)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2, 1), (2, 4)])
+def test_decode_rejects_codes_not_n_layers_by_t(small_codec, shape):
+    _, codec = small_codec
+    with pytest.raises(DataError):
+        cd.decode(np.zeros(shape, dtype=np.int64), codec)
 
 
 def test_roundtrip_beats_first_layer_alone(small_codec):
     frames, codec = small_codec
     rng = np.random.default_rng(8)
     probe = rng.normal(scale=1.5, size=(200, 16)).astype(np.float32)
-    grid = cd.encode(probe, codec)
-    full = cd.decode(grid, codec)
-    only0 = codec.codebooks[0].centroids[grid.codes[0]]
+    codes = cd.encode(probe, codec)
+    full = cd.decode(codes, codec)
+    only0 = codec.codebooks[0].centroids[codes[0]]
     err_full = np.sum((probe - full) ** 2, axis=1)
     err_l0 = np.sum((probe - only0) ** 2, axis=1)
     assert np.all(err_full <= err_l0 + 1e-6)
@@ -126,16 +133,16 @@ def test_roundtrip_beats_first_layer_alone(small_codec):
 
 def test_distortion_decreases_with_layer_count(small_codec):
     frames, codec = small_codec
-    grid = cd.encode(frames, codec)
+    codes = cd.encode(frames, codec)
     errs = []
     for upto in range(1, codec.n_layers + 1):
         partial = np.zeros((frames.shape[0], 16), dtype=np.float64)
         for layer in range(upto):
-            partial += codec.codebooks[layer].centroids.astype(np.float64)[grid.codes[layer]]
+            partial += codec.codebooks[layer].centroids.astype(np.float64)[codes[layer]]
         errs.append(float(np.mean(np.sum(frames - partial.astype(np.float32), axis=1) ** 2)))
     # corpus-average distortion shrinks monotonically in layer count
     d = [float(np.mean(np.sum((frames.astype(np.float64) -
-                               sum(codec.codebooks[l].centroids.astype(np.float64)[grid.codes[l]]
+                               sum(codec.codebooks[l].centroids.astype(np.float64)[codes[l]]
                                    for l in range(upto))) ** 2, axis=1)))
          for upto in range(1, codec.n_layers + 1)]
     assert all(d[i + 1] <= d[i] for i in range(len(d) - 1))
@@ -147,7 +154,7 @@ def test_heldout_snr_within_one_db_of_fit(splits, codec):
     for text in splits.heldout_texts:
         sid = splits.heldout_speaker_ids[int(rng.integers(4))]
         chunks.append(sw.render(splits.vocab, text, splits.speakers[sid],
-                                sw.PRISTINE, int(rng.integers(2**31))).frames)
+                                sw.PRISTINE, int(rng.integers(2**31))))
     frames = np.concatenate(chunks)
     recon = cd.decode(cd.encode(frames, codec), codec)
     x = frames.astype(np.float64)
@@ -164,8 +171,8 @@ def test_artifact_round_trip(tmp_path, small_codec):
     assert np.float32(back.fit_snr_db) == np.float32(codec.fit_snr_db)
     for a, b in zip(codec.codebooks, back.codebooks):
         np.testing.assert_array_equal(a.centroids, b.centroids)
-    grid = cd.encode(frames[:20], back)
-    assert np.array_equal(grid.codes, cd.encode(frames[:20], codec).codes)
+    codes = cd.encode(frames[:20], back)
+    assert np.array_equal(codes, cd.encode(frames[:20], codec))
 
 
 def test_artifact_bad_magic(tmp_path):

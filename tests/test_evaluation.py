@@ -81,9 +81,18 @@ def test_verifier_eer_gate(verifier):
     assert verifier.eer is not None and verifier.eer <= 0.10
 
 
+@pytest.mark.parametrize("same,diff,eer", [
+    ([0.9, 0.8], [0.1, 0.2, 0.3], 0.0),   # separable: a threshold at 0.8 errs nowhere
+    # overlapping: thresholds 0.1, 0.4, 0.6, 0.9 give (FAR, FRR) = (1, 0),
+    # (1/2, 0), (1/2, 1/2), (0, 1/2), so the least mean is 1/4
+    ([0.9, 0.4], [0.6, 0.1], 0.25),
+])
+def test_equal_error_rate_hand_checked(same, diff, eer):
+    assert ev._equal_error_rate(np.asarray(same), np.asarray(diff)) == eer
+
+
 def test_cosine_self_similarity(verifier, splits):
-    r = splits.render_utterance(splits.utterances[0])
-    e = verifier.embed(r.frames)
+    e = verifier.embed(splits.render_utterance(splits.utterances[0]))
     assert abs(ev.cosine(e, e) - 1.0) < 1e-6
 
 

@@ -416,7 +416,8 @@ def _op_checks(seed):
         "weighted_sum": lambda xt: nm.sum_all(nm.mul(nm.weighted_sum(
             [xt, nm.mul(xt, xt), nm.silu(xt), nm.constant(w.T, dtype=xt.dtype)],
             [0.7, -1.3, 0.0, 2.0]), xt)),
-        "unfold": lambda xt: nm.mean_all(nm.mul(nm.unfold_time(xt, 2, 2, 1), nm.unfold_time(xt, 2, 2, 1))),
+        "unfold": lambda xt: nm.mean_all(nm.mul(nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 2, 2, 1),
+                                                nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 2, 2, 1))),
         "attend": lambda xt: nm.mean_all(nm.mul(nm.attend(
             nm.reshape(xt, (1, 3, 4)),
             nm.mul(nm.reshape(xt, (1, 3, 4)), nm.constant(b3[:1], dtype=xt.dtype)),
@@ -603,19 +604,19 @@ def test_weighted_sum_rejects_mismatched_inputs():
 
 def test_unfold_time_matches_manual_windows():
     x = np.arange(12, dtype=np.float32).reshape(6, 2)
-    out = nm.unfold_time(t(x), kernel=4, stride=2, pad=1).data
+    out = nm.unfold_time(t(x[None]), kernel=4, stride=2, pad=1).data
     padded = np.vstack([np.zeros((1, 2), np.float32), x, np.zeros((1, 2), np.float32)])
-    assert out.shape == (3, 8)
+    assert out.shape == (1, 3, 8)
     for i in range(3):
-        np.testing.assert_array_equal(out[i], padded[2 * i:2 * i + 4].reshape(-1))
+        np.testing.assert_array_equal(out[0, i], padded[2 * i:2 * i + 4].reshape(-1))
 
 
 def test_unfold_time_ceil_halving():
     # kernel 3 / stride 2 / pad 1 halves the time axis with ceiling rounding
     for T in (9, 10, 11, 40):
-        x = t(np.zeros((T, 3), dtype=np.float32))
+        x = t(np.zeros((1, T, 3), dtype=np.float32))
         out = nm.unfold_time(x, kernel=3, stride=2, pad=1)
-        assert out.shape[0] == (T + 1) // 2
+        assert out.shape[1] == (T + 1) // 2
 
 
 def test_tensor_immutable():

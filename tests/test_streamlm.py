@@ -58,7 +58,7 @@ def test_round_trip_identity_1000_random_pairs():
         g = sl.build_delayed_grid(text, codes, LAYOUT4)
         t2, c2 = sl.invert_delayed_grid(g, LAYOUT4)
         assert t2 == text
-        assert np.array_equal(c2.codes, codes)
+        assert np.array_equal(c2, codes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,7 +71,7 @@ def test_round_trip_property(text, ta, seed):
     codes = np.random.default_rng(seed).integers(0, 64, size=(4, ta))
     g = sl.build_delayed_grid(text, codes, LAYOUT4)
     t2, c2 = sl.invert_delayed_grid(g, LAYOUT4)
-    assert t2 == list(text) and np.array_equal(c2.codes, codes)
+    assert t2 == list(text) and np.array_equal(c2, codes)
 
 
 def test_delay_layout_structure():
@@ -83,10 +83,11 @@ def test_delay_layout_structure():
         codes = rng.integers(0, 64, size=(4, ta))
         g = sl.build_delayed_grid(text, codes, LAYOUT4)
         eos_pos = int(np.nonzero(g.tokens[0] == sl.TEXT_EOS)[0][0])
-        layer1_real = np.nonzero(g.valid[1])[0]
+        real = g.tokens < LAYOUT4.code_vocab
+        layer1_real = np.nonzero(real[1])[0]
         assert eos_pos < layer1_real[-1]
         for k in range(1, 5):
-            first_real = int(np.nonzero(g.valid[k])[0][0])
+            first_real = int(np.nonzero(real[k])[0][0])
             assert first_real == k
 
 
@@ -94,7 +95,7 @@ def test_invert_rejects_empty_text():
     g = sl.build_delayed_grid([1], np.zeros((4, 2), dtype=np.int64), LAYOUT4)
     tokens = g.tokens.copy()
     tokens[0, 0] = sl.TEXT_EOS   # EOS at step 0: all-PAD text
-    bad = sl.DelayedGrid(tokens=tokens, valid=g.valid)
+    bad = sl.DelayedGrid(tokens=tokens)
     with pytest.raises(DataError, match="empty text"):
         sl.invert_delayed_grid(bad, LAYOUT4)
 
@@ -103,7 +104,7 @@ def test_invert_rejects_token_before_delay():
     g = sl.build_delayed_grid([1, 2], np.ones((4, 3), dtype=np.int64), LAYOUT4)
     tokens = g.tokens.copy()
     tokens[3, 1] = 5   # stream 3 has delay 3; real token at step 1 is invalid
-    bad = sl.DelayedGrid(tokens=tokens, valid=g.valid)
+    bad = sl.DelayedGrid(tokens=tokens)
     with pytest.raises(GridFormatError, match="stream 3"):
         sl.invert_delayed_grid(bad, LAYOUT4)
 
@@ -112,7 +113,7 @@ def test_invert_rejects_token_after_pad():
     g = sl.build_delayed_grid([1, 2, 3], np.ones((4, 5), dtype=np.int64), LAYOUT4)
     tokens = g.tokens.copy()
     tokens[1, -1] = 2   # last column is PAD for stream 1
-    bad = sl.DelayedGrid(tokens=tokens, valid=g.valid)
+    bad = sl.DelayedGrid(tokens=tokens)
     with pytest.raises(GridFormatError, match="after PAD"):
         sl.invert_delayed_grid(bad, LAYOUT4)
 
@@ -131,7 +132,7 @@ def test_asr_grid_text_only():
     g = sl.build_asr_grid([3, 4, 5], LAYOUT4)
     assert g.tokens[0, :4].tolist() == [3, 4, 5, sl.TEXT_EOS]
     assert (g.tokens[1:] == LAYOUT4.ac_pad).all()
-    m = sl.supervised_mask(g, LAYOUT4, text_only=True)
+    m = sl.supervised_mask(g, LAYOUT4)
     assert m[0, :4].all() and not m[1:].any()
 
 
@@ -185,7 +186,7 @@ def test_forward_causality_probes(lm):
         tokens = grid.tokens.copy()
         vocab = sl.TEXT_VOCAB if s == 0 else cfg.layout.ac_vocab
         tokens[s, j + 1] = (tokens[s, j + 1] + 1 + int(rng.integers(vocab - 1))) % vocab
-        pert = sl.DelayedGrid(tokens=tokens, valid=grid.valid)
+        pert = sl.DelayedGrid(tokens=tokens)
         outs = sl.forward(params, cfg, sem, spk, pert)
         for a, b in zip(base, outs):
             assert np.array_equal(a.data[:j + 1], b.data[:j + 1])
@@ -220,7 +221,7 @@ def test_generate_untrained_model_structurally_valid(lm):
     cfg, params, sem, spk, _ = lm
     res = sl.generate(params, cfg, sem, spk, max_steps=48, tail=8)
     text, codes = sl.invert_delayed_grid(res.grid, cfg.layout)   # must not raise
-    assert len(text) >= 1 and codes.codes.shape[1] >= 1
+    assert len(text) >= 1 and codes.shape[1] >= 1
 
 
 def test_generate_greedy_deterministic(lm):
@@ -331,7 +332,7 @@ def test_cached_decode_matches_teacher_forced_rescoring(lm, monkeypatch, stops):
     assert tokens.shape[1] == res.steps
     if stops:   # a clean stop emits exactly the canonical grid
         assert np.array_equal(tokens, res.grid.tokens)
-    grid = sl.DelayedGrid(tokens=tokens, valid=np.ones(tokens.shape, dtype=bool))
+    grid = sl.DelayedGrid(tokens=tokens)
     forced = sl.forward(params, cfg, sem, spk, grid)
     for j, here in enumerate(picked):
         for s, row, allowed, tok in here:
@@ -363,8 +364,7 @@ def test_decode_capacity_error_at_predicted_column(lm, monkeypatch, capacity):
     for cols, fits in ((j, True), (j + 1, False)):
         if cols < 1:
             continue
-        grid = sl.DelayedGrid(tokens=np.zeros((5, cols), dtype=np.int64),
-                              valid=np.ones((5, cols), dtype=bool))
+        grid = sl.DelayedGrid(tokens=np.zeros((5, cols), dtype=np.int64))
         if fits:
             sl.forward(params, small, sem, spk, grid)
         else:
@@ -390,4 +390,3 @@ def test_grid_dump_parse_round_trip():
     assert "<eos>" in s.splitlines()[0] and "<bos>" in s.splitlines()[1]
     g2 = sl.parse_grid(s, LAYOUT4)
     assert np.array_equal(g.tokens, g2.tokens)
-    assert np.array_equal(g.valid, g2.valid)

@@ -22,23 +22,23 @@ def test_render_identity_speaker_zero_noise(splits, monkeypatch):
     text = (0, 5, 17)
     r = sw.render(splits.vocab, text, prof, sw.PRISTINE, seed=3)
     t_total = sw.frames_for_text(3)
-    assert r.frames.shape == (t_total, sw.F_DIM)
+    assert r.shape == (t_total, sw.F_DIM)
     for i, s in enumerate(text):
         lo = sw.SILENCE_EDGE + i * sw.FRAMES_PER_SYMBOL
-        block = r.frames[lo:lo + 3, :sw.CONTENT_DIMS]
+        block = r[lo:lo + 3, :sw.CONTENT_DIMS]
         np.testing.assert_array_equal(block, splits.vocab.templates[s][:, :sw.CONTENT_DIMS])
     tt = np.arange(t_total, dtype=np.float32)
     pitch = sw.PITCH_AMP * np.sin(2 * np.pi * np.float32(0.2) * tt)
-    np.testing.assert_allclose(r.frames[:, sw.PITCH_CHANNEL], pitch, atol=1e-6)
+    np.testing.assert_allclose(r[:, sw.PITCH_CHANNEL], pitch, atol=1e-6)
 
 
 def test_render_deterministic(splits):
     prof = splits.speakers[splits.train_speaker_ids[0]]
     a = sw.render(splits.vocab, (1, 2, 3), prof, sw.DEGRADED, seed=11)
     b = sw.render(splits.vocab, (1, 2, 3), prof, sw.DEGRADED, seed=11)
-    assert np.array_equal(a.frames, b.frames)
+    assert np.array_equal(a, b)
     c = sw.render(splits.vocab, (1, 2, 3), prof, sw.DEGRADED, seed=12)
-    assert not np.array_equal(a.frames, c.frames)
+    assert not np.array_equal(a, c)
 
 
 def test_render_rejects_special_symbols(splits):
@@ -59,8 +59,8 @@ def test_cross_speaker_distance_exceeds_rerender(splits):
         ra = sw.render(splits.vocab, text, splits.speakers[int(a)], sw.PRISTINE, s1)
         rb = sw.render(splits.vocab, text, splits.speakers[int(b)], sw.PRISTINE, s1)
         ra2 = sw.render(splits.vocab, text, splits.speakers[int(a)], sw.PRISTINE, s2)
-        diffs.append(np.abs(ra.frames - rb.frames).mean())
-        sames.append(np.abs(ra.frames - ra2.frames).mean())
+        diffs.append(np.abs(ra - rb).mean())
+        sames.append(np.abs(ra - ra2).mean())
     assert np.mean(diffs) > np.mean(sames)
 
 
@@ -96,18 +96,20 @@ def test_parallel_pair_same_speaker_identity(splits):
     utt = splits.utterances[0]
     src = splits.render_utterance(utt)
     prof = splits.speakers[utt.speaker_id]
-    again = sw.render(splits.vocab, src.transcript, prof, sw.PRISTINE, seed=utt.seed)
-    assert np.array_equal(src.frames, again.frames)
+    again = sw.render(splits.vocab, utt.text, prof, sw.PRISTINE, seed=utt.seed)
+    assert np.array_equal(src, again)
 
 
-def test_parallel_pair_preserves_transcript(splits):
-    utt = splits.utterances[3]
-    src = splits.render_utterance(utt)
-    tgt_id = splits.train_speaker_ids[5]
-    pair = sw.render(splits.vocab, src.transcript, splits.speakers[tgt_id], sw.DEGRADED,
-                     seed=99)
-    assert pair.transcript == src.transcript
-    assert pair.speaker_id == tgt_id
+def test_render_text_is_render_at_one_seed_draw(splits):
+    # one integers(2**31) draw is the seed, and the rng ends where that draw leaves it
+    text, sid = splits.train_texts[2], splits.train_speaker_ids[3]
+    rng, twin = np.random.default_rng(41), np.random.default_rng(41)
+    got = splits.render_text(text, sid, sw.DEGRADED, rng)
+    want = sw.render(splits.vocab, text, splits.speakers[sid], sw.DEGRADED,
+                     int(twin.integers(2**31)))
+    assert got.dtype == np.float32 and not got.flags.writeable
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_degraded_differs_beyond_noise_floor(splits):
@@ -115,7 +117,7 @@ def test_degraded_differs_beyond_noise_floor(splits):
     prof = splits.speakers[utt.speaker_id]
     clean = sw.render(splits.vocab, utt.text, prof, sw.PRISTINE, seed=5)
     rough = sw.render(splits.vocab, utt.text, prof, sw.DEGRADED, seed=5)
-    rms = np.sqrt(np.mean((clean.frames - rough.frames) ** 2))
+    rms = np.sqrt(np.mean((clean - rough) ** 2))
     assert rms > 3 * sw.PRISTINE_NOISE
 
 
@@ -129,7 +131,7 @@ def test_speaker_separability_gate(splits):
             text = splits.train_texts[int(rng.integers(len(splits.train_texts)))]
             r = sw.render(splits.vocab, text, splits.speakers[sid], sw.PRISTINE,
                           int(rng.integers(2**31)))
-            means.append(r.frames.mean(axis=0))
+            means.append(r.mean(axis=0))
         cents[sid] = np.mean(means[:10], axis=0)
         probes.extend((sid, m) for m in means[10:])
     ids = list(cents)
@@ -143,7 +145,7 @@ def test_transcript_recoverability_gate(splits):
     total = correct = 0
     for utt in splits.utterances[:150]:
         r = splits.render_utterance(utt)
-        dec = sw.nearest_template_decode(splits.vocab, r.frames)
+        dec = sw.nearest_template_decode(splits.vocab, r)
         total += len(utt.text)
         correct += sum(a == b for a, b in zip(dec, utt.text))
     assert correct / total >= 0.99
@@ -166,7 +168,7 @@ def test_manifest_round_trip(tmp_path, splits):
 
 
 def test_frames_file_round_trip(tmp_path, splits):
-    renders = {u.utt_id: splits.render_utterance(u).frames for u in splits.utterances[:4]}
+    renders = {u.utt_id: splits.render_utterance(u) for u in splits.utterances[:4]}
     path = tmp_path / "frames.bin"
     sw.write_frames(path, renders)
     back = sw.load_frames(path)

@@ -189,9 +189,9 @@ def test_source_features_batched_equals_per_item_loop(bare_context, seed, size):
     want = []
     for u in batch:   # one render and one frozen forward per item, in draw order
         sid = int(train_ids[rng_loop.integers(len(train_ids))])
-        r = sw.render(ctx.splits.vocab, u.text, ctx.splits.speakers[sid], sw.PRISTINE,
-                      int(rng_loop.integers(2**31)))
-        want.append(ctx.sem_enc.features(r.frames))
+        frames = sw.render(ctx.splits.vocab, u.text, ctx.splits.speakers[sid], sw.PRISTINE,
+                           int(rng_loop.integers(2**31)))
+        want.append(ctx.sem_enc.features(frames))
     assert got.shape == (len(batch),) + want[0].shape
     assert np.array_equal(got, np.stack(want))
     assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
@@ -203,9 +203,9 @@ def test_vc_pool_grids_hold_each_targets_own_codes(bare_context, monkeypatch, de
     select, build = tr.select_target, sl.build_delayed_grid
 
     def recording_select(*args):
-        r = select(*args)
-        targets.append(r.frames)
-        return r
+        frames = select(*args)
+        targets.append(frames)
+        return frames
 
     def recording_build(text, codes, layout):
         grid_codes.append(np.array(codes))
@@ -218,7 +218,7 @@ def test_vc_pool_grids_hold_each_targets_own_codes(bare_context, monkeypatch, de
                      np.random.default_rng(48))
     assert len(targets) == len(grid_codes) == len(batch)
     for frames, codes in zip(targets, grid_codes):   # one encode call per target
-        assert np.array_equal(codes, encode(frames, ctx.codec).codes)
+        assert np.array_equal(codes, encode(frames, ctx.codec))
 
 
 @pytest.mark.parametrize("steps,interval,evals", [(4, 2, 2), (3, 2, 2), (0, 2, 1)])
@@ -245,25 +245,39 @@ def test_train_stage_scores_heldout_once_per_eval(bare_context, monkeypatch,
 # target selection
 
 
-def test_select_target_always_pristine_at_prob_one(bare_context):
+def _spy_renders(monkeypatch):
+    """Record the (transcript, speaker id, channel) of every sw.render call."""
+    calls, render = [], sw.render
+
+    def spy(vocab, transcript, speaker, channel, seed):
+        calls.append((tuple(transcript), speaker.id, channel))
+        return render(vocab, transcript, speaker, channel, seed)
+
+    monkeypatch.setattr(sw, "render", spy)
+    return calls
+
+
+def test_select_target_always_pristine_at_prob_one(bare_context, monkeypatch):
     ctx = bare_context
+    calls = _spy_renders(monkeypatch)
     rng = np.random.default_rng(23)
     for utt in ctx.splits.utterances[:20]:
-        t = tr.select_target(ctx, utt, ctx.splits.train_speaker_ids[0], 1.0, rng)
-        assert t.channel == sw.PRISTINE
+        tr.select_target(ctx, utt, ctx.splits.train_speaker_ids[0], 1.0, rng)
+    assert len(calls) == 20 and all(ch == sw.PRISTINE for _, _, ch in calls)
 
 
-def test_select_target_percentage_and_transcript(bare_context):
+def test_select_target_percentage_and_transcript(bare_context, monkeypatch):
     ctx = bare_context
+    calls = _spy_renders(monkeypatch)
     rng = np.random.default_rng(29)
     utt = ctx.splits.utterances[0]
     tgt = ctx.splits.train_speaker_ids[3]
-    pristine = 0
     n = 10000
     for _ in range(n):
-        t = tr.select_target(ctx, utt, tgt, 0.8, rng)
-        pristine += t.channel == sw.PRISTINE
-        assert t.transcript == utt.text
+        tr.select_target(ctx, utt, tgt, 0.8, rng)
+    assert len(calls) == n
+    assert all(text == utt.text and sid == tgt for text, sid, _ in calls)
+    pristine = sum(ch == sw.PRISTINE for _, _, ch in calls)
     assert abs(pristine / n - 0.80) <= 0.02
 
 
