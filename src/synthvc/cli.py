@@ -114,7 +114,7 @@ class RunDir:
         stored = self.path("config.resolved")
         if not stored.exists():
             return
-        if stored.read_text(encoding="utf-8") != cfg.canonical_text():
+        if read_text(stored, StateError) != cfg.canonical_text():
             if not allow:
                 raise ConfigError(
                     "config drift: resolved config differs from the one this run "
@@ -331,8 +331,8 @@ def cmd_train(args, cfg: RunConfig, run: RunDir) -> int:
     tr.write_metrics_log(run.path("logs", "metrics.tsv"), result.metrics_rows)
     for name in stages:
         rep = result.stage_reports[name]
-        print(f"stage {name}: loss {rep['final_loss']:.4f} "
-              f"heldout text accuracy {rep['heldout_text_accuracy']:.4f}")
+        loss = "" if rep["final_loss"] is None else f"loss {rep['final_loss']:.4f} "
+        print(f"stage {name}: {loss}heldout text accuracy {rep['heldout_text_accuracy']:.4f}")
     return EXIT_OK
 
 
@@ -359,7 +359,7 @@ def cmd_convert(args, cfg: RunConfig, run: RunDir) -> int:
     src = ctx.splits.render_utterance(src_u)
     ref = ctx.splits.render_utterance(ref_u)
     sem_rows = en.apply_adapter(params, "sem_adapter",
-                                nm.constant(ctx.sem_enc.features(src)))
+                                nm.constant(ctx.sem_enc.features(src[None])[0]))
     spk_row = en.apply_adapter(params, "spk_adapter",
                                nm.constant(ctx.spk_enc.embed(ref)))
     rng = (np.random.default_rng([0xC04F, cfg["eval.seed"]])

@@ -90,20 +90,15 @@ class SemanticEncoder:
     heldout_frame_accuracy: float | None = None
 
     def forward_t(self, x: Tensor) -> Tensor:
-        """(B, T, F) -> (B, ceil(T/2), d_sem); also accepts (T, F)."""
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = nm.reshape(x, (1,) + x.shape)
+        """(B, T, F) -> (B, ceil(T/2), d_sem)."""
         h = nm.unfold_time(x, kernel=3, stride=2, pad=1)
         h = nm.silu(nn.linear(self.params, "sem.in", h))
         t_half = h.shape[1]
-        h = nn.trunk(self.params, "sem", h, np.arange(t_half), SEM_HEADS, SEM_BLOCKS,
-                     mask=None)
-        return nm.reshape(h, h.shape[1:]) if squeeze else h
+        return nn.trunk(self.params, "sem", h, np.arange(t_half), SEM_HEADS, SEM_BLOCKS,
+                        mask=None)
 
     def features(self, frames: np.ndarray) -> np.ndarray:
-        """Frozen forward: (T, F) frames give (ceil(T/2), d_sem), a (B, T, F)
-        stack gives (B, ceil(T/2), d_sem)."""
+        """Frozen forward: (B, T, F) frames give (B, ceil(T/2), d_sem)."""
         return self.forward_t(nm.constant(frames)).data
 
 
@@ -171,19 +166,16 @@ class SpeakerEncoder:
 
     def forward_t(self, x: Tensor) -> Tensor:
         """(B, T, F) -> (B, 1, d_spk); length-independent output."""
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = nm.reshape(x, (1,) + x.shape)
         h = nm.unfold_time(x, kernel=3, stride=2, pad=1)
         h = nm.silu(nn.linear(self.params, "spk.c1", h))
         h = nm.unfold_time(h, kernel=3, stride=2, pad=1)
         h = nm.silu(nn.linear(self.params, "spk.c2", h))
         h = nm.mean_axis(h, axis=1)
-        h = nn.linear(self.params, "spk.proj", h)
-        return nm.reshape(h, h.shape[1:]) if squeeze else h
+        return nn.linear(self.params, "spk.proj", h)
 
     def embed(self, frames: np.ndarray) -> np.ndarray:
-        return self.forward_t(nm.constant(frames)).data
+        """Frozen forward of one utterance: (T, F) frames give (1, d_spk)."""
+        return self.forward_t(nm.constant(frames[None])).data[0]
 
 
 def init_speaker_encoder(dims: EncoderDims, seed: int) -> SpeakerEncoder:

@@ -63,19 +63,17 @@ class OracleVerifier:
     eer: float | None = None
 
     def forward_t(self, x: Tensor) -> Tensor:
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = nm.reshape(x, (1,) + x.shape)
+        """(B, T, F) -> (B, 1, VERIFIER_EMB)."""
         h = nm.unfold_time(x, kernel=5, stride=2, pad=2)
         h = nm.silu(nn.linear(self.params, "ov.c1", h))
         h = nm.unfold_time(h, kernel=5, stride=2, pad=2)
         h = nm.silu(nn.linear(self.params, "ov.c2", h))
         h = nm.mean_axis(h, axis=1)
-        h = nn.linear(self.params, "ov.emb", h)
-        return nm.reshape(h, h.shape[1:]) if squeeze else h
+        return nn.linear(self.params, "ov.emb", h)
 
     def embed(self, frames: np.ndarray) -> np.ndarray:
-        return self.forward_t(nm.constant(frames)).data[0]
+        """Frozen forward of one utterance: (T, F) frames give (VERIFIER_EMB,)."""
+        return self.forward_t(nm.constant(frames[None])).data[0, 0]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -314,8 +312,10 @@ def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
     Each distinct utterance is rendered and embedded by the verifier once
     per call. Nothing is cached across calls, so the report depends only on
     the arguments: a second manifest scored with the same encoder and oracle
-    objects gives the report that fresh objects give.
+    objects gives the report that fresh objects give. No pairs is a DataError.
     """
+    if not pairs:
+        raise DataError("evaluate: no pairs to score")
     assert_oracle_independence(verifier.params, {**adapter_params, **sem_enc.params,
                                                  **spk_enc.params})
     assert_oracle_independence(transcriber.params, {**adapter_params, **sem_enc.params,
@@ -343,7 +343,7 @@ def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
     truncated = 0
     for p in pairs:
         sem = apply_adapter(adapter_params, "sem_adapter",
-                            nm.constant(sem_enc.features(renders[p.source])))
+                            nm.constant(sem_enc.features(renders[p.source][None])[0]))
         spk = apply_adapter(adapter_params, "spk_adapter",
                             nm.constant(spk_enc.embed(renders[p.target_ref])))
         res = sl.generate(lm_params, lm_cfg, sem, spk, max_steps=max_steps, tail=tail)

@@ -1,12 +1,14 @@
 """Three-stage optimization: ASR pretraining, VC training, joint ASR-VC.
 
 One `TrainPlan` configures all three stages and is validated when it is
-built, so a bad value fails before any training runs. The frozen
-components (encoders, codec) never enter the optimizer state; ASR-mode
-instances condition on a learned null-speaker row and route no gradient to
-the speaker adapter. Batches are drawn from same-text-length buckets so
-grids stack without padding. Everything is a deterministic function of the
-plan's seed.
+built, so a bad value fails before any training runs. Every training pool
+goes through one loss path, `_pool_loss`: a weighted sum of per-stream CEs,
+with weights (1,) over the text stream for L_ASR and (w, (1 - w) * lambda_i)
+over all streams for L_VC. The frozen components (encoders, codec) never
+enter the optimizer state; ASR-mode instances condition on a learned
+null-speaker row and route no gradient to the speaker adapter. Batches are
+drawn from same-text-length buckets so grids stack without padding.
+Everything is a deterministic function of the plan's seed.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class TrainPlan:
     the vc and joint stages render pristine targets with probability
     vc_real_prob and joint_real_prob. Values are range-checked here, so a
     bad one fails before any stage runs; `run_pipeline` checks `lambdas`
-    against the codec's layer count.
+    and `gen_max_steps` against the codec's layer count.
     """
 
     asr_steps: int
@@ -73,7 +75,7 @@ class TrainPlan:
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"train plan: {label}={v} outside [0, 1]")
         for label, least in (("asr_steps", 0), ("vc_steps", 0), ("joint_steps", 0),
-                             ("batch", 1), ("eval_interval", 1)):
+                             ("batch", 1), ("eval_interval", 1), ("gen_tail", 1)):
             v = getattr(self, label)
             if v < least:
                 raise ConfigError(f"train plan: {label}={v} below {least}")
@@ -85,7 +87,7 @@ class StepResult:
     the VC pool ran."""
 
     loss: float
-    ce_text: float | None
+    ce_text: float
     ce_acoustic: tuple[float, ...] | None
 
 
@@ -170,7 +172,7 @@ class PipelineContext:
                 text = self.splits.heldout_texts[i % len(self.splits.heldout_texts)]
                 sid = self.splits.heldout_speaker_ids[i % len(self.splits.heldout_speaker_ids)]
                 frames = render_text(text, sid, sw.PRISTINE, rng)
-                text_items.append((text, self.sem_enc.features(frames)))
+                text_items.append((text, self.sem_enc.features(frames[None])[0]))
             ac_items = []
             hid = self.splits.heldout_speaker_ids
             for i in range(8):
@@ -181,7 +183,7 @@ class PipelineContext:
                 src = render_text(s_text, s_sid, sw.PRISTINE, rng)
                 ref = render_text(r_text, t_sid, sw.PRISTINE, rng)
                 tgt = render_text(s_text, t_sid, sw.PRISTINE, rng)
-                ac_items.append((s_text, self.sem_enc.features(src),
+                ac_items.append((s_text, self.sem_enc.features(src[None])[0],
                                  self.spk_enc.embed(ref), encode(tgt, self.codec)))
             self._metric_items = (text_items, ac_items)
         return self._metric_items
@@ -246,39 +248,39 @@ def select_target(ctx: PipelineContext, source: sw.Utterance, target_speaker: in
     return ctx.splits.render_text(source.text, target_speaker, channel, rng)
 
 
-def _text_ce(ctx, logits, grids, text_only: bool):
+def _pool_loss(ctx, params, utts, grids, spk, weights, plan, rng):
+    """sum_i weights[i] * CE_i over streams 0..len(weights)-1 of the grids,
+    teacher-forced on fresh source features and speaker rows spk, the text
+    CE first scaled by text_loss_scale. Returns the loss and the CE values.
+
+    The mix is one float64 weighted sum rounded once, so the value is within
+    0.5 ulp of an independent float64 recomputation from the CEs.
+    """
     layout = ctx.lm_cfg.layout
+    sem = apply_adapter(params, "sem_adapter",
+                        nm.constant(_source_features(ctx, utts, rng)))
+    tokens = np.stack([g.tokens for g in grids])
     masks = np.stack([sl.supervised_mask(g, layout) for g in grids])
-    targets = np.stack([g.tokens for g in grids])
-    ce_text = nm.cross_entropy(
-        nm.reshape(logits[0], (-1, sl.TEXT_VOCAB)),
-        targets[:, 0, :].reshape(-1), masks[:, 0, :].reshape(-1))
-    if text_only:
-        return ce_text, None
-    ce_ac = []
-    for i in range(layout.n_layers):
-        ce_ac.append(nm.cross_entropy(
-            nm.reshape(logits[i + 1], (-1, layout.ac_vocab)),
-            targets[:, i + 1, :].reshape(-1), masks[:, i + 1, :].reshape(-1)))
-    return ce_text, ce_ac
+    tokens_in = _dropped_text_inputs(tokens, plan.text_input_dropout, rng)
+    logits = sl.forward_batch(params, ctx.lm_cfg, sem, spk, tokens_in)
+    ces = [nm.cross_entropy(nm.reshape(logits[i], (-1, logits[i].shape[-1])),
+                            tokens[:, i, :].reshape(-1), masks[:, i, :].reshape(-1))
+           for i in range(len(weights))]
+    loss = nm.weighted_sum([nm.scale(ces[0], plan.text_loss_scale), *ces[1:]], weights)
+    return loss, tuple(float(c.item()) for c in ces)
 
 
 def _asr_pool_loss(ctx, params, utts, plan, rng):
-    """Text-stream CE with the null-speaker prefix; acoustic rows all PAD."""
+    """L_ASR: the text-stream CE with the null-speaker prefix; acoustic rows
+    all PAD."""
     grids = [sl.build_asr_grid(u.text, ctx.lm_cfg.layout) for u in utts]
-    sem = apply_adapter(params, "sem_adapter",
-                        nm.constant(_source_features(ctx, utts, rng)))
-    spk = _null_rows(ctx, params, len(utts))
-    tokens = np.stack([g.tokens for g in grids])
-    tokens_in = _dropped_text_inputs(tokens, plan.text_input_dropout, rng)
-    logits = sl.forward_batch(params, ctx.lm_cfg, sem, spk, tokens_in)
-    ce_text, _ = _text_ce(ctx, logits, grids, text_only=True)
-    return nm.scale(ce_text, plan.text_loss_scale), float(ce_text.item())
+    return _pool_loss(ctx, params, utts, grids, _null_rows(ctx, params, len(utts)), (1.0,),
+                      plan, rng)
 
 
 def _vc_pool_loss(ctx, params, utts, plan, real_prob, rng):
-    """w * CE_text + (1 - w) * sum_i lambda_i * CE_ac_i over a sub-batch whose
-    targets are pristine with probability real_prob."""
+    """L_VC: w * CE_text + (1 - w) * sum_i lambda_i * CE_ac_i over a sub-batch
+    whose targets are pristine with probability real_prob."""
     layout = ctx.lm_cfg.layout
     train_ids = ctx.splits.train_speaker_ids
     targets, spk_embs = [], []
@@ -292,26 +294,9 @@ def _vc_pool_loss(ctx, params, utts, plan, real_prob, rng):
     codes = encode(np.concatenate(targets), ctx.codec)
     per_target = np.split(codes, np.cumsum([len(f) for f in targets])[:-1], axis=1)
     grids = [sl.build_delayed_grid(u.text, c, layout) for u, c in zip(utts, per_target)]
-    sem = apply_adapter(params, "sem_adapter",
-                        nm.constant(_source_features(ctx, utts, rng)))
     spk = apply_adapter(params, "spk_adapter", nm.constant(np.stack(spk_embs)))
-    tokens = np.stack([g.tokens for g in grids])
-    tokens_in = _dropped_text_inputs(tokens, plan.text_input_dropout, rng)
-    logits = sl.forward_batch(params, ctx.lm_cfg, sem, spk, tokens_in)
-    ce_text, ce_ac = _text_ce(ctx, logits, grids, text_only=False)
-    loss = combine_vc_loss(ce_text, ce_ac, plan)
-    return loss, float(ce_text.item()), tuple(float(c.item()) for c in ce_ac)
-
-
-def combine_vc_loss(ce_text, ce_ac, plan: TrainPlan):
-    """w * CE_text + (1 - w) * sum_i lambda_i * CE_ac_i, as one taped tensor.
-
-    The mix is a single float64 weighted sum rounded once, so the value is
-    within 0.5 ulp of an independent float64 recomputation from its inputs.
-    """
-    weights = [plan.w * plan.text_loss_scale] + [(1.0 - plan.w) * lam
-                                                 for lam in plan.lambdas]
-    return nm.weighted_sum([ce_text, *ce_ac], weights)
+    weights = (plan.w, *((1.0 - plan.w) * lam for lam in plan.lambdas))
+    return _pool_loss(ctx, params, utts, grids, spk, weights, plan, rng)
 
 
 def _step(name, batch, state: TrainState, ctx: PipelineContext, plan: TrainPlan,
@@ -320,18 +305,17 @@ def _step(name, batch, state: TrainState, ctx: PipelineContext, plan: TrainPlan,
     """One descent step on asr_weight * L_ASR(asr_items) + (1 - asr_weight) *
     L_VC(vc_items), the VC targets pristine with probability real_prob. An
     empty pool adds no term, so a one-pool step's loss is its pool's loss."""
-    ce_text = ce_ac = None
+    ces = ()
 
     def loss_fn():
-        nonlocal ce_text, ce_ac
+        nonlocal ces
         terms, weights = [], []
         if asr_items:
-            asr_loss, ce_text = _asr_pool_loss(ctx, state.params, asr_items, plan, rng)
+            asr_loss, ces = _asr_pool_loss(ctx, state.params, asr_items, plan, rng)
             terms.append(asr_loss)
             weights.append(asr_weight)
         if vc_items:
-            vc_loss, ce_text, ce_ac = _vc_pool_loss(ctx, state.params, vc_items, plan,
-                                                    real_prob, rng)
+            vc_loss, ces = _vc_pool_loss(ctx, state.params, vc_items, plan, real_prob, rng)
             terms.append(vc_loss)
             weights.append(1.0 - asr_weight)
         return nm.weighted_sum(terms, weights)
@@ -340,7 +324,7 @@ def _step(name, batch, state: TrainState, ctx: PipelineContext, plan: TrainPlan,
                    f"stage {name} step {state.step}: non-finite loss on "
                    f"batch {[u.utt_id for u in batch]}")
     state.step += 1
-    return StepResult(loss=loss, ce_text=ce_text, ce_acoustic=ce_ac)
+    return StepResult(loss=loss, ce_text=ces[0], ce_acoustic=ces[1:] or None)
 
 
 def asr_step(batch, state: TrainState, ctx: PipelineContext, plan: TrainPlan,
@@ -418,11 +402,12 @@ def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: 
     frozen_start = ctx.frozen_hash()
     last = None
     heldout = None
-    loss_history = []
+    ac_losses = []
     for local_step in range(steps):
         batch = sample_bucket(ctx.buckets, rng, plan.batch)
         last = step_fn(batch, state, ctx, plan, rng)
-        loss_history.append((last.loss, last.ce_acoustic))
+        if last.ce_acoustic is not None:
+            ac_losses.append(last.ce_acoustic)
         if (local_step + 1) % plan.eval_interval == 0 or local_step + 1 == steps:
             heldout = (heldout_text_accuracy(ctx, state.params),
                        heldout_acoustic_ce(ctx, state.params))
@@ -432,7 +417,6 @@ def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: 
         heldout = (heldout_text_accuracy(ctx, state.params),
                    heldout_acoustic_ce(ctx, state.params))
     frozen_end = ctx.frozen_hash()
-    ac_losses = [h[1] for h in loss_history if h[1] is not None]
     report = {
         "stage": name,
         "steps": steps,
@@ -467,9 +451,13 @@ def run_pipeline(ctx: PipelineContext, plan: TrainPlan,
     for i, name in enumerate(stages):
         if name not in STAGES or (i and STAGES.index(name) <= STAGES.index(stages[i - 1])):
             raise ConfigError(f"stages must follow {STAGES}, got {stages}")
-    if len(plan.lambdas) != ctx.lm_cfg.layout.n_layers:
+    n_layers = ctx.lm_cfg.layout.n_layers
+    if len(plan.lambdas) != n_layers:
         raise ConfigError(f"train plan: lambdas length {len(plan.lambdas)} does not match "
-                          f"{ctx.lm_cfg.layout.n_layers} codec layers")
+                          f"{n_layers} codec layers")
+    if plan.gen_max_steps < n_layers + 2:
+        raise ConfigError(f"train plan: gen_max_steps={plan.gen_max_steps} below "
+                          f"{n_layers + 2} for {n_layers} codec layers")
     params = init_params if init_params is not None else init_pipeline_params(ctx, plan.seed)
     state = TrainState(params=params)
     result = PipelineResult(params=params, stage_reports={})

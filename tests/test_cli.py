@@ -1,8 +1,9 @@
 """Every CLI command end to end at a tiny config: exit codes, artifacts, one
 logs/run.tsv line per command (failed ones included), the typed failures of
 a missing upstream artifact, a corrupt codec file, malformed input files,
-an unknown config key, a bad training-plan value and a head count that does
-not split the LM width, and the run-directory lock."""
+a non-UTF-8 stored config, an unknown config key, a bad training-plan value
+and a head count that does not split the LM width, a stage of 0 steps, and
+the run-directory lock."""
 
 import fcntl
 import json
@@ -135,7 +136,8 @@ def prepared_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("bad", ["eval.interval = 0", "train.batch = 0",
-                                 "train.joint_real_prob = 1.5"])
+                                 "train.joint_real_prob = 1.5", "gen.tail = 0",
+                                 "gen.max_steps = 5"])
 def test_bad_plan_value_fails_typed_before_any_stage(prepared_run, tmp_path, capsys,
                                                      monkeypatch, bad):
     run = tmp_path / "run"
@@ -161,6 +163,37 @@ def test_bad_plan_value_fails_typed_before_any_stage(prepared_run, tmp_path, cap
     assert stages == []
     assert not list((run / "checkpoints").glob("*.ckpt"))
     assert not list((run / "reports").glob("stage_*.json"))
+
+
+def test_zero_step_stage_trains_and_logs_ok(prepared_run, tmp_path, capsys):
+    """A stage of 0 steps has no loss to print; it still writes its
+    checkpoint and report and exits 0."""
+    run = tmp_path / "run"
+    shutil.copytree(prepared_run, run)
+    cfg_path = tmp_path / "zero.cfg"
+    cfg_path.write_text(TINY_CONFIG + "train.asr_steps = 0\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["--config", str(cfg_path), "--run", str(run), "--allow-config-drift",
+            "train", "--stage", "asr"]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("stage asr: heldout text accuracy "), out
+    assert (run / "checkpoints" / "asr.ckpt").stat().st_size > 0
+    assert json.loads((run / "reports" / "stage_asr.json").read_text())["final_loss"] is None
+    assert _run_log(run)[-1] == ("train", "ok")
+
+
+def test_non_utf8_resolved_config_fails_typed_and_is_logged(prepared_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(prepared_run, run)
+    resolved = run / "config.resolved"
+    resolved.write_bytes(b"corpus.texts = 120\xff\n")
+    capsys.readouterr()
+    code = cli.main(["--config", str(prepared_run.parent / "tiny.cfg"), "--run", str(run),
+                     "fit-codec"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA and err.startswith(f"ERR:STATE {resolved}: "), err
+    assert _run_log(run)[-1] == ("fit-codec", "ERR:STATE")
 
 
 def test_head_count_that_does_not_split_the_width_fails_typed(prepared_run, tmp_path, capsys):
@@ -194,7 +227,7 @@ def checkpointed_run(prepared_run, tmp_path_factory):
 # case -> (the corpus manifest's line 2 field to spoil and its bad value) or None
 MALFORMED = {"grid-token": None, "grid-missing": None, "grid-not-utf8": None,
              "eval-manifest-fields": None, "eval-manifest-missing": None,
-             "eval-manifest-not-utf8": None,
+             "eval-manifest-not-utf8": None, "eval-manifest-empty": None,
              "config-missing": None, "manifest-symbol": (3, "zz"),
              "manifest-speaker": (1, "one"), "manifest-seed": (4, "4.5")}
 
@@ -204,7 +237,8 @@ def test_malformed_input_file_fails_typed_and_is_logged(checkpointed_run, tmp_pa
                                                         case):
     """A malformed, missing or non-UTF-8 grid dump, evaluation manifest or
     corpus manifest is a typed data error that names the file (and the line
-    of a malformed one), not a traceback. A missing config file is a usage
+    of a malformed one), not a traceback; so is an evaluation manifest with
+    no pairs. A missing config file is a usage
     error that, like an unknown key, comes before any run directory is
     resolved, so no log line is written."""
     run = tmp_path / "run"
@@ -229,6 +263,9 @@ def test_malformed_input_file_fails_typed_and_is_logged(checkpointed_run, tmp_pa
     elif case == "eval-manifest-not-utf8":
         bad.write_bytes(b"eval_src00\teval_tgt00\xff\n")
         argv, where = ["evaluate", "--manifest", str(bad)], f"{bad}: "
+    elif case == "eval-manifest-empty":
+        bad.write_text("\n")
+        argv, where = ["evaluate", "--manifest", str(bad)], "no pairs"
     elif case == "config-missing":
         cfg_path = missing
         argv, where = ["inspect-grid", "--in", str(bad)], f"{missing}: "

@@ -40,22 +40,53 @@ def test_asr_loss_perfect_prediction_near_zero():
     assert loss.item() < 1e-4
 
 
-def test_vc_loss_formula_oracle(default_plan):
-    # direct formula evaluation: 0.3*2.0 + 0.7*(1.0*1.0 + 0.9*2.0) = 2.56
-    plan = dataclasses.replace(default_plan, w=0.3, lambdas=(1.0, 0.9))
-    ce_t = nm.constant(np.float32(2.0))
-    ce_a = [nm.constant(np.float32(1.0)), nm.constant(np.float32(2.0))]
-    loss = tr.combine_vc_loss(ce_t, ce_a, plan)
-    assert abs(loss.item() - 2.56) < 1e-6
-
-
-def test_vc_loss_w1_reduces_bitwise_to_text_ce(default_plan):
-    plan = dataclasses.replace(default_plan, w=1.0, lambdas=(1.0, 0.9, 0.8, 0.7))
+def test_vc_loss_formula_oracle(bare_context, default_plan, monkeypatch):
+    # the pool's stream CEs stubbed to 2.0 (text) and 1.0, 2.0, 0.5, 4.0:
+    # 0.3*2.0 + 0.7*(1.0*1.0 + 0.9*2.0 + 0.8*0.5 + 0.7*4.0) = 4.8
+    ctx = bare_context
+    assert ctx.lm_cfg.layout.n_layers == 4
+    plan = dataclasses.replace(default_plan, w=0.3, lambdas=(1.0, 0.9, 0.8, 0.7),
+                               text_loss_scale=1.0)
+    values = iter([2.0, 1.0, 2.0, 0.5, 4.0])
+    monkeypatch.setattr(nm, "cross_entropy",
+                        lambda *args: nm.constant(np.float32(next(values))))
     rng = np.random.default_rng(3)
-    ce_t = nm.constant(np.float32(rng.uniform(0.5, 4.0)))
-    ce_a = [nm.constant(np.float32(rng.uniform(0.5, 4.0))) for _ in range(4)]
-    loss = tr.combine_vc_loss(ce_t, ce_a, plan)
-    assert loss.item() == ce_t.item()
+    batch = sample_bucket(ctx.buckets, rng, 3)
+    loss, ces = tr._vc_pool_loss(ctx, make_state(ctx).params, batch, plan, 0.5, rng)
+    assert ces == (2.0, 1.0, 2.0, 0.5, 4.0)
+    assert abs(loss.item() - 4.8) < 1e-6
+
+
+def test_vc_loss_w1_reduces_bitwise_to_text_ce(bare_context, default_plan):
+    ctx = bare_context
+    plan = dataclasses.replace(default_plan, w=1.0, text_loss_scale=1.0)
+    rng = np.random.default_rng(3)
+    batch = sample_bucket(ctx.buckets, rng, 3)
+    loss, ces = tr._vc_pool_loss(ctx, make_state(ctx).params, batch, plan, 0.5, rng)
+    assert len(ces) == 1 + ctx.lm_cfg.layout.n_layers
+    assert loss.item() == ces[0]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.0])
+def test_asr_pool_loss_is_scaled_text_ce(bare_context, default_plan, scale):
+    """L_ASR is the text CE alone: bit-equal to it at text_loss_scale 1, and
+    at scale 0 every gradient is zero."""
+    ctx = bare_context
+    state = make_state(ctx)
+    plan = dataclasses.replace(default_plan, text_loss_scale=scale)
+    rng = np.random.default_rng(23)
+    batch = sample_bucket(ctx.buckets, rng, 3)
+    tape = nm.Tape()
+    with tape:
+        loss, ces = tr._asr_pool_loss(ctx, state.params, batch, plan, rng)
+    grads = tape.backward(loss, state.params)
+    assert len(ces) == 1 and ces[0] > 0.0
+    if scale == 1.0:
+        assert loss.item() == ces[0]
+        assert any(np.any(g) for g in grads.values())
+    else:
+        assert loss.item() == 0.0
+        assert grads and not any(np.any(g) for g in grads.values())
 
 
 def test_vc_loss_w0_zero_grad_on_text_head(bare_context, default_plan):
@@ -66,7 +97,7 @@ def test_vc_loss_w0_zero_grad_on_text_head(bare_context, default_plan):
     batch = sample_bucket(ctx.buckets, rng, 3)
     tape = nm.Tape()
     with tape:
-        loss, _, _ = tr._vc_pool_loss(ctx, state.params, batch, plan, plan.vc_real_prob, rng)
+        loss, _ = tr._vc_pool_loss(ctx, state.params, batch, plan, plan.vc_real_prob, rng)
     grads = tape.backward(loss, state.params)
     g = grads.get("lm.text_head.w")
     assert g is None or not np.any(g)
@@ -191,7 +222,7 @@ def test_source_features_batched_equals_per_item_loop(bare_context, seed, size):
         sid = int(train_ids[rng_loop.integers(len(train_ids))])
         frames = sw.render(ctx.splits.vocab, u.text, ctx.splits.speakers[sid], sw.PRISTINE,
                            int(rng_loop.integers(2**31)))
-        want.append(ctx.sem_enc.features(frames))
+        want.append(ctx.sem_enc.features(frames[None])[0])
     assert got.shape == (len(batch),) + want[0].shape
     assert np.array_equal(got, np.stack(want))
     assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
@@ -315,7 +346,8 @@ def test_optimizer_touches_only_named_grads():
 @pytest.mark.parametrize("field,bad", [
     ("w", 1.5), ("w_prime", -0.1), ("asr_fraction", 2.0), ("vc_real_prob", -1.0),
     ("joint_real_prob", 1.5), ("text_input_dropout", float("nan")), ("asr_steps", -1),
-    ("vc_steps", -1), ("joint_steps", -1), ("batch", 0), ("eval_interval", 0)])
+    ("vc_steps", -1), ("joint_steps", -1), ("batch", 0), ("eval_interval", 0),
+    ("gen_tail", 0), ("gen_tail", -3)])
 def test_train_plan_validation(field, bad, default_plan):
     with pytest.raises(ConfigError, match=field):
         dataclasses.replace(default_plan, **{field: bad})
@@ -332,6 +364,20 @@ def test_run_pipeline_checks_lambdas_before_any_stage(bare_context, monkeypatch,
     monkeypatch.setattr(tr, "train_stage", no_stage)
     with pytest.raises(ConfigError, match="lambdas"):
         tr.run_pipeline(bare_context, dataclasses.replace(default_plan, lambdas=(1.0, 0.9)))
+
+
+@pytest.mark.parametrize("max_steps", [0, 5])
+def test_run_pipeline_checks_gen_max_steps_before_any_stage(bare_context, monkeypatch,
+                                                            default_plan, max_steps):
+    """A decode cap too short for a delayed grid over the codec's layers
+    fails before training, not in `generate` after the first stage."""
+    assert max_steps < bare_context.lm_cfg.layout.n_layers + 2
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+    monkeypatch.setattr(tr, "train_stage", no_stage)
+    with pytest.raises(ConfigError, match="gen_max_steps"):
+        tr.run_pipeline(bare_context, dataclasses.replace(default_plan, gen_max_steps=max_steps))
 
 
 def test_run_pipeline_tiny_deterministic(splits, codec, sem_enc, spk_enc, lm_cfg,
