@@ -220,10 +220,10 @@ def cmd_synth_data(args, cfg: RunConfig, run: RunDir) -> int:
     corpus_dir = run.path("corpus")
     if corpus_dir.exists() and any(corpus_dir.iterdir()) and not args.force:
         raise ConfigError(f"{corpus_dir} is not empty; pass --force to overwrite")
-    run.ensure_layout()
-    cfg.echo(run.root)
     splits = _world(cfg)
     pairs = _eval_pairs(cfg, splits)
+    run.ensure_layout()
+    cfg.echo(run.root)
     eval_utts = [u for p in pairs for u in (p.source, p.target_ref)]
     all_utts = list(splits.utterances) + eval_utts
     sw.write_manifest(corpus_dir / "manifest.tsv", all_utts, splits.vocab)

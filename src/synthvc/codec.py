@@ -6,6 +6,13 @@ pinned to the exact zero vector and never updated, which makes per-frame
 residual-norm monotonicity an exact invariant of encode. Codes are a plain
 (n_layers, T) int64 array: `encode` returns one and `decode` checks one.
 The codec is fit offline and frozen for all LM training.
+
+Two assignment contracts. In `encode` the exact squared distance
+sum((x - c)^2) decides every code, the lower index on ties; the expansion
+form only bounds it, to rule out centroids that cannot win. Fitting (k-means
+passes and the fit-time residual) assigns by the expansion form itself, by
+design: the fit is reproducible bit for bit from its seed, and the codes it
+saw may differ from `encode`'s only on near ties.
 """
 
 from __future__ import annotations
@@ -51,12 +58,25 @@ class RVQCodec:
         return self.codebooks[0].centroids.shape[1]
 
 
-def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+# An expansion-form squared distance ||x||^2 - 2 x.c + ||c||^2 differs from
+# the exact sum((x - c)^2) by rounding alone: a few F * eps times
+# ||x||^2 + ||c||^2, ~1e-14 of it at F = 16. _SLACK bounds that with a wide
+# margin, and _TINY covers rounding among subnormals.
+_SLACK = 1e-9
+_TINY = np.finfo(np.float64).tiny
+
+
+def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
+                    twice: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """k-means++ seeds; d2 holds each row's exact squared distance to its
+    nearest seed. A row whose distance to a new seed has a lower bound at or
+    above its d2 keeps d2; only the rest get the exact distance."""
     n = data.shape[0]
     centroids = np.empty((k, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(0, n))
     centroids[0] = data[first]
     d2 = np.sum((data - centroids[0]) ** 2, axis=1)
+    floor = norms * (1.0 - _SLACK)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -65,40 +85,63 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
             probs = d2 / total
             idx = int(rng.choice(n, p=probs))
             centroids[i] = data[idx]
-        d2 = np.minimum(d2, np.sum((data - centroids[i]) ** 2, axis=1))
+        c = centroids[i]
+        lower = twice @ c
+        np.subtract(floor, lower, out=lower)
+        lower += float(c @ c) * (1.0 - _SLACK) - _TINY
+        near = np.flatnonzero(lower < d2)
+        d2[near] = np.minimum(d2[near], np.sum((data[near] - c) ** 2, axis=1))
     return centroids
 
 
 def _assign(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # exact distance matrix; ties resolve to the lower index via argmin
-    d2 = np.sum((data[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    """Nearest centroid per row by exact distance, the lower index on ties.
+
+    Every expansion-form distance in row i is within e_i = _SLACK * (||x_i||^2
+    + max ||c||^2) + _TINY of the exact one, so a pair more than 2 e_i above
+    the row's least expansion-form distance can neither hold the minimum nor
+    tie it. Only the other pairs get the exact distance."""
+    norms = np.sum(data ** 2, axis=1)
+    cnorms = np.sum(centroids ** 2, axis=1)
+    approx = 2.0 * data @ centroids.T
+    np.subtract(norms[:, None], approx, out=approx)
+    approx += cnorms
+    reach = np.take_along_axis(approx, approx.argmin(axis=1)[:, None], axis=1)
+    reach += 2.0 * (_SLACK * (norms[:, None] + cnorms.max()) + _TINY)
+    near = np.flatnonzero(approx <= reach)
+    rows, cols = np.divmod(near, centroids.shape[0])
+    d2 = np.full(approx.size, np.inf)
+    d2[near] = np.sum((data[rows] - centroids[cols]) ** 2, axis=1)
+    return d2.reshape(approx.shape).argmin(axis=1)
+
+
+def _assign_fit(twice: np.ndarray, norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Expansion-form nearest centroid from 2 * data and its row norms;
+    deterministic in float64."""
+    d2 = twice @ centroids.T
+    np.subtract(norms[:, None], d2, out=d2)
+    d2 += np.sum(centroids ** 2, axis=1)
     return d2.argmin(axis=1)
 
 
-def _assign_fit(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # expansion form for the large fitting corpus; deterministic in float64
-    d2 = (np.sum(data ** 2, axis=1, keepdims=True)
-          - 2.0 * data @ centroids.T
-          + np.sum(centroids ** 2, axis=1)[None, :])
-    return d2.argmin(axis=1)
-
-
-def _lloyd(data: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> np.ndarray:
-    """k centroids with row 0 pinned to zero; k-1 learnable rows."""
-    learn = _kmeans_pp_init(data, k - 1, rng)
+def _lloyd(data: np.ndarray, twice: np.ndarray, norms: np.ndarray, k: int, iters: int,
+           rng: np.random.Generator) -> np.ndarray:
+    """k centroids with row 0 pinned to zero; k-1 learnable rows. An empty
+    cluster takes the next highest-distortion row of its pass."""
+    learn = _kmeans_pp_init(data, k - 1, rng, twice, norms)
     centroids = np.vstack([np.zeros((1, data.shape[1])), learn])
     for _ in range(iters):
-        labels = _assign_fit(data, centroids)
-        dists = np.sum((data - centroids[labels]) ** 2, axis=1)
-        order = np.argsort(-dists)   # highest-distortion points for re-seeding
-        reseed_ptr = 0
+        labels = _assign_fit(twice, norms, centroids)
+        counts = np.bincount(labels, minlength=k)
+        ends = np.cumsum(counts)
+        grouped = data[np.argsort(labels, kind="stable")]   # each cluster's rows in row order
+        if not counts[1:].all():   # re-seed from the rows this pass's centroids fit worst
+            reseed = iter(np.argsort(-np.sum((data - centroids[labels]) ** 2, axis=1)))
         for c in range(1, k):
-            members = data[labels == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+            if counts[c]:
+                centroids[c] = grouped[ends[c] - counts[c]:ends[c]].mean(axis=0)
             else:
-                centroids[c] = data[order[reseed_ptr]]
-                reseed_ptr += 1
+                centroids[c] = data[next(reseed)]
     return centroids
 
 
@@ -137,11 +180,12 @@ def fit_codebooks(frames: np.ndarray, n: int, k: int, iters: int, seed: int) -> 
     books: list[Codebook] = []
     distortions: list[float] = []
     for layer in range(n):
-        cents64 = _lloyd(residual, k, iters, rng)
+        twice, norms = 2.0 * residual, np.sum(residual ** 2, axis=1)
+        cents64 = _lloyd(residual, twice, norms, k, iters, rng)
         cents = cents64.astype(np.float32)
         cents[0] = 0.0
         books.append(Codebook(layer=layer, centroids=cents))
-        labels = _assign_fit(residual, cents.astype(np.float64))
+        labels = _assign_fit(twice, norms, cents.astype(np.float64))
         residual = residual - cents.astype(np.float64)[labels]
         distortions.append(float(np.mean(np.sum(residual ** 2, axis=1))))
     signal = float(np.sum(data ** 2))

@@ -20,7 +20,7 @@ from . import streamlm as sl
 from . import synthworld as sw
 from .codec import RVQCodec, decode
 from .encoders import apply_adapter, bucket_by_length, sample_bucket, speaker_batches
-from .errors import CalibrationError, DataError, read_text
+from .errors import CalibrationError, ConfigError, DataError, read_text
 from .numerics import Tensor
 from .optim import fit_classifier, freeze
 
@@ -237,6 +237,8 @@ class EvalPair:
 
 def make_eval_manifest(splits: sw.CorpusSplits, n_pairs: int, seed: int) -> list[EvalPair]:
     """n source + n target held-out utterances, paired across speakers."""
+    if n_pairs < 1:
+        raise ConfigError(f"eval.pairs: need at least 1 conversion pair, got {n_pairs}")
     rng = np.random.default_rng([0xE7A1, seed])
     spk = list(splits.heldout_speaker_ids)
     texts = list(splits.heldout_texts)

@@ -39,6 +39,9 @@ PRISTINE = "pristine"
 DEGRADED = "degraded"
 _CHANNEL_CODE = {PRISTINE: 0, DEGRADED: 1}
 
+# render seeds are one uint32 word of the noise rng's entropy
+SEED_BOUND = 2**32
+
 PRISTINE_NOISE = 0.01
 DEGRADED_NOISE = 0.05
 _BLUR = np.array([0.25, 0.5, 0.25], dtype=np.float32)
@@ -121,24 +124,28 @@ def frame_labels(transcript) -> np.ndarray:
 def render(vocab: SymbolVocab, transcript, speaker: SpeakerProfile, channel: str,
            seed: int) -> np.ndarray:
     """Read-only (T, F_DIM) float32 frames of a transcript under a speaker;
-    bit-deterministic per inputs."""
+    bit-deterministic per inputs. The seed must lie in [0, SEED_BOUND)."""
     text = tuple(int(s) for s in transcript)
     if any(s < 0 or s >= N_SYMBOLS for s in text):
         raise DataError(f"render: transcript contains non-content symbols: {text}")
     if channel not in _CHANNEL_CODE:
         raise ConfigError(f"render: unknown channel {channel!r}")
+    seed = int(seed)
+    if not 0 <= seed < SEED_BOUND:
+        raise DataError(f"render: seed {seed} is outside [0, {SEED_BOUND})")
     t_total = frames_for_text(len(text))
     frames = np.zeros((t_total, F_DIM), dtype=np.float32)
-    for i, s in enumerate(text):
-        lo = SILENCE_EDGE + i * FRAMES_PER_SYMBOL
-        frames[lo:lo + FRAMES_PER_SYMBOL] = vocab.templates[s]
+    symbols = vocab.templates.take(text, axis=0)   # (n, FRAMES_PER_SYMBOL, F_DIM)
+    frames[SILENCE_EDGE:t_total - SILENCE_EDGE] = symbols.reshape(-1, F_DIM)
     frames = frames * speaker.gain[None, :] + speaker.offset[None, :]
     tt = np.arange(t_total, dtype=np.float32)
     frames[:, PITCH_CHANNEL] += PITCH_AMP * np.sin(
         2.0 * np.pi * np.float32(speaker.pitch_rate) * tt)
 
-    rng = np.random.default_rng(
-        [0xF0A3, int(seed), speaker.id, _CHANNEL_CODE[channel], len(text), *text])
+    # SeedSequence reads each int below 2**32 as one uint32 word, so this is
+    # the entropy of the same list of ints, without the per-int conversion
+    rng = np.random.default_rng(np.array(
+        [0xF0A3, seed, speaker.id, _CHANNEL_CODE[channel], len(text), *text], dtype=np.uint32))
     if channel == DEGRADED:
         blurred = np.zeros_like(frames)
         blurred[1:] += _BLUR[0] * frames[:-1]
@@ -298,12 +305,16 @@ def load_manifest(path: Path, vocab: SymbolVocab) -> list[Utterance]:
             raise DataError(f"{path}:{ln_no}: expected 6 tab-separated fields, got {len(parts)}")
         utt_id, spk, channel, transcript, seed, split = parts
         try:
-            utts.append(Utterance(
+            utt = Utterance(
                 utt_id=utt_id, text=vocab.parse_transcript(transcript),
                 speaker_id=int(spk), channel=channel, seed=int(seed), split=split,
-            ))
+            )
         except ValueError as e:   # an unknown symbol name or a non-integer field
             raise DataError(f"{path}:{ln_no}: malformed utterance {utt_id!r}: {e}") from None
+        if not 0 <= utt.seed < SEED_BOUND:
+            raise DataError(f"{path}:{ln_no}: malformed utterance {utt_id!r}: "
+                            f"seed {utt.seed} is outside [0, {SEED_BOUND})")
+        utts.append(utt)
     return utts
 
 

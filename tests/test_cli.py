@@ -1,9 +1,9 @@
 """Every CLI command end to end at a tiny config: exit codes, artifacts, one
 logs/run.tsv line per command (failed ones included), the typed failures of
 a missing upstream artifact, a corrupt codec file, malformed input files,
-a non-UTF-8 stored config, an unknown config key, a bad training-plan value
-and a head count that does not split the LM width, a stage of 0 steps, and
-the run-directory lock."""
+a non-UTF-8 stored config, an unknown config key, a bad training-plan value,
+a head count that does not split the LM width and an eval.pairs below 1, a
+stage of 0 steps, and the run-directory lock."""
 
 import fcntl
 import json
@@ -211,6 +211,32 @@ def test_head_count_that_does_not_split_the_width_fails_typed(prepared_run, tmp_
     assert not list((run / "checkpoints").glob("*.ckpt"))
 
 
+def test_eval_pairs_below_one_fails_typed_before_any_work(prepared_run, tmp_path, capsys,
+                                                          monkeypatch):
+    """synth-data writes no corpus and train runs no stage: both fail on
+    building the evaluation pairs, which comes first."""
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(TINY_CONFIG + "eval.pairs = 0\n", encoding="utf-8")
+    fresh = tmp_path / "fresh"
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg_path), "synth-data", "--out", str(fresh)]) == 1
+    assert capsys.readouterr().err.startswith("ERR:USAGE eval.pairs: ")
+    assert _run_log(fresh) == [("synth-data", "ERR:USAGE")]
+    assert not (fresh / "corpus").exists()
+
+    run = tmp_path / "run"
+    shutil.copytree(prepared_run, run)
+    stages = []
+    monkeypatch.setattr(tr, "train_stage", lambda *args, **kwargs: stages.append(args))
+    argv = ["--config", str(cfg_path), "--run", str(run), "--allow-config-drift",
+            "train", "--stage", "all"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].startswith("ERR:USAGE eval.pairs: ")
+    assert _run_log(run)[-1] == ("train", "ERR:USAGE")
+    assert stages == []
+    assert not list((run / "checkpoints").glob("*.ckpt"))
+
+
 @pytest.fixture(scope="module")
 def checkpointed_run(prepared_run, tmp_path_factory):
     """The prepared run plus an untrained joint-stage checkpoint, which is
@@ -229,7 +255,8 @@ MALFORMED = {"grid-token": None, "grid-missing": None, "grid-not-utf8": None,
              "eval-manifest-fields": None, "eval-manifest-missing": None,
              "eval-manifest-not-utf8": None, "eval-manifest-empty": None,
              "config-missing": None, "manifest-symbol": (3, "zz"),
-             "manifest-speaker": (1, "one"), "manifest-seed": (4, "4.5")}
+             "manifest-speaker": (1, "one"), "manifest-seed": (4, "4.5"),
+             "manifest-negative-seed": (4, "-1")}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -1,4 +1,5 @@
-"""RVQ codec: fitting, residual monotonicity, artifact round trip."""
+"""RVQ codec: fitting, residual monotonicity, artifact round trip, and the
+bound-pruned kernels pinned bit for bit to the dense formulas they replace."""
 
 import numpy as np
 import pytest
@@ -180,3 +181,116 @@ def test_artifact_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ArtifactFormatError):
         cd.load_codec(path)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the dense formulas, every distance computed in full
+
+
+def _dense_init(data, k, rng):
+    n = data.shape[0]
+    centroids = np.empty((k, data.shape[1]), dtype=np.float64)
+    centroids[0] = data[int(rng.integers(0, n))]
+    d2 = np.sum((data - centroids[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centroids[i] = data[int(rng.integers(0, n))]
+        else:
+            centroids[i] = data[int(rng.choice(n, p=d2 / total))]
+        d2 = np.minimum(d2, np.sum((data - centroids[i]) ** 2, axis=1))
+    return centroids
+
+
+def _dense_assign(data, centroids):
+    d2 = np.sum((data[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    return d2.argmin(axis=1)
+
+
+def _dense_lloyd(data, k, iters, rng):
+    """The reference Lloyd fit and how many empty clusters it re-seeded."""
+    centroids = np.vstack([np.zeros((1, data.shape[1])), _dense_init(data, k - 1, rng)])
+    reseeds = 0
+    for _ in range(iters):
+        d2 = (np.sum(data ** 2, axis=1, keepdims=True) - 2.0 * data @ centroids.T
+              + np.sum(centroids ** 2, axis=1)[None, :])
+        labels = d2.argmin(axis=1)
+        order = np.argsort(-np.sum((data - centroids[labels]) ** 2, axis=1))
+        ptr = 0
+        for c in range(1, k):
+            members = data[labels == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+            else:
+                centroids[c] = data[order[ptr]]
+                ptr += 1
+        reseeds += ptr
+    return centroids, reseeds
+
+
+def _corpus(case):
+    rng = np.random.default_rng(31)
+    if case == "duplicate-rows":
+        return np.repeat(rng.normal(size=(40, 16)), 5, axis=0)
+    if case == "all-zero":
+        return np.zeros((120, 16))
+    if case == "empty-cluster":     # 5 distinct rows for 15 learnable centroids
+        return np.tile(rng.normal(size=(5, 16)), (30, 1))
+    if case == "offset-1e4":
+        return rng.normal(size=(400, 16)) + 1e4
+    if case == "scale-1e-6":
+        return rng.normal(scale=1e-6, size=(400, 16))
+    if case == "float32-rounded":
+        return rng.normal(scale=1.5, size=(600, 16)).astype(np.float32).astype(np.float64)
+    raise KeyError(case)
+
+
+KERNEL_CASES = ["duplicate-rows", "all-zero", "empty-cluster", "offset-1e4", "scale-1e-6",
+                "float32-rounded"]
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_pruned_kernels_match_dense_oracles_bitwise(case):
+    data = _corpus(case)
+    twice, norms = 2.0 * data, np.sum(data ** 2, axis=1)
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    init = cd._kmeans_pp_init(data, 15, rng, twice, norms)
+    assert np.array_equal(init, _dense_init(data, 15, twin))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    cents = cd._lloyd(data, twice, norms, 16, 4, rng)
+    want, reseeds = _dense_lloyd(data, 16, 4, twin)
+    assert np.array_equal(cents, want)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert (reseeds > 0) == (case in ("all-zero", "empty-cluster"))
+    assert np.array_equal(cd._assign(data, cents), _dense_assign(data, cents))
+    probe = data[::7] + np.random.default_rng(10).normal(scale=np.std(data) + 1e-300,
+                                                         size=data[::7].shape)
+    assert np.array_equal(cd._assign(probe, cents), _dense_assign(probe, cents))
+
+
+def test_assign_keeps_exact_ties_and_overrules_the_expansion_form():
+    # exact ties, one of them between duplicate centroids: the lower index wins
+    cents = np.zeros((5, 16))
+    cents[1, :2] = (0.3, 0.1)
+    cents[2, :2] = (0.3, -0.1)
+    cents[3, :2] = (0.3, 0.1)
+    cents[4, :2] = (0.5, 0.0)
+    data = np.zeros((2, 16))
+    data[:, 0] = 0.3
+    data[1, 5] = 0.2
+    assert _dense_assign(data, cents).tolist() == [1, 1]
+    assert cd._assign(data, cents).tolist() == [1, 1]
+    assert cd._assign(data, cents[[0, 2, 1, 3, 4]]).tolist() == [1, 1]
+    # at a 1e7 offset the expansion form's rounding picks another centroid on
+    # some rows; the exact distance still decides
+    rng = np.random.default_rng(31)
+    data = rng.normal(size=(400, 16)) + 1e7
+    cents = data[:16] + rng.normal(scale=0.5, size=(16, 16))
+    cents[0] = 0.0
+    expansion = (np.sum(data ** 2, axis=1)[:, None] - 2.0 * data @ cents.T
+                 + np.sum(cents ** 2, axis=1)).argmin(axis=1)
+    want = _dense_assign(data, cents)
+    assert np.any(expansion != want)
+    assert np.array_equal(cd._assign(data, cents), want)

@@ -47,6 +47,47 @@ def test_render_rejects_special_symbols(splits):
         sw.render(splits.vocab, (1, sw.TEXT_EOS), prof, sw.PRISTINE, seed=0)
 
 
+def _render_oracle(vocab, text, speaker, channel, seed):
+    """render with one template copy per symbol and the rng entropy as a
+    list of Python ints, the formula the uint32-array entropy must match."""
+    t_total = sw.frames_for_text(len(text))
+    frames = np.zeros((t_total, sw.F_DIM), dtype=np.float32)
+    for i, s in enumerate(text):
+        lo = sw.SILENCE_EDGE + i * sw.FRAMES_PER_SYMBOL
+        frames[lo:lo + sw.FRAMES_PER_SYMBOL] = vocab.templates[s]
+    frames = frames * speaker.gain[None, :] + speaker.offset[None, :]
+    tt = np.arange(t_total, dtype=np.float32)
+    frames[:, sw.PITCH_CHANNEL] += sw.PITCH_AMP * np.sin(
+        2.0 * np.pi * np.float32(speaker.pitch_rate) * tt)
+    code = {sw.PRISTINE: 0, sw.DEGRADED: 1}[channel]
+    rng = np.random.default_rng([0xF0A3, seed, speaker.id, code, len(text), *text])
+    sigma = sw.PRISTINE_NOISE
+    if channel == sw.DEGRADED:
+        blurred = np.zeros_like(frames)
+        blurred[1:] += sw._BLUR[0] * frames[:-1]
+        blurred += sw._BLUR[1] * frames
+        blurred[:-1] += sw._BLUR[2] * frames[1:]
+        frames, sigma = blurred, sw.DEGRADED_NOISE
+    return frames + rng.normal(0.0, sigma, size=frames.shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1])
+@pytest.mark.parametrize("n_symbols", [1, 12])
+@pytest.mark.parametrize("channel", [sw.PRISTINE, sw.DEGRADED])
+def test_render_equals_list_entropy_formula(splits, seed, n_symbols, channel):
+    text = tuple(int(s) for s in (7 * np.arange(n_symbols) + 5) % sw.N_SYMBOLS)
+    prof = splits.speakers[splits.train_speaker_ids[1]]
+    got = sw.render(splits.vocab, text, prof, channel, seed)
+    assert np.array_equal(got, _render_oracle(splits.vocab, text, prof, channel, seed))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32])
+def test_render_rejects_seed_outside_uint32(splits, seed):
+    prof = splits.speakers[splits.train_speaker_ids[0]]
+    with pytest.raises(DataError, match="seed"):
+        sw.render(splits.vocab, (1, 2), prof, sw.PRISTINE, seed)
+
+
 def test_cross_speaker_distance_exceeds_rerender(splits):
     # measured over 100 sampled pairs before the corpus constants were frozen
     rng = np.random.default_rng(17)
