@@ -170,13 +170,13 @@ def build_fit_corpus(splits, parallel_per_utt: int, degraded_per_utt: int,
 
 def fit_codebooks(frames: np.ndarray, n: int, k: int, iters: int, seed: int) -> RVQCodec:
     """Fit n residual codebooks on a frame corpus; bit-reproducible per seed."""
-    data = np.asarray(frames, dtype=np.float64)
-    if data.ndim != 2:
-        raise DataError(f"fit_codebooks: frames must be (N, F), got {data.shape}")
-    if data.shape[0] < k:
-        raise DataError(f"fit_codebooks: corpus has {data.shape[0]} frames, need at least {k}")
+    residual = np.asarray(frames, dtype=np.float64)   # rebound per layer, never written in place
+    if residual.ndim != 2:
+        raise DataError(f"fit_codebooks: frames must be (N, F), got {residual.shape}")
+    if residual.shape[0] < k:
+        raise DataError(f"fit_codebooks: corpus has {residual.shape[0]} frames, need at least {k}")
     rng = np.random.default_rng([0xCB00, seed])
-    residual = data.copy()
+    signal = float(np.sum(residual ** 2))
     books: list[Codebook] = []
     distortions: list[float] = []
     for layer in range(n):
@@ -188,7 +188,6 @@ def fit_codebooks(frames: np.ndarray, n: int, k: int, iters: int, seed: int) -> 
         labels = _assign_fit(twice, norms, cents.astype(np.float64))
         residual = residual - cents.astype(np.float64)[labels]
         distortions.append(float(np.mean(np.sum(residual ** 2, axis=1))))
-    signal = float(np.sum(data ** 2))
     err = float(np.sum(residual ** 2))
     snr = 10.0 * np.log10(signal / err) if err > 0 else np.inf
     return RVQCodec(codebooks=books, fit_snr_db=float(snr), layer_distortions=distortions)
