@@ -2,9 +2,19 @@
 
 float32 is the storage dtype for everything trained; float64 tensors are
 permitted so the finite-difference oracles can run at full precision.
-Reductions (sums, means, weighted sums, cross entropy) accumulate in
-float64 regardless of the storage dtype and round once to it.
+The reductions that form a forward value in sum_all, mean_all, mean_axis,
+weighted_sum, cross_entropy and rms_norm (its mean square) accumulate in
+float64 regardless of the storage dtype and round once to it. The rest
+accumulate in the storage dtype: softmax's row sums (forward and VJP, and so
+attend's), the sums over broadcast axes in `_unbroadcast`, and rms_norm's
+VJP sums. Moving them to float64 would move trained bits.
 Every forward result is checked for NaN/Inf.
+
+Kernels keep their bits when they are rewritten for speed: a rewrite makes
+the same IEEE operations on the same operands, in the same order, as the
+formula it replaces (in place, or picking a branch by exact arithmetic, but
+never regrouped), and tests/test_numerics.py keeps that formula verbatim as
+the reference it must equal bit for bit.
 
 Two ops are fused: each is taped as a single node whose forward and VJPs
 make the same numpy calls, in the same order, as the op chain it stands for,
@@ -25,6 +35,7 @@ does all three). Ops called with no active tape run as pure functions.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -261,7 +272,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"affine: input {x.shape} does not end in weight rows {w.shape[0]}")
     xshape, n_out = x.data.shape, w.data.shape[1]
     flat = x.data.reshape(-1, xshape[-1])
-    out = (np.matmul(flat, w.data) + b.data).reshape(xshape[:-1] + (n_out,))
+    out = np.matmul(flat, w.data)
+    out += b.data
+    out = out.reshape(xshape[:-1] + (n_out,))
 
     def build():
         wd = w.data
@@ -353,13 +366,25 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 def silu(a: Tensor) -> Tensor:
     x = a.data
-    e = np.exp(-np.abs(x))
-    sig = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    # The sigmoid is 1 / d for x >= 0 and e / d below. Its numerator is
+    # max(e, x >= 0), since e <= 1 where x >= 0 and e >= 0 below: an exact
+    # pick with no branch, followed by the same division.
+    sig = np.maximum(e, x >= 0)
+    sig /= d
     out = x * sig
 
     def build():
         def fn(g):
-            return g * sig * (1.0 + x * (1.0 - sig))
+            gx = g * sig
+            t = 1.0 - sig
+            t *= x
+            t += 1.0
+            gx *= t
+            return gx
 
         return (fn if a.requires_grad else None,)
 
@@ -370,15 +395,18 @@ def softmax(a: Tensor) -> Tensor:
     x = a.data
     if x.shape[-1] < 1:
         raise ShapeError("softmax: last dimension must be >= 1")
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def build():
         s = out
 
         def fn(g):
-            return s * (g - (g * s).sum(axis=-1, keepdims=True))
+            gx = g * s
+            np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+            gx *= s
+            return gx
 
         return (fn if a.requires_grad else None,)
 
@@ -390,18 +418,29 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     d = arr.shape[-1]
     if gn.shape != (d,):
         raise ShapeError(f"rms_norm: gain shape {gain.shape} does not match last axis {d}")
-    ms = np.mean(arr.astype(np.float64) ** 2, axis=-1, keepdims=True)
-    inv = (1.0 / np.sqrt(ms + RMS_NORM_EPS)).astype(arr.dtype)
-    out = arr * inv * gn
+    ms = np.add.reduce(np.square(arr, dtype=np.float64), axis=-1, keepdims=True)
+    ms /= d     # the mean, as np.mean forms it
+    ms += RMS_NORM_EPS
+    np.sqrt(ms, out=ms)
+    np.divide(1.0, ms, out=ms)
+    inv = ms.astype(arr.dtype)
+    out = arr * inv
+    out *= gn
 
     def build():
         def fx(g):
             gp = g * gn
-            dot = (gp * arr).sum(axis=-1, keepdims=True)
-            return gp * inv - arr * (inv ** 3) * (dot / d)
+            t = gp * arr
+            dot = t.sum(axis=-1, keepdims=True)
+            np.multiply(arr, inv ** 3, out=t)
+            t *= dot / d
+            gp *= inv
+            gp -= t
+            return gp
 
         def fg(g):
-            prod = g * arr * inv
+            prod = g * arr
+            prod *= inv
             return prod.reshape(-1, d).sum(axis=0)
 
         return (fx if x.requires_grad else None, fg if gain.requires_grad else None)
@@ -411,21 +450,37 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
 
 def _rope_tables(positions, d: int, dtype, ndim: int) -> tuple[Array, Array]:
     """cos and sin of each position's rotary angles, shaped to broadcast over
-    an (N, ..., d) array whose axis 0 holds the positions."""
+    an (N, ..., d) array whose axis 0 holds the positions. Read-only arrays,
+    shared by every caller with the same positions, width, dtype and rank."""
     pos = np.asarray(positions, dtype=np.float64)
+    return _rope_tables_of(pos.tobytes(), d, np.dtype(dtype), ndim)
+
+
+@lru_cache(maxsize=64)
+def _rope_tables_of(pos_bytes: bytes, d: int, dtype: np.dtype,
+                    ndim: int) -> tuple[Array, Array]:
+    pos = np.frombuffer(pos_bytes, dtype=np.float64)
     half = d // 2
     freqs = ROPE_BASE ** (-(2.0 * np.arange(half, dtype=np.float64)) / d)
     ang = pos[:, None] * freqs[None, :]
     bshape = (pos.shape[0],) + (1,) * (ndim - 2) + (half,)
-    return (np.cos(ang).astype(dtype).reshape(bshape),
-            np.sin(ang).astype(dtype).reshape(bshape))
+    tables = (np.cos(ang).astype(dtype).reshape(bshape),
+              np.sin(ang).astype(dtype).reshape(bshape))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _rope_vjp(g: Array, cos: Array, sin: Array) -> Array:
     ge, go = g[..., 0::2], g[..., 1::2]
     gx = np.empty_like(g)
-    gx[..., 0::2] = ge * cos + go * sin
-    gx[..., 1::2] = -ge * sin + go * cos
+    even, odd = gx[..., 0::2], gx[..., 1::2]
+    t = go * sin
+    np.multiply(ge, cos, out=even)
+    even += t            # ge * cos + go * sin
+    np.multiply(ge, sin, out=t)
+    np.multiply(go, cos, out=odd)
+    odd -= t             # -ge * sin + go * cos
     return gx
 
 
@@ -440,8 +495,13 @@ def rope_apply(x: Tensor, positions) -> Tensor:
     cos, sin = _rope_tables(positions, d, arr.dtype, arr.ndim)
     xe, xo = arr[..., 0::2], arr[..., 1::2]
     out = np.empty_like(arr)
-    out[..., 0::2] = xe * cos - xo * sin
-    out[..., 1::2] = xe * sin + xo * cos
+    even, odd = out[..., 0::2], out[..., 1::2]
+    t = xo * sin
+    np.multiply(xe, cos, out=even)
+    even -= t            # xe * cos - xo * sin
+    np.multiply(xo, cos, out=t)
+    np.multiply(xe, sin, out=odd)
+    odd += t             # xe * sin + xo * cos
 
     def build():
         return ((lambda g: _rope_vjp(g, cos, sin)) if x.requires_grad else None,)
@@ -528,9 +588,9 @@ def attend(q: Tensor, k: Tensor, v: Tensor, positions, heads: int, mask=None,
         k_h, v_h = cache.k[:, :stop], cache.v[:, :stop]
     kt = transpose(_wrap(k_h), (0, 2, 1))
     cc = dtype.type(1.0 / np.sqrt(dh))
-    scores = matmul(_wrap(q_h), kt).data * cc
+    scores = np.multiply(matmul(_wrap(q_h), kt).data, cc)
     if mask is not None:
-        scores = scores + mask
+        scores += mask
     _finite_or_raise(scores, "attend")
     probs = softmax(_wrap(scores)).data
     out = _merge_heads(np.matmul(probs, v_h), b, t, heads, dh)
@@ -549,12 +609,16 @@ def attend(q: Tensor, k: Tensor, v: Tensor, positions, heads: int, mask=None,
                     memo["v"] = _merge_heads(np.matmul(np.swapaxes(probs, -1, -2), g_ctx),
                                              b, t, heads, dh)
                 g_probs = np.matmul(g_ctx, np.swapaxes(v_h, -1, -2))
-                g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
-                g_raw = g_scores * cc
+                g_raw = g_probs * probs
+                # probs * (g_probs - rowsum(g_probs * probs)), then * cc
+                np.subtract(g_probs, g_raw.sum(axis=-1, keepdims=True), out=g_raw)
+                g_raw *= probs
+                g_raw *= cc
                 if k.requires_grad:
                     g_kt = np.matmul(np.swapaxes(q_h, -1, -2), g_raw)
-                    g_k = np.ascontiguousarray(np.transpose(g_kt, (0, 2, 1)))
-                    g_k = _merge_heads(g_k, b, t, heads, dh).reshape(b * t, heads, dh)
+                    # (B * heads, dh, t) -> (B * t, heads, dh) in one copy
+                    g_k = np.ascontiguousarray(np.transpose(g_kt.reshape(b, heads, dh, t),
+                                                            (0, 3, 1, 2))).reshape(b * t, heads, dh)
                     memo["k"] = _rope_vjp(g_k, cos, sin).reshape(b, t, d)
                 if q.requires_grad:
                     g_q = np.matmul(g_raw, np.swapaxes(kt.data, -1, -2))
@@ -732,7 +796,11 @@ def unfold_time(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
         def fn(g):
             g4 = g.reshape(b, n_out, kernel, f)
             gp = np.zeros((b, tp, f), dtype=g.dtype)
-            np.add.at(gp, (slice(None), idx), g4)
+            # Each padded frame sums its windows in window order, which is
+            # kernel offset order from the last down to 0, as np.add.at did.
+            last = (n_out - 1) * stride + 1
+            for j in range(kernel - 1, -1, -1):
+                gp[:, j:j + last:stride] += g4[:, :, j]
             return np.ascontiguousarray(gp[:, pad:pad + t])
 
         return (fn if x.requires_grad else None,)

@@ -50,8 +50,7 @@ class Adam:
         names = sorted(grads)
         sq = 0.0
         for n in names:
-            g = grads[n].astype(np.float64)
-            sq += float(np.sum(g * g))
+            sq += float(np.add.reduce(np.square(grads[n], dtype=np.float64), axis=None))
         norm = float(np.sqrt(sq))
         clipped = False
         scale = 1.0
@@ -59,20 +58,34 @@ class Adam:
             scale = self.clip / norm
             clipped = True
 
-        b1, b2, eps = BETA1, BETA2, EPS
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
+        # float32 throughout, each update in place in the order
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+        # p - lr (m / c1) / (sqrt(v / c2) + eps)
+        b1, b2 = np.float32(BETA1), np.float32(BETA2)
+        d1, d2 = np.float32(1.0 - BETA1), np.float32(1.0 - BETA2)
+        c1 = np.float32(1.0 - BETA1 ** self.t)
+        c2 = np.float32(1.0 - BETA2 ** self.t)
+        lr32, eps, scale32 = np.float32(lr), np.float32(EPS), np.float32(scale)
         for n in names:
-            g = grads[n].astype(np.float32) * np.float32(scale)
-            if n not in self.m:
-                self.m[n] = np.zeros_like(g)
-                self.v[n] = np.zeros_like(g)
-            self.m[n] = b1 * self.m[n] + (1.0 - b1) * g
-            self.v[n] = b2 * self.v[n] + (1.0 - b2) * (g * g)
-            m_hat = self.m[n] / c1
-            v_hat = self.v[n] / c2
-            update = (np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(eps))).astype(np.float32)
-            params[n] = Tensor(params[n].data - update, requires_grad=True)
+            g = np.multiply(grads[n], scale32, dtype=np.float32)
+            m, v = self.m.get(n), self.v.get(n)
+            if m is None:
+                m = self.m[n] = np.zeros_like(g)
+                v = self.v[n] = np.zeros_like(g)
+            g2 = np.square(g)
+            g *= d1
+            m *= b1
+            m += g
+            g2 *= d2
+            v *= b2
+            v += g2
+            step = np.divide(m, c1, out=g)
+            step *= lr32
+            root = np.divide(v, c2, out=g2)
+            np.sqrt(root, out=root)
+            root += eps
+            step /= root
+            params[n] = nm._wrap(np.subtract(params[n].data, step), requires_grad=True)
         return StepStats(lr=lr, grad_norm=norm, clipped=clipped)
 
 

@@ -418,6 +418,17 @@ def _op_checks(seed):
             [0.7, -1.3, 0.0, 2.0]), xt)),
         "unfold": lambda xt: nm.mean_all(nm.mul(nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 2, 2, 1),
                                                 nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 2, 2, 1))),
+        # the (kernel, stride, pad) triples src/ uses: the encoders, the oracle
+        # verifier and the oracle transcriber; T = 3 pads the last window
+        "unfold_3_2_1": lambda xt: nm.mean_all(nm.mul(
+            nm.unfold_time(nm.reshape(xt, (2, 3, 2)), 3, 2, 1),
+            nm.unfold_time(nm.reshape(nm.scale(xt, 0.5), (2, 3, 2)), 3, 2, 1))),
+        "unfold_5_2_2": lambda xt: nm.mean_all(nm.mul(
+            nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 5, 2, 2),
+            nm.unfold_time(nm.reshape(nm.scale(xt, 0.5), (1, 3, 4)), 5, 2, 2))),
+        "unfold_3_1_1": lambda xt: nm.mean_all(nm.mul(
+            nm.unfold_time(nm.reshape(xt, (1, 6, 2)), 3, 1, 1),
+            nm.unfold_time(nm.reshape(nm.scale(xt, 0.5), (1, 6, 2)), 3, 1, 1))),
         "attend": lambda xt: nm.mean_all(nm.mul(nm.attend(
             nm.reshape(xt, (1, 3, 4)),
             nm.mul(nm.reshape(xt, (1, 3, 4)), nm.constant(b3[:1], dtype=xt.dtype)),
@@ -617,6 +628,169 @@ def test_unfold_time_ceil_halving():
         x = t(np.zeros((1, T, 3), dtype=np.float32))
         out = nm.unfold_time(x, kernel=3, stride=2, pad=1)
         assert out.shape[1] == (T + 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the formulas the faster kernels replaced: each reference
+# below is the replaced code, verbatim
+
+
+def _same_bits(got, want):
+    """Equal dtype, shape and bytes, so -0.0 and +0.0 differ."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _forward_and_grads(f, inputs, g):
+    """f's output and the gradient of sum(f(...) * g) for each input."""
+    ts = [t(x, rg=True) for x in inputs]
+    tape = nm.Tape()
+    with tape:
+        out = f(*ts)
+        loss = nm.sum_all(nm.mul(out, t(g)))   # upstream gradient g, exactly
+    grads = tape.backward(loss, {str(i): x for i, x in enumerate(ts)})
+    return out.data, [grads[str(i)] for i in range(len(ts))]
+
+
+def _silu_formula(x, g):
+    e = np.exp(-np.abs(x))
+    sig = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+    out = x * sig
+    return out, g * sig * (1.0 + x * (1.0 - sig))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_bitwise_equals_where_formula(dtype):
+    rng = np.random.default_rng(5)
+    # -90: subnormal e in float32; -110: e = 0 in float32; -740 and -750 the
+    # same in float64
+    edge = [0.0, -0.0, -90.0, -110.0, 1e4, -1e4, -740.0, -750.0, 1e-30, -1e-30]
+    x = np.concatenate([edge, rng.normal(scale=4.0, size=190)]).astype(dtype).reshape(4, 5, 10)
+    g = rng.normal(size=x.shape).astype(dtype)
+    out, (gx,) = _forward_and_grads(nm.silu, [x], g)
+    want_out, want_gx = _silu_formula(x, g)
+    assert _same_bits(out, want_out) and _same_bits(gx, want_gx)
+
+
+def _rms_norm_formula(arr, gn, g):
+    d = arr.shape[-1]
+    ms = np.mean(arr.astype(np.float64) ** 2, axis=-1, keepdims=True)
+    inv = (1.0 / np.sqrt(ms + nm.RMS_NORM_EPS)).astype(arr.dtype)
+    out = arr * inv * gn
+    gp = g * gn
+    dot = (gp * arr).sum(axis=-1, keepdims=True)
+    gx = gp * inv - arr * (inv ** 3) * (dot / d)
+    prod = g * arr * inv
+    return out, gx, prod.reshape(-1, d).sum(axis=0)
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (2, 5, 256), (3, 7, 33)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rms_norm_bitwise_equals_mean_formula(shape, dtype):
+    rng = np.random.default_rng(shape[-1])
+    x = (rng.normal(size=shape) * rng.uniform(0.01, 100.0, size=shape[:-1] + (1,))).astype(dtype)
+    gain = rng.uniform(0.5, 1.5, size=shape[-1]).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    out, (gx, gg) = _forward_and_grads(nm.rms_norm, [x, gain], g)
+    for got, want in zip((out, gx, gg), _rms_norm_formula(x, gain, g)):
+        assert _same_bits(got, want)
+
+
+def _softmax_formula(x, g):
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    out = e / e.sum(axis=-1, keepdims=True)
+    return out, out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
+def test_softmax_bitwise_equals_formula_over_causal_mask():
+    rng = np.random.default_rng(8)
+    n = 37
+    mask = np.triu(np.full((n, n), -1e9, dtype=np.float32), k=1)
+    x = (rng.normal(scale=3.0, size=(4, n, n)).astype(np.float32) + mask)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    out, (gx,) = _forward_and_grads(nm.softmax, [x], g)
+    want_out, want_gx = _softmax_formula(x, g)
+    assert _same_bits(out, want_out) and _same_bits(gx, want_gx)
+
+
+def _rope_tables_formula(positions, d, dtype, ndim):
+    pos = np.asarray(positions, dtype=np.float64)
+    half = d // 2
+    freqs = nm.ROPE_BASE ** (-(2.0 * np.arange(half, dtype=np.float64)) / d)
+    ang = pos[:, None] * freqs[None, :]
+    bshape = (pos.shape[0],) + (1,) * (ndim - 2) + (half,)
+    return (np.cos(ang).astype(dtype).reshape(bshape),
+            np.sin(ang).astype(dtype).reshape(bshape))
+
+
+def _rope_formula(arr, positions, g):
+    cos, sin = _rope_tables_formula(positions, arr.shape[-1], arr.dtype, arr.ndim)
+    xe, xo = arr[..., 0::2], arr[..., 1::2]
+    out = np.empty_like(arr)
+    out[..., 0::2] = xe * cos - xo * sin
+    out[..., 1::2] = xe * sin + xo * cos
+    ge, go = g[..., 0::2], g[..., 1::2]
+    gx = np.empty_like(g)
+    gx[..., 0::2] = ge * cos + go * sin
+    gx[..., 1::2] = -ge * sin + go * cos
+    return out, gx
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (6, 3, 10)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rope_bitwise_equals_formula(shape, dtype):
+    rng = np.random.default_rng(shape[-1])
+    x, g = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+    positions = rng.integers(0, 500, size=shape[0])
+    out, (gx,) = _forward_and_grads(lambda xt: nm.rope_apply(xt, positions), [x], g)
+    want_out, want_gx = _rope_formula(x, positions, g)
+    assert _same_bits(out, want_out) and _same_bits(gx, want_gx)
+
+
+def test_rope_tables_are_cached_read_only_and_equal_a_fresh_build():
+    positions = np.tile(np.arange(3, 10), 2)
+    first = nm._rope_tables(positions, 12, np.float32, 3)
+    again = nm._rope_tables(positions, 12, np.float32, 3)
+    as_list = nm._rope_tables(positions.tolist(), 12, np.float32, 3)
+    assert all(a is b for a, b in zip(first, again))
+    assert all(a is b for a, b in zip(first, as_list))
+    for got, want in zip(first, _rope_tables_formula(positions, 12, np.float32, 3)):
+        assert _same_bits(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    wide = nm._rope_tables(positions, 12, np.float64, 3)
+    assert wide[0].dtype == np.float64 and not np.array_equal(wide[0], first[0].astype(np.float64))
+    assert nm._rope_tables(positions, 12, np.float32, 2)[0].shape == (14, 6)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(4, 2, 6)).astype(np.float32)
+    assert _same_bits(nm.rope_apply(t(x), [7, 1, 0, 30]).data,
+                      nm.rope_apply(t(x), np.array([7, 1, 0, 30])).data)
+
+
+def _unfold_vjp_formula(g, b, t_len, f, kernel, stride, pad):
+    tp = t_len + 2 * pad
+    n_out = (tp - kernel) // stride + 1
+    idx = np.arange(n_out)[:, None] * stride + np.arange(kernel)[None, :]
+    g4 = g.reshape(b, n_out, kernel, f)
+    gp = np.zeros((b, tp, f), dtype=g.dtype)
+    np.add.at(gp, (slice(None), idx), g4)
+    return np.ascontiguousarray(gp[:, pad:pad + t_len])
+
+
+@pytest.mark.parametrize("kernel,stride,pad", [(3, 2, 1), (5, 2, 2), (3, 1, 1), (2, 2, 1)])
+@pytest.mark.parametrize("t_len", [9, 12])
+def test_unfold_time_vjp_bitwise_equals_add_at(kernel, stride, pad, t_len):
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + t_len)
+    b, f = 3, 5
+    x = rng.normal(size=(b, t_len, f)).astype(np.float32)
+    n_out = (t_len + 2 * pad - kernel) // stride + 1
+    # mixed magnitudes, so the order in which overlapping windows add shows
+    g = (rng.normal(size=(b, n_out, kernel * f))
+         * 10.0 ** rng.integers(-4, 5, size=(b, n_out, kernel * f))).astype(np.float32)
+    _, (gx,) = _forward_and_grads(lambda xt: nm.unfold_time(xt, kernel, stride, pad), [x], g)
+    assert _same_bits(gx, _unfold_vjp_formula(g, b, t_len, f, kernel, stride, pad))
 
 
 def test_tensor_immutable():

@@ -339,6 +339,82 @@ def test_optimizer_touches_only_named_grads():
     assert not np.array_equal(params["a.w"].data, before_b)
 
 
+class _AdamFormula:
+    """The Adam step the in-place one replaced, verbatim."""
+
+    def __init__(self, lr, warmup, clip):
+        self.lr, self.warmup, self.clip = lr, warmup, clip
+        self.m, self.v, self.t = {}, {}, 0
+
+    def step(self, params, grads):
+        from synthvc.optim import BETA1, BETA2, EPS
+        self.t += 1
+        lr = self.lr
+        if self.warmup > 0:
+            lr = lr * min(1.0, self.t / self.warmup)
+
+        names = sorted(grads)
+        sq = 0.0
+        for n in names:
+            g = grads[n].astype(np.float64)
+            sq += float(np.sum(g * g))
+        norm = float(np.sqrt(sq))
+        clipped = False
+        scale = 1.0
+        if self.clip > 0.0 and norm > self.clip:
+            scale = self.clip / norm
+            clipped = True
+
+        b1, b2, eps = BETA1, BETA2, EPS
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for n in names:
+            g = grads[n].astype(np.float32) * np.float32(scale)
+            if n not in self.m:
+                self.m[n] = np.zeros_like(g)
+                self.v[n] = np.zeros_like(g)
+            self.m[n] = b1 * self.m[n] + (1.0 - b1) * g
+            self.v[n] = b2 * self.v[n] + (1.0 - b2) * (g * g)
+            m_hat = self.m[n] / c1
+            v_hat = self.v[n] / c2
+            update = (np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(eps))).astype(np.float32)
+            params[n] = nm.Tensor(params[n].data - update, requires_grad=True)
+        return norm, clipped
+
+
+@pytest.mark.parametrize("clip", [0.0, 1.0])
+def test_adam_bitwise_equals_formula(clip):
+    rng = np.random.default_rng(41 + int(clip))
+    shapes = {"a.w": (7, 5), "a.b": (5,), "emb": (3, 4, 6), "z": (129,)}
+    init = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+    sides = []
+    for opt in (Adam(lr=3e-3, warmup=8, clip=clip), _AdamFormula(lr=3e-3, warmup=8, clip=clip)):
+        params = {n: nm.Tensor(a, requires_grad=True) for n, a in init.items()}
+        sides.append((opt, params))
+    clipped = []
+    for step in range(24):
+        # a spread of gradient norms around the clip, a name missing some
+        # steps and one float64 gradient
+        grads = {n: (rng.normal(size=s) * 10.0 ** rng.uniform(-3, 1)).astype(np.float32)
+                 for n, s in shapes.items() if n != "z" or step % 3}
+        grads["a.b"] = grads["a.b"].astype(np.float64)
+        stats = sides[0][0].step(sides[0][1], grads)
+        norm, was_clipped = sides[1][0].step(sides[1][1], grads)
+        assert stats.grad_norm == norm and stats.clipped == was_clipped
+        clipped.append(was_clipped)
+        for n in shapes:
+            got, want = sides[0][1][n], sides[1][1][n]
+            assert got.requires_grad and not got.data.flags.writeable
+            assert got.data.dtype == want.data.dtype
+            assert got.data.tobytes() == want.data.tobytes()
+    assert any(clipped) == (clip > 0) and not all(clipped)
+    (new, _), (old, _) = sides
+    assert sorted(new.m) == sorted(old.m) == sorted(shapes)
+    for n in shapes:
+        assert new.m[n].tobytes() == old.m[n].tobytes()
+        assert new.v[n].tobytes() == old.v[n].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # pipeline scaffolding
 
