@@ -13,6 +13,12 @@ form only bounds it, to rule out centroids that cannot win. Fitting (k-means
 passes and the fit-time residual) assigns by the expansion form itself, by
 design: the fit is reproducible bit for bit from its seed, and the codes it
 saw may differ from `encode`'s only on near ties.
+
+Memory: the fit holds O(N * F) arrays (the running residual, one scratch
+array of its shape for 2 * residual, and a few (N,) vectors) plus one block
+of _BLOCK rows by K float64 distances. Distances and per-row temporaries are
+formed a block of rows at a time, never as (N, K) or extra (N, F) arrays,
+with each row's arithmetic the same as the whole-corpus formula's.
 """
 
 from __future__ import annotations
@@ -65,6 +71,18 @@ class RVQCodec:
 _SLACK = 1e-9
 _TINY = np.finfo(np.float64).tiny
 
+# Rows per block: 1 MB of float64 distances at K = 64.
+_BLOCK = 2048
+
+
+def _blocks(n: int) -> list[slice]:
+    """Row slices of _BLOCK rows covering range(n), the last one taking the
+    remainder. A single leftover row joins the block before it: numpy sends
+    a one-row matmul to BLAS gemv, whose sums run in another order than
+    gemm's."""
+    stops = list(range(_BLOCK, n - 1, _BLOCK)) + [n]
+    return [slice(a, b) for a, b in zip([0] + stops[:-1], stops)]
+
 
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
                     twice: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -75,7 +93,9 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
     centroids = np.empty((k, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(0, n))
     centroids[0] = data[first]
-    d2 = np.sum((data - centroids[0]) ** 2, axis=1)
+    d2 = np.empty(n)
+    for b in _blocks(n):
+        d2[b] = np.sum((data[b] - centroids[0]) ** 2, axis=1)
     floor = norms * (1.0 - _SLACK)
     for i in range(1, k):
         total = d2.sum()
@@ -90,7 +110,9 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
         np.subtract(floor, lower, out=lower)
         lower += float(c @ c) * (1.0 - _SLACK) - _TINY
         near = np.flatnonzero(lower < d2)
-        d2[near] = np.minimum(d2[near], np.sum((data[near] - c) ** 2, axis=1))
+        for b in _blocks(len(near)):
+            rows = near[b]
+            d2[rows] = np.minimum(d2[rows], np.sum((data[rows] - c) ** 2, axis=1))
     return centroids
 
 
@@ -101,27 +123,36 @@ def _assign(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     + max ||c||^2) + _TINY of the exact one, so a pair more than 2 e_i above
     the row's least expansion-form distance can neither hold the minimum nor
     tie it. Only the other pairs get the exact distance."""
-    norms = np.sum(data ** 2, axis=1)
     cnorms = np.sum(centroids ** 2, axis=1)
-    approx = 2.0 * data @ centroids.T
-    np.subtract(norms[:, None], approx, out=approx)
-    approx += cnorms
-    reach = np.take_along_axis(approx, approx.argmin(axis=1)[:, None], axis=1)
-    reach += 2.0 * (_SLACK * (norms[:, None] + cnorms.max()) + _TINY)
-    near = np.flatnonzero(approx <= reach)
-    rows, cols = np.divmod(near, centroids.shape[0])
-    d2 = np.full(approx.size, np.inf)
-    d2[near] = np.sum((data[rows] - centroids[cols]) ** 2, axis=1)
-    return d2.reshape(approx.shape).argmin(axis=1)
+    cmax = cnorms.max()
+    labels = np.empty(data.shape[0], dtype=np.intp)
+    for b in _blocks(data.shape[0]):
+        x = data[b]
+        norms = np.sum(x ** 2, axis=1)
+        approx = 2.0 * x @ centroids.T
+        np.subtract(norms[:, None], approx, out=approx)
+        approx += cnorms
+        reach = np.take_along_axis(approx, approx.argmin(axis=1)[:, None], axis=1)
+        reach += 2.0 * (_SLACK * (norms[:, None] + cmax) + _TINY)
+        near = np.flatnonzero(approx <= reach)
+        rows, cols = np.divmod(near, centroids.shape[0])
+        d2 = np.full(approx.size, np.inf)
+        d2[near] = np.sum((x[rows] - centroids[cols]) ** 2, axis=1)
+        labels[b] = d2.reshape(approx.shape).argmin(axis=1)
+    return labels
 
 
 def _assign_fit(twice: np.ndarray, norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Expansion-form nearest centroid from 2 * data and its row norms;
     deterministic in float64."""
-    d2 = twice @ centroids.T
-    np.subtract(norms[:, None], d2, out=d2)
-    d2 += np.sum(centroids ** 2, axis=1)
-    return d2.argmin(axis=1)
+    cnorms = np.sum(centroids ** 2, axis=1)
+    labels = np.empty(twice.shape[0], dtype=np.intp)
+    for b in _blocks(twice.shape[0]):
+        d2 = twice[b] @ centroids.T
+        np.subtract(norms[b, None], d2, out=d2)
+        d2 += cnorms
+        labels[b] = d2.argmin(axis=1)
+    return labels
 
 
 def _lloyd(data: np.ndarray, twice: np.ndarray, norms: np.ndarray, k: int, iters: int,
@@ -134,12 +165,15 @@ def _lloyd(data: np.ndarray, twice: np.ndarray, norms: np.ndarray, k: int, iters
         labels = _assign_fit(twice, norms, centroids)
         counts = np.bincount(labels, minlength=k)
         ends = np.cumsum(counts)
-        grouped = data[np.argsort(labels, kind="stable")]   # each cluster's rows in row order
+        order = np.argsort(labels, kind="stable")   # each cluster's rows in row order
         if not counts[1:].all():   # re-seed from the rows this pass's centroids fit worst
-            reseed = iter(np.argsort(-np.sum((data - centroids[labels]) ** 2, axis=1)))
+            distortion = np.empty(data.shape[0])
+            for b in _blocks(data.shape[0]):
+                distortion[b] = np.sum((data[b] - centroids[labels[b]]) ** 2, axis=1)
+            reseed = iter(np.argsort(-distortion))
         for c in range(1, k):
             if counts[c]:
-                centroids[c] = grouped[ends[c] - counts[c]:ends[c]].mean(axis=0)
+                centroids[c] = data[order[ends[c] - counts[c]:ends[c]]].mean(axis=0)
             else:
                 centroids[c] = data[next(reseed)]
     return centroids
@@ -170,25 +204,31 @@ def build_fit_corpus(splits, parallel_per_utt: int, degraded_per_utt: int,
 
 def fit_codebooks(frames: np.ndarray, n: int, k: int, iters: int, seed: int) -> RVQCodec:
     """Fit n residual codebooks on a frame corpus; bit-reproducible per seed."""
-    residual = np.asarray(frames, dtype=np.float64)   # rebound per layer, never written in place
+    residual = np.array(frames, dtype=np.float64)   # a copy, updated in place per layer
     if residual.ndim != 2:
         raise DataError(f"fit_codebooks: frames must be (N, F), got {residual.shape}")
     if residual.shape[0] < k:
         raise DataError(f"fit_codebooks: corpus has {residual.shape[0]} frames, need at least {k}")
     rng = np.random.default_rng([0xCB00, seed])
-    signal = float(np.sum(residual ** 2))
+    scratch = np.empty_like(residual)   # squares for the SNR sums, 2 * residual per layer
+    signal = float(np.sum(np.square(residual, out=scratch)))
+    norms = np.empty(residual.shape[0])
+    for b in _blocks(residual.shape[0]):
+        norms[b] = np.sum(residual[b] ** 2, axis=1)
     books: list[Codebook] = []
     distortions: list[float] = []
     for layer in range(n):
-        twice, norms = 2.0 * residual, np.sum(residual ** 2, axis=1)
-        cents64 = _lloyd(residual, twice, norms, k, iters, rng)
-        cents = cents64.astype(np.float32)
+        twice = np.multiply(residual, 2.0, out=scratch)
+        cents = _lloyd(residual, twice, norms, k, iters, rng).astype(np.float32)
         cents[0] = 0.0
         books.append(Codebook(layer=layer, centroids=cents))
-        labels = _assign_fit(twice, norms, cents.astype(np.float64))
-        residual = residual - cents.astype(np.float64)[labels]
-        distortions.append(float(np.mean(np.sum(residual ** 2, axis=1))))
-    err = float(np.sum(residual ** 2))
+        cents64 = cents.astype(np.float64)
+        labels = _assign_fit(twice, norms, cents64)
+        for b in _blocks(residual.shape[0]):   # the next residual and its row norms
+            residual[b] -= cents64[labels[b]]
+            norms[b] = np.sum(residual[b] ** 2, axis=1)
+        distortions.append(float(np.mean(norms)))
+    err = float(np.sum(np.square(residual, out=scratch)))
     snr = 10.0 * np.log10(signal / err) if err > 0 else np.inf
     return RVQCodec(codebooks=books, fit_snr_db=float(snr), layer_distortions=distortions)
 
@@ -198,15 +238,16 @@ def encode(frames: np.ndarray, codec: RVQCodec) -> np.ndarray:
     running residual."""
     if not codec.codebooks:
         raise StateError("encode: codec has no fitted codebooks")
-    data = np.asarray(frames, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != codec.feature_dim:
-        raise DataError(f"encode: frames shape {data.shape} does not match feature dim {codec.feature_dim}")
-    residual = data.copy()
+    residual = np.array(frames, dtype=np.float64)   # a copy, updated in place per layer
+    if residual.ndim != 2 or residual.shape[1] != codec.feature_dim:
+        raise DataError(f"encode: frames shape {residual.shape} does not match feature dim "
+                        f"{codec.feature_dim}")
     rows = []
     for book in codec.codebooks:
         cents = book.centroids.astype(np.float64)
         labels = _assign(residual, cents)
-        residual -= cents[labels]
+        for b in _blocks(residual.shape[0]):
+            residual[b] -= cents[labels[b]]
         rows.append(labels)
     return np.stack(rows).astype(np.int64)
 

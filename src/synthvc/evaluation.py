@@ -38,19 +38,19 @@ TRANSCRIBER_HIDDEN = 72
 
 
 def edit_distance(ref, hyp) -> int:
-    """Unit-cost Levenshtein distance."""
-    r, h = list(ref), list(hyp)
-    nr, nh = len(r), len(h)
-    dist = np.zeros((nr + 1, nh + 1), dtype=np.int64)
-    dist[:, 0] = np.arange(nr + 1)
-    dist[0, :] = np.arange(nh + 1)
-    for i in range(1, nr + 1):
-        for j in range(1, nh + 1):
-            same = r[i - 1] == h[j - 1]
-            dist[i, j] = min(dist[i - 1, j - 1] + (0 if same else 1),
-                             dist[i - 1, j] + 1,
-                             dist[i, j - 1] + 1)
-    return int(dist[nr, nh])
+    """Unit-cost Levenshtein distance, one row of the table at a time.
+
+    Row i is cur[j] = min(prev[j-1] + (h[j-1] != r[i-1]), prev[j] + 1,
+    cur[j-1] + 1); its insertion chain is a running minimum of cur[j] - j."""
+    ids: dict = {}   # symbol -> small int, so equality is the symbols' own
+    r = [ids.setdefault(s, len(ids)) for s in ref]
+    h = np.array([ids.setdefault(s, len(ids)) for s in hyp], dtype=np.int64)
+    j = np.arange(len(h) + 1)
+    prev = j
+    for i, sym in enumerate(r, start=1):
+        step = np.minimum(prev[:-1] + (h != sym), prev[1:] + 1)
+        prev = np.minimum.accumulate(np.concatenate(([i], step)) - j) + j
+    return int(prev[-1])
 
 
 # ---------------------------------------------------------------------------

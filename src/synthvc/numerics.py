@@ -31,6 +31,9 @@ A tape is single-threaded: activate it with `with tape:` around the forward
 pass, call `tape.backward(loss, params)` afterwards for the gradients of the
 named parameters, and build a fresh tape per training step (`optim.descend`
 does all three). Ops called with no active tape run as pure functions.
+`backward` drops each op node's gradient as soon as that node's VJPs have
+used it, so a pass holds only the gradients still to be propagated; it
+leaves the tape as it was, and a second call returns the same bits.
 """
 
 from __future__ import annotations
@@ -156,7 +159,8 @@ class Tape:
 
     def backward(self, loss: Tensor, params: dict[str, Tensor]) -> dict[str, Array]:
         """Gradient of the scalar loss for each requires-grad tensor in
-        params that the loss depends on, keyed by its name."""
+        params that the loss depends on, keyed by its name. An op node's
+        gradient is dropped once its VJPs have run; a leaf's is kept."""
         lid = self._ids.get(id(loss))
         if lid is None:
             raise NumericsError("backward: loss tensor is not on this tape")
@@ -165,8 +169,10 @@ class Tape:
         grads: dict[int, Array] = {lid: np.ones((), dtype=loss.data.dtype)}
         for nid in range(lid, -1, -1):
             node = self.nodes[nid]
-            g = grads.get(nid)
-            if g is None or node.vjps is None:
+            if node.vjps is None:
+                continue
+            g = grads.pop(nid, None)
+            if g is None:
                 continue
             for pid, fn in zip(node.parents, node.vjps):
                 if fn is None:

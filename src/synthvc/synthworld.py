@@ -12,6 +12,7 @@ All generation is a pure function of (inputs, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,15 @@ def frame_labels(transcript) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
+@lru_cache(maxsize=512)
+def _pitch_row(pitch_rate: float, t_total: int) -> np.ndarray:
+    """Read-only (t_total,) speaker sinusoid of the pitch channel."""
+    tt = np.arange(t_total, dtype=np.float32)
+    row = PITCH_AMP * np.sin(2.0 * np.pi * np.float32(pitch_rate) * tt)
+    row.flags.writeable = False
+    return row
+
+
 def render(vocab: SymbolVocab, transcript, speaker: SpeakerProfile, channel: str,
            seed: int) -> np.ndarray:
     """Read-only (T, F_DIM) float32 frames of a transcript under a speaker;
@@ -135,12 +145,11 @@ def render(vocab: SymbolVocab, transcript, speaker: SpeakerProfile, channel: str
         raise DataError(f"render: seed {seed} is outside [0, {SEED_BOUND})")
     t_total = frames_for_text(len(text))
     frames = np.zeros((t_total, F_DIM), dtype=np.float32)
-    symbols = vocab.templates.take(text, axis=0)   # (n, FRAMES_PER_SYMBOL, F_DIM)
-    frames[SILENCE_EDGE:t_total - SILENCE_EDGE] = symbols.reshape(-1, F_DIM)
-    frames = frames * speaker.gain[None, :] + speaker.offset[None, :]
-    tt = np.arange(t_total, dtype=np.float32)
-    frames[:, PITCH_CHANNEL] += PITCH_AMP * np.sin(
-        2.0 * np.pi * np.float32(speaker.pitch_rate) * tt)
+    interior = frames[SILENCE_EDGE:t_total - SILENCE_EDGE]
+    vocab.templates.take(text, axis=0, out=interior.reshape(len(text), FRAMES_PER_SYMBOL, F_DIM))
+    frames *= speaker.gain
+    frames += speaker.offset
+    frames[:, PITCH_CHANNEL] += _pitch_row(speaker.pitch_rate, t_total)
 
     # SeedSequence reads each int below 2**32 as one uint32 word, so this is
     # the entropy of the same list of ints, without the per-int conversion
@@ -155,7 +164,7 @@ def render(vocab: SymbolVocab, transcript, speaker: SpeakerProfile, channel: str
         sigma = DEGRADED_NOISE
     else:
         sigma = PRISTINE_NOISE
-    frames = frames + rng.normal(0.0, sigma, size=frames.shape).astype(np.float32)
+    frames += rng.normal(0.0, sigma, size=frames.shape).astype(np.float32)
     frames.flags.writeable = False
     return frames
 

@@ -1,6 +1,8 @@
 """RVQ codec: fitting, residual monotonicity, artifact round trip, and the
 bound-pruned kernels pinned bit for bit to the dense formulas they replace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -242,11 +244,31 @@ def _corpus(case):
         return rng.normal(scale=1e-6, size=(400, 16))
     if case == "float32-rounded":
         return rng.normal(scale=1.5, size=(600, 16)).astype(np.float32).astype(np.float64)
+    if case == "three-blocks":     # two full row blocks and a partial one
+        return rng.normal(scale=1.5, size=(2 * cd._BLOCK + 700, 16))
     raise KeyError(case)
 
 
 KERNEL_CASES = ["duplicate-rows", "all-zero", "empty-cluster", "offset-1e4", "scale-1e-6",
-                "float32-rounded"]
+                "float32-rounded", "three-blocks"]
+
+
+def _dense_fit(frames, n, k, iters, seed):
+    """The reference RVQ fit: _dense_lloyd layers, each residual formed whole."""
+    residual = np.asarray(frames, dtype=np.float64)
+    rng = np.random.default_rng([0xCB00, seed])
+    signal = float(np.sum(residual ** 2))
+    books, distortions = [], []
+    for _ in range(n):
+        cents = _dense_lloyd(residual, k, iters, rng)[0].astype(np.float32)
+        cents[0] = 0.0
+        c64 = cents.astype(np.float64)
+        d2 = (np.sum(residual ** 2, axis=1, keepdims=True) - 2.0 * residual @ c64.T
+              + np.sum(c64 ** 2, axis=1)[None, :])
+        residual = residual - c64[d2.argmin(axis=1)]
+        books.append(cents)
+        distortions.append(float(np.mean(np.sum(residual ** 2, axis=1))))
+    return books, distortions, float(10.0 * np.log10(signal / float(np.sum(residual ** 2))))
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
@@ -268,6 +290,41 @@ def test_pruned_kernels_match_dense_oracles_bitwise(case):
     probe = data[::7] + np.random.default_rng(10).normal(scale=np.std(data) + 1e-300,
                                                          size=data[::7].shape)
     assert np.array_equal(cd._assign(probe, cents), _dense_assign(probe, cents))
+
+
+def test_fit_matches_dense_fit_bitwise_across_blocks():
+    frames = _corpus("three-blocks").astype(np.float32)
+    codec = cd.fit_codebooks(frames, n=2, k=16, iters=3, seed=6)
+    books, distortions, snr = _dense_fit(frames, n=2, k=16, iters=3, seed=6)
+    for book, want in zip(codec.codebooks, books, strict=True):
+        assert np.array_equal(book.centroids, want)
+    assert codec.layer_distortions == distortions
+    assert codec.fit_snr_db == snr
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, cd._BLOCK, cd._BLOCK + 1, 2 * cd._BLOCK + 1,
+                               2 * cd._BLOCK + 2])
+def test_blocks_cover_the_rows_with_no_one_row_block(n):
+    # numpy sends a one-row matmul to BLAS gemv, which sums in another order
+    # than the whole-corpus gemm, so only a one-row corpus has a one-row block
+    blocks = cd._blocks(n)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) <= cd._BLOCK + 1
+    assert n == 1 or 1 not in sizes
+
+
+def test_fit_peak_memory_is_a_few_corpus_copies():
+    # the fit holds O(N * F) arrays and one block of distances, never (N, K)
+    frames = np.random.default_rng(2).normal(size=(20_000, 16)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        cd.fit_codebooks(frames, n=2, k=64, iters=2, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * frames.size * 8
 
 
 def test_assign_keeps_exact_ties_and_overrules_the_expansion_form():

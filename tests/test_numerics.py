@@ -1,10 +1,16 @@
 """Tensor/autodiff tests: every derived value comes from an independent oracle."""
 
+import weakref
+
 import mpmath
 import numpy as np
 import pytest
 
+from synthvc import nn
 from synthvc import numerics as nm
+from synthvc import optim
+from synthvc import trainer as tr
+from synthvc.encoders import sample_bucket
 from synthvc.errors import (
     ConfigError,
     DegenerateBatchError,
@@ -305,6 +311,102 @@ def test_backward_deterministic_bitwise():
     assert sorted(g1) == ["w", "x"]
     for k in g1:
         assert np.array_equal(g1[k], g2[k])
+
+
+def _keep_every_grad_backward(tape, loss, params):
+    """The backward loop before spent gradients were dropped, verbatim: every
+    node's gradient stays in `grads` until the pass ends."""
+    lid = tape._ids.get(id(loss))
+    grads = {lid: np.ones((), dtype=loss.data.dtype)}
+    for nid in range(lid, -1, -1):
+        node = tape.nodes[nid]
+        g = grads.get(nid)
+        if g is None or node.vjps is None:
+            continue
+        for pid, fn in zip(node.parents, node.vjps):
+            if fn is None:
+                continue
+            contrib = fn(g)
+            prev = grads.get(pid)
+            grads[pid] = contrib if prev is None else prev + contrib
+    out = {}
+    for name, p in params.items():
+        g = grads.get(tape._ids.get(id(p)))
+        if g is not None and p.requires_grad:
+            out[name] = np.ascontiguousarray(g)
+    return out
+
+
+@pytest.fixture
+def backward_checked(monkeypatch):
+    """Every Tape.backward call also runs the reference loop on the same tape
+    and asserts byte-equal gradients; the fixture is the list of checked
+    calls' tape sizes."""
+    real, checked = nm.Tape.backward, []
+
+    def backward(tape, loss, params):
+        got = real(tape, loss, params)
+        want = _keep_every_grad_backward(tape, loss, params)
+        assert sorted(got) == sorted(want) and got
+        for name in want:
+            assert got[name].dtype == want[name].dtype and got[name].shape == want[name].shape
+            assert got[name].tobytes() == want[name].tobytes(), name
+        checked.append(len(tape.nodes))
+        return got
+
+    monkeypatch.setattr(nm.Tape, "backward", backward)
+    return checked
+
+
+def test_backward_bitwise_equals_keep_every_grad_loop_on_vc_step(backward_checked,
+                                                                 bare_context, default_plan):
+    ctx = bare_context
+    state = tr.TrainState(params=tr.init_pipeline_params(ctx, 7401),
+                          opt=optim.Adam(lr=1e-3, warmup=10, clip=1.0))
+    rng = np.random.default_rng(13)
+    tr.vc_step(sample_bucket(ctx.buckets, rng, 3), state, ctx, default_plan, rng)
+    assert len(backward_checked) == 1 and backward_checked[0] > 100
+
+
+def test_backward_bitwise_equals_keep_every_grad_loop_on_fit_classifier(backward_checked):
+    rng = np.random.default_rng(19)
+    params = {}
+    nn.init_linear(params, rng, "c1", 6, 12)
+    nn.init_linear(params, rng, "c2", 12, 5)
+
+    def sample():
+        while True:
+            yield (rng.normal(size=(4, 7, 6)).astype(np.float32),
+                   rng.integers(0, 5, size=4 * 7))
+
+    def logits(x):
+        return nn.linear(params, "c2", nm.silu(nn.linear(params, "c1", x)))
+
+    optim.fit_classifier(params, logits, sample(), steps=3, lr=1e-2, what="probe")
+    assert len(backward_checked) == 3
+
+
+def test_backward_drops_a_gradient_once_its_vjps_ran():
+    x = nm.Tensor(np.ones(3), requires_grad=True)
+    a, b, loss = nm.Tensor(np.ones(3)), nm.Tensor(np.ones(3)), nm.Tensor(np.float64(3.0))
+    spent, alive_later = [], []
+
+    def vjp_b(g):      # b -> a: remember the gradient b received
+        spent.append(weakref.ref(g))
+        return g * 3.0
+
+    def vjp_a(g):      # a -> x: by now b's gradient has been propagated
+        alive_later.append(spent[0]() is not None)
+        return g * 2.0
+
+    tape = nm.Tape()
+    tape.record("a", [x], a, (vjp_a,))
+    tape.record("b", [a], b, (vjp_b,))
+    tape.record("loss", [b], loss, (lambda g: np.full(3, g),))
+    for _ in range(2):     # the tape keeps its VJPs, so a second pass agrees
+        grads = tape.backward(loss, {"x": x})
+        np.testing.assert_array_equal(grads["x"], np.full(3, 6.0))
+    assert alive_later == [False, False]
 
 
 def test_backward_mlp_against_finite_differences():

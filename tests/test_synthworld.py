@@ -81,6 +81,20 @@ def test_render_equals_list_entropy_formula(splits, seed, n_symbols, channel):
     assert np.array_equal(got, _render_oracle(splits.vocab, text, prof, channel, seed))
 
 
+def test_render_bytes_equal_oracle_on_random_renders(splits):
+    # speakers and lengths repeat, so most renders take a cached pitch row
+    rng = np.random.default_rng(41)
+    for i in range(200):
+        text = tuple(int(s) for s in rng.integers(0, sw.N_SYMBOLS, size=int(rng.integers(0, 13))))
+        prof = splits.speakers[int(rng.integers(len(splits.speakers)))]
+        channel = (sw.PRISTINE, sw.DEGRADED)[i % 2]
+        seed = int(rng.integers(sw.SEED_BOUND))
+        got = sw.render(splits.vocab, text, prof, channel, seed)
+        assert not got.flags.writeable
+        assert got.tobytes() == _render_oracle(splits.vocab, text, prof, channel, seed).tobytes()
+    assert not sw._pitch_row(prof.pitch_rate, sw.frames_for_text(len(text))).flags.writeable
+
+
 @pytest.mark.parametrize("seed", [-1, 2**32])
 def test_render_rejects_seed_outside_uint32(splits, seed):
     prof = splits.speakers[splits.train_speaker_ids[0]]
