@@ -40,10 +40,6 @@ class ShapeError(NumericsError):
     """Operand shapes incompatible with the requested operation."""
 
 
-class DeterminismError(NumericsError):
-    """A function expected to be deterministic produced differing outputs."""
-
-
 class DegenerateBatchError(NumericsError):
     """Every position of a loss was masked out."""
 

@@ -248,17 +248,15 @@ def forward_batch(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
 
 
 def _embed_columns(params: dict, cfg: LMConfig, tokens: np.ndarray) -> Tensor:
-    """Summed per-stream embeddings of grid columns: (B, 1+n, L) -> (B, L, dim)."""
+    """Summed per-stream embeddings of grid columns: (B, 1+n, L) -> (B, L, dim).
+    The (B * L, dim) lookups are summed in stream order, then reshaped once."""
     b, _, length = tokens.shape
-    parts = []
+    out = None
     for s in range(cfg.layout.n_streams):
         table = params["lm.text_emb"] if s == 0 else params[f"lm.ac_emb{s - 1}"]
         emb = nm.embedding_lookup(table, tokens[:, s].reshape(-1))
-        parts.append(nm.reshape(emb, (b, length, cfg.dim)))
-    out = parts[0]
-    for extra in parts[1:]:
-        out = nm.add(out, extra)
-    return out
+        out = emb if out is None else nm.add(out, emb)
+    return nm.reshape(out, (b, length, cfg.dim))
 
 
 def _head(params: dict, s: int, h: Tensor) -> Tensor:

@@ -263,33 +263,6 @@ def make_corpus(seed: int, n_speakers: int, n_texts: int, text_len_min: int,
 # calibration decode: recoverability gate for the world
 
 
-def nearest_template_decode(vocab: SymbolVocab, frames: np.ndarray) -> tuple[int, ...]:
-    """Recover the transcript of a rendering by per-frame nearest template.
-
-    Offset is estimated from the edge silence frames; content frames are
-    matched to template frames by sign correlation and each 3-frame span is
-    decided by majority vote. Assumes the rigid world layout.
-    """
-    t_total = frames.shape[0]
-    n_sym = (t_total - 2 * SILENCE_EDGE) // FRAMES_PER_SYMBOL
-    if n_sym <= 0:
-        return ()
-    edge = np.concatenate([frames[:SILENCE_EDGE], frames[-SILENCE_EDGE:]], axis=0)
-    offset_hat = edge.mean(axis=0)
-    content = frames[SILENCE_EDGE:SILENCE_EDGE + n_sym * FRAMES_PER_SYMBOL] - offset_hat[None, :]
-    content = content[:, :CONTENT_DIMS]
-
-    bank = vocab.templates[:, :, :CONTENT_DIMS].reshape(-1, CONTENT_DIMS)
-    bank_signs = np.sign(bank)
-    scores = np.sign(content) @ bank_signs.T            # (3n, 96)
-    nearest = scores.argmax(axis=1) // FRAMES_PER_SYMBOL
-    out = []
-    for i in range(n_sym):
-        votes = nearest[i * FRAMES_PER_SYMBOL:(i + 1) * FRAMES_PER_SYMBOL]
-        out.append(int(np.bincount(votes, minlength=N_SYMBOLS).argmax()))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # corpus files: line-oriented manifest plus tensor-record frame storage
 

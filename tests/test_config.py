@@ -2,9 +2,8 @@
 once, and every trained model updates through one step: each documented
 config default is read outside config.py, no parameter the CLI fills from the
 config restates a default, each function in the package is referenced
-somewhere besides its definition, only `optim.descend` and the gradient
-checker open a tape, and the benchmark's tracer still finds every function it
-names."""
+somewhere besides its definition, only `optim.descend` opens a tape, and
+the benchmark's tracer still finds every function it names."""
 
 import ast
 import inspect
@@ -16,20 +15,12 @@ from synthvc import cli, config
 
 PKG = Path(config.__file__).parent
 PERFBENCH = PKG.parent.parent / "perfbench"
-# functions only tests call, each with its reason
-NO_CALLER_NEEDED = {
-    # the test oracle for the world's recoverability: a decoder that knows the
-    # templates shows that >= 99% of rendered symbols can be read back
-    "nearest_template_decode",
-    # the finite-difference gradient checker every differentiable op is tested with
-    "grad_check",
-    # scalar reductions and the product that turn an op's output into a loss
-    # in those gradient checks
-    "sum_all", "mean_all", "mul",
-}
+# functions only tests call, each with its reason; test-only code lives in
+# tests/harness.py, so none is allowed here
+NO_CALLER_NEEDED: set[str] = set()
 # the functions in the package that may construct a tape: the one descent
-# step every trained model takes, and the gradient checker
-TAPE_OWNERS = {("optim.py", "descend"), ("numerics.py", "grad_check")}
+# step every trained model takes
+TAPE_OWNERS = {("optim.py", "descend")}
 # (function, parameter) pairs that the CLI fills from the config but that keep
 # a default, each with its reason
 DEFAULT_KEPT = {
@@ -127,7 +118,7 @@ def _tape_calls(node: ast.AST) -> int:
                for n in ast.walk(node))
 
 
-def test_only_descend_and_grad_check_construct_a_tape():
+def test_only_descend_constructs_a_tape():
     """A second place that opens a tape would fork the training step: its
     own divergence handling, backward and optimizer step."""
     owners = set()

@@ -14,10 +14,11 @@ from synthvc.encoders import sample_bucket
 from synthvc.errors import (
     ConfigError,
     DegenerateBatchError,
-    DeterminismError,
     NumericsError,
     ShapeError,
 )
+
+from harness import DeterminismError, grad_check, mean_all, mul, sum_all
 
 
 def t(data, rg=False, dtype=None):
@@ -249,7 +250,7 @@ def test_embedding_repeated_id_grad_sums():
     with tape:
         rows = nm.embedding_lookup(table, [3, 3])
         w = nm.constant(np.array([[1.0, 2.0], [10.0, 20.0]], dtype=np.float32))
-        loss = nm.sum_all(nm.mul(rows, w))
+        loss = sum_all(mul(rows, w))
     g = tape.backward(loss, {"table": table})["table"]
     np.testing.assert_allclose(g[3], [11.0, 22.0])
 
@@ -267,7 +268,7 @@ def test_backward_sum_gives_ones():
     x = nm.Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
     tape = nm.Tape()
     with tape:
-        loss = nm.sum_all(x)
+        loss = sum_all(x)
     g = tape.backward(loss, {"x": x})["x"]
     np.testing.assert_array_equal(g, np.ones((2, 3), dtype=np.float32))
 
@@ -276,7 +277,7 @@ def test_backward_dot_with_self():
     x = nm.Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)
     tape = nm.Tape()
     with tape:
-        loss = nm.sum_all(nm.mul(x, x))
+        loss = sum_all(mul(x, x))
     g = tape.backward(loss, {"x": x})["x"]
     np.testing.assert_allclose(g, 2.0 * x.data)
 
@@ -285,7 +286,7 @@ def test_backward_requires_scalar_loss():
     x = nm.Tensor(np.ones(3), requires_grad=True)
     tape = nm.Tape()
     with tape:
-        y = nm.mul(x, x)
+        y = mul(x, x)
     with pytest.raises(NumericsError):
         tape.backward(y, {"x": x})
 
@@ -293,7 +294,7 @@ def test_backward_requires_scalar_loss():
 def test_backward_off_tape_loss_rejected():
     tape = nm.Tape()
     x = nm.Tensor(np.ones(2), requires_grad=True)
-    loss = nm.sum_all(x)
+    loss = sum_all(x)
     with pytest.raises(NumericsError):
         tape.backward(loss, {"x": x})
 
@@ -305,7 +306,7 @@ def test_backward_deterministic_bitwise():
     tape = nm.Tape()
     with tape:
         h = nm.silu(nm.matmul(x, w))
-        loss = nm.mean_all(nm.mul(h, h))
+        loss = mean_all(mul(h, h))
     g1 = tape.backward(loss, {"x": x, "w": w})
     g2 = tape.backward(loss, {"x": x, "w": w})
     assert sorted(g1) == ["w", "x"]
@@ -418,16 +419,73 @@ def test_backward_mlp_against_finite_differences():
     def f(xt):
         h = nm.silu(nm.matmul(xt, nm.constant(w1, dtype=xt.dtype)))
         out = nm.matmul(h, nm.constant(w2, dtype=xt.dtype))
-        return nm.mean_all(out)
+        return mean_all(out)
 
-    assert nm.grad_check(f, nm.Tensor(x0), step=1e-4) < 1e-3
+    assert grad_check(f, nm.Tensor(x0), step=1e-4) < 1e-3
 
 
 def test_finite_guard_raises():
     big = t(np.array([1e30], dtype=np.float32))
     with np.errstate(over="ignore"):
         with pytest.raises(NumericsError):
-            nm.mul(nm.scale(big, 1e30), nm.scale(big, 1e30))
+            mul(nm.scale(big, 1e30), nm.scale(big, 1e30))
+
+
+def _layouts(values, dtype):
+    """The 60 values as a contiguous 6 x 10 array, a strided view of a wider
+    buffer and a transposed (Fortran-order) view."""
+    contiguous = np.asarray(values, dtype=dtype).reshape(6, 10)
+    wide = np.zeros((6, 20), dtype=dtype)
+    wide[:, ::2] = contiguous
+    return [contiguous, wide[:, ::2], np.ascontiguousarray(contiguous.T).T]
+
+
+def _finite_check_raises(arr) -> bool:
+    try:
+        nm._finite_or_raise(arr, "probe")
+    except NumericsError as e:
+        assert "probe: non-finite values" in str(e)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 29, 59])
+def test_finite_check_raises_on_a_nonfinite_element(dtype, bad, where):
+    values = np.linspace(-3.0, 3.0, 60)
+    values[where] = bad
+    for arr in _layouts(values, dtype):
+        assert _finite_check_raises(arr)
+    assert _finite_check_raises(np.array(bad, dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float32, 1e20), (np.float64, 1e200)])
+def test_finite_check_passes_finite_values_whose_dot_overflows(dtype, big):
+    values = np.linspace(-3.0, 3.0, 60)
+    values[[0, 29, 59]] = big, -big, big
+    for arr in _layouts(values, dtype) + [np.array(big, dtype=dtype)]:
+        assert not np.isfinite(np.vdot(arr, arr))    # so the exact scan decides
+        assert not _finite_check_raises(arr)
+    for arr in (np.array(1.5, dtype=dtype), np.zeros(0, dtype=dtype),
+                np.zeros((3, 0), dtype=dtype)):
+        assert not _finite_check_raises(arr)
+
+
+def test_finite_check_agrees_with_an_elementwise_scan():
+    rng = np.random.default_rng(20261)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    for trial in range(600):
+        dtype, top = ((np.float32, 30), (np.float64, 200))[trial % 2]
+        shape = tuple(int(n) for n in rng.integers(0, 6, size=rng.integers(0, 4)))
+        arr = rng.normal(scale=10.0 ** rng.integers(0, top), size=shape)
+        if arr.size and rng.random() < 0.5:
+            hits = rng.integers(0, arr.size, size=rng.integers(1, 3))
+            arr.flat[hits] = rng.choice(specials, size=hits.size)
+        arr = arr.astype(dtype)
+        if arr.ndim == 2 and rng.random() < 0.5:
+            arr = arr.T
+        assert _finite_check_raises(arr) == (not np.isfinite(arr).all()), (trial, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +494,9 @@ def test_finite_guard_raises():
 
 def test_grad_check_sum_of_squares():
     def f(xt):
-        return nm.sum_all(nm.mul(xt, xt))
+        return sum_all(mul(xt, xt))
 
-    err = nm.grad_check(f, nm.Tensor(np.array([1.0, 2.0], dtype=np.float32)))
+    err = grad_check(f, nm.Tensor(np.array([1.0, 2.0], dtype=np.float32)))
     assert err < 1e-8
 
 
@@ -450,7 +508,7 @@ def test_grad_check_softmax_ce_composite():
     def f(xt):
         return nm.cross_entropy(xt, targets)
 
-    assert nm.grad_check(f, nm.Tensor(x0)) < 1e-3
+    assert grad_check(f, nm.Tensor(x0)) < 1e-3
 
 
 def test_grad_check_rms_norm_composite():
@@ -460,9 +518,9 @@ def test_grad_check_rms_norm_composite():
 
     def f(xt):
         out = nm.rms_norm(xt, nm.constant(gain, dtype=xt.dtype))
-        return nm.mean_all(nm.mul(out, out))
+        return mean_all(mul(out, out))
 
-    assert nm.grad_check(f, nm.Tensor(x0)) < 1e-3
+    assert grad_check(f, nm.Tensor(x0)) < 1e-3
 
 
 def test_grad_check_detects_nondeterminism():
@@ -470,10 +528,10 @@ def test_grad_check_detects_nondeterminism():
 
     def f(xt):
         state["n"] += 1
-        return nm.sum_all(nm.scale(xt, float(state["n"])))
+        return sum_all(nm.scale(xt, float(state["n"])))
 
     with pytest.raises(DeterminismError):
-        nm.grad_check(f, nm.Tensor(np.ones(2, dtype=np.float32)))
+        grad_check(f, nm.Tensor(np.ones(2, dtype=np.float32)))
 
 
 CAUSAL3 = np.triu(np.full((3, 3), -1e9, dtype=np.float32), k=1)
@@ -488,52 +546,52 @@ def _op_checks(seed):
     targets = rng.integers(0, 4, size=3)
     b3 = rng.normal(size=(2, 3, 4)).astype(np.float32)
     checks = {
-        "add": lambda xt: nm.sum_all(nm.mul(nm.add(xt, nm.constant(w.T, dtype=xt.dtype)), xt)),
-        "mul": lambda xt: nm.sum_all(nm.mul(nm.mul(xt, nm.constant(w.T, dtype=xt.dtype)), xt)),
-        "scale": lambda xt: nm.sum_all(nm.scale(xt, 2.5)),
-        "matmul": lambda xt: nm.mean_all(nm.matmul(xt, nm.constant(w, dtype=xt.dtype))),
-        "affine": lambda xt: nm.mean_all(nm.mul(
+        "add": lambda xt: sum_all(mul(nm.add(xt, nm.constant(w.T, dtype=xt.dtype)), xt)),
+        "mul": lambda xt: sum_all(mul(mul(xt, nm.constant(w.T, dtype=xt.dtype)), xt)),
+        "scale": lambda xt: sum_all(nm.scale(xt, 2.5)),
+        "matmul": lambda xt: mean_all(nm.matmul(xt, nm.constant(w, dtype=xt.dtype))),
+        "affine": lambda xt: mean_all(mul(
             nm.affine(nm.reshape(xt, (3, 1, 4)), nm.constant(w, dtype=xt.dtype),
                       nm.constant(gain[:3], dtype=xt.dtype)),
             nm.constant(w[:3, None, :], dtype=xt.dtype))),
-        "affine_wb": lambda xt: nm.sum_all(nm.mul(
+        "affine_wb": lambda xt: sum_all(mul(
             nm.affine(nm.constant(b3[:, :, :3], dtype=xt.dtype), xt,
                       nm.reshape(nm.narrow(xt, 0, 0, 1), (4,))), nm.constant(b3, dtype=xt.dtype))),
-        "matmul_b": lambda xt: nm.mean_all(
+        "matmul_b": lambda xt: mean_all(
             nm.matmul(nm.reshape(xt, (1, 3, 4)), nm.constant(b3.transpose(0, 2, 1)[:1], dtype=xt.dtype))),
-        "transpose": lambda xt: nm.sum_all(nm.mul(nm.transpose(xt, (1, 0)), nm.constant(w, dtype=xt.dtype))),
-        "reshape": lambda xt: nm.sum_all(nm.mul(nm.reshape(xt, (2, 6)), nm.reshape(xt, (2, 6)))),
-        "concat": lambda xt: nm.sum_all(nm.mul(nm.concat([xt, xt], axis=0), nm.concat([xt, xt], axis=0))),
-        "narrow": lambda xt: nm.sum_all(nm.mul(nm.narrow(xt, 1, 1, 3), nm.narrow(xt, 1, 0, 2))),
-        "softmax": lambda xt: nm.mean_all(nm.mul(nm.softmax(xt), nm.constant(w.T, dtype=xt.dtype))),
+        "transpose": lambda xt: sum_all(mul(nm.transpose(xt, (1, 0)), nm.constant(w, dtype=xt.dtype))),
+        "reshape": lambda xt: sum_all(mul(nm.reshape(xt, (2, 6)), nm.reshape(xt, (2, 6)))),
+        "concat": lambda xt: sum_all(mul(nm.concat([xt, xt], axis=0), nm.concat([xt, xt], axis=0))),
+        "narrow": lambda xt: sum_all(mul(nm.narrow(xt, 1, 1, 3), nm.narrow(xt, 1, 0, 2))),
+        "softmax": lambda xt: mean_all(mul(nm.softmax(xt), nm.constant(w.T, dtype=xt.dtype))),
         "cross_entropy": lambda xt: nm.cross_entropy(xt, targets),
-        "rms_norm": lambda xt: nm.mean_all(nm.mul(nm.rms_norm(xt, nm.constant(gain, dtype=xt.dtype)), xt)),
-        "rope": lambda xt: nm.sum_all(nm.mul(nm.rope_apply(xt, [2, 5, 9]), xt)),
-        "embedding": lambda xt: nm.mean_all(nm.mul(nm.embedding_lookup(xt, ids),
+        "rms_norm": lambda xt: mean_all(mul(nm.rms_norm(xt, nm.constant(gain, dtype=xt.dtype)), xt)),
+        "rope": lambda xt: sum_all(mul(nm.rope_apply(xt, [2, 5, 9]), xt)),
+        "embedding": lambda xt: mean_all(mul(nm.embedding_lookup(xt, ids),
                                                    nm.embedding_lookup(xt, ids))),
-        "silu": lambda xt: nm.mean_all(nm.silu(xt)),
-        "sum_all": lambda xt: nm.sum_all(xt),
-        "mean_all": lambda xt: nm.mean_all(xt),
-        "mean_axis": lambda xt: nm.sum_all(nm.mul(nm.mean_axis(xt, 0), nm.constant(gain[None, :], dtype=xt.dtype))),
-        "weighted_sum": lambda xt: nm.sum_all(nm.mul(nm.weighted_sum(
-            [xt, nm.mul(xt, xt), nm.silu(xt), nm.constant(w.T, dtype=xt.dtype)],
+        "silu": lambda xt: mean_all(nm.silu(xt)),
+        "sum_all": lambda xt: sum_all(xt),
+        "mean_all": lambda xt: mean_all(xt),
+        "mean_axis": lambda xt: sum_all(mul(nm.mean_axis(xt, 0), nm.constant(gain[None, :], dtype=xt.dtype))),
+        "weighted_sum": lambda xt: sum_all(mul(nm.weighted_sum(
+            [xt, mul(xt, xt), nm.silu(xt), nm.constant(w.T, dtype=xt.dtype)],
             [0.7, -1.3, 0.0, 2.0]), xt)),
-        "unfold": lambda xt: nm.mean_all(nm.mul(nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 2, 2, 1),
+        "unfold": lambda xt: mean_all(mul(nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 2, 2, 1),
                                                 nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 2, 2, 1))),
         # the (kernel, stride, pad) triples src/ uses: the encoders, the oracle
         # verifier and the oracle transcriber; T = 3 pads the last window
-        "unfold_3_2_1": lambda xt: nm.mean_all(nm.mul(
+        "unfold_3_2_1": lambda xt: mean_all(mul(
             nm.unfold_time(nm.reshape(xt, (2, 3, 2)), 3, 2, 1),
             nm.unfold_time(nm.reshape(nm.scale(xt, 0.5), (2, 3, 2)), 3, 2, 1))),
-        "unfold_5_2_2": lambda xt: nm.mean_all(nm.mul(
+        "unfold_5_2_2": lambda xt: mean_all(mul(
             nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 5, 2, 2),
             nm.unfold_time(nm.reshape(nm.scale(xt, 0.5), (1, 3, 4)), 5, 2, 2))),
-        "unfold_3_1_1": lambda xt: nm.mean_all(nm.mul(
+        "unfold_3_1_1": lambda xt: mean_all(mul(
             nm.unfold_time(nm.reshape(xt, (1, 6, 2)), 3, 1, 1),
             nm.unfold_time(nm.reshape(nm.scale(xt, 0.5), (1, 6, 2)), 3, 1, 1))),
-        "attend": lambda xt: nm.mean_all(nm.mul(nm.attend(
+        "attend": lambda xt: mean_all(mul(nm.attend(
             nm.reshape(xt, (1, 3, 4)),
-            nm.mul(nm.reshape(xt, (1, 3, 4)), nm.constant(b3[:1], dtype=xt.dtype)),
+            mul(nm.reshape(xt, (1, 3, 4)), nm.constant(b3[:1], dtype=xt.dtype)),
             nm.add(nm.reshape(xt, (1, 3, 4)), nm.constant(b3[1:], dtype=xt.dtype)),
             [2, 5, 9], 2, CAUSAL3), nm.constant(b3[:1] + 1.0, dtype=xt.dtype))),
     }
@@ -544,7 +602,7 @@ def _op_checks(seed):
 def test_every_differentiable_op_grad_checks(seed):
     x_mat, checks = _op_checks(seed)
     for name, f in checks.items():
-        err = nm.grad_check(f, nm.Tensor(x_mat), step=1e-4)
+        err = grad_check(f, nm.Tensor(x_mat), step=1e-4)
         assert err < 1e-3, f"op {name} failed grad check with rel err {err}"
 
 
@@ -569,7 +627,7 @@ def test_affine_bitwise_equals_reshape_matmul_add_chain(shape, grad):
         tape = nm.Tape()
         with tape:
             out = f(xt, wt, bt)
-            loss = nm.sum_all(nm.mul(out, t(g)))   # upstream gradient g, exactly
+            loss = sum_all(mul(out, t(g)))   # upstream gradient g, exactly
         named = {"x": xt, "w": wt, "b": bt}
         grads = tape.backward(loss, named) if grad != "none" else {}
         runs.append((out.data, [grads.get(name) for name in named],
@@ -627,7 +685,7 @@ def test_attend_bitwise_equals_unfused_chain(masked, grad):
         tape = nm.Tape()
         with tape:
             out = f(qt, kt, vt, positions, heads, mask)
-            loss = nm.sum_all(nm.mul(out, t(g)))   # upstream gradient g, exactly
+            loss = sum_all(mul(out, t(g)))   # upstream gradient g, exactly
         named = {"q": qt, "k": kt, "v": vt}
         grads = tape.backward(loss, named) if grad != "none" else {}
         runs.append((out.data, [grads.get(name) for name in named],
@@ -749,7 +807,7 @@ def _forward_and_grads(f, inputs, g):
     tape = nm.Tape()
     with tape:
         out = f(*ts)
-        loss = nm.sum_all(nm.mul(out, t(g)))   # upstream gradient g, exactly
+        loss = sum_all(mul(out, t(g)))   # upstream gradient g, exactly
     grads = tape.backward(loss, {str(i): x for i, x in enumerate(ts)})
     return out.data, [grads[str(i)] for i in range(len(ts))]
 
@@ -897,5 +955,7 @@ def test_unfold_time_vjp_bitwise_equals_add_at(kernel, stride, pad, t_len):
 
 def test_tensor_immutable():
     x = t(np.ones(3))
-    with pytest.raises(ValueError):
-        x.data[0] = 5.0
+    # an op's fresh output, and a view of a read-only base, come back read-only too
+    for y in (x, nm.scale(x, 2.0), nm.reshape(x, (3, 1))):
+        with pytest.raises(ValueError):
+            y.data[0] = 5.0

@@ -12,6 +12,8 @@ from synthvc import numerics as nm
 from synthvc import streamlm as sl
 from synthvc.errors import CapacityError, ConfigError, DataError, GridFormatError
 
+from harness import mul, sum_all
+
 LAYOUT4 = sl.StreamLayout(n_layers=4, code_vocab=64)
 
 
@@ -163,8 +165,89 @@ def test_forward_batch_tape_op_counts(lm):
                          nm.reshape(spk, (1, 1, cfg.dim)), grid.tokens[None])
     counts = Counter(node.op for node in tape.nodes if node.op != "leaf")
     assert counts == {"affine": 29, "add": 12, "rms_norm": 9, "embedding_lookup": 5,
-                      "reshape": 5, "attend": 4, "silu": 4, "concat": 1, "narrow": 1}
-    assert sum(counts.values()) == 70
+                      "reshape": 1, "attend": 4, "silu": 4, "concat": 1, "narrow": 1}
+    assert sum(counts.values()) == 66
+
+
+def _embed_columns_per_stream(params, cfg, tokens):
+    """The per-stream reshape-then-add form that `sl._embed_columns`
+    replaced: the reference its forward and gradients equal bit for bit."""
+    b, _, length = tokens.shape
+    parts = []
+    for s in range(cfg.layout.n_streams):
+        table = params["lm.text_emb"] if s == 0 else params[f"lm.ac_emb{s - 1}"]
+        emb = nm.embedding_lookup(table, tokens[:, s].reshape(-1))
+        parts.append(nm.reshape(emb, (b, length, cfg.dim)))
+    out = parts[0]
+    for extra in parts[1:]:
+        out = nm.add(out, extra)
+    return out
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("length", [1, 7])
+def test_embed_columns_bitwise_equals_per_stream_reshape_then_add(lm, b, length):
+    cfg, params, *_ = lm
+    rng = np.random.default_rng(10 * b + length)
+    tokens = np.empty((b, cfg.layout.n_streams, length), dtype=np.int64)
+    tokens[:, 0] = rng.integers(0, sl.TEXT_VOCAB, size=(b, length))
+    tokens[:, 1:] = rng.integers(0, cfg.layout.ac_vocab, size=(b, cfg.layout.n_layers, length))
+    g = rng.normal(size=(b, length, cfg.dim)).astype(np.float32)
+    tables = {name: p for name, p in params.items() if "_emb" in name}
+    results = []
+    for embed in (sl._embed_columns, _embed_columns_per_stream):
+        tape = nm.Tape()
+        with tape:
+            out = embed(params, cfg, tokens)
+            loss = sum_all(mul(out, nm.constant(g)))   # upstream gradient g, exactly
+        results.append((out.data, tape.backward(loss, tables)))
+    (out, grads), (want, want_grads) = results
+    assert out.shape == want.shape == (b, length, cfg.dim)
+    assert out.tobytes() == want.tobytes()
+    assert grads.keys() == want_grads.keys() == tables.keys()
+    for name in tables:
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
+def test_cached_decode_column_op_and_check_counts(lm, monkeypatch):
+    """After the prefill, every decode column makes the same taped-op calls:
+    10 to embed the previous column (five lookups, four adds, one reshape),
+    65 in the width-1 trunk (16 a block, four of them the public ops inside
+    `attend`, plus the final norm) and one head `affine` per stream still
+    picking. Each op checks its output once, and each `attend` its scores."""
+    cfg, params, sem, spk, _ = lm
+    seen = Counter()
+    marks = []
+    real_apply, real_check = nm._apply, nm._finite_or_raise
+    real_head, real_embed = sl._head, sl._embed_columns
+
+    def apply(*args):
+        seen["apply"] += 1
+        return real_apply(*args)
+
+    def check(*args):
+        seen["check"] += 1
+        return real_check(*args)
+
+    def head(*args):
+        seen["head"] += 1
+        return real_head(*args)
+
+    def embed(*args):
+        marks.append(seen.copy())     # a column after the prefill starts here
+        return real_embed(*args)
+
+    monkeypatch.setattr(nm, "_apply", apply)
+    monkeypatch.setattr(nm, "_finite_or_raise", check)
+    monkeypatch.setattr(sl, "_head", head)
+    monkeypatch.setattr(sl, "_embed_columns", embed)
+    res = sl.generate(params, cfg, sem, spk, max_steps=40, tail=8)
+    marks.append(seen.copy())
+    columns = [{k: after[k] - before[k] for k in ("apply", "check", "head")}
+               for before, after in zip(marks, marks[1:])]
+    assert len(columns) == res.steps - 1 > 10
+    assert all(1 <= c["head"] <= cfg.layout.n_streams for c in columns)
+    assert {(c["apply"] - c["head"], c["check"] - c["head"]) for c in columns} == {(75, 79)}
 
 
 def test_forward_shapes_and_finite(lm):

@@ -10,6 +10,8 @@ from synthvc import synthworld as sw
 from synthvc.config import RunConfig
 from synthvc.errors import ConfigError, DataError
 
+from harness import nearest_template_decode
+
 
 def test_render_identity_speaker_zero_noise(splits, monkeypatch):
     monkeypatch.setattr(sw, "PRISTINE_NOISE", 0.0)
@@ -200,7 +202,7 @@ def test_transcript_recoverability_gate(splits):
     total = correct = 0
     for utt in splits.utterances[:150]:
         r = splits.render_utterance(utt)
-        dec = sw.nearest_template_decode(splits.vocab, r)
+        dec = nearest_template_decode(splits.vocab, r)
         total += len(utt.text)
         correct += sum(a == b for a, b in zip(dec, utt.text))
     assert correct / total >= 0.99
