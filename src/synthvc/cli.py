@@ -227,8 +227,12 @@ def cmd_synth_data(args, cfg: RunConfig, run: RunDir) -> int:
     eval_utts = [u for p in pairs for u in (p.source, p.target_ref)]
     all_utts = list(splits.utterances) + eval_utts
     sw.write_manifest(corpus_dir / "manifest.tsv", all_utts, splits.vocab)
-    renders = {u.utt_id: splits.render_utterance(u) for u in all_utts}
-    sw.write_frames(corpus_dir / "frames.bin", renders)
+    renders = {}
+    for group in en.bucket_by_length(all_utts).values():   # one render per text length
+        renders.update(zip([u.utt_id for u in group], splits.render_batch(
+            [u.text for u in group], [u.speaker_id for u in group],
+            [u.channel for u in group], [u.seed for u in group])))
+    sw.write_frames(corpus_dir / "frames.bin", {u.utt_id: renders[u.utt_id] for u in all_utts})
     ev.write_eval_manifest(corpus_dir / "eval_manifest.tsv", pairs)
     lines = [
         "train_speakers: " + " ".join(str(i) for i in splits.train_speaker_ids),

@@ -84,11 +84,23 @@ def _blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0] + stops[:-1], stops)]
 
 
+def _draw_index(weights: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """An index drawn with probability weights / total, total > 0: the
+    cumulative sum, normalization and right-sided search that
+    `rng.choice(len(weights), p=weights / total)` makes, without its checks,
+    so the index and the rng state after the draw are that call's."""
+    cdf = np.cumsum(weights / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
                     twice: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """k-means++ seeds; d2 holds each row's exact squared distance to its
-    nearest seed. A row whose distance to a new seed has a lower bound at or
-    above its d2 keeps d2; only the rest get the exact distance."""
+    """k-means++ seeds (Arthur & Vassilvitskii, SODA 2007); d2 holds each
+    row's exact squared distance to its nearest seed. A row whose distance to
+    a new seed has a lower bound at or above its d2 keeps d2; only the rest
+    get the exact distance. Each later seed is row `_draw_index(d2, sum(d2),
+    rng)`."""
     n = data.shape[0]
     centroids = np.empty((k, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(0, n))
@@ -102,9 +114,7 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
         if total <= 0.0:
             centroids[i] = data[int(rng.integers(0, n))]
         else:
-            probs = d2 / total
-            idx = int(rng.choice(n, p=probs))
-            centroids[i] = data[idx]
+            centroids[i] = data[_draw_index(d2, total, rng)]
         c = centroids[i]
         lower = twice @ c
         np.subtract(floor, lower, out=lower)
@@ -191,14 +201,17 @@ def build_fit_corpus(splits, parallel_per_utt: int, degraded_per_utt: int,
     rng = np.random.default_rng([0xCB0F, seed])
     chunks = []
     train_ids = np.asarray(splits.train_speaker_ids)
+    channels = ([sw.PRISTINE] * parallel_per_utt) + ([sw.DEGRADED] * degraded_per_utt)
     for utt in splits.utterances:
-        chunks.append(splits.render_utterance(utt))
-        for _ in range(parallel_per_utt):
-            sid = int(train_ids[rng.integers(len(train_ids))])
-            chunks.append(splits.render_text(utt.text, sid, sw.PRISTINE, rng))
-        for _ in range(degraded_per_utt):
-            sid = int(train_ids[rng.integers(len(train_ids))])
-            chunks.append(splits.render_text(utt.text, sid, sw.DEGRADED, rng))
+        # one render per utterance: its own, then its parallel and degraded
+        # re-renders, each drawing a speaker and then a render seed
+        sids, seeds = [utt.speaker_id], [utt.seed]
+        for _ in channels:
+            sids.append(int(train_ids[rng.integers(len(train_ids))]))
+            seeds.append(sw.draw_seed(rng))
+        frames = splits.render_batch([utt.text] * len(sids), sids, [utt.channel, *channels],
+                                     seeds)
+        chunks.append(frames.reshape(-1, frames.shape[-1]))
     return np.concatenate(chunks, axis=0)
 
 

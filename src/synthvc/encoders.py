@@ -62,14 +62,14 @@ def speaker_batches(splits: sw.CorpusSplits, rng: np.random.Generator, batch: in
         text_buckets.setdefault(len(txt), []).append(txt)
     lengths = sorted(text_buckets)
     while True:
-        sids = rng.choice(splits.train_speaker_ids, size=batch)
+        sids = [int(s) for s in rng.choice(splits.train_speaker_ids, size=batch)]
         pool = text_buckets[lengths[int(rng.integers(len(lengths)))]]
-        xs, ys = [], []
-        for sid in sids:
-            text = pool[int(rng.integers(len(pool)))]
-            xs.append(splits.render_text(text, int(sid), sw.PRISTINE, rng))
-            ys.append(spk_index[int(sid)])
-        yield np.stack(xs), np.asarray(ys)
+        texts, seeds = [], []
+        for _ in sids:   # each item's text draw, then its render seed
+            texts.append(pool[int(rng.integers(len(pool)))])
+            seeds.append(sw.draw_seed(rng))
+        yield (splits.render_batch(texts, sids, [sw.PRISTINE] * batch, seeds),
+               np.asarray([spk_index[s] for s in sids]))
 
 
 def downsampled_labels(transcript) -> np.ndarray:
@@ -123,10 +123,12 @@ def pretrain_semantic_encoder(splits: sw.CorpusSplits, steps: int, batch: int, l
     def batches():
         while True:
             items = sample_bucket(buckets, rng, batch)
-            for u in items:
-                if u.utt_id not in cache:
-                    cache[u.utt_id] = (splits.render_utterance(u),
-                                       downsampled_labels(u.text))
+            new = [u for u in items if u.utt_id not in cache]
+            if new:   # the items share a text length, so one render covers them
+                frames = splits.render_batch([u.text for u in new], [u.speaker_id for u in new],
+                                             [u.channel for u in new], [u.seed for u in new])
+                for u, f in zip(new, frames):
+                    cache[u.utt_id] = (f, downsampled_labels(u.text))
             yield (np.stack([cache[u.utt_id][0] for u in items]),
                    np.concatenate([cache[u.utt_id][1] for u in items]))
 

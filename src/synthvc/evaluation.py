@@ -169,6 +169,22 @@ class OracleTranscriber:
         return tuple(out)
 
 
+def transcriber_batches(splits: sw.CorpusSplits, rng: np.random.Generator):
+    """Endless (frames, frame labels) batches: TRANSCRIBER_BATCH corpus
+    utterances of one text length, each re-rendered under its own speaker in
+    a channel drawn with even odds."""
+    buckets = bucket_by_length(splits.utterances)
+    while True:
+        items = sample_bucket(buckets, rng, TRANSCRIBER_BATCH)
+        channels, seeds = [], []
+        for _ in items:   # each item's channel draw, then its render seed
+            channels.append(sw.DEGRADED if rng.random() < 0.5 else sw.PRISTINE)
+            seeds.append(sw.draw_seed(rng))
+        yield (splits.render_batch([u.text for u in items], [u.speaker_id for u in items],
+                                   channels, seeds),
+               np.concatenate([sw.frame_labels(u.text) for u in items]))
+
+
 def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int,
                              seed: int) -> OracleTranscriber:
     """Frame classification on both channels; independent of the pipeline.
@@ -183,18 +199,8 @@ def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int,
     nn.init_linear(params, rng_init, "ot.out", TRANSCRIBER_HIDDEN, sw.N_SYMBOLS + 1)
     trans = OracleTranscriber(params=params)
     rng = np.random.default_rng([0x0A28, seed])
-    buckets = bucket_by_length(splits.utterances)
-
-    def batches():
-        while True:
-            xs, ys = [], []
-            for u in sample_bucket(buckets, rng, TRANSCRIBER_BATCH):
-                channel = sw.DEGRADED if rng.random() < 0.5 else sw.PRISTINE
-                xs.append(splits.render_text(u.text, u.speaker_id, channel, rng))
-                ys.append(sw.frame_labels(u.text))
-            yield np.stack(xs), np.concatenate(ys)
-
-    fit_classifier(params, trans.forward_t, batches(), steps, ORACLE_LR, "oracle transcriber")
+    fit_classifier(params, trans.forward_t, transcriber_batches(splits, rng), steps, ORACLE_LR,
+                   "oracle transcriber")
     freeze(params)
 
     # measured gates on held-out texts and speakers

@@ -20,7 +20,10 @@ Kernels keep their bits when they are rewritten for speed: a rewrite makes
 the same IEEE operations on the same operands, in the same order, as the
 formula it replaces (in place, or picking a branch by exact arithmetic, but
 never regrouped), and tests/test_numerics.py keeps that formula verbatim as
-the reference it must equal bit for bit.
+the reference it must equal bit for bit. For example, the `embedding_lookup`
+VJP scatters with one 1-D add.at over the flattened table, at indices
+id * D + column, in place of a 2-D add.at of whole rows: each table element
+still sums its rows in row order.
 
 Two ops are fused: each is taped as a single node whose forward and VJPs
 make the same numpy calls, in the same order, as the op chain it stands for,
@@ -651,9 +654,14 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         shape = table.data.shape
 
         def fn(g):
-            gt = np.zeros(shape, dtype=g.dtype)
-            np.add.at(gt, idx.reshape(-1), g.reshape(-1, shape[1]))
-            return gt
+            # element (id, c) of the table is element id * D + c of its flat
+            # form, so one 1-D add.at over g's elements in row-major order
+            # adds each element's rows in row order, as a 2-D add.at of whole
+            # rows does
+            at = (idx.reshape(-1, 1) * shape[1] + np.arange(shape[1])).reshape(-1)
+            gt = np.zeros(shape[0] * shape[1], dtype=g.dtype)
+            np.add.at(gt, at, g.reshape(-1))
+            return gt.reshape(shape)
 
         return (fn if table.requires_grad else None,)
 

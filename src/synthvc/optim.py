@@ -5,7 +5,9 @@ shared by the frozen encoders and the oracles.
 `descend` records a loss on a fresh tape and steps Adam on the gradients
 `tape.backward(loss, params)` returns by name. Only parameters that received
 a gradient are touched, so frozen or unrouted components keep bit-identical
-values.
+values. Adam keeps its moments in one sorted-name layout and updates each run
+of consecutive names that have gradients with one pass per operation, with
+the bits of a per-tensor step.
 """
 
 from __future__ import annotations
@@ -34,12 +36,48 @@ class StepStats:
 
 @dataclass
 class Adam:
+    """Adam over float32 parameters, its state laid out in sorted-name order.
+
+    The first and second moments live in two flat float32 buffers with one
+    span per parameter name, in sorted order; `m[n]` and `v[n]` are views of
+    a name's span, present once the name has had a gradient. A step walks the
+    maximal runs of consecutive names that have gradients and, per run,
+    gathers the gradients into one buffer, makes the elementwise passes once
+    over the run, and subtracts into a fresh buffer whose read-only views are
+    the new parameters. Each element sees the same float32 operations, in
+    the same order, as a step taken one tensor at a time, so the bits do not
+    depend on how the names group into runs. Names without a gradient keep
+    their parameters and moments.
+    """
+
     lr: float
     warmup: int
     clip: float       # 0 disables clipping
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
+    _spans: dict[str, tuple[int, int, int]] = field(default_factory=dict, repr=False)
+    _m: np.ndarray = field(default_factory=lambda: np.zeros(0, np.float32), repr=False)
+    _v: np.ndarray = field(default_factory=lambda: np.zeros(0, np.float32), repr=False)
+
+    def _lay_out(self, params: dict[str, Tensor]) -> None:
+        """(Re)build the flat moments over the sorted names of params and of
+        the moments, keeping every moment a name already has. _spans maps a
+        name to its position in the sorted order and its [start, stop) in
+        the flat buffers."""
+        sizes = {n: m.size for n, m in self.m.items()}
+        sizes.update((n, p.data.size) for n, p in params.items())
+        spans, stop = {}, 0
+        for i, n in enumerate(sorted(sizes)):
+            spans[n] = (i, stop, stop + sizes[n])
+            stop += sizes[n]
+        flat_m, flat_v = np.zeros(stop, np.float32), np.zeros(stop, np.float32)
+        for n in self.m:
+            _, a, b = spans[n]
+            flat_m[a:b], flat_v[a:b] = self.m[n].ravel(), self.v[n].ravel()
+            self.m[n] = flat_m[a:b].reshape(self.m[n].shape)
+            self.v[n] = flat_v[a:b].reshape(self.v[n].shape)
+        self._spans, self._m, self._v = spans, flat_m, flat_v
 
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> StepStats:
         self.t += 1
@@ -58,6 +96,17 @@ class Adam:
             scale = self.clip / norm
             clipped = True
 
+        if any(n not in self._spans for n in names):
+            self._lay_out(params)
+        runs: list[list[str]] = []
+        last = -2
+        for n in names:
+            pos = self._spans[n][0]
+            if pos != last + 1:
+                runs.append([])
+            runs[-1].append(n)
+            last = pos
+
         # float32 throughout, each update in place in the order
         # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
         # p - lr (m / c1) / (sqrt(v / c2) + eps)
@@ -66,12 +115,14 @@ class Adam:
         c1 = np.float32(1.0 - BETA1 ** self.t)
         c2 = np.float32(1.0 - BETA2 ** self.t)
         lr32, eps, scale32 = np.float32(lr), np.float32(EPS), np.float32(scale)
-        for n in names:
-            g = np.multiply(grads[n], scale32, dtype=np.float32)
-            m, v = self.m.get(n), self.v.get(n)
-            if m is None:
-                m = self.m[n] = np.zeros_like(g)
-                v = self.v[n] = np.zeros_like(g)
+        for run in runs:
+            start, stop = self._spans[run[0]][1], self._spans[run[-1]][2]
+            # the gather rounds a float64 gradient to float32 as the cast
+            # before a per-tensor float32 multiply would
+            g = np.concatenate([grads[n] for n in run], axis=None, dtype=np.float32,
+                               casting="same_kind")
+            g *= scale32
+            m, v = self._m[start:stop], self._v[start:stop]
             g2 = np.square(g)
             g *= d1
             m *= b1
@@ -85,7 +136,16 @@ class Adam:
             np.sqrt(root, out=root)
             root += eps
             step /= root
-            params[n] = nm._wrap(np.subtract(params[n].data, step), requires_grad=True)
+            new = np.concatenate([params[n].data for n in run], axis=None, dtype=np.float32,
+                                 casting="no")
+            np.subtract(new, step, out=new)
+            for n in run:
+                _, a, b = self._spans[n]
+                shape = params[n].data.shape
+                if n not in self.m:
+                    self.m[n] = self._m[a:b].reshape(shape)
+                    self.v[n] = self._v[a:b].reshape(shape)
+                params[n] = nm._wrap(new[a - start:b - start].reshape(shape), requires_grad=True)
         return StepStats(lr=lr, grad_norm=norm, clipped=clipped)
 
 

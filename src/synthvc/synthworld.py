@@ -1,8 +1,12 @@
 """Deterministic synthetic speech world.
 
-Symbol-sequence "texts" are rendered into speaker-conditioned frame matrices:
-`render` returns the read-only (T, F_DIM) float32 frames, and
-`CorpusSplits.render_text` draws a fresh render's seed from a caller's rng.
+Symbol-sequence "texts" are rendered into speaker-conditioned frame matrices.
+`render` takes a batch: B equal-length texts, each with its own speaker,
+channel and seed, give read-only (B, T, F_DIM) float32 frames whose item i is
+bit for bit the one-item render of item i's inputs, so a caller may batch its
+renders however it likes. `CorpusSplits.render_batch` names the speakers by
+id; `render_utterance` and `render_text` render one item, the latter with a
+fresh seed drawn from a caller's rng by `draw_seed`.
 Each content symbol owns a 3-frame template whose frames sum to zero per
 feature, so utterance-mean frames isolate the speaker's offset vector; a
 per-speaker sinusoid on one reserved channel adds a temporal signature.
@@ -131,42 +135,79 @@ def _pitch_row(pitch_rate: float, t_total: int) -> np.ndarray:
     return row
 
 
-def render(vocab: SymbolVocab, transcript, speaker: SpeakerProfile, channel: str,
-           seed: int) -> np.ndarray:
-    """Read-only (T, F_DIM) float32 frames of a transcript under a speaker;
-    bit-deterministic per inputs. The seed must lie in [0, SEED_BOUND)."""
-    text = tuple(int(s) for s in transcript)
-    if any(s < 0 or s >= N_SYMBOLS for s in text):
-        raise DataError(f"render: transcript contains non-content symbols: {text}")
-    if channel not in _CHANNEL_CODE:
-        raise ConfigError(f"render: unknown channel {channel!r}")
-    seed = int(seed)
-    if not 0 <= seed < SEED_BOUND:
-        raise DataError(f"render: seed {seed} is outside [0, {SEED_BOUND})")
-    t_total = frames_for_text(len(text))
-    frames = np.zeros((t_total, F_DIM), dtype=np.float32)
-    interior = frames[SILENCE_EDGE:t_total - SILENCE_EDGE]
-    vocab.templates.take(text, axis=0, out=interior.reshape(len(text), FRAMES_PER_SYMBOL, F_DIM))
-    frames *= speaker.gain
-    frames += speaker.offset
-    frames[:, PITCH_CHANNEL] += _pitch_row(speaker.pitch_rate, t_total)
+def _stack(rows: list[np.ndarray]) -> np.ndarray:
+    """The rows stacked on a new first axis; a view when there is one."""
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
 
-    # SeedSequence reads each int below 2**32 as one uint32 word, so this is
-    # the entropy of the same list of ints, without the per-int conversion
-    rng = np.random.default_rng(np.array(
-        [0xF0A3, seed, speaker.id, _CHANNEL_CODE[channel], len(text), *text], dtype=np.uint32))
-    if channel == DEGRADED:
-        blurred = np.zeros_like(frames)
-        blurred[1:] += _BLUR[0] * frames[:-1]
-        blurred += _BLUR[1] * frames
-        blurred[:-1] += _BLUR[2] * frames[1:]
-        frames = blurred
-        sigma = DEGRADED_NOISE
-    else:
-        sigma = PRISTINE_NOISE
-    frames += rng.normal(0.0, sigma, size=frames.shape).astype(np.float32)
+
+def render(vocab: SymbolVocab, transcripts, speakers, channels, seeds) -> np.ndarray:
+    """Read-only (B, T, F_DIM) float32 frames of B equal-length transcripts,
+    item i under speakers[i] in channels[i] with noise seed seeds[i] in
+    [0, SEED_BOUND).
+
+    Item i is bit for bit the one-item render of its inputs: the template
+    take, gain, offset, pitch row, blur and noise add run once over the
+    batch with each element's arithmetic unchanged, and each item draws its
+    noise from its own Generator seeded by its own entropy words, so every
+    render is a pure function of (inputs, seed).
+    """
+    b = len(transcripts)
+    if not b == len(speakers) == len(channels) == len(seeds):
+        raise DataError(f"render: {b} transcripts for {len(speakers)} speakers, "
+                        f"{len(channels)} channels and {len(seeds)} seeds")
+    if not b:
+        raise DataError("render: no items to render")
+    length = len(transcripts[0])
+    words = []
+    for transcript, speaker, channel, seed in zip(transcripts, speakers, channels, seeds):
+        text = tuple(map(int, transcript))
+        if len(text) != length:
+            raise DataError(f"render: one batch holds transcripts of {length} and "
+                            f"{len(text)} symbols")
+        if text and (min(text) < 0 or max(text) >= N_SYMBOLS):
+            raise DataError(f"render: transcript contains non-content symbols: {text}")
+        if channel not in _CHANNEL_CODE:
+            raise ConfigError(f"render: unknown channel {channel!r}")
+        seed = int(seed)
+        if not 0 <= seed < SEED_BOUND:
+            raise DataError(f"render: seed {seed} is outside [0, {SEED_BOUND})")
+        words.append((0xF0A3, seed, speaker.id, _CHANNEL_CODE[channel], length, *text))
+    # SeedSequence reads each int below 2**32 as one uint32 word, so row i is
+    # the entropy of item i's list of ints, without the per-int conversion
+    words = np.array(words, dtype=np.uint32)
+    t_total = frames_for_text(length)
+    frames = np.zeros((b, t_total, F_DIM), dtype=np.float32)
+    interior = frames[:, SILENCE_EDGE:t_total - SILENCE_EDGE]
+    vocab.templates.take(words[:, 5:], axis=0,
+                         out=interior.reshape(b, length, FRAMES_PER_SYMBOL, F_DIM))
+    frames *= _stack([sp.gain for sp in speakers])[:, None]
+    frames += _stack([sp.offset for sp in speakers])[:, None]
+    frames[:, :, PITCH_CHANNEL] += _stack([_pitch_row(sp.pitch_rate, t_total)
+                                           for sp in speakers])
+
+    degraded = [i for i, channel in enumerate(channels) if channel == DEGRADED]
+    if degraded:
+        whole = len(degraded) == b   # every item blurs: no gather or scatter
+        sharp = frames if whole else frames[degraded]
+        blurred = np.zeros_like(sharp)
+        blurred[:, 1:] += _BLUR[0] * sharp[:, :-1]
+        blurred += _BLUR[1] * sharp
+        blurred[:, :-1] += _BLUR[2] * sharp[:, 1:]
+        if whole:
+            frames = blurred
+        else:
+            frames[degraded] = blurred
+    for i, channel in enumerate(channels):
+        sigma = DEGRADED_NOISE if channel == DEGRADED else PRISTINE_NOISE
+        frame = frames[i]
+        frame += np.random.default_rng(words[i]).normal(0.0, sigma, frame.shape).astype(np.float32)
     frames.flags.writeable = False
     return frames
+
+
+def draw_seed(rng: np.random.Generator) -> int:
+    """A fresh render seed: one `rng.integers(2**31)` draw."""
+    return int(rng.integers(2**31))
 
 
 @dataclass(frozen=True)
@@ -192,14 +233,20 @@ class CorpusSplits:
     heldout_texts: tuple[tuple[int, ...], ...]
     utterances: tuple[Utterance, ...]
 
+    def render_batch(self, texts, speaker_ids, channels, seeds) -> np.ndarray:
+        """`render` of equal-length texts under speakers given by id."""
+        return render(self.vocab, texts, [self.speakers[int(s)] for s in speaker_ids],
+                      channels, seeds)
+
     def render_utterance(self, utt: Utterance) -> np.ndarray:
-        return render(self.vocab, utt.text, self.speakers[utt.speaker_id], utt.channel, utt.seed)
+        return render(self.vocab, [utt.text], [self.speakers[utt.speaker_id]], [utt.channel],
+                      [utt.seed])[0]
 
     def render_text(self, text, speaker_id: int, channel: str,
                     rng: np.random.Generator) -> np.ndarray:
-        """A fresh render whose seed is one `rng.integers(2**31)` draw."""
-        return render(self.vocab, text, self.speakers[speaker_id], channel,
-                      int(rng.integers(2**31)))
+        """A fresh render whose seed is one `draw_seed(rng)` draw."""
+        return render(self.vocab, [text], [self.speakers[speaker_id]], [channel],
+                      [draw_seed(rng)])[0]
 
 
 def make_corpus(seed: int, n_speakers: int, n_texts: int, text_len_min: int,

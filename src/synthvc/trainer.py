@@ -149,9 +149,8 @@ class PipelineContext:
         key = (speaker_id, idx)
         if key not in self._ref_emb:
             text, seed = pool[idx]
-            frames = sw.render(self.splits.vocab, text, self.splits.speakers[speaker_id],
-                               sw.PRISTINE, seed)
-            self._ref_emb[key] = self.spk_enc.embed(frames)
+            frames = self.splits.render_batch([text], [speaker_id], [sw.PRISTINE], [seed])
+            self._ref_emb[key] = self.spk_enc.embed(frames[0])
         return self._ref_emb[key]
 
     def frozen_hash(self) -> str:
@@ -206,17 +205,18 @@ def _source_features(ctx: PipelineContext, utts, rng: np.random.Generator) -> np
 
     Re-rendering each text under a random train speaker with fresh noise
     mirrors the parallel-augmentation story and stops the LM keying on the
-    fixed (text, speaker) corpus pairing. The renders draw from rng item by
-    item; the items share one text length, so their frames stack to one
-    (B, T, F) array and the frozen encoder runs once over the batch, with
-    the same bits as one call per item.
+    fixed (text, speaker) corpus pairing. Each item draws its speaker and
+    then its render seed from rng; the items share one text length, so one
+    render gives the (B, T, F) frames and the frozen encoder runs once over
+    the batch, with the same bits as one call per item.
     """
     train_ids = ctx.splits.train_speaker_ids
-    frames = []
-    for u in utts:
-        sid = int(train_ids[rng.integers(len(train_ids))])
-        frames.append(ctx.splits.render_text(u.text, sid, sw.PRISTINE, rng))
-    return ctx.sem_enc.features(np.stack(frames))
+    sids, seeds = [], []
+    for _ in utts:
+        sids.append(int(train_ids[rng.integers(len(train_ids))]))
+        seeds.append(sw.draw_seed(rng))
+    return ctx.sem_enc.features(ctx.splits.render_batch(
+        [u.text for u in utts], sids, [sw.PRISTINE] * len(utts), seeds))
 
 
 def _dropped_text_inputs(tokens: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -241,11 +241,13 @@ def _null_rows(ctx: PipelineContext, params: dict, batch: int) -> Tensor:
     return nm.concat([null] * batch, axis=0)
 
 
-def select_target(ctx: PipelineContext, source: sw.Utterance, target_speaker: int,
-                  real_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Parallel target frames: pristine with probability real_prob."""
+def select_target(source: sw.Utterance, target_speaker: int, real_prob: float,
+                  rng: np.random.Generator) -> tuple:
+    """The (text, speaker id, channel, seed) render of a parallel target: the
+    source's text under the target speaker, pristine with probability
+    real_prob, the channel drawn before the seed."""
     channel = sw.PRISTINE if rng.random() < real_prob else sw.DEGRADED
-    return ctx.splits.render_text(source.text, target_speaker, channel, rng)
+    return source.text, target_speaker, channel, sw.draw_seed(rng)
 
 
 def _pool_loss(ctx, params, utts, grids, spk, weights, plan, rng):
@@ -283,16 +285,17 @@ def _vc_pool_loss(ctx, params, utts, plan, real_prob, rng):
     whose targets are pristine with probability real_prob."""
     layout = ctx.lm_cfg.layout
     train_ids = ctx.splits.train_speaker_ids
-    targets, spk_embs = [], []
+    renders, spk_embs = [], []
     for u in utts:
         tgt = int(train_ids[rng.integers(len(train_ids))])
         ref_idx = int(rng.integers(PipelineContext.REF_POOL_SIZE))
         spk_embs.append(ctx.reference_embedding(tgt, ref_idx, tuple(u.text)))
-        targets.append(select_target(ctx, u, tgt, real_prob, rng))
+        renders.append(select_target(u, tgt, real_prob, rng))
+    targets = ctx.splits.render_batch(*zip(*renders))
     # encode quantizes frame by frame, so one call over all targets' rows
     # gives each target the codes of its own call
-    codes = encode(np.concatenate(targets), ctx.codec)
-    per_target = np.split(codes, np.cumsum([len(f) for f in targets])[:-1], axis=1)
+    codes = encode(targets.reshape(-1, targets.shape[-1]), ctx.codec)
+    per_target = np.split(codes, len(utts), axis=1)
     grids = [sl.build_delayed_grid(u.text, c, layout) for u, c in zip(utts, per_target)]
     spk = apply_adapter(params, "spk_adapter", nm.constant(np.stack(spk_embs)))
     weights = (plan.w, *((1.0 - plan.w) * lam for lam in plan.lambdas))

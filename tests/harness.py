@@ -6,6 +6,9 @@
   They are taped ops built on `numerics._apply`, like the package's own.
 - `nearest_template_decode`, a decoder that knows the world's templates, so
   a test can show that rendered symbols can be read back.
+- `render_one`, the frames of one item through the batched `sw.render`, and
+  `spy_renders`, which records every `sw.render` call, so a test can pin how
+  many batches a caller renders and what each item holds.
 """
 
 from typing import Callable
@@ -92,6 +95,27 @@ def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-4) -> float:
             continue
         worst = max(worst, abs(fd - an) / denom)
     return worst
+
+
+def render_one(vocab: sw.SymbolVocab, text, speaker: sw.SpeakerProfile, channel: str,
+               seed: int) -> np.ndarray:
+    """The (T, F) frames of a one-item `sw.render` batch."""
+    return sw.render(vocab, [text], [speaker], [channel], [seed])[0]
+
+
+def spy_renders(monkeypatch) -> list[list[tuple]]:
+    """Record every `sw.render` call as the list of its items' (text,
+    speaker id, channel, seed)."""
+    calls, render = [], sw.render
+
+    def spy(vocab, transcripts, speakers, channels, seeds):
+        calls.append([(tuple(int(s) for s in text), speaker.id, channel, int(seed))
+                      for text, speaker, channel, seed
+                      in zip(transcripts, speakers, channels, seeds)])
+        return render(vocab, transcripts, speakers, channels, seeds)
+
+    monkeypatch.setattr(sw, "render", spy)
+    return calls
 
 
 def nearest_template_decode(vocab: sw.SymbolVocab, frames: np.ndarray) -> tuple[int, ...]:

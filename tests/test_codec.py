@@ -10,6 +10,8 @@ from synthvc import codec as cd
 from synthvc import synthworld as sw
 from synthvc.errors import ArtifactFormatError, DataError, StateError
 
+from harness import render_one, spy_renders
+
 
 @pytest.fixture(scope="module")
 def small_codec():
@@ -151,13 +153,44 @@ def test_distortion_decreases_with_layer_count(small_codec):
     assert all(d[i + 1] <= d[i] for i in range(len(d) - 1))
 
 
+def _fit_corpus_per_item(splits, parallel_per_utt, degraded_per_utt, seed):
+    """build_fit_corpus as one render per item, the loop the batched render replaced."""
+    rng = np.random.default_rng([0xCB0F, seed])
+    chunks = []
+    train_ids = np.asarray(splits.train_speaker_ids)
+    for utt in splits.utterances:
+        chunks.append(splits.render_utterance(utt))
+        for _ in range(parallel_per_utt):
+            sid = int(train_ids[rng.integers(len(train_ids))])
+            chunks.append(splits.render_text(utt.text, sid, sw.PRISTINE, rng))
+        for _ in range(degraded_per_utt):
+            sid = int(train_ids[rng.integers(len(train_ids))])
+            chunks.append(splits.render_text(utt.text, sid, sw.DEGRADED, rng))
+    return np.concatenate(chunks, axis=0)
+
+
+@pytest.mark.parametrize("parallel,degraded", [(2, 1), (0, 2), (0, 0)])
+def test_fit_corpus_equals_the_per_item_loop(splits, monkeypatch, parallel, degraded):
+    calls = spy_renders(monkeypatch)
+    got = cd.build_fit_corpus(splits, parallel, degraded, seed=91)
+    # one render per utterance: its own, then the parallel and degraded ones
+    assert len(calls) == len(splits.utterances)
+    for utt, call in zip(splits.utterances, calls):
+        assert call[0] == (utt.text, utt.speaker_id, utt.channel, utt.seed)
+        channels = [ch for _, _, ch, _ in call[1:]]
+        assert channels == [sw.PRISTINE] * parallel + [sw.DEGRADED] * degraded
+    want = _fit_corpus_per_item(splits, parallel, degraded, seed=91)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_heldout_snr_within_one_db_of_fit(splits, codec):
     rng = np.random.default_rng(1)
     chunks = []
     for text in splits.heldout_texts:
         sid = splits.heldout_speaker_ids[int(rng.integers(4))]
-        chunks.append(sw.render(splits.vocab, text, splits.speakers[sid],
-                                sw.PRISTINE, int(rng.integers(2**31))))
+        chunks.append(render_one(splits.vocab, text, splits.speakers[sid],
+                                 sw.PRISTINE, int(rng.integers(2**31))))
     frames = np.concatenate(chunks)
     recon = cd.decode(cd.encode(frames, codec), codec)
     x = frames.astype(np.float64)
@@ -300,6 +333,74 @@ def test_fit_matches_dense_fit_bitwise_across_blocks():
         assert np.array_equal(book.centroids, want)
     assert codec.layer_distortions == distortions
     assert codec.fit_snr_db == snr
+
+
+def test_draw_index_equals_rng_choice_in_index_and_state():
+    rng = np.random.default_rng(51)
+    kinds = set()
+    for trial in range(2000):
+        n = int(rng.integers(1, 300))
+        weights = rng.exponential(size=n) * 10.0 ** rng.uniform(-8, 8)
+        kind = trial % 4
+        if kind == 1:     # zero weights among the rest
+            weights[rng.random(n) < 0.5] = 0.0
+        elif kind == 2:   # a single nonzero weight
+            weights[:] = 0.0
+            weights[rng.integers(n)] = rng.exponential()
+        elif kind == 3:   # ties and subnormals
+            weights = rng.integers(0, 3, size=n) * 5e-324
+        total = weights.sum()
+        if total <= 0.0:
+            continue
+        kinds.add(kind)
+        gen, twin = np.random.default_rng(trial), np.random.default_rng(trial)
+        assert cd._draw_index(weights, total, gen) == int(twin.choice(n, p=weights / total))
+        assert gen.bit_generator.state == twin.bit_generator.state
+    assert kinds == {0, 1, 2, 3}
+
+
+def _kmeans_pp_init_choice(data, k, rng, twice, norms):
+    """_kmeans_pp_init as it drew seeds with rng.choice, verbatim."""
+    n = data.shape[0]
+    centroids = np.empty((k, data.shape[1]), dtype=np.float64)
+    first = int(rng.integers(0, n))
+    centroids[0] = data[first]
+    d2 = np.empty(n)
+    for b in cd._blocks(n):
+        d2[b] = np.sum((data[b] - centroids[0]) ** 2, axis=1)
+    floor = norms * (1.0 - cd._SLACK)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centroids[i] = data[int(rng.integers(0, n))]
+        else:
+            probs = d2 / total
+            idx = int(rng.choice(n, p=probs))
+            centroids[i] = data[idx]
+        c = centroids[i]
+        lower = twice @ c
+        np.subtract(floor, lower, out=lower)
+        lower += float(c @ c) * (1.0 - cd._SLACK) - cd._TINY
+        near = np.flatnonzero(lower < d2)
+        for b in cd._blocks(len(near)):
+            rows = near[b]
+            d2[rows] = np.minimum(d2[rows], np.sum((data[rows] - c) ** 2, axis=1))
+    return centroids
+
+
+@pytest.mark.parametrize("corpus", ["fit-corpus", "three-blocks"])
+def test_codebooks_equal_the_rng_choice_seeding(splits, monkeypatch, corpus):
+    if corpus == "fit-corpus":
+        frames = cd.build_fit_corpus(splits, 1, 1, seed=5)
+    else:
+        frames = _corpus("three-blocks").astype(np.float32)
+    got = cd.fit_codebooks(frames, n=3, k=32, iters=2, seed=17)
+    monkeypatch.setattr(cd, "_kmeans_pp_init", _kmeans_pp_init_choice)
+    want = cd.fit_codebooks(frames, n=3, k=32, iters=2, seed=17)
+    for book, ref in zip(got.codebooks, want.codebooks, strict=True):
+        assert book.centroids.tobytes() == ref.centroids.tobytes()
+    assert got.layer_distortions == want.layer_distortions
+    assert got.fit_snr_db == want.fit_snr_db
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, cd._BLOCK, cd._BLOCK + 1, 2 * cd._BLOCK + 1,

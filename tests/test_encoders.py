@@ -15,6 +15,8 @@ from synthvc.config import RunConfig
 from synthvc.errors import ConfigError, TrainingDivergedError
 from synthvc.optim import fit_classifier
 
+from harness import spy_renders
+
 # kind -> (trainer(splits, cfg, steps), temporary head prefix, quality attributes);
 # each trains as `synthvc pretrain-encoders` does, but for `steps` steps
 TRAINERS = {
@@ -77,6 +79,40 @@ def test_speaker_batches_shapes_and_labels(splits):
         assert x.ndim == 3 and x.shape[0] == 4 and x.shape[2] == sw.F_DIM
         assert y.shape == (4,)
         assert 0 <= y.min() and y.max() < len(splits.train_speaker_ids)
+
+
+def _speaker_batches_per_item(splits, rng, batch):
+    """speaker_batches as one render per item, the loop the batched render replaced."""
+    spk_index = {sid: i for i, sid in enumerate(splits.train_speaker_ids)}
+    text_buckets = {}
+    for txt in splits.train_texts:
+        text_buckets.setdefault(len(txt), []).append(txt)
+    lengths = sorted(text_buckets)
+    while True:
+        sids = rng.choice(splits.train_speaker_ids, size=batch)
+        pool = text_buckets[lengths[int(rng.integers(len(lengths)))]]
+        xs, ys = [], []
+        for sid in sids:
+            text = pool[int(rng.integers(len(pool)))]
+            xs.append(splits.render_text(text, int(sid), sw.PRISTINE, rng))
+            ys.append(spk_index[int(sid)])
+        yield np.stack(xs), np.asarray(ys)
+
+
+@pytest.mark.parametrize("batch", [1, 4, 16])
+def test_speaker_batches_equal_the_per_item_loop(splits, monkeypatch, batch):
+    rng, twin = np.random.default_rng(71 + batch), np.random.default_rng(71 + batch)
+    calls = spy_renders(monkeypatch)
+    got_batches, want_batches = en.speaker_batches(splits, rng, batch), \
+        _speaker_batches_per_item(splits, twin, batch)
+    for i in range(4):
+        x, y = next(got_batches)
+        assert [len(c) for c in calls] == [batch] * (i + 1)   # one render per batch
+        x_want, y_want = next(want_batches)
+        del calls[i + 1:]   # the reference loop's own one-item renders
+        assert x.tobytes() == x_want.tobytes() and x.shape == x_want.shape
+        assert np.array_equal(y, y_want)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_fit_classifier_overflow_raises_diverged_with_step():

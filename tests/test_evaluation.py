@@ -17,6 +17,8 @@ from synthvc import synthworld as sw
 from synthvc import trainer as tr
 from synthvc.errors import CalibrationError, DataError
 
+from harness import spy_renders
+
 
 def oracle_distance(ref, hyp):
     """Independent memoized-recursion Levenshtein oracle."""
@@ -89,6 +91,37 @@ def test_verifier_eer_gate(verifier):
 ])
 def test_equal_error_rate_hand_checked(same, diff, eer):
     assert ev._equal_error_rate(np.asarray(same), np.asarray(diff)) == eer
+
+
+def _transcriber_batches_per_item(splits, rng):
+    """transcriber_batches as one render per item, the loop the batched render replaced."""
+    buckets = en.bucket_by_length(splits.utterances)
+    while True:
+        xs, ys = [], []
+        for u in en.sample_bucket(buckets, rng, ev.TRANSCRIBER_BATCH):
+            channel = sw.DEGRADED if rng.random() < 0.5 else sw.PRISTINE
+            xs.append(splits.render_text(u.text, u.speaker_id, channel, rng))
+            ys.append(sw.frame_labels(u.text))
+        yield np.stack(xs), np.concatenate(ys)
+
+
+@pytest.mark.parametrize("seed", [81, 82])
+def test_transcriber_batches_equal_the_per_item_loop(splits, monkeypatch, seed):
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    calls = spy_renders(monkeypatch)
+    got_batches = ev.transcriber_batches(splits, rng)
+    want_batches = _transcriber_batches_per_item(splits, twin)
+    channels = set()
+    for i in range(6):
+        x, y = next(got_batches)
+        assert len(calls) == i + 1   # one render per batch
+        channels.update(ch for _, _, ch, _ in calls[i])
+        x_want, y_want = next(want_batches)
+        del calls[i + 1:]   # the reference loop's own one-item renders
+        assert x.tobytes() == x_want.tobytes() and x.shape == x_want.shape
+        assert np.array_equal(y, y_want)
+        assert rng.bit_generator.state == twin.bit_generator.state
+    assert channels == {sw.PRISTINE, sw.DEGRADED}
 
 
 def test_cosine_self_similarity(verifier, splits):

@@ -939,6 +939,31 @@ def _unfold_vjp_formula(g, b, t_len, f, kernel, stride, pad):
     return np.ascontiguousarray(gp[:, pad:pad + t_len])
 
 
+def _embedding_vjp_formula(g, ids, shape):
+    gt = np.zeros(shape, dtype=g.dtype)
+    np.add.at(gt, ids.reshape(-1), g.reshape(-1, shape[1]))
+    return gt
+
+
+def test_embedding_vjp_bitwise_equals_row_add_at():
+    rng = np.random.default_rng(97)
+    for trial in range(300):
+        dtype = (np.float32, np.float64)[trial % 2]
+        v, d = int(rng.integers(1, 50)), int(rng.integers(1, 65))
+        n = int(rng.integers(0, 601))
+        ids = rng.integers(0, v, size=n)
+        ids[rng.random(n) < 0.4] = 0   # a heavily repeated PAD row
+        g = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=(n, d))
+        g[rng.random((n, d)) < 0.05] = -0.0
+        g[rng.random((n, d)) < 0.05] = np.finfo(dtype).smallest_subnormal
+        g = g.astype(dtype)
+        table = rng.normal(size=(v, d)).astype(dtype)
+        shape_ids = ids.reshape(2, -1) if n % 2 == 0 and n else ids
+        _, (gt,) = _forward_and_grads(lambda tt: nm.embedding_lookup(tt, shape_ids), [table],
+                                      g.reshape(*shape_ids.shape, d))
+        assert _same_bits(gt, _embedding_vjp_formula(g, ids, (v, d)))
+
+
 @pytest.mark.parametrize("kernel,stride,pad", [(3, 2, 1), (5, 2, 2), (3, 1, 1), (2, 2, 1)])
 @pytest.mark.parametrize("t_len", [9, 12])
 def test_unfold_time_vjp_bitwise_equals_add_at(kernel, stride, pad, t_len):

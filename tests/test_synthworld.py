@@ -10,7 +10,7 @@ from synthvc import synthworld as sw
 from synthvc.config import RunConfig
 from synthvc.errors import ConfigError, DataError
 
-from harness import nearest_template_decode
+from harness import nearest_template_decode, render_one
 
 
 def test_render_identity_speaker_zero_noise(splits, monkeypatch):
@@ -22,7 +22,7 @@ def test_render_identity_speaker_zero_noise(splits, monkeypatch):
         pitch_rate=0.2,
     )
     text = (0, 5, 17)
-    r = sw.render(splits.vocab, text, prof, sw.PRISTINE, seed=3)
+    r = render_one(splits.vocab, text, prof, sw.PRISTINE, seed=3)
     t_total = sw.frames_for_text(3)
     assert r.shape == (t_total, sw.F_DIM)
     for i, s in enumerate(text):
@@ -36,17 +36,17 @@ def test_render_identity_speaker_zero_noise(splits, monkeypatch):
 
 def test_render_deterministic(splits):
     prof = splits.speakers[splits.train_speaker_ids[0]]
-    a = sw.render(splits.vocab, (1, 2, 3), prof, sw.DEGRADED, seed=11)
-    b = sw.render(splits.vocab, (1, 2, 3), prof, sw.DEGRADED, seed=11)
+    a = render_one(splits.vocab, (1, 2, 3), prof, sw.DEGRADED, seed=11)
+    b = render_one(splits.vocab, (1, 2, 3), prof, sw.DEGRADED, seed=11)
     assert np.array_equal(a, b)
-    c = sw.render(splits.vocab, (1, 2, 3), prof, sw.DEGRADED, seed=12)
+    c = render_one(splits.vocab, (1, 2, 3), prof, sw.DEGRADED, seed=12)
     assert not np.array_equal(a, c)
 
 
 def test_render_rejects_special_symbols(splits):
     prof = splits.speakers[splits.train_speaker_ids[0]]
     with pytest.raises(DataError):
-        sw.render(splits.vocab, (1, sw.TEXT_EOS), prof, sw.PRISTINE, seed=0)
+        render_one(splits.vocab, (1, sw.TEXT_EOS), prof, sw.PRISTINE, seed=0)
 
 
 def _render_oracle(vocab, text, speaker, channel, seed):
@@ -79,7 +79,7 @@ def _render_oracle(vocab, text, speaker, channel, seed):
 def test_render_equals_list_entropy_formula(splits, seed, n_symbols, channel):
     text = tuple(int(s) for s in (7 * np.arange(n_symbols) + 5) % sw.N_SYMBOLS)
     prof = splits.speakers[splits.train_speaker_ids[1]]
-    got = sw.render(splits.vocab, text, prof, channel, seed)
+    got = render_one(splits.vocab, text, prof, channel, seed)
     assert np.array_equal(got, _render_oracle(splits.vocab, text, prof, channel, seed))
 
 
@@ -91,7 +91,7 @@ def test_render_bytes_equal_oracle_on_random_renders(splits):
         prof = splits.speakers[int(rng.integers(len(splits.speakers)))]
         channel = (sw.PRISTINE, sw.DEGRADED)[i % 2]
         seed = int(rng.integers(sw.SEED_BOUND))
-        got = sw.render(splits.vocab, text, prof, channel, seed)
+        got = render_one(splits.vocab, text, prof, channel, seed)
         assert not got.flags.writeable
         assert got.tobytes() == _render_oracle(splits.vocab, text, prof, channel, seed).tobytes()
     assert not sw._pitch_row(prof.pitch_rate, sw.frames_for_text(len(text))).flags.writeable
@@ -101,7 +101,63 @@ def test_render_bytes_equal_oracle_on_random_renders(splits):
 def test_render_rejects_seed_outside_uint32(splits, seed):
     prof = splits.speakers[splits.train_speaker_ids[0]]
     with pytest.raises(DataError, match="seed"):
-        sw.render(splits.vocab, (1, 2), prof, sw.PRISTINE, seed)
+        render_one(splits.vocab, (1, 2), prof, sw.PRISTINE, seed)
+
+
+@pytest.mark.parametrize("length", [0, 1, 12])
+@pytest.mark.parametrize("mix", ["pristine", "degraded", "mixed"])
+def test_batched_render_items_equal_oracle(splits, length, mix):
+    # every speaker of the world, in a shuffled order, one item each
+    rng = np.random.default_rng(101 + length)
+    ids = [int(i) for i in rng.permutation(sorted(splits.speakers))]
+    texts = [tuple(int(s) for s in rng.integers(0, sw.N_SYMBOLS, size=length)) for _ in ids]
+    channels = {"pristine": [sw.PRISTINE] * len(ids), "degraded": [sw.DEGRADED] * len(ids),
+                "mixed": [(sw.PRISTINE, sw.DEGRADED)[int(c)]
+                          for c in rng.integers(0, 2, size=len(ids))]}[mix]
+    seeds = [int(s) for s in rng.integers(sw.SEED_BOUND, size=len(ids))]
+    speakers = [splits.speakers[i] for i in ids]
+    got = sw.render(splits.vocab, texts, speakers, channels, seeds)
+    assert got.shape == (len(ids), sw.frames_for_text(length), sw.F_DIM)
+    assert got.dtype == np.float32 and not got.flags.writeable
+    for i in range(len(ids)):
+        want = _render_oracle(splits.vocab, texts[i], speakers[i], channels[i], seeds[i])
+        assert got[i].tobytes() == want.tobytes()
+    if mix == "mixed":
+        assert set(channels) == {sw.PRISTINE, sw.DEGRADED}
+
+
+def test_batched_render_random_batches_equal_oracle(splits):
+    rng = np.random.default_rng(113)
+    for _ in range(40):
+        b, length = int(rng.integers(1, 9)), int(rng.integers(0, 13))
+        texts = [tuple(int(s) for s in rng.integers(0, sw.N_SYMBOLS, size=length))
+                 for _ in range(b)]
+        speakers = [splits.speakers[int(i)] for i in rng.integers(len(splits.speakers), size=b)]
+        channels = [(sw.PRISTINE, sw.DEGRADED)[int(c)] for c in rng.integers(0, 2, size=b)]
+        seeds = [int(s) for s in rng.integers(sw.SEED_BOUND, size=b)]
+        got = sw.render(splits.vocab, texts, speakers, channels, seeds)
+        assert not got.flags.writeable
+        for i in range(b):
+            want = _render_oracle(splits.vocab, texts[i], speakers[i], channels[i], seeds[i])
+            assert got[i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad,error", [
+    ({"texts": [(1, 2), (1, 2, 3)]}, DataError),            # ragged lengths
+    ({"texts": [(1, 2), (1, sw.TEXT_EOS)]}, DataError),     # a non-content symbol
+    ({"texts": [(1, 2), (-1, 2)]}, DataError),
+    ({"channels": [sw.PRISTINE, "noisy"]}, ConfigError),
+    ({"seeds": [0, sw.SEED_BOUND]}, DataError),
+    ({"seeds": [-1, 0]}, DataError),
+    ({"seeds": [0]}, DataError),                            # fewer seeds than texts
+    ({"texts": [], "speakers": [], "channels": [], "seeds": []}, DataError),   # no items
+])
+def test_batched_render_rejects_a_bad_item(splits, bad, error):
+    args = {"texts": [(1, 2), (3, 4)],
+            "speakers": [splits.speakers[i] for i in splits.train_speaker_ids[:2]],
+            "channels": [sw.PRISTINE, sw.DEGRADED], "seeds": [0, 1], **bad}
+    with pytest.raises(error):
+        sw.render(splits.vocab, args["texts"], args["speakers"], args["channels"], args["seeds"])
 
 
 def test_cross_speaker_distance_exceeds_rerender(splits):
@@ -113,9 +169,9 @@ def test_cross_speaker_distance_exceeds_rerender(splits):
         a, b = rng.choice(ids, size=2, replace=False)
         text = splits.train_texts[int(rng.integers(len(splits.train_texts)))]
         s1, s2 = int(rng.integers(2**31)), int(rng.integers(2**31))
-        ra = sw.render(splits.vocab, text, splits.speakers[int(a)], sw.PRISTINE, s1)
-        rb = sw.render(splits.vocab, text, splits.speakers[int(b)], sw.PRISTINE, s1)
-        ra2 = sw.render(splits.vocab, text, splits.speakers[int(a)], sw.PRISTINE, s2)
+        ra = render_one(splits.vocab, text, splits.speakers[int(a)], sw.PRISTINE, s1)
+        rb = render_one(splits.vocab, text, splits.speakers[int(b)], sw.PRISTINE, s1)
+        ra2 = render_one(splits.vocab, text, splits.speakers[int(a)], sw.PRISTINE, s2)
         diffs.append(np.abs(ra - rb).mean())
         sames.append(np.abs(ra - ra2).mean())
     assert np.mean(diffs) > np.mean(sames)
@@ -153,7 +209,7 @@ def test_parallel_pair_same_speaker_identity(splits):
     utt = splits.utterances[0]
     src = splits.render_utterance(utt)
     prof = splits.speakers[utt.speaker_id]
-    again = sw.render(splits.vocab, utt.text, prof, sw.PRISTINE, seed=utt.seed)
+    again = render_one(splits.vocab, utt.text, prof, sw.PRISTINE, seed=utt.seed)
     assert np.array_equal(src, again)
 
 
@@ -162,8 +218,8 @@ def test_render_text_is_render_at_one_seed_draw(splits):
     text, sid = splits.train_texts[2], splits.train_speaker_ids[3]
     rng, twin = np.random.default_rng(41), np.random.default_rng(41)
     got = splits.render_text(text, sid, sw.DEGRADED, rng)
-    want = sw.render(splits.vocab, text, splits.speakers[sid], sw.DEGRADED,
-                     int(twin.integers(2**31)))
+    want = render_one(splits.vocab, text, splits.speakers[sid], sw.DEGRADED,
+                      int(twin.integers(2**31)))
     assert got.dtype == np.float32 and not got.flags.writeable
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == twin.bit_generator.state
@@ -172,8 +228,8 @@ def test_render_text_is_render_at_one_seed_draw(splits):
 def test_degraded_differs_beyond_noise_floor(splits):
     utt = splits.utterances[7]
     prof = splits.speakers[utt.speaker_id]
-    clean = sw.render(splits.vocab, utt.text, prof, sw.PRISTINE, seed=5)
-    rough = sw.render(splits.vocab, utt.text, prof, sw.DEGRADED, seed=5)
+    clean = render_one(splits.vocab, utt.text, prof, sw.PRISTINE, seed=5)
+    rough = render_one(splits.vocab, utt.text, prof, sw.DEGRADED, seed=5)
     rms = np.sqrt(np.mean((clean - rough) ** 2))
     assert rms > 3 * sw.PRISTINE_NOISE
 
@@ -186,8 +242,8 @@ def test_speaker_separability_gate(splits):
         means = []
         for _ in range(12):
             text = splits.train_texts[int(rng.integers(len(splits.train_texts)))]
-            r = sw.render(splits.vocab, text, splits.speakers[sid], sw.PRISTINE,
-                          int(rng.integers(2**31)))
+            r = render_one(splits.vocab, text, splits.speakers[sid], sw.PRISTINE,
+                           int(rng.integers(2**31)))
             means.append(r.mean(axis=0))
         cents[sid] = np.mean(means[:10], axis=0)
         probes.extend((sid, m) for m in means[10:])

@@ -14,6 +14,8 @@ from synthvc.encoders import sample_bucket
 from synthvc.errors import ConfigError, TrainingDivergedError
 from synthvc.optim import Adam
 
+from harness import render_one, spy_renders
+
 
 def make_state(ctx, seed=7401, lr=1e-3):
     params = tr.init_pipeline_params(ctx, seed)
@@ -211,17 +213,19 @@ def test_non_finite_forward_diverges_before_any_update(bare_context, default_pla
 
 
 @pytest.mark.parametrize("seed,size", [(41, 6), (42, 6), (43, 3), (44, 1)])
-def test_source_features_batched_equals_per_item_loop(bare_context, seed, size):
+def test_source_features_batched_equals_per_item_loop(bare_context, monkeypatch, seed, size):
     ctx = bare_context
     batch = sample_bucket(ctx.buckets, np.random.default_rng(seed), size)
     rng_batched, rng_loop = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+    calls = spy_renders(monkeypatch)
     got = tr._source_features(ctx, batch, rng_batched)
+    assert [len(c) for c in calls] == [len(batch)]   # one render for the whole batch
     train_ids = ctx.splits.train_speaker_ids
     want = []
     for u in batch:   # one render and one frozen forward per item, in draw order
         sid = int(train_ids[rng_loop.integers(len(train_ids))])
-        frames = sw.render(ctx.splits.vocab, u.text, ctx.splits.speakers[sid], sw.PRISTINE,
-                           int(rng_loop.integers(2**31)))
+        frames = render_one(ctx.splits.vocab, u.text, ctx.splits.speakers[sid], sw.PRISTINE,
+                            int(rng_loop.integers(2**31)))
         want.append(ctx.sem_enc.features(frames[None])[0])
     assert got.shape == (len(batch),) + want[0].shape
     assert np.array_equal(got, np.stack(want))
@@ -234,9 +238,9 @@ def test_vc_pool_grids_hold_each_targets_own_codes(bare_context, monkeypatch, de
     select, build = tr.select_target, sl.build_delayed_grid
 
     def recording_select(*args):
-        frames = select(*args)
-        targets.append(frames)
-        return frames
+        render = select(*args)
+        targets.append(render)
+        return render
 
     def recording_build(text, codes, layout):
         grid_codes.append(np.array(codes))
@@ -248,8 +252,51 @@ def test_vc_pool_grids_hold_each_targets_own_codes(bare_context, monkeypatch, de
     tr._vc_pool_loss(ctx, make_state(ctx).params, batch, default_plan, 0.5,
                      np.random.default_rng(48))
     assert len(targets) == len(grid_codes) == len(batch)
-    for frames, codes in zip(targets, grid_codes):   # one encode call per target
+    for (text, sid, channel, seed), codes in zip(targets, grid_codes):   # one encode per target
+        frames = render_one(ctx.splits.vocab, text, ctx.splits.speakers[sid], channel, seed)
         assert np.array_equal(codes, encode(frames, ctx.codec))
+
+
+@pytest.mark.parametrize("seed,size,real_prob", [(61, 6, 0.5), (62, 3, 0.8), (63, 2, 1.0)])
+def test_vc_pool_targets_equal_the_per_item_loop(bare_context, monkeypatch, default_plan,
+                                                 seed, size, real_prob):
+    ctx = bare_context
+    batch = sample_bucket(ctx.buckets, np.random.default_rng(seed), size)
+    grid_codes, entry_state = [], []
+    build = sl.build_delayed_grid
+
+    def recording_build(text, codes, layout):
+        grid_codes.append(np.array(codes))
+        return build(text, codes, layout)
+
+    def stop_at_pool_loss(ctx, params, utts, grids, spk, weights, plan, rng):
+        entry_state.append(rng.bit_generator.state)
+        return None
+
+    monkeypatch.setattr(sl, "build_delayed_grid", recording_build)
+    monkeypatch.setattr(tr, "_pool_loss", stop_at_pool_loss)
+    calls = spy_renders(monkeypatch)
+    tr._vc_pool_loss(ctx, make_state(ctx).params, batch, default_plan, real_prob,
+                     np.random.default_rng(seed + 100))
+    calls = list(calls)
+    # the per-item loop the batched targets replace: speaker, reference index,
+    # then select_target's channel and seed draws, one render and encode each
+    rng = np.random.default_rng(seed + 100)
+    train_ids = ctx.splits.train_speaker_ids
+    want = []
+    for u in batch:
+        tgt = int(train_ids[rng.integers(len(train_ids))])
+        rng.integers(tr.PipelineContext.REF_POOL_SIZE)
+        channel = sw.PRISTINE if rng.random() < real_prob else sw.DEGRADED
+        item = (tuple(u.text), tgt, channel, int(rng.integers(2**31)))
+        want.append((item, encode(render_one(ctx.splits.vocab, u.text, ctx.splits.speakers[tgt],
+                                             channel, item[3]), ctx.codec)))
+    assert entry_state == [rng.bit_generator.state]
+    # the targets are one call; the rest are one-item reference renders
+    assert [c for c in calls if len(c) > 1] == [[item for item, _ in want]]
+    assert len(grid_codes) == len(batch)
+    for (_, codes), got in zip(want, grid_codes):
+        assert np.array_equal(got, codes)
 
 
 @pytest.mark.parametrize("steps,interval,evals", [(4, 2, 2), (3, 2, 2), (0, 2, 1)])
@@ -276,36 +323,21 @@ def test_train_stage_scores_heldout_once_per_eval(bare_context, monkeypatch,
 # target selection
 
 
-def _spy_renders(monkeypatch):
-    """Record the (transcript, speaker id, channel) of every sw.render call."""
-    calls, render = [], sw.render
-
-    def spy(vocab, transcript, speaker, channel, seed):
-        calls.append((tuple(transcript), speaker.id, channel))
-        return render(vocab, transcript, speaker, channel, seed)
-
-    monkeypatch.setattr(sw, "render", spy)
-    return calls
-
-
-def test_select_target_always_pristine_at_prob_one(bare_context, monkeypatch):
+def test_select_target_always_pristine_at_prob_one(bare_context):
     ctx = bare_context
-    calls = _spy_renders(monkeypatch)
     rng = np.random.default_rng(23)
-    for utt in ctx.splits.utterances[:20]:
-        tr.select_target(ctx, utt, ctx.splits.train_speaker_ids[0], 1.0, rng)
+    calls = [tr.select_target(utt, ctx.splits.train_speaker_ids[0], 1.0, rng)[:3]
+             for utt in ctx.splits.utterances[:20]]
     assert len(calls) == 20 and all(ch == sw.PRISTINE for _, _, ch in calls)
 
 
-def test_select_target_percentage_and_transcript(bare_context, monkeypatch):
+def test_select_target_percentage_and_transcript(bare_context):
     ctx = bare_context
-    calls = _spy_renders(monkeypatch)
     rng = np.random.default_rng(29)
     utt = ctx.splits.utterances[0]
     tgt = ctx.splits.train_speaker_ids[3]
     n = 10000
-    for _ in range(n):
-        tr.select_target(ctx, utt, tgt, 0.8, rng)
+    calls = [tr.select_target(utt, tgt, 0.8, rng)[:3] for _ in range(n)]
     assert len(calls) == n
     assert all(text == utt.text and sid == tgt for text, sid, _ in calls)
     pristine = sum(ch == sw.PRISTINE for _, _, ch in calls)
@@ -385,8 +417,9 @@ class _AdamFormula:
 @pytest.mark.parametrize("clip", [0.0, 1.0])
 def test_adam_bitwise_equals_formula(clip):
     rng = np.random.default_rng(41 + int(clip))
-    shapes = {"a.w": (7, 5), "a.b": (5,), "emb": (3, 4, 6), "z": (129,)}
-    init = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+    shapes = {"a.w": (7, 5), "a.b": (5,), "b.mid": (3, 2), "emb": (3, 4, 6), "z": (129,)}
+    never = {"c.never": (4, 3)}   # sorts between b.mid and emb; never gets a gradient
+    init = {n: rng.normal(size=s).astype(np.float32) for n, s in {**shapes, **never}.items()}
     sides = []
     for opt in (Adam(lr=3e-3, warmup=8, clip=clip), _AdamFormula(lr=3e-3, warmup=8, clip=clip)):
         params = {n: nm.Tensor(a, requires_grad=True) for n, a in init.items()}
@@ -394,9 +427,11 @@ def test_adam_bitwise_equals_formula(clip):
     clipped = []
     for step in range(24):
         # a spread of gradient norms around the clip, a name missing some
-        # steps and one float64 gradient
+        # steps at the end of the sorted order and one in the middle (so a
+        # step walks one, two or three runs), and one float64 gradient
         grads = {n: (rng.normal(size=s) * 10.0 ** rng.uniform(-3, 1)).astype(np.float32)
-                 for n, s in shapes.items() if n != "z" or step % 3}
+                 for n, s in shapes.items()
+                 if (n != "z" or step % 3) and (n != "b.mid" or step % 2)}
         grads["a.b"] = grads["a.b"].astype(np.float64)
         stats = sides[0][0].step(sides[0][1], grads)
         norm, was_clipped = sides[1][0].step(sides[1][1], grads)
@@ -407,10 +442,41 @@ def test_adam_bitwise_equals_formula(clip):
             assert got.requires_grad and not got.data.flags.writeable
             assert got.data.dtype == want.data.dtype
             assert got.data.tobytes() == want.data.tobytes()
+        assert sides[0][1]["c.never"].data.tobytes() == init["c.never"].tobytes()
     assert any(clipped) == (clip > 0) and not all(clipped)
     (new, _), (old, _) = sides
-    assert sorted(new.m) == sorted(old.m) == sorted(shapes)
+    assert sorted(new.m) == sorted(old.m) == sorted(new.v) == sorted(shapes)
     for n in shapes:
+        assert new.m[n].tobytes() == old.m[n].tobytes()
+        assert new.v[n].tobytes() == old.v[n].tobytes()
+
+
+def test_adam_keeps_moments_when_parameters_join_and_leave():
+    # a head joins after some steps; later it leaves and another name joins:
+    # every moment carries over, bit for bit, each time the layout is rebuilt
+    rng = np.random.default_rng(43)
+    shapes = {"b.w": (4, 3), "d.w": (6,)}
+    init = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+    sides = [(opt, {n: nm.Tensor(a, requires_grad=True) for n, a in init.items()})
+             for opt in (Adam(lr=3e-3, warmup=0, clip=1.0),
+                         _AdamFormula(lr=3e-3, warmup=0, clip=1.0))]
+    head, new_w = (rng.normal(size=s).astype(np.float32) for s in ((2, 5), (3,)))
+    for step in range(9):
+        for _, params in sides:
+            if step == 3:
+                params["c.head"] = nm.Tensor(head, requires_grad=True)
+            if step == 6:
+                del params["c.head"]
+                params["a.new"] = nm.Tensor(new_w, requires_grad=True)
+        grads = {n: rng.normal(size=p.data.shape).astype(np.float32)
+                 for n, p in sides[0][1].items()}
+        for opt, params in sides:
+            opt.step(params, grads)
+        for n in sides[0][1]:
+            assert sides[0][1][n].data.tobytes() == sides[1][1][n].data.tobytes()
+    (new, _), (old, _) = sides
+    assert sorted(new.m) == sorted(old.m) == ["a.new", "b.w", "c.head", "d.w"]
+    for n in old.m:
         assert new.m[n].tobytes() == old.m[n].tobytes()
         assert new.v[n].tobytes() == old.v[n].tobytes()
 
