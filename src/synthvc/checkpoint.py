@@ -130,7 +130,7 @@ def load_checkpoint(path: Path) -> dict[str, tuple[bool, dict[str, np.ndarray]]]
 
 
 def params_to_components(params: dict[str, Tensor],
-                         frozen: bool = False) -> dict[str, tuple[bool, dict[str, np.ndarray]]]:
+                         frozen: bool) -> dict[str, tuple[bool, dict[str, np.ndarray]]]:
     """Split a flat param dict on the first dotted segment."""
     comps: dict[str, dict[str, np.ndarray]] = {}
     for name, t in params.items():

@@ -3,9 +3,14 @@ run training stages, convert utterances, evaluate, and inspect artifacts.
 
 Run directory layout (fixed names so commands find upstream artifacts):
     corpus/ codec/ encoders/ checkpoints/ reports/ logs/
+A command holds the directory's lock, one exclusive flock on .runlock, for
+its whole life; the kernel frees it on any exit, a crash or SIGKILL
+included, so no stale lock is left to find. `main` makes the layout once,
+right after taking the lock. A command on a locked directory fails at once.
 Every command whose run directory was resolved appends a line to
 logs/run.tsv, with status "ok" or "ERR:<CODE>", and exits nonzero on error
-with a machine-parseable "ERR:<CODE>" prefix on stderr.
+with a machine-parseable "ERR:<CODE>" prefix on stderr. An exception that
+is not a SynthVCError is logged as "ERR:INTERNAL" and re-raised.
 """
 
 from __future__ import annotations
@@ -64,40 +69,21 @@ class RunDir:
     def path(self, *parts) -> Path:
         return self.root.joinpath(*parts)
 
-    def ensure_layout(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        for d in SUBDIRS:
-            self.path(d).mkdir(exist_ok=True)
-
     def lock(self) -> None:
-        """Create .runlock holding this pid. A lock whose pid names no live
-        process was left by a killed command and is replaced.
-
-        The stale check, the replacement and the create run under an flock
-        on .runlock.guard, so two commands cannot both replace one stale
-        lock, and none reads a lock whose pid is not written yet.
-        """
+        """Take an exclusive flock on .runlock without waiting. The open file
+        holds it until unlock(), or until the process ends, however it ends."""
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path(".runlock")
-        with open(self.path(".runlock.guard"), "a") as guard:
-            fcntl.flock(guard, fcntl.LOCK_EX)   # released when the file closes
-            if _lock_is_stale(path):
-                print(f"warning: replacing stale lock {path}", file=sys.stderr)
-                path.unlink(missing_ok=True)
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                raise ConfigError(
-                    f"run directory {self.root} is locked (.runlock exists); "
-                    "remove the lock if no other command is running") from None
-            with os.fdopen(fd, "w") as fh:
-                fh.write(str(os.getpid()))
+        held = open(self.path(".runlock"), "ab")
+        try:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            held.close()
+            raise ConfigError(f"run directory {self.root} is locked by a running "
+                              "command") from None
+        self._held = held
 
     def unlock(self) -> None:
-        try:
-            os.unlink(self.path(".runlock"))
-        except FileNotFoundError:
-            pass
+        self._held.close()
 
     def log_command(self, command: str, cfg: RunConfig, seed: int,
                     started: float, status: str) -> None:
@@ -122,19 +108,6 @@ class RunDir:
             print("warning: proceeding with drifted config", file=sys.stderr)
 
 
-def _lock_is_stale(path: Path) -> bool:
-    """True when the lock file names a pid that no live process has."""
-    try:
-        pid = int(path.read_text(encoding="utf-8"))
-        if pid > 0:
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):
-        pass   # no lock, one with no valid pid, or another user's process
-    return False
-
-
 def _require(path: Path, producer: str) -> Path:
     if not path.exists():
         raise StateError(f"missing artifact {path}; run `synthvc {producer}` first")
@@ -143,11 +116,6 @@ def _require(path: Path, producer: str) -> Path:
 
 # ---------------------------------------------------------------------------
 # shared loading helpers
-
-
-def _load_cfg(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    return cfg
 
 
 def _world(cfg: RunConfig) -> sw.CorpusSplits:
@@ -218,11 +186,10 @@ def _load_trainable(path: Path):
 
 def cmd_synth_data(args, cfg: RunConfig, run: RunDir) -> int:
     corpus_dir = run.path("corpus")
-    if corpus_dir.exists() and any(corpus_dir.iterdir()) and not args.force:
+    if any(corpus_dir.iterdir()) and not args.force:
         raise ConfigError(f"{corpus_dir} is not empty; pass --force to overwrite")
     splits = _world(cfg)
     pairs = _eval_pairs(cfg, splits)
-    run.ensure_layout()
     cfg.echo(run.root)
     eval_utts = [u for p in pairs for u in (p.source, p.target_ref)]
     all_utts = list(splits.utterances) + eval_utts
@@ -249,7 +216,6 @@ def cmd_synth_data(args, cfg: RunConfig, run: RunDir) -> int:
 
 def cmd_fit_codec(args, cfg: RunConfig, run: RunDir) -> int:
     _require(run.path("corpus", "manifest.tsv"), "synth-data")
-    run.ensure_layout()
     splits = _world(cfg)
     frames = cd.build_fit_corpus(splits, parallel_per_utt=cfg["codec.parallel_per_utt"],
                                  degraded_per_utt=cfg["codec.degraded_per_utt"],
@@ -264,9 +230,7 @@ def cmd_fit_codec(args, cfg: RunConfig, run: RunDir) -> int:
 
 def cmd_pretrain_encoders(args, cfg: RunConfig, run: RunDir) -> int:
     _require(run.path("corpus", "manifest.tsv"), "synth-data")
-    run.ensure_layout()
     splits = _world(cfg)
-    Path(run.path("encoders")).mkdir(exist_ok=True)
     sem = en.pretrain_semantic_encoder(splits, steps=cfg["enc.sem_steps"],
                                        batch=cfg["enc.batch"], lr=cfg["enc.lr"],
                                        seed=cfg["enc.seed"], dims=_dims(cfg))
@@ -315,7 +279,6 @@ def _build_context(cfg: RunConfig, run: RunDir) -> tuple[tr.PipelineContext, tr.
 
 def cmd_train(args, cfg: RunConfig, run: RunDir) -> int:
     ctx, plan = _build_context(cfg, run)
-    run.ensure_layout()
     stages = tr.STAGES if args.stage == "all" else (args.stage,)
     init_params = None
     if args.stage in tr.STAGES[1:]:
@@ -350,7 +313,6 @@ def _latest_checkpoint(run: RunDir) -> Path:
 
 def cmd_convert(args, cfg: RunConfig, run: RunDir) -> int:
     ctx, plan = _build_context(cfg, run)
-    run.ensure_layout()
     params = _load_trainable(_latest_checkpoint(run))
     manifest = sw.load_manifest(_require(run.path("corpus", "manifest.tsv"), "synth-data"),
                                 ctx.splits.vocab)
@@ -359,21 +321,14 @@ def cmd_convert(args, cfg: RunConfig, run: RunDir) -> int:
         raise DataError(f"unknown source utterance id {args.source!r}")
     if args.target_ref not in by_id:
         raise DataError(f"unknown target-ref utterance id {args.target_ref!r}")
-    src_u, ref_u = by_id[args.source], by_id[args.target_ref]
-    src = ctx.splits.render_utterance(src_u)
-    ref = ctx.splits.render_utterance(ref_u)
-    sem_rows = en.apply_adapter(params, "sem_adapter",
-                                nm.constant(ctx.sem_enc.features(src[None])[0]))
-    spk_row = en.apply_adapter(params, "spk_adapter",
-                               nm.constant(ctx.spk_enc.embed(ref)))
     rng = (np.random.default_rng([0xC04F, cfg["eval.seed"]])
            if cfg["gen.mode"] == "sample" else None)
-    res = sl.generate(params, ctx.lm_cfg, sem_rows, spk_row,
-                      max_steps=cfg["gen.max_steps"], tail=cfg["gen.tail"],
-                      mode=cfg["gen.mode"], temperature=cfg["gen.temperature"],
-                      top_k=cfg["gen.top_k"], rng=rng)
-    text_tokens, codes = sl.invert_delayed_grid(res.grid, ctx.lm_cfg.layout)
-    frames = cd.decode(codes, ctx.codec)
+    res, text_tokens, frames = ev.convert(
+        params, ctx.lm_cfg, ctx.codec, ctx.sem_enc, ctx.spk_enc, params,
+        ctx.splits.render_utterance(by_id[args.source]),
+        ctx.splits.render_utterance(by_id[args.target_ref]),
+        max_steps=cfg["gen.max_steps"], tail=cfg["gen.tail"], mode=cfg["gen.mode"],
+        temperature=cfg["gen.temperature"], top_k=cfg["gen.top_k"], rng=rng)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     sw.write_frames(Path(f"{out}.frames.bin"), {f"{args.source}->{args.target_ref}": frames})
@@ -389,7 +344,6 @@ def cmd_convert(args, cfg: RunConfig, run: RunDir) -> int:
 
 def cmd_evaluate(args, cfg: RunConfig, run: RunDir) -> int:
     ctx, plan = _build_context(cfg, run)
-    run.ensure_layout()
     params = _load_trainable(_latest_checkpoint(run))
     manifest_path = (Path(args.manifest) if args.manifest
                      else _require(run.path("corpus", "eval_manifest.tsv"), "synth-data"))
@@ -486,8 +440,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     run = None
+    status = "ERR:INTERNAL"
     try:
-        cfg = _load_cfg(args)
+        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         if args.command == "synth-data" and getattr(args, "out", None):
             root = args.out
         elif args.run is not None:
@@ -499,8 +454,9 @@ def main(argv=None) -> int:
             run.check_config_drift(cfg, args.allow_config_drift)
         run.lock()
         try:
+            for d in SUBDIRS:
+                run.path(d).mkdir(exist_ok=True)
             code = args.fn(args, cfg, run)
-            run.ensure_layout()
         finally:
             run.unlock()
         status = "ok"
@@ -508,8 +464,10 @@ def main(argv=None) -> int:
         tag, code = _classify(e)
         print(f"ERR:{tag} {e}", file=sys.stderr)
         status = f"ERR:{tag}"
-    if run is not None:
-        run.log_command(args.command, cfg, cfg[_COMMAND_SEEDS[args.command]], started, status)
+    finally:   # any other exception keeps ERR:INTERNAL and propagates once logged
+        if run is not None:
+            run.log_command(args.command, cfg, cfg[_COMMAND_SEEDS[args.command]], started,
+                            status)
     return code
 
 

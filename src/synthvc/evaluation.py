@@ -53,6 +53,12 @@ def edit_distance(ref, hyp) -> int:
     return int(prev[-1])
 
 
+def error_rate(refs, hyps) -> float:
+    """Summed edit distance of each hyp from its ref over the summed ref
+    length, both integers until the one division."""
+    return sum(map(edit_distance, refs, hyps)) / sum(map(len, refs))
+
+
 # ---------------------------------------------------------------------------
 # oracle speaker verifier (independent architecture and seed)
 
@@ -205,22 +211,18 @@ def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int,
 
     # measured gates on held-out texts and speakers
     rng_g = np.random.default_rng([0x0A29, seed])
-    exact = total = 0
-    deg_dist = deg_len = 0
+    exact = 0
+    refs, hyps = [], []
     for i in range(60):
         text = splits.heldout_texts[i % len(splits.heldout_texts)]
         sid = splits.heldout_speaker_ids[i % len(splits.heldout_speaker_ids)]
         clean = splits.render_text(text, sid, sw.PRISTINE, rng_g)
-        if trans.transcribe(clean) == tuple(text):
-            exact += 1
-        total += 1
+        exact += trans.transcribe(clean) == tuple(text)
         hyp = trans.transcribe(splits.render_text(text, sid, sw.DEGRADED, rng_g))
-        ref_s = splits.vocab.transcript_names(text)
-        hyp_s = splits.vocab.transcript_names(hyp)
-        deg_dist += edit_distance(ref_s, hyp_s)
-        deg_len += len(ref_s)
-    trans.pristine_exact_rate = exact / total
-    trans.degraded_cer = deg_dist / deg_len
+        refs.append(splits.vocab.transcript_names(text))
+        hyps.append(splits.vocab.transcript_names(hyp))
+    trans.pristine_exact_rate = exact / len(refs)
+    trans.degraded_cer = error_rate(refs, hyps)
     return trans
 
 
@@ -310,6 +312,23 @@ def _validate_heldout(splits: sw.CorpusSplits, utt: sw.Utterance) -> None:
         raise DataError(f"evaluate: utterance {utt.utt_id} uses non-held-out text")
 
 
+def convert(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec, sem_enc, spk_enc,
+            adapter_params: dict, source: np.ndarray, target_ref: np.ndarray,
+            max_steps: int, tail: int, mode: str = "greedy", temperature: float = 1.0,
+            top_k: int = 0, rng: np.random.Generator | None = None
+            ) -> tuple[sl.GenerationResult, list[int], np.ndarray]:
+    """Convert source's frames to the speaker of target_ref's: the adapters
+    over the frozen features, `generate`, the grid's inversion and the codec
+    decode. Returns the generation, its text tokens and its frames."""
+    sem = apply_adapter(adapter_params, "sem_adapter",
+                        nm.constant(sem_enc.features(source[None])[0]))
+    spk = apply_adapter(adapter_params, "spk_adapter", nm.constant(spk_enc.embed(target_ref)))
+    res = sl.generate(lm_params, lm_cfg, sem, spk, max_steps=max_steps, tail=tail, mode=mode,
+                      temperature=temperature, top_k=top_k, rng=rng)
+    text_tokens, codes = sl.invert_delayed_grid(res.grid, lm_cfg.layout)
+    return res, text_tokens, decode(codes, codec)
+
+
 def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
                         sem_enc, spk_enc, adapter_params: dict,
                         verifier: OracleVerifier, transcriber: OracleTranscriber,
@@ -345,35 +364,16 @@ def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
     centroid_ids = sorted(by_spk)
     centroids = np.stack([np.mean(by_spk[s], axis=0) for s in centroid_ids])
 
-    w_dist = w_len = c_dist = c_len = 0
-    wt_dist = wt_len = ct_dist = ct_len = 0
+    heard, read = [], []   # per pair: the oracle's transcript, the text stream's tokens
     secs_t, secs_s, wins, top_hits = [], [], [], []
     truncated = 0
     for p in pairs:
-        sem = apply_adapter(adapter_params, "sem_adapter",
-                            nm.constant(sem_enc.features(renders[p.source][None])[0]))
-        spk = apply_adapter(adapter_params, "spk_adapter",
-                            nm.constant(spk_enc.embed(renders[p.target_ref])))
-        res = sl.generate(lm_params, lm_cfg, sem, spk, max_steps=max_steps, tail=tail)
-        if res.truncated:
-            truncated += 1
-        text_tokens, codes = sl.invert_delayed_grid(res.grid, lm_cfg.layout)
-        conv = decode(codes, codec)
-
-        ref_tokens = list(p.source.text)
-        ref_str = splits.vocab.transcript_names(ref_tokens)
-        hyp_oracle = list(transcriber.transcribe(conv))
-        hyp_oracle_str = splits.vocab.transcript_names(hyp_oracle)
-        w_dist += edit_distance(ref_tokens, hyp_oracle)
-        w_len += len(ref_tokens)
-        c_dist += edit_distance(ref_str, hyp_oracle_str)
-        c_len += len(ref_str)
-
-        hyp_text_str = splits.vocab.transcript_names(text_tokens)
-        wt_dist += edit_distance(ref_tokens, text_tokens)
-        wt_len += len(ref_tokens)
-        ct_dist += edit_distance(ref_str, hyp_text_str)
-        ct_len += len(ref_str)
+        res, text_tokens, conv = convert(lm_params, lm_cfg, codec, sem_enc, spk_enc,
+                                         adapter_params, renders[p.source],
+                                         renders[p.target_ref], max_steps, tail)
+        truncated += res.truncated
+        heard.append(transcriber.transcribe(conv))
+        read.append(text_tokens)
 
         e_conv = verifier.embed(conv)
         st = cosine(e_conv, oracle_embs[p.target_ref])
@@ -384,9 +384,12 @@ def evaluate_conversion(lm_params: dict, lm_cfg: sl.LMConfig, codec: RVQCodec,
         sims = [cosine(e_conv, c) for c in centroids]
         top_hits.append(centroid_ids[int(np.argmax(sims))] == p.target_ref.speaker_id)
 
+    refs = [p.source.text for p in pairs]
+    names = splits.vocab.transcript_names
+    ref_strs = [names(r) for r in refs]
     return MetricsReport(
-        wer=w_dist / w_len, cer=c_dist / c_len,
-        wer_text=wt_dist / wt_len, cer_text=ct_dist / ct_len,
+        wer=error_rate(refs, heard), cer=error_rate(ref_strs, [names(h) for h in heard]),
+        wer_text=error_rate(refs, read), cer_text=error_rate(ref_strs, [names(t) for t in read]),
         secs_oracle=float(np.mean(secs_t)), secs_to_source=float(np.mean(secs_s)),
         secs_win_rate=float(np.mean(wins)), top1=float(np.mean(top_hits)),
         pairs=len(pairs), truncated=truncated,

@@ -5,9 +5,9 @@ shared by the frozen encoders and the oracles.
 `descend` records a loss on a fresh tape and steps Adam on the gradients
 `tape.backward(loss, params)` returns by name. Only parameters that received
 a gradient are touched, so frozen or unrouted components keep bit-identical
-values. Adam keeps its moments in one sorted-name layout and updates each run
-of consecutive names that have gradients with one pass per operation, with
-the bits of a per-tensor step.
+values. Adam lays its moments out once, in the sorted-name order of its
+first step's params, and updates each run of consecutive names that have
+gradients with one pass per operation, with the bits of a per-tensor step.
 """
 
 from __future__ import annotations
@@ -38,46 +38,25 @@ class StepStats:
 class Adam:
     """Adam over float32 parameters, its state laid out in sorted-name order.
 
-    The first and second moments live in two flat float32 buffers with one
-    span per parameter name, in sorted order; `m[n]` and `v[n]` are views of
-    a name's span, present once the name has had a gradient. A step walks the
-    maximal runs of consecutive names that have gradients and, per run,
-    gathers the gradients into one buffer, makes the elementwise passes once
-    over the run, and subtracts into a fresh buffer whose read-only views are
-    the new parameters. Each element sees the same float32 operations, in
-    the same order, as a step taken one tensor at a time, so the bits do not
-    depend on how the names group into runs. Names without a gradient keep
-    their parameters and moments.
+    The first step lays the first and second moments out over the names of
+    its params: two flat float32 buffers with one span per name, in sorted
+    order. A step walks the maximal runs of consecutive names that have
+    gradients and, per run, gathers the gradients into one buffer, makes the
+    elementwise passes once over the run, and subtracts into a fresh buffer
+    whose read-only views are the new parameters. Each element sees the same
+    float32 operations, in the same order, as a step taken one tensor at a
+    time, so the bits do not depend on how the names group into runs. Names
+    without a gradient keep their parameters and moments.
     """
 
     lr: float
     warmup: int
     clip: float       # 0 disables clipping
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
+    # name -> (position in the sorted order, [start, stop) in the buffers)
     _spans: dict[str, tuple[int, int, int]] = field(default_factory=dict, repr=False)
     _m: np.ndarray = field(default_factory=lambda: np.zeros(0, np.float32), repr=False)
     _v: np.ndarray = field(default_factory=lambda: np.zeros(0, np.float32), repr=False)
-
-    def _lay_out(self, params: dict[str, Tensor]) -> None:
-        """(Re)build the flat moments over the sorted names of params and of
-        the moments, keeping every moment a name already has. _spans maps a
-        name to its position in the sorted order and its [start, stop) in
-        the flat buffers."""
-        sizes = {n: m.size for n, m in self.m.items()}
-        sizes.update((n, p.data.size) for n, p in params.items())
-        spans, stop = {}, 0
-        for i, n in enumerate(sorted(sizes)):
-            spans[n] = (i, stop, stop + sizes[n])
-            stop += sizes[n]
-        flat_m, flat_v = np.zeros(stop, np.float32), np.zeros(stop, np.float32)
-        for n in self.m:
-            _, a, b = spans[n]
-            flat_m[a:b], flat_v[a:b] = self.m[n].ravel(), self.v[n].ravel()
-            self.m[n] = flat_m[a:b].reshape(self.m[n].shape)
-            self.v[n] = flat_v[a:b].reshape(self.v[n].shape)
-        self._spans, self._m, self._v = spans, flat_m, flat_v
 
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> StepStats:
         self.t += 1
@@ -96,8 +75,12 @@ class Adam:
             scale = self.clip / norm
             clipped = True
 
-        if any(n not in self._spans for n in names):
-            self._lay_out(params)
+        if not self._spans:
+            stop = 0
+            for i, n in enumerate(sorted(params)):
+                self._spans[n] = (i, stop, stop + params[n].data.size)
+                stop += params[n].data.size
+            self._m, self._v = np.zeros(stop, np.float32), np.zeros(stop, np.float32)
         runs: list[list[str]] = []
         last = -2
         for n in names:
@@ -141,11 +124,8 @@ class Adam:
             np.subtract(new, step, out=new)
             for n in run:
                 _, a, b = self._spans[n]
-                shape = params[n].data.shape
-                if n not in self.m:
-                    self.m[n] = self._m[a:b].reshape(shape)
-                    self.v[n] = self._v[a:b].reshape(shape)
-                params[n] = nm._wrap(new[a - start:b - start].reshape(shape), requires_grad=True)
+                params[n] = nm._wrap(new[a - start:b - start].reshape(params[n].data.shape),
+                                     requires_grad=True)
         return StepStats(lr=lr, grad_norm=norm, clipped=clipped)
 
 

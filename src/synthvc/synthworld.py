@@ -307,10 +307,6 @@ def make_corpus(seed: int, n_speakers: int, n_texts: int, text_len_min: int,
 
 
 # ---------------------------------------------------------------------------
-# calibration decode: recoverability gate for the world
-
-
-# ---------------------------------------------------------------------------
 # corpus files: line-oriented manifest plus tensor-record frame storage
 
 

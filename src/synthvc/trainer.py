@@ -394,7 +394,7 @@ def heldout_acoustic_ce(ctx: PipelineContext, params: dict) -> float:
 
 
 def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: str,
-                metrics_rows: list | None = None) -> dict:
+                metrics_rows: list) -> dict:
     """Run stage `name` of the plan on state, scoring the held-out metrics
     every eval_interval steps and at the stage's end."""
     steps = {STAGE_ASR: plan.asr_steps, STAGE_VC: plan.vc_steps,
@@ -414,8 +414,7 @@ def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: 
         if (local_step + 1) % plan.eval_interval == 0 or local_step + 1 == steps:
             heldout = (heldout_text_accuracy(ctx, state.params),
                        heldout_acoustic_ce(ctx, state.params))
-            if metrics_rows is not None:
-                metrics_rows.append((state.step, name, last.loss, *heldout))
+            metrics_rows.append((state.step, name, last.loss, *heldout))
     if heldout is None:   # a stage of 0 steps: nothing was scored yet
         heldout = (heldout_text_accuracy(ctx, state.params),
                    heldout_acoustic_ce(ctx, state.params))

@@ -3,15 +3,17 @@ logs/run.tsv line per command (failed ones included), the typed failures of
 a missing upstream artifact, a corrupt codec file, malformed input files,
 a non-UTF-8 stored config, an unknown config key, a bad training-plan value,
 a head count that does not split the LM width and an eval.pairs below 1, a
-stage of 0 steps, and the run-directory lock."""
+stage of 0 steps, an unexpected exception, and the run-directory lock, held
+by real processes."""
 
 import fcntl
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
-import threading
+from pathlib import Path
 
 import pytest
 
@@ -71,7 +73,7 @@ def test_cli_every_command_end_to_end(tmp_path, capsys):
     assert cli.main(convert) == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith("ERR:STATE ")
     assert _run_log(run)[-1] == ("convert", "ERR:STATE")
-    assert not (run / ".runlock").exists()
+    assert _lock_is_free(run)
 
     assert cli.main(base + ["train", "--stage", "all"]) == 0
     assert sorted(p.name for p in (run / "checkpoints").iterdir()) == [
@@ -119,6 +121,7 @@ def test_cli_every_command_end_to_end(tmp_path, capsys):
         ("synth-data", "ok"), ("fit-codec", "ok"), ("pretrain-encoders", "ok"),
         ("convert", "ERR:STATE"), ("train", "ok"), ("convert", "ok"), ("evaluate", "ok"),
         ("inspect-grid", "ok"), ("evaluate", "ERR:FORMAT"), ("evaluate", "ERR:FORMAT")]
+    assert _lock_is_free(run) and not (run / ".runlock.guard").exists()
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +225,7 @@ def test_eval_pairs_below_one_fails_typed_before_any_work(prepared_run, tmp_path
     assert cli.main(["--config", str(cfg_path), "synth-data", "--out", str(fresh)]) == 1
     assert capsys.readouterr().err.startswith("ERR:USAGE eval.pairs: ")
     assert _run_log(fresh) == [("synth-data", "ERR:USAGE")]
-    assert not (fresh / "corpus").exists()
+    assert not any((fresh / "corpus").iterdir())
 
     run = tmp_path / "run"
     shutil.copytree(prepared_run, run)
@@ -319,62 +322,101 @@ def test_malformed_input_file_fails_typed_and_is_logged(checkpointed_run, tmp_pa
         assert _run_log(run) == logged + [(argv[0], "ERR:DATA")]
 
 
-def test_lock_with_dead_pid_is_replaced(tmp_path):
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()            # reaped: no process has this pid any more
-    run = cli.RunDir(tmp_path / "run")
-    run.root.mkdir()
-    (run.root / ".runlock").write_text(str(child.pid))
-    run.lock()
-    assert (run.root / ".runlock").read_text() == str(os.getpid())
-    run.unlock()
-    assert not (run.root / ".runlock").exists()
-
-
-def test_lock_held_by_live_pid_refuses_and_logs(tmp_path, capsys):
-    run = tmp_path / "run"
-    run.mkdir()
-    (run / ".runlock").write_text(str(os.getpid()))
-    with pytest.raises(ConfigError, match="locked"):
-        cli.RunDir(run).lock()
-    grid = tmp_path / "g.txt"
-    grid.write_text("1 <eos>\n<bos> 3\n<bos> <bos>\n<bos> <bos>\n<bos> <bos>\n")
-    assert cli.main(["--run", str(run), "inspect-grid", "--in", str(grid)]) == cli.EXIT_USAGE
-    assert capsys.readouterr().err.startswith("ERR:USAGE ")
-    assert _run_log(run) == [("inspect-grid", "ERR:USAGE")]
-    assert (run / ".runlock").read_text() == str(os.getpid())
-
-
-def _guard_is_free(run):
-    with open(run / ".runlock.guard", "a") as fh:
+def _lock_is_free(run):
+    """True when a fresh open of .runlock takes its flock at once."""
+    with open(run / ".runlock", "a") as fh:   # closing it drops this probe's lock
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             return False
-        fcntl.flock(fh, fcntl.LOCK_UN)
         return True
 
 
-def test_lock_guard_released_after_refused_and_successful_lock(tmp_path):
+def _synthvc(*args, **kwargs):
+    """A Python child process that imports this checkout's synthvc."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.Popen([sys.executable, *args], env=env, text=True, **kwargs)
+
+
+def _hold_lock(run):
+    """A child process that holds the run directory's lock until it is
+    killed; returns once the lock is taken."""
+    code = ("import sys; from synthvc import cli; run = cli.RunDir(sys.argv[1]); "
+            "run.lock(); print('held', flush=True); sys.stdin.read()")
+    child = _synthvc("-c", code, str(run), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    assert child.stdout.readline() == "held\n"
+    return child
+
+
+def test_lock_held_by_killed_process_is_free(tmp_path, capsys):
+    """SIGKILL leaves the holder no chance to clean up; the kernel frees its
+    lock, so the next lock is taken with no warning and no manual step."""
+    with _hold_lock(tmp_path / "run") as holder:
+        holder.kill()
+    assert holder.returncode == -signal.SIGKILL
     run = cli.RunDir(tmp_path / "run")
     run.lock()
-    assert _guard_is_free(run.root)
-    with pytest.raises(ConfigError, match="locked"):
-        run.lock()          # this process's own live pid holds the lock
-    assert _guard_is_free(run.root)
     run.unlock()
+    assert _lock_is_free(run.root)
+    assert capsys.readouterr().err == ""
 
 
-def test_lock_waits_while_guard_is_held(tmp_path):
+def test_lock_held_by_live_pid_refuses_and_logs(tmp_path, capsys):
+    run = tmp_path / "run"
+    with _hold_lock(run) as holder:   # leaving the block waits for the holder to end
+        try:
+            with pytest.raises(ConfigError, match="locked"):
+                cli.RunDir(run).lock()
+            grid = tmp_path / "g.txt"
+            grid.write_text("1 <eos>\n<bos> 3\n<bos> <bos>\n<bos> <bos>\n<bos> <bos>\n")
+            argv = ["--run", str(run), "inspect-grid", "--in", str(grid)]
+            assert cli.main(argv) == cli.EXIT_USAGE
+            assert capsys.readouterr().err.startswith("ERR:USAGE ")
+            assert _run_log(run) == [("inspect-grid", "ERR:USAGE")]
+            assert not _lock_is_free(run)
+        finally:
+            holder.kill()
+    assert _lock_is_free(run)
+
+
+def test_lock_is_free_after_refused_and_released_locks(tmp_path):
     run = cli.RunDir(tmp_path / "run")
-    run.root.mkdir()
-    with open(run.root / ".runlock.guard", "a") as guard:
-        fcntl.flock(guard, fcntl.LOCK_EX)
-        locker = threading.Thread(target=run.lock)
-        locker.start()
-        locker.join(timeout=0.3)
-        assert locker.is_alive() and not (run.root / ".runlock").exists()
-    locker.join(timeout=10)
-    assert not locker.is_alive()
-    assert (run.root / ".runlock").read_text() == str(os.getpid())
+    run.lock()
+    with pytest.raises(ConfigError, match="locked"):
+        cli.RunDir(run.root).lock()   # a second open of .runlock in this process
+    assert not _lock_is_free(run.root)    # the refusal left the held lock alone
     run.unlock()
+    assert _lock_is_free(run.root)
+    assert [p.name for p in run.root.iterdir()] == [".runlock"]
+    assert (run.root / ".runlock").read_bytes() == b""
+
+
+def test_lock_refuses_a_command_in_another_process(tmp_path):
+    """The lock is taken without waiting: another process's command on a
+    held directory fails at once with ERR:USAGE and logs it."""
+    run = cli.RunDir(tmp_path / "run")
+    run.lock()
+    try:
+        child = _synthvc("-m", "synthvc", "--run", str(run.root), "inspect-grid", "--in", "g",
+                         stderr=subprocess.PIPE)
+        err = child.communicate()[1]
+    finally:
+        run.unlock()
+    assert child.returncode == cli.EXIT_USAGE
+    assert err.startswith("ERR:USAGE ") and "locked" in err, err
+    assert _run_log(run.root) == [("inspect-grid", "ERR:USAGE")]
+
+
+@pytest.mark.parametrize("exc", [IndexError, KeyboardInterrupt])
+def test_unexpected_exception_is_logged_reraised_and_frees_the_lock(tmp_path, monkeypatch,
+                                                                     exc):
+    def boom(args, cfg, run):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "cmd_inspect_grid", boom)
+    run = tmp_path / "run"
+    with pytest.raises(exc, match="boom"):
+        cli.main(["--run", str(run), "inspect-grid", "--in", "g"])
+    assert _run_log(run) == [("inspect-grid", "ERR:INTERNAL")]
+    assert _lock_is_free(run)
+    assert all((run / d).is_dir() for d in cli.SUBDIRS)

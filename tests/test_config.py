@@ -25,8 +25,8 @@ TAPE_OWNERS = {("optim.py", "descend")}
 # a default, each with its reason
 DEFAULT_KEPT = {
     # evaluate_conversion decodes greedily by design and names no sampling
-    # setting, so generate's sampling arguments default to greedy decoding
-    ("generate", "mode"), ("generate", "temperature"), ("generate", "top_k"),
+    # setting, so convert's sampling arguments default to greedy decoding
+    ("convert", "mode"), ("convert", "temperature"), ("convert", "top_k"),
 }
 
 
