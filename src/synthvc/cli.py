@@ -19,6 +19,7 @@ import argparse
 import fcntl
 import json
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -190,6 +191,9 @@ def cmd_synth_data(args, cfg: RunConfig, run: RunDir) -> int:
         raise ConfigError(f"{corpus_dir} is not empty; pass --force to overwrite")
     splits = _world(cfg)
     pairs = _eval_pairs(cfg, splits)
+    for d in ("codec", "encoders", "checkpoints", "reports"):   # built from any old corpus
+        shutil.rmtree(run.path(d))
+        run.path(d).mkdir()
     cfg.echo(run.root)
     eval_utts = [u for p in pairs for u in (p.source, p.target_ref)]
     all_utts = list(splits.utterances) + eval_utts
@@ -399,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-data", help="build corpus manifest, frames, and splits")
     p.add_argument("--out", type=Path, default=None, help="run directory to create")
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--force", action="store_true",
+                   help="rebuild the corpus, emptying codec/ encoders/ checkpoints/ reports/")
     p.set_defaults(fn=cmd_synth_data)
 
     p = sub.add_parser("fit-codec", help="fit the RVQ codec on the training corpus")

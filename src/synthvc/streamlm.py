@@ -1,11 +1,14 @@
 """Multi-stream autoregressive transformer with a text-ahead delay layout.
 
 One grid column per generation step carries 1 text token plus n acoustic
-tokens. Stream s is offset by d_s steps with d = [0, 1, ..., n], so every
-text token is emitted one step before the first acoustic token of the same
-step index, and acoustic layers stagger by one. The model consumes a prefix
-of p = 1 + T' positions, [speaker row, semantic rows], followed by the
-summed per-stream embeddings of previous grid columns; the output at
+tokens. Text is stream 0 and acoustic layer i is stream i + 1, and one rule
+lays out every stream s: s BOS tokens (its delay), its content, its stop
+token, then PAD. Text's content ids are its symbols and its stop is EOS; an
+acoustic stream's content ids are the codes and its stop is its own PAD. So
+every text token is emitted one step before the first acoustic token of the
+same step index, and acoustic layers stagger by one. The model consumes a
+prefix of p = 1 + T' positions, [speaker row, semantic rows], followed by
+the summed per-stream embeddings of previous grid columns; the output at
 position p - 1 + j predicts column j.
 
 Training scores a whole grid in one teacher-forced causal pass
@@ -37,7 +40,13 @@ TEXT_VOCAB = sw.TEXT_VOCAB
 
 @dataclass(frozen=True)
 class StreamLayout:
-    """1 + n streams; text leads every acoustic stream."""
+    """1 + n streams; text leads every acoustic stream.
+
+    Stream s is delayed s steps. The per-stream tables below, indexed by s,
+    hold everything the grid builders, the mask, the inversion and the
+    decoder need: ids 0 to `content_ids[s]` - 1 are content, `stop_ids[s]`
+    ends the content, `pad_ids[s]` fills the rest and `bos_ids[s]` the delay.
+    """
 
     n_layers: int
     code_vocab: int             # content codes per acoustic stream
@@ -57,6 +66,22 @@ class StreamLayout:
     @property
     def ac_vocab(self) -> int:
         return self.code_vocab + 2
+
+    @property
+    def content_ids(self) -> tuple[int, ...]:
+        return (TEXT_CONTENT,) + (self.code_vocab,) * self.n_layers
+
+    @property
+    def stop_ids(self) -> tuple[int, ...]:
+        return (TEXT_EOS,) + (self.ac_pad,) * self.n_layers
+
+    @property
+    def pad_ids(self) -> tuple[int, ...]:
+        return (TEXT_PAD,) + (self.ac_pad,) * self.n_layers
+
+    @property
+    def bos_ids(self) -> tuple[int, ...]:
+        return (TEXT_BOS,) + (self.ac_bos,) * self.n_layers
 
 
 @dataclass(frozen=True)
@@ -78,9 +103,9 @@ class DelayedGrid:
 def build_delayed_grid(text, codes, layout: StreamLayout) -> DelayedGrid:
     """Lay out text plus code streams under the delay pattern.
 
-    `codes` is array-like (n_layers, T_a). L = max over streams of
-    (delay + length) + 1, where the text length includes its EOS, so every
-    stream ends with at least one PAD.
+    `codes` is array-like (n_layers, T_a). L is the least length at which
+    every stream s holds its s BOS, its content and its stop and then ends
+    in PAD; an acoustic stream's stop is that PAD.
     """
     text = [int(t) for t in text]
     code_arr = np.asarray(codes, dtype=np.int64)
@@ -89,22 +114,20 @@ def build_delayed_grid(text, codes, layout: StreamLayout) -> DelayedGrid:
     if code_arr.ndim != 2 or code_arr.shape[0] != layout.n_layers or code_arr.shape[1] < 1:
         raise DataError(f"build_delayed_grid: codes shape {code_arr.shape} does not match "
                         f"{layout.n_layers} layers with at least one step")
-    if any(t < 0 or t >= TEXT_CONTENT for t in text):
-        raise DataError("build_delayed_grid: text contains non-content tokens")
-    if code_arr.min() < 0 or code_arr.max() >= layout.code_vocab:
-        raise DataError("build_delayed_grid: code out of range")
+    content, stop, pad, bos = layout.content_ids, layout.stop_ids, layout.pad_ids, layout.bos_ids
+    streams = [text, *code_arr]
+    for s, row in enumerate(streams):
+        if np.min(row) < 0 or np.max(row) >= content[s]:
+            raise DataError(f"build_delayed_grid: stream {s} holds a non-content token")
 
-    l_t, t_a = len(text), code_arr.shape[1]
-    length = max(l_t + 1, layout.n_layers + t_a) + 1
+    length = max(s + len(row) + 1 + (stop[s] != pad[s]) for s, row in enumerate(streams))
     tokens = np.empty((layout.n_streams, length), dtype=np.int64)
-    tokens[0] = TEXT_PAD
-    tokens[0, :l_t] = text
-    tokens[0, l_t] = TEXT_EOS
-    for i in range(layout.n_layers):
-        d = i + 1
-        tokens[i + 1] = layout.ac_pad
-        tokens[i + 1, :d] = layout.ac_bos
-        tokens[i + 1, d:d + t_a] = code_arr[i]
+    for s, row in enumerate(streams):
+        end = s + len(row)
+        tokens[s, :s] = bos[s]
+        tokens[s, s:end] = row
+        tokens[s, end:] = pad[s]
+        tokens[s, end] = stop[s]
     return DelayedGrid(tokens=tokens)
 
 
@@ -123,71 +146,53 @@ def build_asr_grid(text, layout: StreamLayout) -> DelayedGrid:
 
 
 def supervised_mask(grid: DelayedGrid, layout: StreamLayout) -> np.ndarray:
-    """Loss positions: content tokens, plus text EOS, plus each acoustic
-    stream's first PAD after its content so the model learns to stop. An
-    ASR grid's acoustic rows are all PAD, so its mask is text-only."""
-    mask = np.zeros_like(grid.tokens, dtype=bool)
-    mask[0] = grid.tokens[0] < TEXT_CONTENT
-    mask[1:] = grid.tokens[1:] < layout.code_vocab
-    eos_cols = np.nonzero(grid.tokens[0] == TEXT_EOS)[0]
-    if eos_cols.size:
-        mask[0, eos_cols[0]] = True
-    for s in range(1, grid.n_streams):
+    """Loss positions: each stream's content tokens plus the position after
+    its last one, which on a built grid holds the stream's stop (text EOS,
+    acoustic PAD), so the model learns to stop. An ASR grid's acoustic rows
+    are all PAD, so its mask is text-only."""
+    mask = grid.tokens < np.asarray(layout.content_ids)[:, None]
+    for s in range(grid.n_streams):
         content = np.nonzero(mask[s])[0]
-        if content.size:
-            stop = content[-1] + 1
-            if stop < grid.length:
-                mask[s, stop] = True
+        if content.size and content[-1] + 1 < grid.length:
+            mask[s, content[-1] + 1] = True
     return mask
 
 
 def invert_delayed_grid(grid: DelayedGrid, layout: StreamLayout) -> tuple[list[int], np.ndarray]:
     """(text, (n_layers, T_a) int64 codes): strip specials and undo delays;
-    rejects malformed layouts."""
+    rejects malformed layouts. Stream s must read: s BOS, at least one
+    content token, its stop unless that is its PAD, then only PAD."""
     tokens = grid.tokens
     if tokens.shape[0] != layout.n_streams:
         raise GridFormatError(f"grid has {tokens.shape[0]} streams, layout expects {layout.n_streams}")
     length = tokens.shape[1]
+    content, stop, pad, bos = layout.content_ids, layout.stop_ids, layout.pad_ids, layout.bos_ids
 
-    row = tokens[0]
-    eos_cols = np.nonzero(row == TEXT_EOS)[0]
-    if not eos_cols.size:
-        raise GridFormatError("text stream: missing EOS (stream 0)")
-    e = int(eos_cols[0])
-    if e == 0:
-        raise DataError("text stream: empty text")
-    for t in range(e):
-        if not (0 <= row[t] < TEXT_CONTENT):
-            raise GridFormatError(f"text stream: non-content token before EOS at stream 0 step {t}")
-    for t in range(e + 1, length):
-        if row[t] != TEXT_PAD:
-            raise GridFormatError(f"text stream: token after EOS at stream 0 step {t}")
-    text = [int(v) for v in row[:e]]
-
-    lengths = []
     rows = []
-    for i in range(layout.n_layers):
-        s = i + 1
-        d = i + 1
-        row = tokens[s]
-        for t in range(min(d, length)):
-            if row[t] != layout.ac_bos:
-                raise GridFormatError(f"acoustic stream {s}: expected BOS before delay at step {t}")
-        t = d
-        content = []
-        while t < length and row[t] < layout.code_vocab:
-            content.append(int(row[t]))
+    for s, row in enumerate(tokens):
+        for t in range(min(s, length)):
+            if row[t] != bos[s]:
+                raise GridFormatError(f"stream {s}: expected BOS before delay at step {t}")
+        end = s
+        while end < length and 0 <= row[end] < content[s]:
+            end += 1
+        t = end
+        if stop[s] != pad[s]:
+            if t == length or row[t] != stop[s]:
+                raise GridFormatError(f"stream {s}: missing stop token {stop[s]} at step {t}")
             t += 1
-        if not content:
-            raise GridFormatError(f"acoustic stream {s}: no content tokens at step {t}")
+        if end == s:
+            if s == 0:
+                raise DataError("stream 0: empty text")
+            raise GridFormatError(f"stream {s}: no content tokens at step {end}")
         for u in range(t, length):
-            if row[u] != layout.ac_pad:
-                raise GridFormatError(f"acoustic stream {s}: token after PAD at step {u}")
-        lengths.append(len(content))
-        rows.append(content)
+            if row[u] != pad[s]:
+                raise GridFormatError(f"stream {s}: token after PAD or the stop at step {u}")
+        rows.append(row[s:end])
+    lengths = [len(r) for r in rows[1:]]
     if len(set(lengths)) != 1:
         raise GridFormatError(f"acoustic streams disagree on length: {lengths}")
-    return text, np.asarray(rows, dtype=np.int64)
+    return rows[0].tolist(), np.asarray(rows[1:], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +309,7 @@ def sample_pick(logits_row: np.ndarray, allowed: np.ndarray, temperature: float,
     return int(allowed[rng.choice(len(allowed), p=p)])
 
 
-def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
+def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
              max_steps: int, tail: int, mode: str = "greedy",
              temperature: float = 1.0, top_k: int = 0,
              rng: np.random.Generator | None = None) -> GenerationResult:
@@ -313,14 +318,17 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
     A prefill over [speaker row, semantic rows] (p positions) fills per-block
     key/value caches, sized min(capacity, p + max_steps), and yields column
     0's logits; each later column j runs the trunk over one position, column
-    j - 1's summed embeddings at p - 1 + j, against the cache. Only the heads
-    of streams still emitting are evaluated. CapacityError is raised at the
-    first column j with p + j > capacity.
+    j - 1's summed embeddings at p - 1 + j, against the cache. CapacityError
+    is raised at the first column j with p + j > capacity.
 
-    Stops once the text stream has emitted EOS and every acoustic stream has
-    closed with PAD, or tail steps past EOS, or at max_steps (truncation
-    flag). The returned grid is rebuilt in canonical layout from the emitted
-    text and codes, so it always inverts cleanly.
+    In column j, stream s is BOS while j < s and PAD once it has stopped;
+    otherwise its head picks a content id, or from column s + 1 on also its
+    stop. Only the heads of streams still picking are evaluated.
+
+    Stops once every stream has stopped, or n + tail steps after the text's
+    EOS (a tail stop); neither is a truncation. Only reaching max_steps
+    first sets `truncated`. The returned grid is rebuilt in canonical layout
+    from the emitted text and codes, so it always inverts cleanly.
     """
     layout = cfg.layout
     n = layout.n_layers
@@ -333,13 +341,11 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
     if mode == "sample" and rng is None:
         raise ConfigError("generate: sample mode needs an rng")
 
-    text_allowed_first = np.arange(TEXT_CONTENT)
-    text_allowed = np.concatenate([np.arange(TEXT_CONTENT), [TEXT_EOS]])
-    code_only = np.arange(layout.code_vocab)
-    code_or_pad = np.concatenate([np.arange(layout.code_vocab), [layout.ac_pad]])
+    stop, pad, bos = layout.stop_ids, layout.pad_ids, layout.bos_ids
+    first = [np.arange(c) for c in layout.content_ids]
+    later = [np.append(ids, x) for ids, x in zip(first, stop)]
+    streams = range(layout.n_streams)
 
-    if spk is None:
-        spk = params["lm.null_spk"]
     p = 1 + sem.shape[0]
     cache = [nm.BlockCache(cfg.heads, min(cfg.capacity, p + max_steps), cfg.dim // cfg.heads)
              for _ in range(cfg.blocks)]
@@ -351,12 +357,9 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
             return greedy_pick(row, allowed)
         return sample_pick(row, allowed, temperature, top_k, rng)
 
-    text: list[int] = []
-    codes: list[list[int]] = [[] for _ in range(n)]
-    closed = [False] * n
-    eos_step: int | None = None
+    emitted: list[list[int]] = [[] for _ in streams]
+    stopped_at: list[int | None] = [None for _ in streams]
     truncated = False
-    steps = 0
 
     for j in range(max_steps):
         if p + j > cfg.capacity:
@@ -371,46 +374,28 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
             h = nn.trunk(params, "lm", x, np.array([p - 1 + j]), cfg.heads, cfg.blocks,
                          None, cache)
         col = np.empty(layout.n_streams, dtype=np.int64)
-
-        if eos_step is None:
-            tok = pick(0, text_allowed_first if j == 0 else text_allowed)
-            if tok == TEXT_EOS:
-                eos_step = j
+        for s in streams:
+            if j < s:
+                col[s] = bos[s]
+            elif stopped_at[s] is not None:
+                col[s] = pad[s]
             else:
-                text.append(tok)
-            col[0] = tok
-        else:
-            col[0] = TEXT_PAD
-
-        for i in range(n):
-            d = i + 1
-            if j < d:
-                col[i + 1] = layout.ac_bos
-            elif closed[i]:
-                col[i + 1] = layout.ac_pad
-            else:
-                tok = pick(i + 1, code_only if j == d else code_or_pad)
-                if tok == layout.ac_pad:
-                    closed[i] = True
+                col[s] = tok = pick(s, first[s] if j == s else later[s])
+                if tok == stop[s]:
+                    stopped_at[s] = j
                 else:
-                    codes[i].append(tok)
-                col[i + 1] = tok
+                    emitted[s].append(tok)
 
         steps = j + 1
-        if eos_step is not None:
-            if all(closed):
-                break
-            if j - eos_step >= n + tail:
-                closed = [True] * n
-                break
+        eos = stopped_at[0]
+        if eos is not None and (None not in stopped_at or j - eos >= n + tail):
+            break
     else:
         truncated = True
-    if eos_step is None or not all(closed):
-        truncated = True
 
-    t_a = min(len(c) for c in codes)
-    code_arr = np.asarray([c[:t_a] for c in codes], dtype=np.int64)
-    grid = build_delayed_grid(text, code_arr, layout)
+    t_a = min(len(c) for c in emitted[1:])
+    code_arr = np.asarray([c[:t_a] for c in emitted[1:]], dtype=np.int64)
+    grid = build_delayed_grid(emitted[0], code_arr, layout)
     return GenerationResult(grid=grid, truncated=truncated, steps=steps)
 
 

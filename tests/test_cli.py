@@ -7,6 +7,7 @@ stage of 0 steps, an unexpected exception, and the run-directory lock, held
 by real processes."""
 
 import fcntl
+import hashlib
 import json
 import os
 import shutil
@@ -46,7 +47,15 @@ def _run_log(run):
     return [(f[1], f[-1]) for f in (line.split("\t") for line in lines)]
 
 
+def _digests(run):
+    """sha256 of every file in a run directory outside logs/, by relative path."""
+    return {str(f.relative_to(run)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(run.rglob("*")) if f.is_file() and f.parts[len(run.parts)] != "logs"}
+
+
 def test_cli_every_command_end_to_end(tmp_path, capsys):
+    """Every command in order, then the pipeline once more in another
+    directory: each file it writes outside logs/ is byte-identical."""
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY_CONFIG, encoding="utf-8")
     run = tmp_path / "run"
@@ -97,6 +106,7 @@ def test_cli_every_command_end_to_end(tmp_path, capsys):
     assert cli.main(base + ["evaluate"]) == 0
     report = json.loads((run / "reports" / "evaluate.json").read_text())
     assert report["pairs"] == 4
+    digests = _digests(run)
 
     assert cli.main(base + ["inspect-grid", "--in", f"{out}.grid.txt"]) == 0
     assert "layout: valid" in capsys.readouterr().out
@@ -122,6 +132,16 @@ def test_cli_every_command_end_to_end(tmp_path, capsys):
         ("convert", "ERR:STATE"), ("train", "ok"), ("convert", "ok"), ("evaluate", "ok"),
         ("inspect-grid", "ok"), ("evaluate", "ERR:FORMAT"), ("evaluate", "ERR:FORMAT")]
     assert _lock_is_free(run) and not (run / ".runlock.guard").exists()
+
+    again = tmp_path / "again"
+    base = ["--config", str(cfg_path), "--run", str(again)]
+    assert cli.main(["--config", str(cfg_path), "synth-data", "--out", str(again)]) == 0
+    for command in (["fit-codec"], ["pretrain-encoders"], ["train", "--stage", "all"],
+                    ["convert", "--source", src, "--target-ref", ref,
+                     "--out", str(again / "out" / "conv")], ["evaluate"]):
+        assert cli.main(base + command) == 0
+    assert "out/conv.frames.bin" in digests and "checkpoints/joint.ckpt" in digests
+    assert _digests(again) == digests
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +271,29 @@ def checkpointed_run(prepared_run, tmp_path_factory):
     cli._save_trainable(run / "checkpoints" / "joint.ckpt",
                         tr.init_pipeline_params(ctx, plan.seed))
     return run
+
+
+def test_synth_data_force_empties_what_the_old_corpus_built(checkpointed_run, tmp_path, capsys):
+    """A forced synth-data for another corpus leaves no codec, encoder,
+    checkpoint or report of the old one behind to grade with, and keeps the
+    command log; the next command asks for the codec."""
+    run = tmp_path / "run"
+    shutil.copytree(checkpointed_run, run)
+    assert all(any((run / d).iterdir()) for d in ("codec", "encoders", "checkpoints", "reports"))
+    logged = _run_log(run)
+    cfg_path = tmp_path / "seed7.cfg"
+    cfg_path.write_text(TINY_CONFIG + "corpus.seed = 7\n", encoding="utf-8")
+    base = ["--config", str(cfg_path), "--run", str(run)]
+    assert cli.main(base + ["synth-data"]) == cli.EXIT_USAGE
+    assert cli.main(base + ["synth-data", "--force"]) == cli.EXIT_OK
+    for d in ("codec", "encoders", "checkpoints", "reports"):
+        assert not any((run / d).iterdir()), d
+    assert _run_log(run) == logged + [("synth-data", "ERR:USAGE"), ("synth-data", "ok")]
+    capsys.readouterr()
+    assert cli.main(base + ["evaluate"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("ERR:STATE ") and "codec.rvq" in err, err
+    assert _run_log(run)[-1] == ("evaluate", "ERR:STATE")
 
 
 # case -> (the corpus manifest's line 2 field to spoil and its bad value) or None

@@ -12,6 +12,7 @@ from synthvc import numerics as nm
 from synthvc import streamlm as sl
 from synthvc.errors import CapacityError, ConfigError, DataError, GridFormatError
 
+import harness as parent
 from harness import mul, sum_all
 
 LAYOUT4 = sl.StreamLayout(n_layers=4, code_vocab=64)
@@ -136,6 +137,137 @@ def test_asr_grid_text_only():
     assert (g.tokens[1:] == LAYOUT4.ac_pad).all()
     m = sl.supervised_mask(g, LAYOUT4)
     assert m[0, :4].all() and not m[1:].any()
+
+
+def _outcome(fn, *args):
+    """fn's result, or the class of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:   # the class is what the comparison checks
+        return type(e)
+
+
+def _random_layout(rng):
+    return sl.StreamLayout(n_layers=int(rng.integers(1, 6)),
+                           code_vocab=int(rng.choice([3, 8, 64])))
+
+
+def test_builders_and_mask_equal_the_reference_on_random_inputs():
+    """Delayed and ASR grids, and their masks, equal the separate text and
+    acoustic rules that the per-stream tables replaced; so do the exception
+    classes on inputs the builder must reject."""
+    rng = np.random.default_rng(190)
+    rejected = 0
+    for k in range(2400):
+        lay = _random_layout(rng)
+        text = rng.integers(0, 32, size=int(rng.integers(1, 15))).tolist()
+        codes = rng.integers(0, lay.code_vocab, size=(lay.n_layers, int(rng.integers(1, 41))))
+        if k % 4 == 3:   # an input to reject: empty, out of range or misshapen
+            spoil = int(rng.integers(6))
+            if spoil == 0:
+                text = []
+            elif spoil in (1, 2):
+                text[int(rng.integers(len(text)))] = int(rng.choice([-1, 32, sl.TEXT_EOS]))
+            elif spoil == 3:
+                codes[int(rng.integers(lay.n_layers)), -1] = int(rng.choice([-1, lay.code_vocab]))
+            elif spoil == 4:
+                codes = codes[:, :0]
+            else:
+                codes = codes[:-1] if rng.random() < 0.5 else codes[0]
+        got = _outcome(sl.build_delayed_grid, text, codes, lay)
+        want = _outcome(parent.build_delayed_grid, text, codes, lay)
+        if isinstance(want, type):
+            rejected += 1
+            assert got is want is DataError, (k, got, want)
+            continue
+        assert got.tokens.dtype == want.tokens.dtype == np.int64
+        assert np.array_equal(got.tokens, want.tokens), k
+        for g in (got, sl.build_asr_grid(text, lay)):
+            mask, want_mask = sl.supervised_mask(g, lay), parent.supervised_mask(g, lay)
+            assert mask.dtype == want_mask.dtype == bool
+            assert np.array_equal(mask, want_mask), k
+    assert rejected == 600
+
+
+def _corrupted_grid(rng, lay):
+    """A built grid, or one spoiled in a way the inversion must notice or
+    must see through: cells overwritten with specials, content or ids out of
+    every range, columns cut or added, a stream missing or repeated, a row
+    shifted, or tokens drawn at random."""
+    text = rng.integers(0, 32, size=int(rng.integers(1, 9))).tolist()
+    codes = rng.integers(0, lay.code_vocab, size=(lay.n_layers, int(rng.integers(1, 12))))
+    tokens = sl.build_delayed_grid(text, codes, lay).tokens.copy()
+    specials = [sl.TEXT_PAD, sl.TEXT_BOS, sl.TEXT_EOS, lay.ac_pad, lay.ac_bos, lay.ac_vocab,
+                0, lay.code_vocab - 1, 31, 40, -1]
+    kind = int(rng.integers(7))
+    if kind == 1:
+        for _ in range(int(rng.integers(1, 4))):
+            tokens[int(rng.integers(tokens.shape[0])),
+                   int(rng.integers(tokens.shape[1]))] = int(rng.choice(specials))
+    elif kind == 2:
+        tokens = tokens[:, :int(rng.integers(1, tokens.shape[1] + 1))]
+    elif kind == 3:
+        fill = int(rng.choice(specials))
+        extra = np.full((tokens.shape[0], int(rng.integers(1, 4))), fill, dtype=np.int64)
+        tokens = np.concatenate([tokens, extra], axis=1)
+    elif kind == 4:
+        s = int(rng.integers(tokens.shape[0]))
+        tokens = np.delete(tokens, s, axis=0) if rng.random() < 0.5 else \
+            np.insert(tokens, s, tokens[s], axis=0)
+    elif kind == 5:
+        s = int(rng.integers(tokens.shape[0]))
+        tokens[s] = np.roll(tokens[s], int(rng.choice([-1, 1])))
+    elif kind == 6:
+        tokens = rng.choice(specials, size=tokens.shape).astype(np.int64)
+    return sl.DelayedGrid(tokens=tokens)
+
+
+def test_invert_equals_the_reference_on_random_and_corrupted_grids():
+    """On every grid the inversion returns what the separate text parser and
+    acoustic loop returned, or raises the same exception class; where it
+    accepts a grid, the mask there equals the reference mask too. The one
+    difference is a negative acoustic code, which the reference took as
+    content and the per-stream rule rejects."""
+    rng = np.random.default_rng(191)
+    outcomes = Counter()
+    for k in range(3000):
+        lay = _random_layout(rng)
+        grid = _corrupted_grid(rng, lay)
+        got = _outcome(sl.invert_delayed_grid, grid, lay)
+        want = _outcome(parent.invert_delayed_grid, grid, lay)
+        if not isinstance(want, type) and (want[1] < 0).any():
+            assert got is GridFormatError, k
+            outcomes["negative code"] += 1
+            continue
+        if isinstance(want, type):
+            assert got is want, (k, got, want, grid.tokens)
+            outcomes[want.__name__] += 1
+            continue
+        (text, codes), (want_text, want_codes) = got, want
+        assert text == want_text and all(type(t) is int for t in text), k
+        assert codes.dtype == want_codes.dtype == np.int64
+        assert np.array_equal(codes, want_codes), k
+        if grid.n_streams == lay.n_streams:
+            assert np.array_equal(sl.supervised_mask(grid, lay),
+                                  parent.supervised_mask(grid, lay)), k
+        outcomes["accepted"] += 1
+    assert outcomes["GridFormatError"] >= 2000 and outcomes["DataError"] >= 25
+    assert outcomes["negative code"] >= 5 and outcomes["accepted"] >= 400
+
+
+def test_invert_rejects_a_negative_acoustic_code():
+    """Content ids are 0 up to the stream's bound in every stream. The
+    acoustic loop this rule replaced took a negative code as content and
+    returned it; the text stream never did."""
+    g = sl.build_delayed_grid([1, 2], np.ones((4, 3), dtype=np.int64), LAYOUT4)
+    for s in range(5):
+        tokens = g.tokens.copy()
+        tokens[s, s] = -1
+        with pytest.raises(GridFormatError, match=f"stream {s}"):
+            sl.invert_delayed_grid(sl.DelayedGrid(tokens=tokens), LAYOUT4)
+    tokens[4, 4] = 1
+    tokens[2, 2] = -1
+    assert parent.invert_delayed_grid(sl.DelayedGrid(tokens=tokens), LAYOUT4)[1][1, 0] == -1
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +585,57 @@ def test_decode_capacity_error_at_predicted_column(lm, monkeypatch, capacity):
         else:
             with pytest.raises(CapacityError):
                 sl.forward(params, small, sem, spk, grid)
+
+
+def _random_lm(rng, ending):
+    """A small random LM whose head biases steer decoding to an ending:
+    "clean" (every stream stops), "tail" (text stops, no acoustic stream
+    does), "truncated" (text never stops) or "free" (no steering)."""
+    layout = _random_layout(rng)
+    cfg = sl.LMConfig(dim=16, heads=2, blocks=int(rng.integers(1, 3)), intermediate=32,
+                      capacity=64, layout=layout)
+    params = sl.init_lm(cfg, seed=int(rng.integers(1 << 16)))
+    eos, pad = {"clean": (rng.uniform(0.5, 3.0), rng.uniform(4.0, 8.0)),
+                "tail": (rng.uniform(0.5, 3.0), -20.0), "truncated": (-20.0, 0.0),
+                "free": (0.0, 0.0)}[ending]
+    for name, tok, shift in [("lm.text_head.b", sl.TEXT_EOS, eos)] + [
+            (f"lm.ac_head{i}.b", layout.ac_pad, pad) for i in range(layout.n_layers)]:
+        b = params[name].data.copy()
+        b[tok] += shift
+        params[name] = nm.Tensor(b, requires_grad=True)
+    sem = nm.constant(rng.normal(size=(int(rng.integers(2, 7)), cfg.dim)).astype(np.float32))
+    spk = nm.constant(rng.normal(size=(1, cfg.dim)).astype(np.float32))
+    return cfg, params, sem, spk
+
+
+def test_generate_equals_the_reference_column_loop_on_random_lms():
+    """Greedy and sampled decodes of random LMs give the tokens, `truncated`
+    and `steps` of the loop with a separate text branch, or raise the same
+    exception class; clean stops, tail stops and truncations all occur, and
+    a tail stop is not a truncation."""
+    rng = np.random.default_rng(192)
+    endings = Counter()
+    for k in range(32):
+        cfg, params, sem, spk = _random_lm(rng, ("clean", "tail", "truncated", "free")[k % 4])
+        if k % 8 == 7:   # a capacity the decode outgrows
+            cfg = dataclasses.replace(cfg, capacity=1 + sem.shape[0] + int(rng.integers(4, 12)))
+        max_steps, tail = int(rng.integers(cfg.layout.n_layers + 2, 33)), int(rng.integers(1, 5))
+        for mode in ("greedy", "sample"):
+            seed, top_k = int(rng.integers(1 << 16)), int(rng.choice([0, 3]))
+            kw = dict(max_steps=max_steps, tail=tail, mode=mode, temperature=0.9, top_k=top_k)
+            got, want = (_outcome(lambda: gen(params, cfg, sem, spk,
+                                              rng=np.random.default_rng(seed), **kw))
+                         for gen in (sl.generate, parent.generate))
+            if isinstance(want, type):
+                assert got is want is CapacityError, (k, mode, got)
+                endings["capacity"] += 1
+                continue
+            assert np.array_equal(got.grid.tokens, want.grid.tokens), (k, mode)
+            assert (got.truncated, got.steps) == (want.truncated, want.steps), (k, mode)
+            text, _ = sl.invert_delayed_grid(got.grid, cfg.layout)
+            tail_stop = got.steps == len(text) + cfg.layout.n_layers + tail + 1
+            endings["truncated" if got.truncated else "tail" if tail_stop else "clean"] += 1
+    assert all(endings[e] >= 6 for e in ("clean", "tail", "truncated", "capacity")), endings
 
 
 def test_greedy_pick_argmax_scale_invariance():
