@@ -132,20 +132,15 @@ def _eval_pairs(cfg: RunConfig, splits: sw.CorpusSplits) -> list[ev.EvalPair]:
     return ev.make_eval_manifest(splits, n_pairs=cfg["eval.pairs"], seed=cfg["eval.seed"])
 
 
-def _dims(cfg: RunConfig) -> en.EncoderDims:
-    return en.EncoderDims(d_sem=cfg["enc.sem_dim"], d_spk=cfg["enc.spk_dim"])
-
-
-def _load_frozen_stack(cfg: RunConfig, run: RunDir):
+def _load_frozen_stack(run: RunDir):
     """Codec plus the four components `pretrain-encoders` saves frozen, so
     every loaded param has requires_grad=False."""
     def frozen(name: str) -> dict[str, nm.Tensor]:
-        path = _require(run.path("encoders", name), "pretrain-encoders")
-        return ck.components_to_params(ck.load_checkpoint(path))
+        return _load_params(_require(run.path("encoders", name), "pretrain-encoders"))
 
     codec = cd.load_codec(_require(run.path("codec", "codec.rvq"), "fit-codec"))
-    sem = en.SemanticEncoder(dims=_dims(cfg), params=frozen("semantic.ckpt"))
-    spk = en.SpeakerEncoder(dims=_dims(cfg), params=frozen("speaker.ckpt"))
+    sem = en.SemanticEncoder(params=frozen("semantic.ckpt"))
+    spk = en.SpeakerEncoder(params=frozen("speaker.ckpt"))
     verifier = ev.OracleVerifier(params=frozen("oracle_verifier.ckpt"))
     transcriber = ev.OracleTranscriber(params=frozen("oracle_transcriber.ckpt"))
     return codec, sem, spk, verifier, transcriber
@@ -173,11 +168,8 @@ def _plan(cfg: RunConfig) -> tr.TrainPlan:
         gen_tail=cfg["gen.tail"])
 
 
-def _save_trainable(path: Path, params) -> None:
-    ck.save_checkpoint(path, ck.params_to_components(params, frozen=False))
-
-
-def _load_trainable(path: Path):
+def _load_params(path: Path) -> dict[str, nm.Tensor]:
+    """A checkpoint's params, each trainable or frozen as it was saved."""
     return ck.components_to_params(ck.load_checkpoint(path))
 
 
@@ -237,22 +229,18 @@ def cmd_pretrain_encoders(args, cfg: RunConfig, run: RunDir) -> int:
     splits = _world(cfg)
     sem = en.pretrain_semantic_encoder(splits, steps=cfg["enc.sem_steps"],
                                        batch=cfg["enc.batch"], lr=cfg["enc.lr"],
-                                       seed=cfg["enc.seed"], dims=_dims(cfg))
-    ck.save_checkpoint(run.path("encoders", "semantic.ckpt"),
-                       ck.params_to_components(sem.params, frozen=True))
+                                       seed=cfg["enc.seed"], width=cfg["enc.sem_dim"])
     spk = en.pretrain_speaker_encoder(splits, steps=cfg["enc.spk_steps"],
                                       batch=cfg["enc.batch"], lr=cfg["enc.lr"],
-                                      seed=cfg["enc.seed"], dims=_dims(cfg))
-    ck.save_checkpoint(run.path("encoders", "speaker.ckpt"),
-                       ck.params_to_components(spk.params, frozen=True))
+                                      seed=cfg["enc.seed"], width=cfg["enc.spk_dim"])
     verifier = ev.train_oracle_verifier(splits, steps=cfg["oracle.verifier_steps"],
                                         seed=cfg["oracle.seed"])
-    ck.save_checkpoint(run.path("encoders", "oracle_verifier.ckpt"),
-                       ck.params_to_components(verifier.params, frozen=True))
     transcriber = ev.train_oracle_transcriber(splits, steps=cfg["oracle.transcriber_steps"],
                                               seed=cfg["oracle.seed"])
-    ck.save_checkpoint(run.path("encoders", "oracle_transcriber.ckpt"),
-                       ck.params_to_components(transcriber.params, frozen=True))
+    for name, model in (("semantic", sem), ("speaker", spk), ("oracle_verifier", verifier),
+                        ("oracle_transcriber", transcriber)):
+        ck.save_checkpoint(run.path("encoders", f"{name}.ckpt"),
+                           ck.params_to_components(model.params, frozen=True))
     quality = {
         "semantic_heldout_frame_accuracy": sem.heldout_frame_accuracy,
         "speaker_heldout_utterance_accuracy": spk.heldout_utterance_accuracy,
@@ -274,7 +262,7 @@ def cmd_pretrain_encoders(args, cfg: RunConfig, run: RunDir) -> int:
 def _build_context(cfg: RunConfig, run: RunDir) -> tuple[tr.PipelineContext, tr.TrainPlan]:
     _require(run.path("corpus", "manifest.tsv"), "synth-data")
     splits = _world(cfg)
-    codec, sem, spk, verifier, transcriber = _load_frozen_stack(cfg, run)
+    codec, sem, spk, verifier, transcriber = _load_frozen_stack(run)
     pairs = _eval_pairs(cfg, splits)
     ctx = tr.PipelineContext(splits, codec, sem, spk, _lm_cfg(cfg, codec), verifier=verifier,
                              transcriber=transcriber, eval_pairs=pairs)
@@ -291,10 +279,11 @@ def cmd_train(args, cfg: RunConfig, run: RunDir) -> int:
         if not prev_path.exists():
             raise StateError(f"stage {args.stage} requires {prev_path}; "
                              f"run `synthvc train --stage {prev}` first")
-        init_params = _load_trainable(prev_path)
+        init_params = _load_params(prev_path)
     result = tr.run_pipeline(ctx, plan, stages=stages, init_params=init_params)
     for name in stages:
-        _save_trainable(run.path("checkpoints", f"{name}.ckpt"), result.stage_params[name])
+        ck.save_checkpoint(run.path("checkpoints", f"{name}.ckpt"),
+                           ck.params_to_components(result.stage_params[name], frozen=False))
     # per-stage reports, each holding its stage's conversion metrics, and the metrics log
     for name, report in result.stage_reports.items():
         (run.path("reports", f"stage_{name}.json")).write_text(
@@ -308,18 +297,17 @@ def cmd_train(args, cfg: RunConfig, run: RunDir) -> int:
 
 
 def _latest_checkpoint(run: RunDir) -> Path:
-    for name in ("joint", "vc", "asr"):
+    for name in reversed(tr.STAGES):
         p = run.path("checkpoints", f"{name}.ckpt")
         if p.exists():
             return p
-    raise StateError("no checkpoint found; run `synthvc train --stage asr` first")
+    raise StateError(f"no checkpoint found; run `synthvc train --stage {tr.STAGES[0]}` first")
 
 
 def cmd_convert(args, cfg: RunConfig, run: RunDir) -> int:
     ctx, plan = _build_context(cfg, run)
-    params = _load_trainable(_latest_checkpoint(run))
-    manifest = sw.load_manifest(_require(run.path("corpus", "manifest.tsv"), "synth-data"),
-                                ctx.splits.vocab)
+    params = _load_params(_latest_checkpoint(run))
+    manifest = sw.load_manifest(run.path("corpus", "manifest.tsv"), ctx.splits.vocab)
     by_id = {u.utt_id: u for u in manifest}
     if args.source not in by_id:
         raise DataError(f"unknown source utterance id {args.source!r}")
@@ -348,7 +336,7 @@ def cmd_convert(args, cfg: RunConfig, run: RunDir) -> int:
 
 def cmd_evaluate(args, cfg: RunConfig, run: RunDir) -> int:
     ctx, plan = _build_context(cfg, run)
-    params = _load_trainable(_latest_checkpoint(run))
+    params = _load_params(_latest_checkpoint(run))
     manifest_path = (Path(args.manifest) if args.manifest
                      else _require(run.path("corpus", "eval_manifest.tsv"), "synth-data"))
     id_pairs = ev.load_eval_manifest(manifest_path)
@@ -415,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_pretrain_encoders)
 
     p = sub.add_parser("train", help="run training stages")
-    p.add_argument("--stage", choices=["asr", "vc", "joint", "all"], required=True)
+    p.add_argument("--stage", choices=[*tr.STAGES, "all"], required=True)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("convert", help="convert one utterance to a target speaker")

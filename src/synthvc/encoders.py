@@ -4,6 +4,7 @@ The semantic encoder downsamples frames x2 and is pretrained with
 per-downsampled-frame symbol classification; the speaker encoder mean-pools
 to one vector per utterance and is pretrained with speaker classification.
 Both are frozen afterwards; only the adapters stay trainable downstream.
+Each encoder's output width is read off its own parameters.
 """
 
 from __future__ import annotations
@@ -18,21 +19,11 @@ from . import synthworld as sw
 from .numerics import Tensor
 from .optim import fit_classifier, freeze
 
-N_FRAME_CLASSES = sw.N_SYMBOLS + 1   # content symbols + silence
 SEM_HEADS = 4
 SEM_BLOCKS = 2
 SEM_INTERMEDIATE = 96
 SPK_HIDDEN = 48
 ADAPTER_HIDDEN = 64
-
-
-@dataclass(frozen=True)
-class EncoderDims:
-    d_sem: int
-    d_spk: int
-
-    def __post_init__(self):
-        nn.check_heads("enc.sem_dim", self.d_sem, SEM_HEADS)
 
 
 def bucket_by_length(utterances) -> dict[int, list]:
@@ -85,9 +76,12 @@ def downsampled_labels(transcript) -> np.ndarray:
 
 @dataclass
 class SemanticEncoder:
-    dims: EncoderDims
     params: dict[str, Tensor]
     heldout_frame_accuracy: float | None = None
+
+    @property
+    def width(self) -> int:   # d_sem
+        return self.params["sem.in.w"].shape[1]
 
     def forward_t(self, x: Tensor) -> Tensor:
         """(B, T, F) -> (B, ceil(T/2), d_sem)."""
@@ -102,21 +96,23 @@ class SemanticEncoder:
         return self.forward_t(nm.constant(frames)).data
 
 
-def init_semantic_encoder(dims: EncoderDims, seed: int) -> SemanticEncoder:
+def init_semantic_encoder(width: int, seed: int) -> SemanticEncoder:
+    """A fresh encoder of a width that splits into SEM_HEADS even heads."""
+    nn.check_heads("enc.sem_dim", width, SEM_HEADS)
     rng = np.random.default_rng([0xE0C1, seed])
     params: dict[str, Tensor] = {}
-    nn.init_linear(params, rng, "sem.in", 3 * sw.F_DIM, dims.d_sem)
-    nn.init_trunk(params, rng, "sem", dims.d_sem, SEM_INTERMEDIATE, SEM_BLOCKS)
-    return SemanticEncoder(dims=dims, params=params)
+    nn.init_linear(params, rng, "sem.in", 3 * sw.F_DIM, width)
+    nn.init_trunk(params, rng, "sem", width, SEM_INTERMEDIATE, SEM_BLOCKS)
+    return SemanticEncoder(params=params)
 
 
 def pretrain_semantic_encoder(splits: sw.CorpusSplits, steps: int, batch: int, lr: float,
-                              seed: int, dims: EncoderDims) -> SemanticEncoder:
+                              seed: int, width: int) -> SemanticEncoder:
     """Frame-label classification pretraining; returns a frozen encoder."""
-    enc = init_semantic_encoder(dims, seed)
+    enc = init_semantic_encoder(width, seed)
     rng = np.random.default_rng([0xE0C2, seed])
     head_rng = np.random.default_rng([0xE0C3, seed])
-    nn.init_linear(enc.params, head_rng, "sem.headtmp", dims.d_sem, N_FRAME_CLASSES)
+    nn.init_linear(enc.params, head_rng, "sem.headtmp", width, sw.N_FRAME_LABELS)
     buckets = bucket_by_length(splits.utterances)
     cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -162,9 +158,12 @@ def _semantic_heldout_accuracy(enc: SemanticEncoder, splits: sw.CorpusSplits) ->
 
 @dataclass
 class SpeakerEncoder:
-    dims: EncoderDims
     params: dict[str, Tensor]
     heldout_utterance_accuracy: float | None = None
+
+    @property
+    def width(self) -> int:   # d_spk
+        return self.params["spk.proj.w"].shape[1]
 
     def forward_t(self, x: Tensor) -> Tensor:
         """(B, T, F) -> (B, 1, d_spk); length-independent output."""
@@ -180,23 +179,22 @@ class SpeakerEncoder:
         return self.forward_t(nm.constant(frames[None])).data[0]
 
 
-def init_speaker_encoder(dims: EncoderDims, seed: int) -> SpeakerEncoder:
+def init_speaker_encoder(width: int, seed: int) -> SpeakerEncoder:
     rng = np.random.default_rng([0xE0C5, seed])
     params: dict[str, Tensor] = {}
     nn.init_linear(params, rng, "spk.c1", 3 * sw.F_DIM, SPK_HIDDEN)
     nn.init_linear(params, rng, "spk.c2", 3 * SPK_HIDDEN, SPK_HIDDEN)
-    nn.init_linear(params, rng, "spk.proj", SPK_HIDDEN, dims.d_spk)
-    return SpeakerEncoder(dims=dims, params=params)
+    nn.init_linear(params, rng, "spk.proj", SPK_HIDDEN, width)
+    return SpeakerEncoder(params=params)
 
 
 def pretrain_speaker_encoder(splits: sw.CorpusSplits, steps: int, batch: int, lr: float,
-                             seed: int, dims: EncoderDims) -> SpeakerEncoder:
+                             seed: int, width: int) -> SpeakerEncoder:
     """Speaker-classification pretraining over train speakers; frozen on return."""
-    enc = init_speaker_encoder(dims, seed)
+    enc = init_speaker_encoder(width, seed)
     rng = np.random.default_rng([0xE0C6, seed])
     head_rng = np.random.default_rng([0xE0C7, seed])
-    nn.init_linear(enc.params, head_rng, "spk.headtmp", dims.d_spk,
-                   len(splits.train_speaker_ids))
+    nn.init_linear(enc.params, head_rng, "spk.headtmp", width, len(splits.train_speaker_ids))
     fit_classifier(enc.params, lambda x: nn.linear(enc.params, "spk.headtmp", enc.forward_t(x)),
                    speaker_batches(splits, rng, batch), steps, lr, "speaker pretraining")
     acc = _speaker_heldout_accuracy(enc, splits)

@@ -147,7 +147,7 @@ class OracleTranscriber:
     degraded_cer: float | None = None
 
     def forward_t(self, x: Tensor) -> Tensor:
-        """(B, T, F) -> (B, T, N_SYMBOLS + 1) per-frame logits."""
+        """(B, T, F) -> (B, T, N_FRAME_LABELS) per-frame logits."""
         h = nm.unfold_time(x, kernel=3, stride=1, pad=1)
         h = nm.silu(nn.linear(self.params, "ot.h", h))
         return nn.linear(self.params, "ot.out", h)
@@ -164,12 +164,10 @@ class OracleTranscriber:
             return ()
         n_spans = int(round(interior / sw.FRAMES_PER_SYMBOL))
         out = []
-        for i in range(n_spans):
+        for i in range(n_spans):   # round() keeps every span's start inside the frames
             lo = sw.SILENCE_EDGE + i * sw.FRAMES_PER_SYMBOL
-            chunk = labels[lo:min(lo + sw.FRAMES_PER_SYMBOL, t_total)]
-            if chunk.size == 0:
-                break
-            maj = int(np.bincount(chunk, minlength=sw.N_SYMBOLS + 1).argmax())
+            chunk = labels[lo:lo + sw.FRAMES_PER_SYMBOL]
+            maj = int(np.bincount(chunk, minlength=sw.N_FRAME_LABELS).argmax())
             if maj != sw.SILENCE_LABEL:
                 out.append(maj)
         return tuple(out)
@@ -202,7 +200,7 @@ def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int,
     rng_init = np.random.default_rng([0x0A27, seed])
     params: dict[str, Tensor] = {}
     nn.init_linear(params, rng_init, "ot.h", 3 * sw.F_DIM, TRANSCRIBER_HIDDEN)
-    nn.init_linear(params, rng_init, "ot.out", TRANSCRIBER_HIDDEN, sw.N_SYMBOLS + 1)
+    nn.init_linear(params, rng_init, "ot.out", TRANSCRIBER_HIDDEN, sw.N_FRAME_LABELS)
     trans = OracleTranscriber(params=params)
     rng = np.random.default_rng([0x0A28, seed])
     fit_classifier(params, trans.forward_t, transcriber_batches(splits, rng), steps, ORACLE_LR,

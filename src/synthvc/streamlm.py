@@ -17,6 +17,9 @@ fills per-block key/value caches and gives the logits of column 0, then
 runs the trunk over one new position per column: column j - 1's summed
 embeddings at position p - 1 + j, attending over the cache. Both share the
 embeddings, the trunk and the stream heads.
+
+`StreamLayout` owns every token id and vocabulary, and `_param` names each
+stream's embedding and head: no other module spells either out.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from . import synthworld as sw
 from .errors import CapacityError, ConfigError, DataError, GridFormatError
 from .numerics import Tensor
 
-TEXT_CONTENT = sw.N_SYMBOLS      # ids 0..31 are content
-TEXT_PAD = sw.TEXT_PAD
-TEXT_BOS = sw.TEXT_BOS
-TEXT_EOS = sw.TEXT_EOS
-TEXT_VOCAB = sw.TEXT_VOCAB
+TEXT_CONTENT = sw.N_SYMBOLS   # text ids: the world's symbols, then PAD, BOS, EOS; 40 rows
+TEXT_PAD = TEXT_CONTENT
+TEXT_BOS = TEXT_CONTENT + 1
+TEXT_EOS = TEXT_CONTENT + 2
+TEXT_VOCAB = 40
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,8 @@ class StreamLayout:
     Stream s is delayed s steps. The per-stream tables below, indexed by s,
     hold everything the grid builders, the mask, the inversion and the
     decoder need: ids 0 to `content_ids[s]` - 1 are content, `stop_ids[s]`
-    ends the content, `pad_ids[s]` fills the rest and `bos_ids[s]` the delay.
+    ends the content, `pad_ids[s]` fills the rest and `bos_ids[s]` the delay;
+    `vocab_sizes[s]` is the size of its embedding table and head.
     """
 
     n_layers: int
@@ -83,6 +87,10 @@ class StreamLayout:
     def bos_ids(self) -> tuple[int, ...]:
         return (TEXT_BOS,) + (self.ac_bos,) * self.n_layers
 
+    @property
+    def vocab_sizes(self) -> tuple[int, ...]:
+        return (TEXT_VOCAB,) + (self.ac_vocab,) * self.n_layers
+
 
 @dataclass(frozen=True)
 class DelayedGrid:
@@ -114,34 +122,34 @@ def build_delayed_grid(text, codes, layout: StreamLayout) -> DelayedGrid:
     if code_arr.ndim != 2 or code_arr.shape[0] != layout.n_layers or code_arr.shape[1] < 1:
         raise DataError(f"build_delayed_grid: codes shape {code_arr.shape} does not match "
                         f"{layout.n_layers} layers with at least one step")
-    content, stop, pad, bos = layout.content_ids, layout.stop_ids, layout.pad_ids, layout.bos_ids
     streams = [text, *code_arr]
-    for s, row in enumerate(streams):
-        if np.min(row) < 0 or np.max(row) >= content[s]:
-            raise DataError(f"build_delayed_grid: stream {s} holds a non-content token")
-
+    stop, pad = layout.stop_ids, layout.pad_ids
     length = max(s + len(row) + 1 + (stop[s] != pad[s]) for s, row in enumerate(streams))
-    tokens = np.empty((layout.n_streams, length), dtype=np.int64)
-    for s, row in enumerate(streams):
-        end = s + len(row)
-        tokens[s, :s] = bos[s]
-        tokens[s, s:end] = row
-        tokens[s, end:] = pad[s]
-        tokens[s, end] = stop[s]
-    return DelayedGrid(tokens=tokens)
+    return _lay_out("build_delayed_grid", streams, layout, length)
 
 
 def build_asr_grid(text, layout: StreamLayout) -> DelayedGrid:
-    """Text-only teacher-forcing grid: acoustic streams carry PAD everywhere."""
+    """Text-only teacher-forcing grid of max(len(text) + 2, n_layers + 1)
+    columns: stream 0 as in `build_delayed_grid`, the acoustic streams all PAD."""
     text = [int(t) for t in text]
     if len(text) < 1:
         raise DataError("build_asr_grid: empty text")
-    l_t = len(text)
-    length = max(l_t + 1, layout.n_layers) + 1
-    tokens = np.full((layout.n_streams, length), layout.ac_pad, dtype=np.int64)
-    tokens[0] = TEXT_PAD
-    tokens[0, :l_t] = text
-    tokens[0, l_t] = TEXT_EOS
+    return _lay_out("build_asr_grid", [text], layout, max(len(text) + 1, layout.n_layers) + 1)
+
+
+def _lay_out(caller: str, streams, layout: StreamLayout, length: int) -> DelayedGrid:
+    """A grid of `length` columns in which each given stream s reads s BOS,
+    its content, its stop, then PAD, and each stream not given is all PAD.
+    A given stream holding a non-content id is a DataError naming it."""
+    content, stop, pad, bos = layout.content_ids, layout.stop_ids, layout.pad_ids, layout.bos_ids
+    tokens = np.tile(np.asarray(pad, dtype=np.int64)[:, None], length)   # every stream's PAD
+    for s, row in enumerate(streams):
+        if np.min(row) < 0 or np.max(row) >= content[s]:
+            raise DataError(f"{caller}: stream {s} holds a non-content token")
+        end = s + len(row)
+        tokens[s, :s] = bos[s]
+        tokens[s, s:end] = row
+        tokens[s, end] = stop[s]
     return DelayedGrid(tokens=tokens)
 
 
@@ -212,22 +220,29 @@ class LMConfig:
         nn.check_heads("lm.heads", self.dim, self.heads)
 
 
+def _param(s: int, kind: str) -> str:
+    """Stream s's "emb" or "head" parameter: lm.text_<kind>, lm.ac_<kind>0, ..."""
+    return f"lm.ac_{kind}{s - 1}" if s else f"lm.text_{kind}"
+
+
 def init_lm(cfg: LMConfig, seed: int) -> dict[str, Tensor]:
     rng = np.random.default_rng([0x11A0, seed])
     params: dict[str, Tensor] = {}
-    params["lm.text_emb"] = Tensor(rng.normal(0.0, 0.1, size=(TEXT_VOCAB, cfg.dim)).astype(np.float32),
-                                   requires_grad=True)
-    for i in range(cfg.layout.n_layers):
-        params[f"lm.ac_emb{i}"] = Tensor(
-            rng.normal(0.0, 0.1, size=(cfg.layout.ac_vocab, cfg.dim)).astype(np.float32),
-            requires_grad=True)
+    for s, vocab in enumerate(cfg.layout.vocab_sizes):
+        params[_param(s, "emb")] = Tensor(
+            rng.normal(0.0, 0.1, size=(vocab, cfg.dim)).astype(np.float32), requires_grad=True)
     params["lm.null_spk"] = Tensor(rng.normal(0.0, 0.1, size=(1, cfg.dim)).astype(np.float32),
                                    requires_grad=True)
     nn.init_trunk(params, rng, "lm", cfg.dim, cfg.intermediate, cfg.blocks)
-    nn.init_linear(params, rng, "lm.text_head", cfg.dim, TEXT_VOCAB)
-    for i in range(cfg.layout.n_layers):
-        nn.init_linear(params, rng, f"lm.ac_head{i}", cfg.dim, cfg.layout.ac_vocab)
+    for s, vocab in enumerate(cfg.layout.vocab_sizes):
+        nn.init_linear(params, rng, _param(s, "head"), cfg.dim, vocab)
     return params
+
+
+def null_speaker(params: dict, cfg: LMConfig, batch: int) -> Tensor:
+    """The learned null-speaker row, (batch, 1, dim), for ASR-mode items."""
+    null = nm.reshape(params["lm.null_spk"], (1, 1, cfg.dim))
+    return null if batch == 1 else nm.concat([null] * batch, axis=0)
 
 
 def forward_batch(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
@@ -258,24 +273,21 @@ def _embed_columns(params: dict, cfg: LMConfig, tokens: np.ndarray) -> Tensor:
     b, _, length = tokens.shape
     out = None
     for s in range(cfg.layout.n_streams):
-        table = params["lm.text_emb"] if s == 0 else params[f"lm.ac_emb{s - 1}"]
-        emb = nm.embedding_lookup(table, tokens[:, s].reshape(-1))
+        emb = nm.embedding_lookup(params[_param(s, "emb")], tokens[:, s].reshape(-1))
         out = emb if out is None else nm.add(out, emb)
     return nm.reshape(out, (b, length, cfg.dim))
 
 
 def _head(params: dict, s: int, h: Tensor) -> Tensor:
     """Stream s's logits from trunk outputs h."""
-    return nn.linear(params, "lm.text_head" if s == 0 else f"lm.ac_head{s - 1}", h)
+    return nn.linear(params, _param(s, "head"), h)
 
 
 def forward(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
             grid: DelayedGrid) -> list[Tensor]:
     """Single-item teacher-forced pass; spk=None uses the learned null row."""
-    if spk is None:
-        spk = params["lm.null_spk"]
     sem3 = nm.reshape(sem, (1,) + sem.shape)
-    spk3 = nm.reshape(spk, (1, 1, cfg.dim))
+    spk3 = null_speaker(params, cfg, 1) if spk is None else nm.reshape(spk, (1, 1, cfg.dim))
     outs = forward_batch(params, cfg, sem3, spk3, grid.tokens[None])
     return [nm.reshape(o, o.shape[1:]) for o in outs]
 

@@ -1,6 +1,8 @@
 """Deterministic synthetic speech world.
 
-Symbol-sequence "texts" are rendered into speaker-conditioned frame matrices.
+Symbol-sequence "texts" over a vocabulary of N_SYMBOLS = 32 content symbols
+are rendered into speaker-conditioned frame matrices. The world has no
+special tokens: the LM's text ids (PAD, BOS, EOS) belong to `streamlm`.
 `render` takes a batch: B equal-length texts, each with its own speaker,
 channel and seed, give read-only (B, T, F_DIM) float32 frames whose item i is
 bit for bit the one-item render of item i's inputs, so a caller may batch its
@@ -32,13 +34,8 @@ SILENCE_EDGE = 2            # silence frames at each end
 PITCH_AMP = 0.8
 
 N_SYMBOLS = 32
-SILENCE_LABEL = N_SYMBOLS   # frame-label id for silence (33 classes total)
-
-# text token ids: content symbols then specials; table padded to 40 entries
-TEXT_PAD = 32
-TEXT_BOS = 33
-TEXT_EOS = 34
-TEXT_VOCAB = 40
+SILENCE_LABEL = N_SYMBOLS   # frame-label id for silence
+N_FRAME_LABELS = N_SYMBOLS + 1   # content symbols + silence
 
 PRISTINE = "pristine"
 DEGRADED = "degraded"
@@ -62,7 +59,8 @@ def frames_for_text(n_symbols: int) -> int:
 
 @dataclass(frozen=True)
 class SymbolVocab:
-    """32 content symbols plus BOS/EOS/PAD; templates fixed by a global seed."""
+    """The N_SYMBOLS = 32 content symbols, their names and their templates,
+    fixed by a global seed; the LM's special ids are `streamlm`'s."""
 
     seed: int
     names: tuple[str, ...]
@@ -251,16 +249,23 @@ class CorpusSplits:
 
 def make_corpus(seed: int, n_speakers: int, n_texts: int, text_len_min: int,
                 text_len_max: int, heldout_speakers: int, heldout_texts: int) -> CorpusSplits:
+    """The corpus.* world; a ConfigError names each key it cannot be built from."""
     if n_speakers < 4:
-        raise ConfigError(f"make_corpus: need at least 4 speakers, got {n_speakers}")
+        raise ConfigError(f"corpus.speakers: need at least 4 speakers, got {n_speakers}")
     if n_texts < 20:
-        raise ConfigError(f"make_corpus: need at least 20 texts, got {n_texts}")
-    if not (0 < heldout_speakers < n_speakers):
-        raise ConfigError("make_corpus: held-out speaker count out of range")
-    if not (0 < heldout_texts < n_texts):
-        raise ConfigError("make_corpus: held-out text count out of range")
+        raise ConfigError(f"corpus.texts: need at least 20 texts, got {n_texts}")
+    if not (2 <= heldout_speakers < n_speakers):   # an eval pair takes two of each
+        raise ConfigError(f"corpus.heldout_speakers: {heldout_speakers} not in [2, {n_speakers})")
+    if not (2 <= heldout_texts < n_texts):
+        raise ConfigError(f"corpus.heldout_texts: {heldout_texts} not in [2, {n_texts})")
     if not (1 <= text_len_min <= text_len_max):
-        raise ConfigError("make_corpus: bad text length bounds")
+        raise ConfigError(f"corpus.text_len_min: {text_len_min} not in [1, {text_len_max}]")
+    possible, length = 0, text_len_min
+    while possible < n_texts and length <= text_len_max:   # 32**length grows fast
+        possible += N_SYMBOLS ** length
+        length += 1
+    if possible < n_texts:
+        raise ConfigError(f"corpus.texts: {n_texts} wanted, only {possible} distinct texts exist")
 
     vocab = SymbolVocab.build(seed)
     speakers = {i: speaker_profile(seed, i) for i in range(n_speakers)}

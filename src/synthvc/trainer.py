@@ -74,11 +74,15 @@ class TrainPlan:
             v = getattr(self, label)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"train plan: {label}={v} outside [0, 1]")
-        for label, least in (("asr_steps", 0), ("vc_steps", 0), ("joint_steps", 0),
-                             ("batch", 1), ("eval_interval", 1), ("gen_tail", 1)):
-            v = getattr(self, label)
-            if v < least:
+        floors = {"asr_steps": 0, "vc_steps": 0, "joint_steps": 0, "batch": 1, "eval_interval": 1,
+                  "gen_tail": 1, "warmup": 0, "clip": 0, "text_loss_scale": 0}
+        checks = [(label, getattr(self, label), least) for label, least in floors.items()]
+        checks += [(f"lambdas[{i}]", lam, 0) for i, lam in enumerate(self.lambdas)]
+        for label, v, least in checks:
+            if not v >= least:   # a NaN fails too
                 raise ConfigError(f"train plan: {label}={v} below {least}")
+        if not self.lr > 0.0:
+            raise ConfigError(f"train plan: lr={self.lr} is not above 0")
 
 
 @dataclass
@@ -190,9 +194,8 @@ class PipelineContext:
 
 def init_pipeline_params(ctx: PipelineContext, seed: int) -> dict[str, Tensor]:
     params = sl.init_lm(ctx.lm_cfg, seed)
-    dims = ctx.sem_enc.dims
-    init_adapter(params, seed, "sem_adapter", dims.d_sem, ctx.lm_cfg.dim)
-    init_adapter(params, seed, "spk_adapter", dims.d_spk, ctx.lm_cfg.dim)
+    init_adapter(params, seed, "sem_adapter", ctx.sem_enc.width, ctx.lm_cfg.dim)
+    init_adapter(params, seed, "spk_adapter", ctx.spk_enc.width, ctx.lm_cfg.dim)
     return params
 
 
@@ -219,7 +222,8 @@ def _source_features(ctx: PipelineContext, utts, rng: np.random.Generator) -> np
         [u.text for u in utts], sids, [sw.PRISTINE] * len(utts), seeds))
 
 
-def _dropped_text_inputs(tokens: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
+def _dropped_text_inputs(tokens: np.ndarray, layout: sl.StreamLayout, p: float,
+                         rng: np.random.Generator) -> np.ndarray:
     """Replace a fraction of real text-stream input tokens with PAD.
 
     Targets stay intact; this only corrupts the teacher-forced inputs so the
@@ -229,16 +233,9 @@ def _dropped_text_inputs(tokens: np.ndarray, p: float, rng: np.random.Generator)
         return tokens
     out = tokens.copy()
     text_row = out[:, 0, :]
-    hit = (rng.random(text_row.shape) < p) & (text_row < sw.N_SYMBOLS)
-    text_row[hit] = sw.TEXT_PAD
+    hit = (rng.random(text_row.shape) < p) & (text_row < layout.content_ids[0])
+    text_row[hit] = layout.pad_ids[0]
     return out
-
-
-def _null_rows(ctx: PipelineContext, params: dict, batch: int) -> Tensor:
-    null = nm.reshape(params["lm.null_spk"], (1, 1, ctx.lm_cfg.dim))
-    if batch == 1:
-        return null
-    return nm.concat([null] * batch, axis=0)
 
 
 def select_target(source: sw.Utterance, target_speaker: int, real_prob: float,
@@ -263,7 +260,7 @@ def _pool_loss(ctx, params, utts, grids, spk, weights, plan, rng):
                         nm.constant(_source_features(ctx, utts, rng)))
     tokens = np.stack([g.tokens for g in grids])
     masks = np.stack([sl.supervised_mask(g, layout) for g in grids])
-    tokens_in = _dropped_text_inputs(tokens, plan.text_input_dropout, rng)
+    tokens_in = _dropped_text_inputs(tokens, layout, plan.text_input_dropout, rng)
     logits = sl.forward_batch(params, ctx.lm_cfg, sem, spk, tokens_in)
     ces = [nm.cross_entropy(nm.reshape(logits[i], (-1, logits[i].shape[-1])),
                             tokens[:, i, :].reshape(-1), masks[:, i, :].reshape(-1))
@@ -276,8 +273,8 @@ def _asr_pool_loss(ctx, params, utts, plan, rng):
     """L_ASR: the text-stream CE with the null-speaker prefix; acoustic rows
     all PAD."""
     grids = [sl.build_asr_grid(u.text, ctx.lm_cfg.layout) for u in utts]
-    return _pool_loss(ctx, params, utts, grids, _null_rows(ctx, params, len(utts)), (1.0,),
-                      plan, rng)
+    return _pool_loss(ctx, params, utts, grids, sl.null_speaker(params, ctx.lm_cfg, len(utts)),
+                      (1.0,), plan, rng)
 
 
 def _vc_pool_loss(ctx, params, utts, plan, real_prob, rng):
@@ -403,8 +400,7 @@ def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: 
     rng = np.random.default_rng([0x7A10, plan.seed + STAGES.index(name)])
     state.opt = Adam(lr=plan.lr, warmup=plan.warmup, clip=plan.clip)
     frozen_start = ctx.frozen_hash()
-    last = None
-    heldout = None
+    last = heldout = None
     ac_losses = []
     for local_step in range(steps):
         batch = sample_bucket(ctx.buckets, rng, plan.batch)

@@ -42,14 +42,14 @@ def codec(cfg, splits):
 def sem_enc(cfg, splits):
     return en.pretrain_semantic_encoder(splits, steps=cfg["enc.sem_steps"],
                                         batch=cfg["enc.batch"], lr=cfg["enc.lr"],
-                                        seed=cfg["enc.seed"], dims=cli._dims(cfg))
+                                        seed=cfg["enc.seed"], width=cfg["enc.sem_dim"])
 
 
 @pytest.fixture(scope="session")
 def spk_enc(cfg, splits):
     return en.pretrain_speaker_encoder(splits, steps=cfg["enc.spk_steps"],
                                        batch=cfg["enc.batch"], lr=cfg["enc.lr"],
-                                       seed=cfg["enc.seed"], dims=cli._dims(cfg))
+                                       seed=cfg["enc.seed"], width=cfg["enc.spk_dim"])
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,9 @@
   (`StreamLayout`'s tables) replaced their separate text and acoustic
   paths, kept verbatim so tests can show the rule gives the same grids,
   masks, inversions, exception classes and decodes.
+- `build_asr_grid` and `init_lm` as `synthvc.streamlm` wrote them before
+  they read the text stream and every vocabulary off those tables, kept
+  verbatim so tests can show the same ASR grids and initial parameters.
 """
 
 from typing import Callable
@@ -26,9 +29,9 @@ from synthvc import synthworld as sw
 from synthvc.errors import (CapacityError, ConfigError, DataError, GridFormatError,
                             NumericsError)
 from synthvc.numerics import Tensor
-from synthvc.streamlm import (TEXT_CONTENT, TEXT_EOS, TEXT_PAD, DelayedGrid, GenerationResult,
-                              LMConfig, StreamLayout, _embed_columns, _head, greedy_pick,
-                              sample_pick)
+from synthvc.streamlm import (TEXT_CONTENT, TEXT_EOS, TEXT_PAD, TEXT_VOCAB, DelayedGrid,
+                              GenerationResult, LMConfig, StreamLayout, _embed_columns, _head,
+                              greedy_pick, sample_pick)
 
 
 class DeterminismError(NumericsError):
@@ -187,6 +190,38 @@ def build_delayed_grid(text, codes, layout: StreamLayout) -> DelayedGrid:
         tokens[i + 1, :d] = layout.ac_bos
         tokens[i + 1, d:d + t_a] = code_arr[i]
     return DelayedGrid(tokens=tokens)
+
+
+def build_asr_grid(text, layout: StreamLayout) -> DelayedGrid:
+    """Text-only teacher-forcing grid: acoustic streams carry PAD everywhere."""
+    text = [int(t) for t in text]
+    if len(text) < 1:
+        raise DataError("build_asr_grid: empty text")
+    l_t = len(text)
+    length = max(l_t + 1, layout.n_layers) + 1
+    tokens = np.full((layout.n_streams, length), layout.ac_pad, dtype=np.int64)
+    tokens[0] = TEXT_PAD
+    tokens[0, :l_t] = text
+    tokens[0, l_t] = TEXT_EOS
+    return DelayedGrid(tokens=tokens)
+
+
+def init_lm(cfg: LMConfig, seed: int) -> dict[str, Tensor]:
+    rng = np.random.default_rng([0x11A0, seed])
+    params: dict[str, Tensor] = {}
+    params["lm.text_emb"] = Tensor(rng.normal(0.0, 0.1, size=(TEXT_VOCAB, cfg.dim)).astype(np.float32),
+                                   requires_grad=True)
+    for i in range(cfg.layout.n_layers):
+        params[f"lm.ac_emb{i}"] = Tensor(
+            rng.normal(0.0, 0.1, size=(cfg.layout.ac_vocab, cfg.dim)).astype(np.float32),
+            requires_grad=True)
+    params["lm.null_spk"] = Tensor(rng.normal(0.0, 0.1, size=(1, cfg.dim)).astype(np.float32),
+                                   requires_grad=True)
+    nn.init_trunk(params, rng, "lm", cfg.dim, cfg.intermediate, cfg.blocks)
+    nn.init_linear(params, rng, "lm.text_head", cfg.dim, TEXT_VOCAB)
+    for i in range(cfg.layout.n_layers):
+        nn.init_linear(params, rng, f"lm.ac_head{i}", cfg.dim, cfg.layout.ac_vocab)
+    return params
 
 
 def supervised_mask(grid: DelayedGrid, layout: StreamLayout) -> np.ndarray:

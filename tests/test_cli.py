@@ -2,9 +2,10 @@
 logs/run.tsv line per command (failed ones included), the typed failures of
 a missing upstream artifact, a corrupt codec file, malformed input files,
 a non-UTF-8 stored config, an unknown config key, a bad training-plan value,
-a head count that does not split the LM width and an eval.pairs below 1, a
-stage of 0 steps, an unexpected exception, and the run-directory lock, held
-by real processes."""
+a head count that does not split the LM width, an eval.pairs below 1, a
+corpus that cannot hold its held-out split or its texts, a stage of 0
+steps, an unexpected exception, and the run-directory lock, held by real
+processes."""
 
 import fcntl
 import hashlib
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from synthvc import checkpoint as ck
 from synthvc import cli
 from synthvc import synthworld as sw
 from synthvc import trainer as tr
@@ -160,7 +162,10 @@ def prepared_run(tmp_path_factory):
 
 @pytest.mark.parametrize("bad", ["eval.interval = 0", "train.batch = 0",
                                  "train.joint_real_prob = 1.5", "gen.tail = 0",
-                                 "gen.max_steps = 5"])
+                                 "gen.max_steps = 5", "train.lr = -0.001", "train.lr = nan",
+                                 "train.clip = -1", "train.warmup = -1",
+                                 "train.text_loss_scale = -1",
+                                 "train.lambdas = 1.0,-0.5,0.8,0.7"])
 def test_bad_plan_value_fails_typed_before_any_stage(prepared_run, tmp_path, capsys,
                                                      monkeypatch, bad):
     run = tmp_path / "run"
@@ -260,6 +265,30 @@ def test_eval_pairs_below_one_fails_typed_before_any_work(prepared_run, tmp_path
     assert not list((run / "checkpoints").glob("*.ckpt"))
 
 
+@pytest.mark.parametrize("bad,key", [
+    ("corpus.heldout_texts = 1", "corpus.heldout_texts"),
+    ("corpus.heldout_speakers = 1", "corpus.heldout_speakers"),
+    ("corpus.text_len_min = 1\ncorpus.text_len_max = 1", "corpus.texts")])
+def test_corpus_it_cannot_build_fails_typed_before_any_work(tmp_path, bad, key):
+    """One held-out text or speaker leaves an evaluation pair nothing to
+    pair with, and one-symbol texts give 32 distinct texts for the 120 asked
+    for. synth-data names the key and writes no corpus. It runs in a child
+    process under a timeout, so a corpus build that never ends fails here."""
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(TINY_CONFIG + bad + "\n", encoding="utf-8")
+    run = tmp_path / "run"
+    with _synthvc("-m", "synthvc", "--config", str(cfg_path), "synth-data", "--out", str(run),
+                  stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        try:
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+    assert child.returncode == cli.EXIT_USAGE, err
+    assert err.startswith(f"ERR:USAGE {key}: "), err
+    assert _run_log(run) == [("synth-data", "ERR:USAGE")]
+    assert not any((run / "corpus").iterdir())
+
+
 @pytest.fixture(scope="module")
 def checkpointed_run(prepared_run, tmp_path_factory):
     """The prepared run plus an untrained joint-stage checkpoint, which is
@@ -268,8 +297,9 @@ def checkpointed_run(prepared_run, tmp_path_factory):
     shutil.copytree(prepared_run, run)
     cfg = RunConfig.from_file(prepared_run.parent / "tiny.cfg")
     ctx, plan = cli._build_context(cfg, cli.RunDir(run))
-    cli._save_trainable(run / "checkpoints" / "joint.ckpt",
-                        tr.init_pipeline_params(ctx, plan.seed))
+    ck.save_checkpoint(run / "checkpoints" / "joint.ckpt",
+                       ck.params_to_components(tr.init_pipeline_params(ctx, plan.seed),
+                                               frozen=False))
     return run
 
 

@@ -2,8 +2,9 @@
 once, and every trained model updates through one step: each documented
 config default is read outside config.py, no parameter the CLI fills from the
 config restates a default, each function in the package is referenced
-somewhere besides its definition, only `optim.descend` opens a tape, and
-the benchmark's tracer still finds every function it names."""
+somewhere besides its definition, only `optim.descend` opens a tape, only
+`streamlm` names the LM's token ids and parameters, and the benchmark's
+tracer still finds every function it names."""
 
 import ast
 import inspect
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 from synthvc import cli, config
+from synthvc import streamlm as sl
 
 PKG = Path(config.__file__).parent
 PERFBENCH = PKG.parent.parent / "perfbench"
@@ -130,6 +132,28 @@ def test_only_descend_constructs_a_tape():
             f"{path.name} constructs a Tape outside {sorted(TAPE_OWNERS)}"
         owners |= {(path.name, name) for name, calls in allowed.items() if calls}
     assert owners == TAPE_OWNERS, "an allowance for a function that opens no tape"
+
+
+def test_only_streamlm_names_lm_token_ids_and_parameters():
+    """The LM's token layout is streamlm's decision: no other module names a
+    TEXT_* id, or holds a string that is an LM parameter name (a key of
+    `init_lm`), which would be a second copy of that decision."""
+    cfg = config.RunConfig()
+    lm_names = set(sl.init_lm(sl.LMConfig(
+        dim=cfg["lm.dim"], heads=cfg["lm.heads"], blocks=cfg["lm.blocks"],
+        intermediate=cfg["lm.intermediate"], capacity=cfg["lm.capacity"],
+        layout=sl.StreamLayout(cfg["codec.layers"], cfg["codec.codebook"])), seed=0))
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "streamlm.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(name, str) and name.startswith("TEXT_"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+            elif isinstance(node, ast.Constant) and node.value in lm_names:
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert found == []
 
 
 def test_perfbench_selftest_passes():

@@ -11,6 +11,7 @@ from synthvc import evaluation as ev
 from synthvc import nn
 from synthvc import numerics as nm
 from synthvc import synthworld as sw
+from synthvc import trainer as tr
 from synthvc.config import RunConfig
 from synthvc.errors import ConfigError, TrainingDivergedError
 from synthvc.optim import fit_classifier
@@ -22,10 +23,10 @@ from harness import spy_renders
 TRAINERS = {
     "semantic": (lambda splits, cfg, steps: en.pretrain_semantic_encoder(
         splits, steps=steps, batch=cfg["enc.batch"], lr=cfg["enc.lr"], seed=cfg["enc.seed"],
-        dims=cli._dims(cfg)), "sem.headtmp", ("heldout_frame_accuracy",)),
+        width=cfg["enc.sem_dim"]), "sem.headtmp", ("heldout_frame_accuracy",)),
     "speaker": (lambda splits, cfg, steps: en.pretrain_speaker_encoder(
         splits, steps=steps, batch=cfg["enc.batch"], lr=cfg["enc.lr"], seed=cfg["enc.seed"],
-        dims=cli._dims(cfg)), "spk.headtmp", ("heldout_utterance_accuracy",)),
+        width=cfg["enc.spk_dim"]), "spk.headtmp", ("heldout_utterance_accuracy",)),
     "verifier": (lambda splits, cfg, steps: ev.train_oracle_verifier(
         splits, steps=steps, seed=cfg["oracle.seed"]), "ov.head", ("eer",)),
     "transcriber": (lambda splits, cfg, steps: ev.train_oracle_transcriber(
@@ -60,7 +61,7 @@ def test_trainer_same_seed_same_bits(splits, cfg, kind, monkeypatch):
 @pytest.mark.parametrize("d_sem", [50, 36])     # 4 heads: width 12.5, then odd width 9
 def test_semantic_width_must_split_into_even_heads(d_sem):
     with pytest.raises(ConfigError, match="enc.sem_dim"):
-        cli._dims(RunConfig({"enc.sem_dim": d_sem}))
+        en.init_semantic_encoder(d_sem, seed=0)
 
 
 def test_sample_bucket_draws_one_length_distinct_items(splits):
@@ -143,8 +144,10 @@ eval.pairs = 4
 
 
 def test_cli_pretrain_round_trip_and_corrupt_checkpoint(tmp_path, capsys):
+    """Widths off the defaults: a loaded encoder's width, read off its own
+    parameters, is the configured one, and so is its adapter's input."""
     cfg_path = tmp_path / "tiny.cfg"
-    cfg_path.write_text(TINY_CONFIG, encoding="utf-8")
+    cfg_path.write_text(TINY_CONFIG + "enc.sem_dim = 40\nenc.spk_dim = 24\n", encoding="utf-8")
     run = tmp_path / "run"
     base = ["--config", str(cfg_path), "--run", str(run)]
     assert cli.main(["--config", str(cfg_path), "synth-data", "--out", str(run)]) == 0
@@ -159,6 +162,10 @@ def test_cli_pretrain_round_trip_and_corrupt_checkpoint(tmp_path, capsys):
         assert comp.params
         assert all(not p.requires_grad for p in comp.params.values())
         assert not any(name.startswith(heads) for name in comp.params)
+    assert (ctx.sem_enc.width, ctx.spk_enc.width) == (40, 24)
+    params = tr.init_pipeline_params(ctx, seed=0)
+    assert params["sem_adapter.a1.w"].shape[0] == 40
+    assert params["spk_adapter.a1.w"].shape[0] == 24
 
     ckpt = run / "encoders" / "semantic.ckpt"
     raw = bytearray(ckpt.read_bytes())

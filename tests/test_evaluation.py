@@ -217,8 +217,8 @@ def test_second_manifest_on_shared_objects_scores_like_fresh_objects(context):
     assert [p.source for p in first] != [p.source for p in second]
     shared = (context.sem_enc, context.spk_enc, context.verifier)
     score(first, *shared)
-    fresh = (en.SemanticEncoder(dims=context.sem_enc.dims, params=context.sem_enc.params),
-             en.SpeakerEncoder(dims=context.spk_enc.dims, params=context.spk_enc.params),
+    fresh = (en.SemanticEncoder(params=context.sem_enc.params),
+             en.SpeakerEncoder(params=context.spk_enc.params),
              ev.OracleVerifier(params=context.verifier.params))
     assert score(second, *shared) == score(second, *fresh)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synthvc import nn
+from synthvc import config, nn
 from synthvc import numerics as nm
 from synthvc import streamlm as sl
 from synthvc.errors import CapacityError, ConfigError, DataError, GridFormatError
@@ -187,6 +187,47 @@ def test_builders_and_mask_equal_the_reference_on_random_inputs():
             assert mask.dtype == want_mask.dtype == bool
             assert np.array_equal(mask, want_mask), k
     assert rejected == 600
+
+
+def test_asr_grid_equals_the_reference_and_rejects_non_content_text():
+    """The ASR grid laid out from the tables equals the text-only rule it
+    replaced, and a text id outside the content range is a DataError naming
+    stream 0, as `build_delayed_grid` gives, not a grid that supervises it."""
+    rng = np.random.default_rng(200)
+    for k in range(800):
+        lay = _random_layout(rng)
+        text = rng.integers(0, 32, size=int(rng.integers(1, 15))).tolist()
+        got, want = sl.build_asr_grid(text, lay), parent.build_asr_grid(text, lay)
+        assert got.tokens.dtype == want.tokens.dtype == np.int64
+        assert np.array_equal(got.tokens, want.tokens), k
+    for text in ([34, 1, -2], [-2], [3, 32], [5, sl.TEXT_EOS, 6]):
+        with pytest.raises(DataError, match="build_asr_grid: stream 0 "):
+            sl.build_asr_grid(text, LAYOUT4)
+        with pytest.raises(DataError, match="build_delayed_grid: stream 0 "):
+            sl.build_delayed_grid(text, np.zeros((4, 2), dtype=np.int64), LAYOUT4)
+
+
+def _default_lm_cfg():
+    cfg = config.RunConfig()
+    return sl.LMConfig(dim=cfg["lm.dim"], heads=cfg["lm.heads"], blocks=cfg["lm.blocks"],
+                       intermediate=cfg["lm.intermediate"], capacity=cfg["lm.capacity"],
+                       layout=sl.StreamLayout(cfg["codec.layers"], cfg["codec.codebook"]))
+
+
+@pytest.mark.parametrize("lm,seed", [
+    *[(sl.LMConfig(dim=16, heads=2, blocks=blocks, intermediate=24, capacity=64,
+                   layout=sl.StreamLayout(n_layers=n_layers, code_vocab=code_vocab)), seed)
+      for n_layers, code_vocab, blocks, seed in ((4, 64, 4, 7401), (1, 3, 1, 0), (3, 8, 2, 5),
+                                                 (5, 64, 1, 12))],
+    (_default_lm_cfg(), 7401)])
+def test_init_lm_equals_the_reference(lm, seed):
+    """One loop over the streams' vocabularies for the embeddings and one for
+    the heads draw the parent's names, order and bits, the default config's
+    LM included."""
+    got, want = sl.init_lm(lm, seed), parent.init_lm(lm, seed)
+    assert list(got) == list(want)
+    assert nn.param_bytes(got) == nn.param_bytes(want)
+    assert all(p.requires_grad for p in got.values())
 
 
 def _corrupted_grid(rng, lay):

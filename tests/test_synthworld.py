@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from synthvc import cli
+from synthvc import streamlm as sl
 from synthvc import synthworld as sw
 from synthvc.config import RunConfig
 from synthvc.errors import ConfigError, DataError
@@ -46,7 +47,7 @@ def test_render_deterministic(splits):
 def test_render_rejects_special_symbols(splits):
     prof = splits.speakers[splits.train_speaker_ids[0]]
     with pytest.raises(DataError):
-        render_one(splits.vocab, (1, sw.TEXT_EOS), prof, sw.PRISTINE, seed=0)
+        render_one(splits.vocab, (1, sl.TEXT_EOS), prof, sw.PRISTINE, seed=0)
 
 
 def _render_oracle(vocab, text, speaker, channel, seed):
@@ -144,7 +145,7 @@ def test_batched_render_random_batches_equal_oracle(splits):
 
 @pytest.mark.parametrize("bad,error", [
     ({"texts": [(1, 2), (1, 2, 3)]}, DataError),            # ragged lengths
-    ({"texts": [(1, 2), (1, sw.TEXT_EOS)]}, DataError),     # a non-content symbol
+    ({"texts": [(1, 2), (1, sl.TEXT_EOS)]}, DataError),     # a non-content symbol
     ({"texts": [(1, 2), (-1, 2)]}, DataError),
     ({"channels": [sw.PRISTINE, "noisy"]}, ConfigError),
     ({"seeds": [0, sw.SEED_BOUND]}, DataError),

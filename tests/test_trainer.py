@@ -28,13 +28,13 @@ def make_state(ctx, seed=7401, lr=1e-3):
 
 def test_asr_loss_uniform_logits_is_log40():
     # L_ASR = CE(y_t, y_hat_t); uniform logits over the 40-entry text table
-    logits = nm.constant(np.zeros((7, sw.TEXT_VOCAB), dtype=np.float32))
+    logits = nm.constant(np.zeros((7, sl.TEXT_VOCAB), dtype=np.float32))
     loss = nm.cross_entropy(logits, np.arange(7) % 35)
     assert abs(loss.item() - np.log(40.0)) < 1e-6
 
 
 def test_asr_loss_perfect_prediction_near_zero():
-    logits = np.full((5, sw.TEXT_VOCAB), -30.0, dtype=np.float32)
+    logits = np.full((5, sl.TEXT_VOCAB), -30.0, dtype=np.float32)
     targets = [3, 1, 4, 1, 34]
     for i, t in enumerate(targets):
         logits[i, t] = 30.0
@@ -464,7 +464,10 @@ def test_adam_bitwise_equals_formula(clip):
     ("w", 1.5), ("w_prime", -0.1), ("asr_fraction", 2.0), ("vc_real_prob", -1.0),
     ("joint_real_prob", 1.5), ("text_input_dropout", float("nan")), ("asr_steps", -1),
     ("vc_steps", -1), ("joint_steps", -1), ("batch", 0), ("eval_interval", 0),
-    ("gen_tail", 0), ("gen_tail", -3)])
+    ("gen_tail", 0), ("gen_tail", -3), ("lr", -0.001), ("lr", 0.0), ("lr", float("nan")),
+    ("clip", -1.0), ("clip", float("nan")), ("warmup", -1), ("text_loss_scale", -0.5),
+    ("text_loss_scale", float("nan")), ("lambdas", (1.0, -0.1, 0.8, 0.7)),
+    ("lambdas", (float("nan"), 0.9, 0.8, 0.7))])
 def test_train_plan_validation(field, bad, default_plan):
     with pytest.raises(ConfigError, match=field):
         dataclasses.replace(default_plan, **{field: bad})
