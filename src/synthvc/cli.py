@@ -3,6 +3,8 @@ run training stages, convert utterances, evaluate, and inspect artifacts.
 
 Run directory layout (fixed names so commands find upstream artifacts):
     corpus/ codec/ encoders/ checkpoints/ reports/ logs/
+`train` saves each stage's checkpoint, report and logs/metrics.tsv rows as it
+finishes: `--stage all` writes what `asr`, `vc` and `joint` in turn write.
 A command holds the directory's lock, one exclusive flock on .runlock, for
 its whole life; the kernel frees it on any exit, a crash or SIGKILL
 included, so no stale lock is left to find. `main` makes the layout once,
@@ -56,11 +58,8 @@ _ERROR_CODES = [
 SUBDIRS = ("corpus", "codec", "encoders", "checkpoints", "reports", "logs")
 
 
-def _classify(err: Exception) -> tuple[str, int]:
-    for types, out in _ERROR_CODES:
-        if isinstance(err, types):
-            return out
-    return ("DATA", EXIT_DATA)
+def _classify(err: SynthVCError) -> tuple[str, int]:
+    return next(out for types, out in _ERROR_CODES if isinstance(err, types))
 
 
 class RunDir:
@@ -149,7 +148,7 @@ def _load_frozen_stack(run: RunDir):
 def _lm_cfg(cfg: RunConfig, codec: cd.RVQCodec) -> sl.LMConfig:
     return sl.LMConfig(
         dim=cfg["lm.dim"], heads=cfg["lm.heads"], blocks=cfg["lm.blocks"],
-        intermediate=cfg["lm.intermediate"], capacity=cfg["lm.capacity"],
+        intermediate=cfg["lm.intermediate"],
         layout=sl.StreamLayout(n_layers=codec.n_layers, code_vocab=codec.codebook_size))
 
 
@@ -272,25 +271,23 @@ def _build_context(cfg: RunConfig, run: RunDir) -> tuple[tr.PipelineContext, tr.
 def cmd_train(args, cfg: RunConfig, run: RunDir) -> int:
     ctx, plan = _build_context(cfg, run)
     stages = tr.STAGES if args.stage == "all" else (args.stage,)
-    init_params = None
+    params = None
     if args.stage in tr.STAGES[1:]:
         prev = tr.STAGES[tr.STAGES.index(args.stage) - 1]
         prev_path = run.path("checkpoints", f"{prev}.ckpt")
         if not prev_path.exists():
             raise StateError(f"stage {args.stage} requires {prev_path}; "
                              f"run `synthvc train --stage {prev}` first")
-        init_params = _load_params(prev_path)
-    result = tr.run_pipeline(ctx, plan, stages=stages, init_params=init_params)
+        params = _load_params(prev_path)
     for name in stages:
+        result = tr.run_pipeline(ctx, plan, (name,), params)
+        params = result.params
         ck.save_checkpoint(run.path("checkpoints", f"{name}.ckpt"),
-                           ck.params_to_components(result.stage_params[name], frozen=False))
-    # per-stage reports, each holding its stage's conversion metrics, and the metrics log
-    for name, report in result.stage_reports.items():
-        (run.path("reports", f"stage_{name}.json")).write_text(
-            json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    tr.write_metrics_log(run.path("logs", "metrics.tsv"), result.metrics_rows)
-    for name in stages:
-        rep = result.stage_reports[name]
+                           ck.params_to_components(params, frozen=False))
+        rep = result.stage_reports[name]   # with the stage's conversion metrics
+        run.path("reports", f"stage_{name}.json").write_text(
+            json.dumps(rep, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        tr.write_metrics_log(run.path("logs", "metrics.tsv"), result.metrics_rows)
         loss = "" if rep["final_loss"] is None else f"loss {rep['final_loss']:.4f} "
         print(f"stage {name}: {loss}heldout text accuracy {rep['heldout_text_accuracy']:.4f}")
     return EXIT_OK

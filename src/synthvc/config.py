@@ -49,7 +49,6 @@ DEFAULTS: dict[str, tuple] = {
     "lm.heads": (int, 4, "attention heads"),
     "lm.blocks": (int, 4, "transformer blocks"),
     "lm.intermediate": (int, 256, "MLP inner width"),
-    "lm.capacity": (int, 512, "maximum sequence length"),
     "gen.max_steps": (int, 128, "generation step cap"),
     "gen.tail": (int, 40, "steps acoustics may run past text EOS"),
     "gen.mode": (str, "greedy", "greedy or sample"),

@@ -28,10 +28,6 @@ class GridFormatError(DataError):
     """A delayed token grid violates its structural layout."""
 
 
-class CapacityError(SynthVCError):
-    """Sequence length exceeds the configured model capacity."""
-
-
 class NumericsError(SynthVCError):
     """Non-finite values or an autodiff contract violation."""
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import nn
 from . import numerics as nm
 from . import synthworld as sw
-from .errors import CapacityError, ConfigError, DataError, GridFormatError
+from .errors import ConfigError, DataError, GridFormatError
 from .numerics import Tensor
 
 TEXT_CONTENT = sw.N_SYMBOLS   # text ids: the world's symbols, then PAD, BOS, EOS; 40 rows
@@ -213,7 +213,6 @@ class LMConfig:
     heads: int
     blocks: int
     intermediate: int
-    capacity: int
     layout: StreamLayout
 
     def __post_init__(self):
@@ -257,9 +256,6 @@ def forward_batch(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
     length = tokens.shape[2]
     p = 1 + t_sem
     total = p + length - 1
-    if total > cfg.capacity:
-        raise CapacityError(f"sequence length {total} exceeds capacity {cfg.capacity}")
-
     x = nm.concat([spk, sem, _embed_columns(params, cfg, tokens[:, :, :length - 1])], axis=1)
     h = nn.trunk(params, "lm", x, np.arange(total), cfg.heads, cfg.blocks,
                  nn.causal_mask(total))
@@ -328,10 +324,9 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
     """Greedy or sampled decoding with structural tokens forced by construction.
 
     A prefill over [speaker row, semantic rows] (p positions) fills per-block
-    key/value caches, sized min(capacity, p + max_steps), and yields column
-    0's logits; each later column j runs the trunk over one position, column
-    j - 1's summed embeddings at p - 1 + j, against the cache. CapacityError
-    is raised at the first column j with p + j > capacity.
+    key/value caches, sized p + max_steps, and yields column 0's logits;
+    each later column j runs the trunk over one position, column j - 1's
+    summed embeddings at p - 1 + j, against the cache.
 
     In column j, stream s is BOS while j < s and PAD once it has stopped;
     otherwise its head picks a content id, or from column s + 1 on also its
@@ -359,7 +354,7 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
     streams = range(layout.n_streams)
 
     p = 1 + sem.shape[0]
-    cache = [nm.BlockCache(cfg.heads, min(cfg.capacity, p + max_steps), cfg.dim // cfg.heads)
+    cache = [nm.BlockCache(cfg.heads, p + max_steps, cfg.dim // cfg.heads)
              for _ in range(cfg.blocks)]
 
     def pick(s, allowed):
@@ -374,8 +369,6 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
     truncated = False
 
     for j in range(max_steps):
-        if p + j > cfg.capacity:
-            raise CapacityError(f"sequence length {p + j} exceeds capacity {cfg.capacity}")
         if j == 0:
             x = nm.concat([nm.reshape(spk, (1, 1, cfg.dim)), nm.reshape(sem, (1,) + sem.shape)],
                           axis=1)
@@ -415,33 +408,40 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
 # grid dump format: one stream per line, specials spelled out
 
 
+def _specials(layout: StreamLayout, s: int) -> dict[str, int]:
+    """Stream s's spelled-out ids: its PAD, its BOS and, where its stop is
+    not its PAD (the text stream), <eos>."""
+    pad, bos, stop = layout.pad_ids[s], layout.bos_ids[s], layout.stop_ids[s]
+    return {"<pad>": pad, "<bos>": bos} | ({"<eos>": stop} if stop != pad else {})
+
+
 def dump_grid(grid: DelayedGrid, layout: StreamLayout) -> str:
     lines = []
     for s in range(grid.n_streams):
-        specials = ({TEXT_PAD: "<pad>", TEXT_BOS: "<bos>", TEXT_EOS: "<eos>"} if s == 0
-                    else {layout.ac_pad: "<pad>", layout.ac_bos: "<bos>"})
-        lines.append(" ".join(specials.get(int(v), str(int(v))) for v in grid.tokens[s]))
+        spelled = {v: k for k, v in _specials(layout, s).items()}
+        lines.append(" ".join(spelled.get(int(v), str(int(v))) for v in grid.tokens[s]))
     return "\n".join(lines) + "\n"
 
 
 def parse_grid(text: str, layout: StreamLayout) -> DelayedGrid:
+    """The grid of a `dump_grid` text. A token that is neither an int64 nor
+    one of its line's specials is a GridFormatError naming the line."""
     rows = []
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if len(lines) != layout.n_streams:
         raise GridFormatError(f"grid dump has {len(lines)} streams, expected {layout.n_streams}")
     for s, (ln_no, line) in enumerate(lines):
-        specials = ({"<pad>": TEXT_PAD, "<bos>": TEXT_BOS, "<eos>": TEXT_EOS} if s == 0
-                    else {"<pad>": layout.ac_pad, "<bos>": layout.ac_bos})
+        specials = _specials(layout, s)
         row = []
         for tok in line.split():
             if tok in specials:
                 row.append(specials[tok])
             else:
                 try:
-                    row.append(int(tok))
-                except ValueError:
-                    raise GridFormatError(f"line {ln_no}: token {tok!r} is neither an integer "
-                                          "nor <pad>, <bos> or <eos>") from None
+                    row.append(np.int64(tok))
+                except (ValueError, OverflowError):
+                    raise GridFormatError(f"line {ln_no}: token {tok!r} is neither an int64 "
+                                          f"nor {' or '.join(specials)}") from None
         rows.append(row)
     if len(set(len(r) for r in rows)) != 1:
         raise GridFormatError("grid dump rows have differing lengths")

@@ -84,6 +84,9 @@ class TrainPlan:
         if not self.lr > 0.0:
             raise ConfigError(f"train plan: lr={self.lr} is not above 0")
 
+    def stage_steps(self, name: str) -> int:
+        return (self.asr_steps, self.vc_steps, self.joint_steps)[STAGES.index(name)]
+
 
 @dataclass
 class StepResult:
@@ -394,8 +397,7 @@ def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: 
                 metrics_rows: list) -> dict:
     """Run stage `name` of the plan on state, scoring the held-out metrics
     every eval_interval steps and at the stage's end."""
-    steps = {STAGE_ASR: plan.asr_steps, STAGE_VC: plan.vc_steps,
-             STAGE_JOINT: plan.joint_steps}[name]
+    steps = plan.stage_steps(name)
     step_fn = {STAGE_ASR: asr_step, STAGE_VC: vc_step, STAGE_JOINT: joint_step}[name]
     rng = np.random.default_rng([0x7A10, plan.seed + STAGES.index(name)])
     state.opt = Adam(lr=plan.lr, warmup=plan.warmup, clip=plan.clip)
@@ -437,7 +439,6 @@ def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: 
 class PipelineResult:
     params: dict[str, Tensor]
     stage_reports: dict[str, dict]
-    stage_params: dict[str, dict[str, Tensor]] = field(default_factory=dict)
     metrics_rows: list = field(default_factory=list)
 
 
@@ -445,10 +446,11 @@ def run_pipeline(ctx: PipelineContext, plan: TrainPlan,
                  stages: tuple[str, ...] = STAGES,
                  init_params: dict[str, Tensor] | None = None) -> PipelineResult:
     """Run the requested stages in order, each resuming the previous
-    parameters, with a metrics snapshot after every stage."""
-    for i, name in enumerate(stages):
-        if name not in STAGES or (i and STAGES.index(name) <= STAGES.index(stages[i - 1])):
-            raise ConfigError(f"stages must follow {STAGES}, got {stages}")
+    parameters, with a metrics snapshot after every stage. The global step
+    starts at the plan's step count for the stages before the first one run."""
+    order = [STAGES.index(name) if name in STAGES else -1 for name in stages]
+    if not order or min(order) < 0 or order != sorted(set(order)):
+        raise ConfigError(f"stages must follow {STAGES}, got {stages}")
     n_layers = ctx.lm_cfg.layout.n_layers
     if len(plan.lambdas) != n_layers:
         raise ConfigError(f"train plan: lambdas length {len(plan.lambdas)} does not match "
@@ -457,13 +459,12 @@ def run_pipeline(ctx: PipelineContext, plan: TrainPlan,
         raise ConfigError(f"train plan: gen_max_steps={plan.gen_max_steps} below "
                           f"{n_layers + 2} for {n_layers} codec layers")
     params = init_params if init_params is not None else init_pipeline_params(ctx, plan.seed)
-    state = TrainState(params=params)
+    state = TrainState(params, step=sum(plan.stage_steps(name) for name in STAGES[:order[0]]))
     result = PipelineResult(params=params, stage_reports={})
     for name in stages:
         report = train_stage(state, ctx, plan, name, metrics_rows=result.metrics_rows)
         result.stage_reports[name] = report
         result.params = state.params
-        result.stage_params[name] = dict(state.params)
         if ctx.verifier is not None and ctx.eval_pairs is not None:
             report["metrics"] = asdict(evaluate_conversion(
                 state.params, ctx.lm_cfg, ctx.codec, ctx.sem_enc, ctx.spk_enc,

@@ -13,7 +13,9 @@
   `generate` as `synthvc.streamlm` wrote them before one per-stream rule
   (`StreamLayout`'s tables) replaced their separate text and acoustic
   paths, kept verbatim so tests can show the rule gives the same grids,
-  masks, inversions, exception classes and decodes.
+  masks, inversions, exception classes and decodes. `generate` has lost
+  only its two `lm.capacity` check lines and the `min(capacity, ...)` in
+  its cache size, since that setting was removed.
 - `build_asr_grid` and `init_lm` as `synthvc.streamlm` wrote them before
   they read the text stream and every vocabulary off those tables, kept
   verbatim so tests can show the same ASR grids and initial parameters.
@@ -26,8 +28,7 @@ import numpy as np
 from synthvc import nn
 from synthvc import numerics as nm
 from synthvc import synthworld as sw
-from synthvc.errors import (CapacityError, ConfigError, DataError, GridFormatError,
-                            NumericsError)
+from synthvc.errors import ConfigError, DataError, GridFormatError, NumericsError
 from synthvc.numerics import Tensor
 from synthvc.streamlm import (TEXT_CONTENT, TEXT_EOS, TEXT_PAD, TEXT_VOCAB, DelayedGrid,
                               GenerationResult, LMConfig, StreamLayout, _embed_columns, _head,
@@ -299,11 +300,10 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
     """Greedy or sampled decoding with structural tokens forced by construction.
 
     A prefill over [speaker row, semantic rows] (p positions) fills per-block
-    key/value caches, sized min(capacity, p + max_steps), and yields column
-    0's logits; each later column j runs the trunk over one position, column
-    j - 1's summed embeddings at p - 1 + j, against the cache. Only the heads
-    of streams still emitting are evaluated. CapacityError is raised at the
-    first column j with p + j > capacity.
+    key/value caches, sized p + max_steps, and yields column 0's logits;
+    each later column j runs the trunk over one position, column j - 1's
+    summed embeddings at p - 1 + j, against the cache. Only the heads of
+    streams still emitting are evaluated.
 
     Stops once the text stream has emitted EOS and every acoustic stream has
     closed with PAD, or tail steps past EOS, or at max_steps (truncation
@@ -329,7 +329,7 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
     if spk is None:
         spk = params["lm.null_spk"]
     p = 1 + sem.shape[0]
-    cache = [nm.BlockCache(cfg.heads, min(cfg.capacity, p + max_steps), cfg.dim // cfg.heads)
+    cache = [nm.BlockCache(cfg.heads, p + max_steps, cfg.dim // cfg.heads)
              for _ in range(cfg.blocks)]
 
     def pick(s, allowed):
@@ -347,8 +347,6 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
     steps = 0
 
     for j in range(max_steps):
-        if p + j > cfg.capacity:
-            raise CapacityError(f"sequence length {p + j} exceeds capacity {cfg.capacity}")
         if j == 0:
             x = nm.concat([nm.reshape(spk, (1, 1, cfg.dim)), nm.reshape(sem, (1,) + sem.shape)],
                           axis=1)

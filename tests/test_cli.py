@@ -4,8 +4,10 @@ a missing upstream artifact, a corrupt codec file, malformed input files,
 a non-UTF-8 stored config, an unknown config key, a bad training-plan value,
 a head count that does not split the LM width, an eval.pairs below 1, a
 corpus that cannot hold its held-out split or its texts, a stage of 0
-steps, an unexpected exception, and the run-directory lock, held by real
-processes."""
+steps, a stage that diverges after the ones before it were saved, an
+unexpected exception, and the run-directory lock, held by real processes;
+and that the stages trained one command at a time write what
+`train --stage all` writes."""
 
 import fcntl
 import hashlib
@@ -24,7 +26,7 @@ from synthvc import cli
 from synthvc import synthworld as sw
 from synthvc import trainer as tr
 from synthvc.config import RunConfig
-from synthvc.errors import ConfigError
+from synthvc.errors import ConfigError, TrainingDivergedError
 
 TINY_CONFIG = """\
 corpus.texts = 120
@@ -211,6 +213,73 @@ def test_zero_step_stage_trains_and_logs_ok(prepared_run, tmp_path, capsys):
     assert _run_log(run)[-1] == ("train", "ok")
 
 
+def _trained_files(run):
+    """The bytes of every checkpoint, every report and logs/metrics.tsv."""
+    files = [*sorted((run / "checkpoints").iterdir()), *sorted((run / "reports").iterdir()),
+             run / "logs" / "metrics.tsv"]
+    return {str(f.relative_to(run)): f.read_bytes() for f in files}
+
+
+def _train(prepared_run, run, *stages):
+    """`train --stage <s>` for each s in turn on run at the prepared run's
+    config, each exiting 0."""
+    base = ["--config", str(prepared_run.parent / "tiny.cfg"), "--run", str(run)]
+    for stage in stages:
+        assert cli.main(base + ["train", "--stage", stage]) == cli.EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def trained_run(prepared_run, tmp_path_factory):
+    """The prepared run after one `train --stage all`."""
+    run = tmp_path_factory.mktemp("trained") / "run"
+    shutil.copytree(prepared_run, run)
+    _train(prepared_run, run, "all")
+    return run
+
+
+def test_stages_run_in_turn_write_what_stage_all_writes(prepared_run, trained_run, tmp_path):
+    """`train --stage asr`, `vc` and `joint` run one after another give the
+    checkpoints, reports and metrics.tsv of `train --stage all`, the
+    metrics rows' global steps included."""
+    run = tmp_path / "run"
+    shutil.copytree(prepared_run, run)
+    _train(prepared_run, run, *tr.STAGES)
+    assert _trained_files(run) == _trained_files(trained_run)
+    steps = [line.split("\t")[0] for line in
+             (run / "logs" / "metrics.tsv").read_text(encoding="utf-8").splitlines()]
+    assert steps == ["10", "20", "30"]
+
+
+def test_a_failed_stage_keeps_every_stage_before_it(prepared_run, trained_run, tmp_path,
+                                                     capsys, monkeypatch):
+    """A divergence in the first joint step fails `train --stage all` with
+    exit 3 after the ASR and VC stages are on disk as a clean run wrote
+    them, so `train --stage joint` then finishes the clean run."""
+    run = tmp_path / "run"
+    shutil.copytree(prepared_run, run)
+
+    def diverge(*args, **kwargs):
+        raise TrainingDivergedError("stage joint step 20: injected")
+
+    monkeypatch.setattr(tr, "joint_step", diverge)
+    capsys.readouterr()
+    base = ["--config", str(prepared_run.parent / "tiny.cfg"), "--run", str(run)]
+    assert cli.main(base + ["train", "--stage", "all"]) == cli.EXIT_NUMERIC == 3
+    assert capsys.readouterr().err.startswith("ERR:NUMERIC stage joint step 20: injected")
+    assert _run_log(run)[-1] == ("train", "ERR:NUMERIC")
+    clean = _trained_files(trained_run)
+    kept = {name: clean[name] for name in ("checkpoints/asr.ckpt", "checkpoints/vc.ckpt",
+                                           "reports/pretrain.json", "reports/stage_asr.json",
+                                           "reports/stage_vc.json")}
+    kept["logs/metrics.tsv"] = b"".join(
+        line for line in clean["logs/metrics.tsv"].splitlines(keepends=True)
+        if line.split(b"\t")[1] != b"joint")
+    assert _trained_files(run) == kept
+    monkeypatch.undo()
+    _train(prepared_run, run, "joint")
+    assert _trained_files(run) == clean
+
+
 def test_non_utf8_resolved_config_fails_typed_and_is_logged(prepared_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(prepared_run, run)
@@ -327,8 +396,8 @@ def test_synth_data_force_empties_what_the_old_corpus_built(checkpointed_run, tm
 
 
 # case -> (the corpus manifest's line 2 field to spoil and its bad value) or None
-MALFORMED = {"grid-token": None, "grid-missing": None, "grid-not-utf8": None,
-             "eval-manifest-fields": None, "eval-manifest-missing": None,
+MALFORMED = {"grid-token": None, "grid-int64": None, "grid-missing": None,
+             "grid-not-utf8": None, "eval-manifest-fields": None, "eval-manifest-missing": None,
              "eval-manifest-not-utf8": None, "eval-manifest-empty": None,
              "config-missing": None, "manifest-symbol": (3, "zz"),
              "manifest-speaker": (1, "one"), "manifest-seed": (4, "4.5"),
@@ -353,6 +422,10 @@ def test_malformed_input_file_fails_typed_and_is_logged(checkpointed_run, tmp_pa
     if case == "grid-token":
         bad.write_text("1 <eos>\n<bos> 3x\n<bos> <bos>\n<bos> <bos>\n<bos> <bos>\n")
         argv, where = ["inspect-grid", "--in", str(bad)], f"{bad}: line 2: "
+    elif case == "grid-int64":
+        bad.write_text("99999999999999999999999 <eos>\n<bos> 3\n<bos> <bos>\n<bos> <bos>\n"
+                       "<bos> <bos>\n")
+        argv, where = ["inspect-grid", "--in", str(bad)], f"{bad}: line 1: "
     elif case == "grid-missing":
         argv, where = ["inspect-grid", "--in", str(missing)], f"{missing}: "
     elif case == "grid-not-utf8":

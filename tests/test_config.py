@@ -3,8 +3,9 @@ once, and every trained model updates through one step: each documented
 config default is read outside config.py, no parameter the CLI fills from the
 config restates a default, each function in the package is referenced
 somewhere besides its definition, only `optim.descend` opens a tape, only
-`streamlm` names the LM's token ids and parameters, and the benchmark's
-tracer still finds every function it names."""
+`streamlm` names the LM's token ids and parameters, every error class is
+raised and has an exit code, and the benchmark's tracer still finds every
+function it names."""
 
 import ast
 import inspect
@@ -12,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from synthvc import cli, config
+from synthvc import cli, config, errors
 from synthvc import streamlm as sl
 
 PKG = Path(config.__file__).parent
@@ -141,7 +142,7 @@ def test_only_streamlm_names_lm_token_ids_and_parameters():
     cfg = config.RunConfig()
     lm_names = set(sl.init_lm(sl.LMConfig(
         dim=cfg["lm.dim"], heads=cfg["lm.heads"], blocks=cfg["lm.blocks"],
-        intermediate=cfg["lm.intermediate"], capacity=cfg["lm.capacity"],
+        intermediate=cfg["lm.intermediate"],
         layout=sl.StreamLayout(cfg["codec.layers"], cfg["codec.codebook"])), seed=0))
     found = []
     for path in sorted(PKG.glob("*.py")):
@@ -154,6 +155,24 @@ def test_only_streamlm_names_lm_token_ids_and_parameters():
             elif isinstance(node, ast.Constant) and node.value in lm_names:
                 found.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert found == []
+
+
+def test_every_error_class_is_raised_and_has_an_exit_code():
+    """Each SynthVCError subclass in errors.py is named by a `raise` in the
+    package, and `cli._ERROR_CODES` classifies it: a class nothing raises is
+    dead code, and one the CLI cannot classify has no exit code."""
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.SynthVCError)
+               and c is not errors.SynthVCError and c.__module__ == errors.__name__]
+    raised = set()
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    assert [c.__name__ for c in classes if c.__name__ not in raised] == []
+    assert [c.__name__ for c in classes
+            if not any(issubclass(c, types) for types, _ in cli._ERROR_CODES)] == []
 
 
 def test_perfbench_selftest_passes():

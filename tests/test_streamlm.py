@@ -1,6 +1,5 @@
 """Delay-pattern grid and multi-stream LM tests."""
 
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from synthvc import config, nn
 from synthvc import numerics as nm
 from synthvc import streamlm as sl
-from synthvc.errors import CapacityError, ConfigError, DataError, GridFormatError
+from synthvc.errors import ConfigError, DataError, GridFormatError
 
 import harness as parent
 from harness import mul, sum_all
@@ -210,12 +209,12 @@ def test_asr_grid_equals_the_reference_and_rejects_non_content_text():
 def _default_lm_cfg():
     cfg = config.RunConfig()
     return sl.LMConfig(dim=cfg["lm.dim"], heads=cfg["lm.heads"], blocks=cfg["lm.blocks"],
-                       intermediate=cfg["lm.intermediate"], capacity=cfg["lm.capacity"],
+                       intermediate=cfg["lm.intermediate"],
                        layout=sl.StreamLayout(cfg["codec.layers"], cfg["codec.codebook"]))
 
 
 @pytest.mark.parametrize("lm,seed", [
-    *[(sl.LMConfig(dim=16, heads=2, blocks=blocks, intermediate=24, capacity=64,
+    *[(sl.LMConfig(dim=16, heads=2, blocks=blocks, intermediate=24,
                    layout=sl.StreamLayout(n_layers=n_layers, code_vocab=code_vocab)), seed)
       for n_layers, code_vocab, blocks, seed in ((4, 64, 4, 7401), (1, 3, 1, 0), (3, 8, 2, 5),
                                                  (5, 64, 1, 12))],
@@ -462,13 +461,6 @@ def test_forward_null_speaker_row(lm):
     assert np.isfinite(outs[0].data).all()
 
 
-def test_forward_capacity_error(lm):
-    cfg, params, sem, spk, _ = lm
-    big = sl.build_delayed_grid([1] * 12, np.zeros((4, 520), dtype=np.int64), cfg.layout)
-    with pytest.raises(CapacityError):
-        sl.forward(params, cfg, sem, spk, big)
-
-
 # ---------------------------------------------------------------------------
 # generation
 
@@ -509,7 +501,7 @@ def test_generate_sampling_mode(lm):
 
 def _record_decode(monkeypatch, params, cfg, sem, spk, **kw):
     """Greedy decode that records the width of every trunk call and, per
-    column, every (row, allowed, token) pick; returns (result or error, widths, picks)."""
+    column, every (row, allowed, token) pick; returns (result, widths, picks)."""
     widths, picks = [], []
     real_pick, real_trunk = sl.greedy_pick, nn.trunk
 
@@ -527,8 +519,6 @@ def _record_decode(monkeypatch, params, cfg, sem, spk, **kw):
     monkeypatch.setattr(nn, "trunk", trunk)
     try:
         out = sl.generate(params, cfg, sem, spk, **kw)
-    except CapacityError as e:
-        out = e
     finally:
         monkeypatch.undo()
     return out, widths, picks
@@ -605,36 +595,13 @@ def test_decode_runs_one_trunk_position_per_column_after_prefill(lm, monkeypatch
     assert widths[1:] == [1] * (res.steps - 1)
 
 
-@pytest.mark.parametrize("capacity", [9, 10, 14, 30])
-def test_decode_capacity_error_at_predicted_column(lm, monkeypatch, capacity):
-    cfg, params, sem, spk, _ = lm
-    small = dataclasses.replace(cfg, capacity=capacity)
-    p = 1 + sem.shape[0]
-    err, widths, _ = _record_decode(monkeypatch, params, small, sem, spk, max_steps=48, tail=40)
-    # column j needs p + j positions; the first column past capacity raises
-    j = capacity - p + 1
-    assert isinstance(err, CapacityError)
-    assert f"sequence length {p + j} exceeds capacity {capacity}" in str(err)
-    assert len(widths) == max(j, 0)
-    # the teacher-forced pass draws the same line
-    for cols, fits in ((j, True), (j + 1, False)):
-        if cols < 1:
-            continue
-        grid = sl.DelayedGrid(tokens=np.zeros((5, cols), dtype=np.int64))
-        if fits:
-            sl.forward(params, small, sem, spk, grid)
-        else:
-            with pytest.raises(CapacityError):
-                sl.forward(params, small, sem, spk, grid)
-
-
 def _random_lm(rng, ending):
     """A small random LM whose head biases steer decoding to an ending:
     "clean" (every stream stops), "tail" (text stops, no acoustic stream
     does), "truncated" (text never stops) or "free" (no steering)."""
     layout = _random_layout(rng)
     cfg = sl.LMConfig(dim=16, heads=2, blocks=int(rng.integers(1, 3)), intermediate=32,
-                      capacity=64, layout=layout)
+                      layout=layout)
     params = sl.init_lm(cfg, seed=int(rng.integers(1 << 16)))
     eos, pad = {"clean": (rng.uniform(0.5, 3.0), rng.uniform(4.0, 8.0)),
                 "tail": (rng.uniform(0.5, 3.0), -20.0), "truncated": (-20.0, 0.0),
@@ -651,32 +618,24 @@ def _random_lm(rng, ending):
 
 def test_generate_equals_the_reference_column_loop_on_random_lms():
     """Greedy and sampled decodes of random LMs give the tokens, `truncated`
-    and `steps` of the loop with a separate text branch, or raise the same
-    exception class; clean stops, tail stops and truncations all occur, and
-    a tail stop is not a truncation."""
+    and `steps` of the loop with a separate text branch; clean stops, tail
+    stops and truncations all occur, and a tail stop is not a truncation."""
     rng = np.random.default_rng(192)
     endings = Counter()
     for k in range(32):
         cfg, params, sem, spk = _random_lm(rng, ("clean", "tail", "truncated", "free")[k % 4])
-        if k % 8 == 7:   # a capacity the decode outgrows
-            cfg = dataclasses.replace(cfg, capacity=1 + sem.shape[0] + int(rng.integers(4, 12)))
         max_steps, tail = int(rng.integers(cfg.layout.n_layers + 2, 33)), int(rng.integers(1, 5))
         for mode in ("greedy", "sample"):
             seed, top_k = int(rng.integers(1 << 16)), int(rng.choice([0, 3]))
             kw = dict(max_steps=max_steps, tail=tail, mode=mode, temperature=0.9, top_k=top_k)
-            got, want = (_outcome(lambda: gen(params, cfg, sem, spk,
-                                              rng=np.random.default_rng(seed), **kw))
+            got, want = (gen(params, cfg, sem, spk, rng=np.random.default_rng(seed), **kw)
                          for gen in (sl.generate, parent.generate))
-            if isinstance(want, type):
-                assert got is want is CapacityError, (k, mode, got)
-                endings["capacity"] += 1
-                continue
             assert np.array_equal(got.grid.tokens, want.grid.tokens), (k, mode)
             assert (got.truncated, got.steps) == (want.truncated, want.steps), (k, mode)
             text, _ = sl.invert_delayed_grid(got.grid, cfg.layout)
             tail_stop = got.steps == len(text) + cfg.layout.n_layers + tail + 1
             endings["truncated" if got.truncated else "tail" if tail_stop else "clean"] += 1
-    assert all(endings[e] >= 6 for e in ("clean", "tail", "truncated", "capacity")), endings
+    assert all(endings[e] >= 6 for e in ("clean", "tail", "truncated")), endings
 
 
 def test_greedy_pick_argmax_scale_invariance():
@@ -690,10 +649,21 @@ def test_greedy_pick_argmax_scale_invariance():
 
 
 def test_grid_dump_parse_round_trip():
+    """Delayed and ASR grids of random layouts read back from their dumps,
+    which spell every special id from the layout's tables; `<eos>` is the
+    text stream's alone, so an acoustic line holding it is rejected."""
     rng = np.random.default_rng(55)
-    text, codes = random_pair(rng)
-    g = sl.build_delayed_grid(text, codes, LAYOUT4)
-    s = sl.dump_grid(g, LAYOUT4)
-    assert "<eos>" in s.splitlines()[0] and "<bos>" in s.splitlines()[1]
-    g2 = sl.parse_grid(s, LAYOUT4)
-    assert np.array_equal(g.tokens, g2.tokens)
+    for _ in range(40):
+        lay = _random_layout(rng)
+        text = rng.integers(0, sl.TEXT_CONTENT, size=int(rng.integers(1, 13))).tolist()
+        codes = rng.integers(0, lay.code_vocab, size=(lay.n_layers, int(rng.integers(1, 44))))
+        for g in (sl.build_delayed_grid(text, codes, lay), sl.build_asr_grid(text, lay)):
+            lines = sl.dump_grid(g, lay).splitlines()
+            assert "<eos>" in lines[0] and not any("<eos>" in ln for ln in lines[1:])
+            assert all(tok[0] == "<" or int(tok) < lay.content_ids[s]
+                       for s, ln in enumerate(lines) for tok in ln.split())
+            assert np.array_equal(sl.parse_grid("\n".join(lines), lay).tokens, g.tokens)
+    acoustic = lines[1].split()
+    acoustic[-1] = "<eos>"
+    with pytest.raises(GridFormatError, match="line 2: token '<eos>' "):
+        sl.parse_grid("\n".join([lines[0], " ".join(acoustic), *lines[2:]]), lay)
