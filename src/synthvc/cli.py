@@ -5,6 +5,8 @@ Run directory layout (fixed names so commands find upstream artifacts):
     corpus/ codec/ encoders/ checkpoints/ reports/ logs/
 `train` saves each stage's checkpoint, report and logs/metrics.tsv rows as it
 finishes: `--stage all` writes what `asr`, `vc` and `joint` in turn write.
+Before its first stage, `train --stage <s>` deletes those of s and of every
+later stage, and reports/evaluate.json: they came from the chain it replaces.
 A command holds the directory's lock, one exclusive flock on .runlock, for
 its whole life; the kernel frees it on any exit, a crash or SIGKILL
 included, so no stale lock is left to find. `main` makes the layout once,
@@ -279,6 +281,13 @@ def cmd_train(args, cfg: RunConfig, run: RunDir) -> int:
             raise StateError(f"stage {args.stage} requires {prev_path}; "
                              f"run `synthvc train --stage {prev}` first")
         params = _load_params(prev_path)
+    # what the chain this command replaces wrote from its first stage on
+    later = tr.STAGES[tr.STAGES.index(stages[0]):]
+    for name in later:
+        run.path("checkpoints", f"{name}.ckpt").unlink(missing_ok=True)
+        run.path("reports", f"stage_{name}.json").unlink(missing_ok=True)
+    run.path("reports", "evaluate.json").unlink(missing_ok=True)
+    tr.drop_metrics_rows(run.path("logs", "metrics.tsv"), later)
     for name in stages:
         result = tr.run_pipeline(ctx, plan, (name,), params)
         params = result.params

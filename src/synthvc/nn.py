@@ -3,10 +3,18 @@
 Everything operates on (B, T, D) tensors; params live in flat string-keyed
 dicts so optimizers and checkpoints can treat models uniformly.
 
+A block is two taped ops, each the fused form of a chain of public ops that
+`tests/harness.py` keeps as the bitwise reference:
+- `attention`, x + o(attend(q(n), k(n), v(n))) with n = rms_norm(x, norm1),
+  is one `nm.attention_residual`;
+- the MLP half, h + down(silu(up(rms_norm(h, norm2)))), is one
+  `nm.mlp_residual`.
+Training, the frozen encoders and decoding all run these two ops.
+
 For incremental decoding, `trunk` takes an optional `cache`, one
-`nm.BlockCache` per block: each block's `nm.attend` then appends its new keys
-and values to preallocated buffers and attends over every position cached
-so far. With no cache the ops are those of a plain causal pass, as in
+`nm.BlockCache` per block: each block's attention half then appends its new
+keys and values to preallocated buffers and attends over every position
+cached so far. With no cache the ops are those of a plain causal pass, as in
 training.
 """
 
@@ -31,9 +39,13 @@ def init_linear(params: dict, rng: np.random.Generator, name: str,
     params[f"{name}.b"] = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
 
 
+def _affine_pair(params: dict, name: str) -> tuple[Tensor, Tensor]:
+    return params[f"{name}.w"], params[f"{name}.b"]
+
+
 def linear(params: dict, name: str, x: Tensor) -> Tensor:
     """x @ {name}.w + {name}.b over x's last axis, as one taped `nm.affine`."""
-    return nm.affine(x, params[f"{name}.w"], params[f"{name}.b"])
+    return nm.affine(x, *_affine_pair(params, name))
 
 
 def init_block(params: dict, rng: np.random.Generator, name: str,
@@ -66,22 +78,23 @@ def causal_mask(n: int) -> np.ndarray:
 def attention(params: dict, name: str, x: Tensor, positions: np.ndarray,
               heads: int, mask: np.ndarray | None,
               cache: nm.BlockCache | None = None) -> Tensor:
-    """Self-attention of x's t positions at `positions`. With a cache they
-    attend over the cached positions too, so `mask` is (t, cached + t) or
-    None."""
-    ctx = nm.attend(linear(params, f"{name}.q", x), linear(params, f"{name}.k", x),
-                    linear(params, f"{name}.v", x), positions, heads, mask, cache)
-    return linear(params, f"{name}.o", ctx)
+    """The block's attention half, x plus the self-attention of x's t
+    rms-normed positions at `positions`, as one taped
+    `nm.attention_residual`. With a cache they attend over the cached
+    positions too, so `mask` is (t, cached + t) or None."""
+    return nm.attention_residual(
+        x, params[f"{name}.norm1"], _affine_pair(params, f"{name}.q"),
+        _affine_pair(params, f"{name}.k"), _affine_pair(params, f"{name}.v"),
+        _affine_pair(params, f"{name}.o"), positions, heads, mask, cache)
 
 
 def block(params: dict, name: str, x: Tensor, positions: np.ndarray,
           heads: int, mask: np.ndarray | None, cache: nm.BlockCache | None = None) -> Tensor:
-    h = nm.add(x, attention(params, name, nm.rms_norm(x, params[f"{name}.norm1"]),
-                            positions, heads, mask, cache))
-    inner = linear(params, f"{name}.down",
-                   nm.silu(linear(params, f"{name}.up",
-                                  nm.rms_norm(h, params[f"{name}.norm2"]))))
-    return nm.add(h, inner)
+    """A pre-norm transformer block, two taped ops: the attention half, then
+    the MLP half h + down(silu(up(rms_norm(h)))) as one `nm.mlp_residual`."""
+    h = attention(params, name, x, positions, heads, mask, cache)
+    return nm.mlp_residual(h, params[f"{name}.norm2"], _affine_pair(params, f"{name}.up"),
+                           _affine_pair(params, f"{name}.down"))
 
 
 def trunk(params: dict, prefix: str, x: Tensor, positions: np.ndarray,

@@ -25,16 +25,25 @@ VJP scatters with one 1-D add.at over the flattened table, at indices
 id * D + column, in place of a 2-D add.at of whole rows: each table element
 still sums its rows in row order.
 
-Two ops are fused: each is taped as a single node whose forward and VJPs
+Three ops are fused: each is taped as a single node whose forward and VJPs
 make the same numpy calls, in the same order, as the op chain it stands for,
-so results are bit-identical to that chain.
+so results are bit-identical to that chain. tests/harness.py keeps each
+chain as the reference.
 - `affine` is x @ w + b over the last axis of x: reshape -> matmul -> add
   -> reshape.
-- `attend` is multi-head self-attention between the q/k/v and output
-  projections, including the append to a decode-time key/value cache. It
-  checks its masked scores and its output, and the public ops it calls
-  (rope_apply, transpose, matmul, softmax) check theirs, so no computed
-  intermediate goes unchecked.
+- `attention_residual` is the attention half of a pre-norm transformer
+  block, x + o(attend(q(n), k(n), v(n))) with n = rms_norm(x, norm1):
+  rms_norm -> three affines -> attend -> affine -> add. attend is
+  multi-head self-attention between the projections, including the append
+  to a decode-time key/value cache.
+- `mlp_residual` is the MLP half, h + down(silu(up(rms_norm(h, norm2)))):
+  rms_norm -> affine -> silu -> affine -> add.
+rms_norm, affine and silu are each written once, as private forward and
+VJP kernels that the public op and the fused ops call; attend is only a
+kernel, `_attend_fwd`. A fused op checks every intermediate as the op that
+made it in the chain would, and attend its masked scores; the public ops
+attend calls (rope_apply, transpose, matmul, softmax) check theirs, so no
+computed intermediate goes unchecked.
 
 A tape is single-threaded: activate it with `with tape:` around the forward
 pass, call `tape.backward(loss, params)` afterwards for the gradients of the
@@ -266,36 +275,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _apply("matmul", (a, b), out, build)
 
 
+def _affine_fwd(x: Array, w: Array, b: Array) -> tuple[Array, Array]:
+    """x @ w + b over the last axis of x, and x's rows as one 2-D array (the
+    w gradient's left operand)."""
+    if w.ndim != 2 or b.shape != w.shape[1:]:
+        raise ShapeError(f"affine: weight {w.shape} and bias {b.shape} do not form (D, E), (E,)")
+    if x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"affine: input {x.shape} does not end in weight rows {w.shape[0]}")
+    flat = x.reshape(-1, x.shape[-1])
+    out = np.matmul(flat, w)
+    out += b
+    return out.reshape(x.shape[:-1] + w.shape[1:]), flat
+
+
+def _affine_vjp_x(g: Array, w: Array, xshape: tuple[int, ...]) -> Array:
+    return np.matmul(g.reshape(-1, w.shape[1]), np.swapaxes(w, -1, -2)).reshape(xshape)
+
+
+def _affine_vjp_w(g: Array, flat: Array) -> Array:
+    return np.matmul(np.swapaxes(flat, -1, -2), g.reshape(-1, g.shape[-1]))
+
+
+def _affine_vjp_b(g: Array, bshape: tuple[int, ...]) -> Array:
+    return _unbroadcast(g.reshape(-1, bshape[0]), bshape)
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with x (..., D), w (D, E) and b (E,): one taped node.
 
     Leading axes are flattened into rows for a single 2-D matmul and
     restored afterwards; the b gradient sums over those rows.
     """
-    if w.data.ndim != 2 or b.data.shape != w.data.shape[1:]:
-        raise ShapeError(f"affine: weight {w.shape} and bias {b.shape} do not form (D, E), (E,)")
-    if x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
-        raise ShapeError(f"affine: input {x.shape} does not end in weight rows {w.shape[0]}")
-    xshape, n_out = x.data.shape, w.data.shape[1]
-    flat = x.data.reshape(-1, xshape[-1])
-    out = np.matmul(flat, w.data)
-    out += b.data
-    out = out.reshape(xshape[:-1] + (n_out,))
+    out, flat = _affine_fwd(x.data, w.data, b.data)
 
     def build():
-        wd = w.data
-
-        def fx(g):
-            return np.matmul(g.reshape(-1, n_out), np.swapaxes(wd, -1, -2)).reshape(xshape)
-
-        def fw(g):
-            return np.matmul(np.swapaxes(flat, -1, -2), g.reshape(-1, n_out))
-
-        def fb(g):
-            return _unbroadcast(g.reshape(-1, n_out), b.data.shape)
-
-        return (fx if x.requires_grad else None, fw if w.requires_grad else None,
-                fb if b.requires_grad else None)
+        wd, xshape, bshape = w.data, x.data.shape, b.data.shape
+        return ((lambda g: _affine_vjp_x(g, wd, xshape)) if x.requires_grad else None,
+                (lambda g: _affine_vjp_w(g, flat)) if w.requires_grad else None,
+                (lambda g: _affine_vjp_b(g, bshape)) if b.requires_grad else None)
 
     return _apply("affine", (x, w, b), out, build)
 
@@ -370,8 +387,8 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # nonlinearities and normalization
 
 
-def silu(a: Tensor) -> Tensor:
-    x = a.data
+def _silu_fwd(x: Array) -> tuple[Array, Array]:
+    """x * sigmoid(x), and the sigmoid."""
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -381,18 +398,24 @@ def silu(a: Tensor) -> Tensor:
     # pick with no branch, followed by the same division.
     sig = np.maximum(e, x >= 0)
     sig /= d
-    out = x * sig
+    return x * sig, sig
+
+
+def _silu_vjp(g: Array, x: Array, sig: Array) -> Array:
+    gx = g * sig
+    t = 1.0 - sig
+    t *= x
+    t += 1.0
+    gx *= t
+    return gx
+
+
+def silu(a: Tensor) -> Tensor:
+    out, sig = _silu_fwd(a.data)
 
     def build():
-        def fn(g):
-            gx = g * sig
-            t = 1.0 - sig
-            t *= x
-            t += 1.0
-            gx *= t
-            return gx
-
-        return (fn if a.requires_grad else None,)
+        x = a.data
+        return ((lambda g: _silu_vjp(g, x, sig)) if a.requires_grad else None,)
 
     return _apply("silu", (a,), out, build)
 
@@ -419,37 +442,51 @@ def softmax(a: Tensor) -> Tensor:
     return _apply("softmax", (a,), out, build)
 
 
-def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
-    arr, gn = x.data, gain.data
+def _rms_norm_fwd(arr: Array, gn: Array) -> tuple[Array, Array]:
+    """arr / rms(arr) * gn over the last axis, and the per-row 1 / rms."""
     d = arr.shape[-1]
     if gn.shape != (d,):
-        raise ShapeError(f"rms_norm: gain shape {gain.shape} does not match last axis {d}")
+        raise ShapeError(f"rms_norm: gain shape {gn.shape} does not match last axis {d}")
     ms = np.add.reduce(np.square(arr, dtype=np.float64), axis=-1, keepdims=True)
-    ms /= d     # the mean, as np.mean forms it
-    ms += RMS_NORM_EPS
-    np.sqrt(ms, out=ms)
-    np.divide(1.0, ms, out=ms)
+    if ms.size == 1:
+        # one row, as in a decode column: the same four IEEE double
+        # operations on a Python float cost less than four numpy calls
+        ms.fill(1.0 / math.sqrt(ms.item() / d + RMS_NORM_EPS))
+    else:
+        ms /= d     # the mean, as np.mean forms it
+        ms += RMS_NORM_EPS
+        np.sqrt(ms, out=ms)
+        np.divide(1.0, ms, out=ms)
     inv = ms.astype(arr.dtype)
     out = arr * inv
     out *= gn
+    return out, inv
+
+
+def _rms_norm_vjp_x(g: Array, arr: Array, gn: Array, inv: Array) -> Array:
+    gp = g * gn
+    t = gp * arr
+    dot = t.sum(axis=-1, keepdims=True)
+    np.multiply(arr, inv ** 3, out=t)
+    t *= dot / arr.shape[-1]
+    gp *= inv
+    gp -= t
+    return gp
+
+
+def _rms_norm_vjp_gain(g: Array, arr: Array, inv: Array) -> Array:
+    prod = g * arr
+    prod *= inv
+    return prod.reshape(-1, arr.shape[-1]).sum(axis=0)
+
+
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
+    out, inv = _rms_norm_fwd(x.data, gain.data)
 
     def build():
-        def fx(g):
-            gp = g * gn
-            t = gp * arr
-            dot = t.sum(axis=-1, keepdims=True)
-            np.multiply(arr, inv ** 3, out=t)
-            t *= dot / d
-            gp *= inv
-            gp -= t
-            return gp
-
-        def fg(g):
-            prod = g * arr
-            prod *= inv
-            return prod.reshape(-1, d).sum(axis=0)
-
-        return (fx if x.requires_grad else None, fg if gain.requires_grad else None)
+        arr, gn = x.data, gain.data
+        return ((lambda g: _rms_norm_vjp_x(g, arr, gn, inv)) if x.requires_grad else None,
+                (lambda g: _rms_norm_vjp_gain(g, arr, inv)) if gain.requires_grad else None)
 
     return _apply("rms_norm", (x, gain), out, build)
 
@@ -522,8 +559,8 @@ def rope_apply(x: Tensor, positions) -> Tensor:
 class BlockCache:
     """One attention block's keys and values for positions [0, length), in
     preallocated (B * heads, capacity, dh) buffers, already rotated (RoPE
-    positions are absolute, so cached keys stay valid). `attend` appends to
-    them. Decode only: nothing cached carries a gradient."""
+    positions are absolute, so cached keys stay valid). `attention_residual`
+    appends to them. Decode only: nothing cached carries a gradient."""
 
     def __init__(self, rows: int, capacity: int, dh: int):
         self.k = np.zeros((rows, capacity, dh), dtype=STORAGE_DTYPE)
@@ -532,44 +569,72 @@ class BlockCache:
 
 
 def _split_heads(x: Array, b: int, t: int, heads: int, dh: int) -> Array:
-    """(B, t, heads * dh), or (B * t, heads, dh), -> (B * heads, t, dh)."""
-    return np.ascontiguousarray(np.transpose(x.reshape(b, t, heads, dh), (0, 2, 1, 3))
+    """(B, t, heads * dh), or (B * t, heads, dh), -> (B * heads, t, dh). At
+    t = 1 the heads already lie in that order, so a reshape does it."""
+    if t == 1:
+        return x.reshape(b * heads, 1, dh)
+    return np.ascontiguousarray(x.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
                                 ).reshape(b * heads, t, dh)
 
 
 def _merge_heads(x: Array, b: int, t: int, heads: int, dh: int) -> Array:
-    """(B * heads, t, dh) -> (B, t, heads * dh)."""
-    return np.ascontiguousarray(np.transpose(x.reshape(b, heads, t, dh), (0, 2, 1, 3))
+    """(B * heads, t, dh) -> (B, t, heads * dh); a reshape at t = 1."""
+    if t == 1:
+        return x.reshape(b, 1, heads * dh)
+    return np.ascontiguousarray(x.reshape(b, heads, t, dh).transpose(0, 2, 1, 3)
                                 ).reshape(b, t, heads * dh)
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, positions, heads: int, mask=None,
-           cache: BlockCache | None = None) -> Tensor:
-    """Multi-head self-attention of (B, t, D) projections at `positions`: one
-    taped node.
+def _vjps_at_once(parents: Sequence[Tensor], grads_of: Callable[[Array], list]) -> tuple:
+    """One VJP per parent (None where it needs no gradient), all served by
+    one call of grads_of(g), which returns every parent's gradient in order:
+    the tape asks for each parent's in turn with the same g. Nothing is held
+    once the last one is handed out."""
+    memo: dict = {}
+
+    def take(g, i):
+        if memo.get("g") is not g:
+            memo.clear()
+            memo.update((j, gj) for j, gj in enumerate(grads_of(g)) if parents[j].requires_grad)
+            memo["g"] = g
+        out = memo.pop(i)
+        if len(memo) == 1:
+            memo.clear()
+        return out
+
+    return tuple((lambda g, i=i: take(g, i)) if p.requires_grad else None
+                 for i, p in enumerate(parents))
+
+
+def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
+                cache: BlockCache | None, taped: bool) -> tuple[Array, Callable]:
+    """Multi-head self-attention of (B, t, D) projections at `positions`:
+    the context, and back(g, need_q, need_k, need_v), the three input
+    gradients (None where not needed).
 
     Rotary on q and k, a split into `heads` heads of width dh = D / heads,
     softmax(q k^T / sqrt(dh) + mask) v, and the heads merged back to (B, t, D).
     With a `cache` the rotated keys and values are first appended to its
-    buffers and the t queries attend over every cached
-    position, so `mask` is (t, cached + t) or None. No gradient flows through
-    a cache, so one is refused while a tape records an input that needs one.
+    buffers and the t queries attend over every cached position, so `mask`
+    is (t, cached + t) or None. No gradient flows through a cache, so one is
+    refused when `taped`, that is when a tape records an input that needs
+    one.
 
     The forward calls the public rope_apply (once, over the stacked q and k
     heads), transpose, matmul and softmax on untaped inputs; the rest is plain
-    numpy. Forward and VJPs make the same numpy calls, in the same order, as
+    numpy. Forward and back make the same numpy calls, in the same order, as
     the rope -> split -> matmul -> scale -> add -> softmax -> matmul -> merge
     chain they stand for, so results are bit-identical to that chain.
     """
-    shape, dtype = q.data.shape, q.data.dtype
-    if (len(shape) != 3 or k.data.shape != shape or v.data.shape != shape
-            or k.data.dtype != dtype or v.data.dtype != dtype or heads < 1 or shape[2] % heads):
-        raise ShapeError(f"attend: q {q.shape}, k {k.shape}, v {v.shape} are not one "
+    shape, dtype = q.shape, q.dtype
+    if (len(shape) != 3 or k.shape != shape or v.shape != shape
+            or k.dtype != dtype or v.dtype != dtype or heads < 1 or shape[2] % heads):
+        raise ShapeError(f"attend: q {shape}, k {k.shape}, v {v.shape} are not one "
                          f"(B, t, D) shape and dtype with D divisible by {heads} heads")
     b, t, d = shape
     dh = d // heads
     if cache is not None:
-        if _ACTIVE is not None and (q.requires_grad or k.requires_grad or v.requires_grad):
+        if taped:
             raise NumericsError("attend: no gradient flows through a key/value cache")
         start, stop = cache.length, cache.length + t
         if (dtype != cache.k.dtype or cache.k.shape[0::2] != (b * heads, dh)
@@ -582,18 +647,18 @@ def attend(q: Tensor, k: Tensor, v: Tensor, positions, heads: int, mask=None,
         raise ShapeError(f"attend: mask {np.shape(mask)} is not ({t}, {n_keys})")
 
     tiled = positions if b == 1 else np.tile(positions, b)
-    qk = np.concatenate([q.data, k.data], axis=-1).reshape(b * t, 2 * heads, dh)
+    qk = np.concatenate([q, k], axis=-1).reshape(b * t, 2 * heads, dh)
     qk = rope_apply(_wrap(qk), tiled).data
     q_h = _split_heads(qk[:, :heads], b, t, heads, dh)
     k_h = _split_heads(qk[:, heads:], b, t, heads, dh)
-    v_h = _split_heads(v.data, b, t, heads, dh)
+    v_h = _split_heads(v, b, t, heads, dh)
     if cache is not None:
         cache.k[:, start:stop] = k_h
         cache.v[:, start:stop] = v_h
         cache.length = stop
         k_h, v_h = cache.k[:, :stop], cache.v[:, :stop]
     kt = transpose(_wrap(k_h), (0, 2, 1))
-    cc = dtype.type(1.0 / np.sqrt(dh))
+    cc = dtype.type(1.0 / math.sqrt(dh))   # correctly rounded, as np.sqrt is
     scores = np.multiply(matmul(_wrap(q_h), kt).data, cc)
     if mask is not None:
         scores += mask
@@ -601,41 +666,138 @@ def attend(q: Tensor, k: Tensor, v: Tensor, positions, heads: int, mask=None,
     probs = softmax(_wrap(scores)).data
     out = _merge_heads(np.matmul(probs, v_h), b, t, heads, dh)
 
-    def build():
+    def back(g: Array, need_q: bool, need_k: bool, need_v: bool) -> tuple:
+        g_q = g_k = g_v = None
         cos, sin = _rope_tables(tiled, dh, dtype, 3)
-        memo: dict = {}
+        g_ctx = _split_heads(g, b, t, heads, dh)
+        if need_v:
+            g_v = _merge_heads(np.matmul(np.swapaxes(probs, -1, -2), g_ctx), b, t, heads, dh)
+        g_probs = np.matmul(g_ctx, np.swapaxes(v_h, -1, -2))
+        g_raw = g_probs * probs
+        # probs * (g_probs - rowsum(g_probs * probs)), then * cc
+        np.subtract(g_probs, g_raw.sum(axis=-1, keepdims=True), out=g_raw)
+        g_raw *= probs
+        g_raw *= cc
+        if need_k:
+            g_kt = np.matmul(np.swapaxes(q_h, -1, -2), g_raw)
+            # (B * heads, dh, t) -> (B * t, heads, dh) in one copy
+            g_k = np.ascontiguousarray(np.transpose(g_kt.reshape(b, heads, dh, t),
+                                                    (0, 3, 1, 2))).reshape(b * t, heads, dh)
+            g_k = _rope_vjp(g_k, cos, sin).reshape(b, t, d)
+        if need_q:
+            g_q = np.matmul(g_raw, np.swapaxes(kt.data, -1, -2))
+            g_q = _merge_heads(g_q, b, t, heads, dh).reshape(b * t, heads, dh)
+            g_q = _rope_vjp(g_q, cos, sin).reshape(b, t, d)
+        return g_q, g_k, g_v
 
-        def grads(g):
-            """All three input gradients at once; the tape asks for each in turn."""
-            if memo.get("g") is not g:
-                memo.clear()
-                memo["g"] = g
-                g_ctx = _split_heads(g, b, t, heads, dh)
-                if v.requires_grad:
-                    memo["v"] = _merge_heads(np.matmul(np.swapaxes(probs, -1, -2), g_ctx),
-                                             b, t, heads, dh)
-                g_probs = np.matmul(g_ctx, np.swapaxes(v_h, -1, -2))
-                g_raw = g_probs * probs
-                # probs * (g_probs - rowsum(g_probs * probs)), then * cc
-                np.subtract(g_probs, g_raw.sum(axis=-1, keepdims=True), out=g_raw)
-                g_raw *= probs
-                g_raw *= cc
-                if k.requires_grad:
-                    g_kt = np.matmul(np.swapaxes(q_h, -1, -2), g_raw)
-                    # (B * heads, dh, t) -> (B * t, heads, dh) in one copy
-                    g_k = np.ascontiguousarray(np.transpose(g_kt.reshape(b, heads, dh, t),
-                                                            (0, 3, 1, 2))).reshape(b * t, heads, dh)
-                    memo["k"] = _rope_vjp(g_k, cos, sin).reshape(b, t, d)
-                if q.requires_grad:
-                    g_q = np.matmul(g_raw, np.swapaxes(kt.data, -1, -2))
-                    g_q = _merge_heads(g_q, b, t, heads, dh).reshape(b * t, heads, dh)
-                    memo["q"] = _rope_vjp(g_q, cos, sin).reshape(b, t, d)
-            return memo
+    return out, back
 
-        return tuple((lambda g, n=n: grads(g).pop(n)) if p.requires_grad else None
-                     for n, p in zip("qkv", (q, k, v)))
 
-    return _apply("attend", (q, k, v), out, build)
+def attention_residual(x: Tensor, norm1: Tensor, q: tuple[Tensor, Tensor],
+                       k: tuple[Tensor, Tensor], v: tuple[Tensor, Tensor],
+                       o: tuple[Tensor, Tensor], positions, heads: int, mask,
+                       cache: BlockCache | None) -> Tensor:
+    """x + o(attend(q(n), k(n), v(n), ...)) with n = rms_norm(x, norm1), where
+    q, k, v and o are the (weight, bias) pairs of four affine maps: one taped
+    node, the attention half of a pre-norm transformer block. `positions`,
+    `heads`, `mask` and `cache` are attend's.
+
+    Every intermediate is checked as the op that made it in the chain would
+    check it. Gradients are grouped as the tape groups the chain's: n gets
+    (g_v + g_k) + g_q, the projections in reverse order, and x gets the
+    residual gradient plus the norm path.
+    """
+    projections = (q, k, v)
+    parents = (x, norm1, *q, *k, *v, *o)
+    xa = x.data
+    n, inv = _rms_norm_fwd(xa, norm1.data)
+    _finite_or_raise(n, "attention_residual")
+    qkv = []
+    for w, b in projections:
+        arr, n_flat = _affine_fwd(n, w.data, b.data)
+        _finite_or_raise(arr, "attention_residual")
+        qkv.append(arr)
+    n_rg = x.requires_grad or norm1.requires_grad
+    need = [n_rg or w.requires_grad or b.requires_grad for w, b in projections]
+    ctx, back = _attend_fwd(*qkv, positions, heads, mask, cache,
+                            _ACTIVE is not None and any(need))
+    _finite_or_raise(ctx, "attention_residual")
+    a, ctx_flat = _affine_fwd(ctx, o[0].data, o[1].data)
+    _finite_or_raise(a, "attention_residual")
+    out = xa + a
+
+    def grads_of(g):
+        grads = [None] * len(parents)
+        wo, bo = o
+        if wo.requires_grad:
+            grads[8] = _affine_vjp_w(g, ctx_flat)
+        if bo.requires_grad:
+            grads[9] = _affine_vjp_b(g, bo.data.shape)
+        if not any(need):
+            return grads
+        g_qkv = back(_affine_vjp_x(g, wo.data, ctx.shape), *need)
+        g_n = None
+        for i in (2, 1, 0):     # v, k, q: the tape meets the last projection first
+            (w, b), gp = projections[i], g_qkv[i]
+            if w.requires_grad:
+                grads[2 + 2 * i] = _affine_vjp_w(gp, n_flat)
+            if b.requires_grad:
+                grads[3 + 2 * i] = _affine_vjp_b(gp, b.data.shape)
+            if n_rg:
+                part = _affine_vjp_x(gp, w.data, n.shape)
+                g_n = part if g_n is None else g_n + part
+        if x.requires_grad:
+            grads[0] = g + _rms_norm_vjp_x(g_n, xa, norm1.data, inv)
+        if norm1.requires_grad:
+            grads[1] = _rms_norm_vjp_gain(g_n, xa, inv)
+        return grads
+
+    return _apply("attention_residual", parents, out, lambda: _vjps_at_once(parents, grads_of))
+
+
+def mlp_residual(h: Tensor, norm2: Tensor, up: tuple[Tensor, Tensor],
+                 down: tuple[Tensor, Tensor]) -> Tensor:
+    """h + down(silu(up(rms_norm(h, norm2)))), where up and down are the
+    (weight, bias) pairs of two affine maps: one taped node, the MLP half of
+    a pre-norm transformer block. Every intermediate is checked as the op
+    that made it in the chain would check it, and h gets the residual
+    gradient plus the norm path."""
+    parents = (h, norm2, *up, *down)
+    ha = h.data
+    n, inv = _rms_norm_fwd(ha, norm2.data)
+    _finite_or_raise(n, "mlp_residual")
+    u, n_flat = _affine_fwd(n, up[0].data, up[1].data)
+    _finite_or_raise(u, "mlp_residual")
+    s, sig = _silu_fwd(u)
+    _finite_or_raise(s, "mlp_residual")
+    dn, s_flat = _affine_fwd(s, down[0].data, down[1].data)
+    _finite_or_raise(dn, "mlp_residual")
+    out = ha + dn
+
+    def grads_of(g):
+        grads = [None] * len(parents)
+        (wu, bu), (wd, bd) = up, down
+        n_rg = h.requires_grad or norm2.requires_grad
+        if wd.requires_grad:
+            grads[4] = _affine_vjp_w(g, s_flat)
+        if bd.requires_grad:
+            grads[5] = _affine_vjp_b(g, bd.data.shape)
+        if not (n_rg or wu.requires_grad or bu.requires_grad):
+            return grads
+        g_u = _silu_vjp(_affine_vjp_x(g, wd.data, s.shape), u, sig)
+        if wu.requires_grad:
+            grads[2] = _affine_vjp_w(g_u, n_flat)
+        if bu.requires_grad:
+            grads[3] = _affine_vjp_b(g_u, bu.data.shape)
+        if n_rg:
+            g_n = _affine_vjp_x(g_u, wu.data, n.shape)
+            if h.requires_grad:
+                grads[0] = g + _rms_norm_vjp_x(g_n, ha, norm2.data, inv)
+            if norm2.requires_grad:
+                grads[1] = _rms_norm_vjp_gain(g_n, ha, inv)
+        return grads
+
+    return _apply("mlp_residual", parents, out, lambda: _vjps_at_once(parents, grads_of))
 
 
 # ---------------------------------------------------------------------------

@@ -306,7 +306,7 @@ def greedy_pick(logits_row: np.ndarray, allowed: np.ndarray) -> int:
 
 def sample_pick(logits_row: np.ndarray, allowed: np.ndarray, temperature: float,
                 top_k: int, rng: np.random.Generator) -> int:
-    vals = logits_row[allowed].astype(np.float64) / max(temperature, 1e-6)
+    vals = logits_row[allowed].astype(np.float64) / temperature
     if top_k > 0 and top_k < len(vals):
         keep = np.argsort(-vals)[:top_k]
         allowed = allowed[keep]
@@ -345,8 +345,14 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
         raise ConfigError("generate: tail must be at least 1")
     if mode not in ("greedy", "sample"):
         raise ConfigError(f"generate: unknown mode {mode!r}")
-    if mode == "sample" and rng is None:
-        raise ConfigError("generate: sample mode needs an rng")
+    if mode == "sample":
+        if rng is None:
+            raise ConfigError("generate: sample mode needs an rng")
+        if not temperature > 0:     # NaN fails too
+            raise ConfigError(f"generate: sample mode needs a temperature above 0, "
+                              f"got {temperature}")
+        if top_k < 0:
+            raise ConfigError(f"generate: top_k must be 0 (off) or more, got {top_k}")
 
     stop, pad, bos = layout.stop_ids, layout.pad_ids, layout.bos_ids
     first = [np.arange(c) for c in layout.content_ids]

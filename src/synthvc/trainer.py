@@ -479,3 +479,14 @@ def write_metrics_log(path: Path, rows) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         for row in rows:
             fh.write("\t".join(str(v) for v in row) + "\n")
+
+
+def drop_metrics_rows(path: Path, stages) -> None:
+    """Remove the rows of `stages` from a metrics log that `write_metrics_log`
+    wrote; a missing log, or one with no such row, is left as it is."""
+    if not path.exists():
+        return
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if line.split("\t")[1] not in stages]
+    if len(kept) != len(lines):
+        path.write_text("".join(kept), encoding="utf-8")

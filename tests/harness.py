@@ -4,6 +4,11 @@
   op is tested with, and `mul`, `sum_all` and `mean_all`, the product and
   scalar reductions that turn an op's output into a loss in those checks.
   They are taped ops built on `numerics._apply`, like the package's own.
+- `attend`, multi-head self-attention as one taped op over the package's
+  attention kernel, and `attention_chain` and `mlp_chain`, the two halves
+  of a transformer block as the public ops composed them before each half
+  became one fused op (`numerics.attention_residual`,
+  `numerics.mlp_residual`): the references those ops equal bit for bit.
 - `nearest_template_decode`, a decoder that knows the world's templates, so
   a test can show that rendered symbols can be read back.
 - `render_one`, the frames of one item through the batched `sw.render`, and
@@ -72,6 +77,32 @@ def mean_all(a: Tensor) -> Tensor:
         return ((lambda g: np.full(shape, g / n, dtype=dt)) if a.requires_grad else None,)
 
     return nm._apply("mean_all", (a,), out, build)
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, positions, heads: int, mask=None,
+           cache: nm.BlockCache | None = None) -> Tensor:
+    """Multi-head self-attention of (B, t, D) projections at `positions` (see
+    `numerics._attend_fwd`): one taped node, whose VJPs are the kernel's."""
+    need = (q.requires_grad, k.requires_grad, v.requires_grad)
+    out, back = nm._attend_fwd(q.data, k.data, v.data, positions, heads, mask, cache,
+                               nm._ACTIVE is not None and any(need))
+    return nm._apply("attend", (q, k, v), out,
+                     lambda: nm._vjps_at_once((q, k, v), lambda g: back(g, *need)))
+
+
+def attention_chain(x: Tensor, norm1: Tensor, q, k, v, o, positions, heads: int, mask=None,
+                    cache: nm.BlockCache | None = None) -> Tensor:
+    """x + o(attend(q(n), k(n), v(n))) with n = rms_norm(x, norm1), as seven
+    taped ops; q, k, v and o are (weight, bias) pairs."""
+    n = nm.rms_norm(x, norm1)
+    ctx = attend(nm.affine(n, *q), nm.affine(n, *k), nm.affine(n, *v), positions, heads, mask,
+                 cache)
+    return nm.add(x, nm.affine(ctx, *o))
+
+
+def mlp_chain(h: Tensor, norm2: Tensor, up, down) -> Tensor:
+    """h + down(silu(up(rms_norm(h, norm2)))), as five taped ops."""
+    return nm.add(h, nm.affine(nm.silu(nm.affine(nm.rms_norm(h, norm2), *up)), *down))
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-4) -> float:

@@ -250,6 +250,28 @@ def test_stages_run_in_turn_write_what_stage_all_writes(prepared_run, trained_ru
     assert steps == ["10", "20", "30"]
 
 
+def test_retraining_a_stage_deletes_the_later_stages_of_the_old_chain(prepared_run,
+                                                                     trained_run, tmp_path):
+    """`train --stage asr` on a trained and evaluated run leaves no VC or
+    joint checkpoint or report and no evaluate.json, keeps metrics.tsv rows
+    of the new ASR stage only, and `evaluate` then grades asr.ckpt: every
+    file is what a fresh `train --stage asr` and `evaluate` write."""
+    base = ["--config", str(prepared_run.parent / "tiny.cfg")]
+    fresh = tmp_path / "fresh"
+    shutil.copytree(prepared_run, fresh)
+    _train(prepared_run, fresh, "asr")
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    assert cli.main(base + ["--run", str(run), "evaluate"]) == cli.EXIT_OK
+    _train(prepared_run, run, "asr")
+    assert _trained_files(run) == _trained_files(fresh)
+    assert [p.name for p in (run / "checkpoints").iterdir()] == ["asr.ckpt"]
+    assert not (run / "reports" / "evaluate.json").exists()
+    for r in (run, fresh):
+        assert cli.main(base + ["--run", str(r), "evaluate"]) == cli.EXIT_OK
+    assert _digests(run) == _digests(fresh)
+
+
 def test_a_failed_stage_keeps_every_stage_before_it(prepared_run, trained_run, tmp_path,
                                                      capsys, monkeypatch):
     """A divergence in the first joint step fails `train --stage all` with
@@ -393,6 +415,26 @@ def test_synth_data_force_empties_what_the_old_corpus_built(checkpointed_run, tm
     err = capsys.readouterr().err
     assert err.startswith("ERR:STATE ") and "codec.rvq" in err, err
     assert _run_log(run)[-1] == ("evaluate", "ERR:STATE")
+
+
+def test_sampled_convert_with_nan_temperature_fails_typed(checkpointed_run, tmp_path, capsys):
+    """A NaN gen.temperature under gen.mode = sample is a usage error with one
+    log line, not an internal error from the sampler."""
+    run = tmp_path / "run"
+    shutil.copytree(checkpointed_run, run)
+    cfg_path = tmp_path / "sample.cfg"
+    cfg_path.write_text(TINY_CONFIG + "gen.mode = sample\ngen.temperature = nan\n",
+                        encoding="utf-8")
+    src, ref = (run / "corpus" / "eval_manifest.tsv").read_text().splitlines()[0].split("\t")
+    logged = _run_log(run)
+    capsys.readouterr()
+    argv = ["--config", str(cfg_path), "--run", str(run), "--allow-config-drift", "convert",
+            "--source", src, "--target-ref", ref, "--out", str(tmp_path / "conv")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("ERR:USAGE generate: sample mode needs a temperature above 0"), err
+    assert _run_log(run) == logged + [("convert", "ERR:USAGE")]
+    assert not list(tmp_path.glob("conv*"))
 
 
 # case -> (the corpus manifest's line 2 field to spoil and its bad value) or None

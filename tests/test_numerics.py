@@ -1,6 +1,9 @@
 """Tensor/autodiff tests: every derived value comes from an independent oracle."""
 
+import itertools
+import re
 import weakref
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -18,7 +21,8 @@ from synthvc.errors import (
     ShapeError,
 )
 
-from harness import DeterminismError, grad_check, mean_all, mul, sum_all
+from harness import (DeterminismError, attend, attention_chain, grad_check, mean_all, mlp_chain,
+                     mul, sum_all)
 
 
 def t(data, rg=False, dtype=None):
@@ -545,6 +549,7 @@ def _op_checks(seed):
     ids = rng.integers(0, 3, size=5)
     targets = rng.integers(0, 4, size=3)
     b3 = rng.normal(size=(2, 3, 4)).astype(np.float32)
+    sq4 = rng.normal(size=(4, 4, 4)).astype(np.float32)
     checks = {
         "add": lambda xt: sum_all(mul(nm.add(xt, nm.constant(w.T, dtype=xt.dtype)), xt)),
         "mul": lambda xt: sum_all(mul(mul(xt, nm.constant(w.T, dtype=xt.dtype)), xt)),
@@ -566,9 +571,9 @@ def _op_checks(seed):
         "softmax": lambda xt: mean_all(mul(nm.softmax(xt), nm.constant(w.T, dtype=xt.dtype))),
         "cross_entropy": lambda xt: nm.cross_entropy(xt, targets),
         "rms_norm": lambda xt: mean_all(mul(nm.rms_norm(xt, nm.constant(gain, dtype=xt.dtype)), xt)),
-        "rope": lambda xt: sum_all(mul(nm.rope_apply(xt, [2, 5, 9]), xt)),
-        "embedding": lambda xt: mean_all(mul(nm.embedding_lookup(xt, ids),
-                                                   nm.embedding_lookup(xt, ids))),
+        "rope_apply": lambda xt: sum_all(mul(nm.rope_apply(xt, [2, 5, 9]), xt)),
+        "embedding_lookup": lambda xt: mean_all(mul(nm.embedding_lookup(xt, ids),
+                                                    nm.embedding_lookup(xt, ids))),
         "silu": lambda xt: mean_all(nm.silu(xt)),
         "sum_all": lambda xt: sum_all(xt),
         "mean_all": lambda xt: mean_all(xt),
@@ -576,26 +581,47 @@ def _op_checks(seed):
         "weighted_sum": lambda xt: sum_all(mul(nm.weighted_sum(
             [xt, mul(xt, xt), nm.silu(xt), nm.constant(w.T, dtype=xt.dtype)],
             [0.7, -1.3, 0.0, 2.0]), xt)),
-        "unfold": lambda xt: mean_all(mul(nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 2, 2, 1),
-                                                nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 2, 2, 1))),
+        "unfold_time": lambda xt: mean_all(mul(
+            nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 2, 2, 1),
+            nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 2, 2, 1))),
         # the (kernel, stride, pad) triples src/ uses: the encoders, the oracle
         # verifier and the oracle transcriber; T = 3 pads the last window
-        "unfold_3_2_1": lambda xt: mean_all(mul(
+        "unfold_time_3_2_1": lambda xt: mean_all(mul(
             nm.unfold_time(nm.reshape(xt, (2, 3, 2)), 3, 2, 1),
             nm.unfold_time(nm.reshape(nm.scale(xt, 0.5), (2, 3, 2)), 3, 2, 1))),
-        "unfold_5_2_2": lambda xt: mean_all(mul(
+        "unfold_time_5_2_2": lambda xt: mean_all(mul(
             nm.unfold_time(nm.reshape(xt, (1, 3, 4)), 5, 2, 2),
             nm.unfold_time(nm.reshape(nm.scale(xt, 0.5), (1, 3, 4)), 5, 2, 2))),
-        "unfold_3_1_1": lambda xt: mean_all(mul(
+        "unfold_time_3_1_1": lambda xt: mean_all(mul(
             nm.unfold_time(nm.reshape(xt, (1, 6, 2)), 3, 1, 1),
             nm.unfold_time(nm.reshape(nm.scale(xt, 0.5), (1, 6, 2)), 3, 1, 1))),
-        "attend": lambda xt: mean_all(mul(nm.attend(
+        "attend": lambda xt: mean_all(mul(attend(
             nm.reshape(xt, (1, 3, 4)),
             mul(nm.reshape(xt, (1, 3, 4)), nm.constant(b3[:1], dtype=xt.dtype)),
             nm.add(nm.reshape(xt, (1, 3, 4)), nm.constant(b3[1:], dtype=xt.dtype)),
             [2, 5, 9], 2, CAUSAL3), nm.constant(b3[:1] + 1.0, dtype=xt.dtype))),
+        # x, every gain, weight and bias a function of xt, so each input
+        # gradient of the fused op reaches the check
+        "attention_residual": lambda xt: mean_all(mul(nm.attention_residual(
+            nm.reshape(xt, (1, 3, 4)), _row(xt, 0), *(_pair(xt, sq4[i], i) for i in range(4)),
+            [2, 5, 9], 2, CAUSAL3, None), nm.constant(b3[:1] + 1.0, dtype=xt.dtype))),
+        "mlp_residual": lambda xt: mean_all(mul(nm.mlp_residual(
+            nm.reshape(xt, (1, 3, 4)), _row(xt, 2), _pair(xt, sq4[0], 1), _pair(xt, sq4[1], 2)),
+            nm.constant(b3[1:] - 0.5, dtype=xt.dtype))),
     }
     return x_mat, checks
+
+
+def _row(xt, i):
+    """Row i of the (3, 4) check input, as a (4,) gain or bias."""
+    return nm.reshape(nm.narrow(xt, 0, i, i + 1), (4,))
+
+
+def _pair(xt, w, i):
+    """A (4, 4) weight, the rows of xt over row i of xt plus w, and a bias,
+    row (i + 1) % 3 of xt: an affine map whose every entry depends on xt."""
+    rows = nm.concat([xt, nm.narrow(xt, 0, i % 3, i % 3 + 1)], axis=0)
+    return nm.add(rows, nm.constant(w, dtype=xt.dtype)), _row(xt, (i + 1) % 3)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -680,7 +706,7 @@ def test_attend_bitwise_equals_unfused_chain(masked, grad):
     positions = np.arange(4, 4 + n)
     mask = np.triu(np.full((n, n), -1e9, dtype=np.float32), k=1) if masked else None
     runs = []
-    for f in (nm.attend, _attention_chain):
+    for f in (attend, _attention_chain):
         qt, kt, vt = (t(x, rg=name in grad) for x, name in ((q, "q"), (k, "k"), (v, "v")))
         tape = nm.Tape()
         with tape:
@@ -705,13 +731,13 @@ def test_attend_cached_prefill_and_steps_equal_one_causal_pass():
     n, p, d, heads = 7, 4, 12, 2
     q, k, v = (rng.normal(size=(1, n, d)).astype(np.float32) for _ in range(3))
     causal = np.triu(np.full((n, n), -1e9, dtype=np.float32), k=1)
-    full = nm.attend(t(q), t(k), t(v), np.arange(n), heads, causal).data
+    full = attend(t(q), t(k), t(v), np.arange(n), heads, causal).data
     cache = nm.BlockCache(heads, n + 2, d // heads)
-    parts = [nm.attend(t(q[:, :p]), t(k[:, :p]), t(v[:, :p]), np.arange(p), heads,
-                       causal[:p, :p], cache).data]
+    parts = [attend(t(q[:, :p]), t(k[:, :p]), t(v[:, :p]), np.arange(p), heads,
+                    causal[:p, :p], cache).data]
     for j in range(p, n):
-        parts.append(nm.attend(t(q[:, j:j + 1]), t(k[:, j:j + 1]), t(v[:, j:j + 1]),
-                               np.array([j]), heads, None, cache).data)
+        parts.append(attend(t(q[:, j:j + 1]), t(k[:, j:j + 1]), t(v[:, j:j + 1]),
+                            np.array([j]), heads, None, cache).data)
     assert cache.length == n and (cache.k[:, n:] == 0).all() and (cache.v[:, n:] == 0).all()
     np.testing.assert_array_equal(parts[0], full[:, :p])    # same shapes, same calls
     for j, part in enumerate(parts[1:], start=p):
@@ -728,21 +754,176 @@ def test_attend_cache_rejects_misfits_and_taped_inputs():
         cache = nm.BlockCache(heads, 4, dh)
         cache.length = length
         with pytest.raises(ShapeError):
-            nm.attend(t(arr), t(arr), t(arr), np.arange(arr.shape[1]), heads, None, cache)
+            attend(t(arr), t(arr), t(arr), np.arange(arr.shape[1]), heads, None, cache)
         assert cache.length == length and not cache.k.any()
     cache = nm.BlockCache(heads, 4, dh)
     with nm.Tape(), pytest.raises(NumericsError, match="no gradient"):
-        nm.attend(t(x), t(x, rg=True), t(x), np.arange(2), heads, None, cache)
+        attend(t(x), t(x, rg=True), t(x), np.arange(2), heads, None, cache)
     with pytest.raises(ShapeError):      # heads that do not split the width
-        nm.attend(t(x), t(x), t(x), np.arange(2), 5, None)
+        attend(t(x), t(x), t(x), np.arange(2), 5, None)
     with pytest.raises(ShapeError):      # a mask that does not cover every key
-        nm.attend(t(x), t(x), t(x), np.arange(2), heads, np.zeros((2, 3), np.float32))
+        attend(t(x), t(x), t(x), np.arange(2), heads, np.zeros((2, 3), np.float32))
 
 
 def test_attend_score_overflow_raises():
     x = np.full((1, 2, 4), 1e20, dtype=np.float32)
     with np.errstate(over="ignore"), pytest.raises(NumericsError):
-        nm.attend(t(x), t(x), t(x), np.arange(2), 2, None)
+        attend(t(x), t(x), t(x), np.arange(2), 2, None)
+
+
+# (dim, heads, intermediate): the LM's default block and the semantic encoder's
+BLOCK_SHAPES = [(64, 4, 256), (48, 4, 96)]
+
+
+def _half_inputs(rng, dim, inter, half):
+    """A fused op's array inputs in its parent order: x (2, 5, dim), a gain,
+    then (weight, bias) for q, k, v and o, or for up and down."""
+    dims = [(dim, dim)] * 4 if half == "attention" else [(dim, inter), (inter, dim)]
+    arrays = [rng.normal(size=(2, 5, dim)), rng.uniform(0.5, 1.5, size=dim)]
+    for d_in, d_out in dims:
+        arrays += [rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out)),
+                   rng.normal(0.0, 0.1, size=d_out)]
+    return [a.astype(np.float32) for a in arrays]
+
+
+def _call_half(f, half, ts, heads=4, cache=None, positions=None, mask="causal"):
+    """f over tensors in `_half_inputs` order; the attention half at
+    positions 3, 4, ... under a causal mask unless given others."""
+    x, gain, *flat = ts
+    pairs = [tuple(flat[i:i + 2]) for i in range(0, len(flat), 2)]
+    if half == "mlp":
+        return f(x, gain, *pairs)
+    t_len = x.shape[1]
+    positions = np.arange(3, 3 + t_len) if positions is None else positions
+    mask = nn.causal_mask(t_len) if mask == "causal" else mask
+    return f(x, gain, *pairs, positions, heads, mask, cache)
+
+
+@pytest.mark.parametrize("dim,heads,inter", BLOCK_SHAPES)
+@pytest.mark.parametrize("half", ["attention", "mlp"])
+def test_fused_half_bitwise_equals_unfused_chain_for_every_gradient_subset(dim, heads, inter,
+                                                                          half):
+    """The forward and every input gradient of `attention_residual` and
+    `mlp_residual` equal the chain's bit for bit, whichever subset of the
+    inputs needs a gradient; the fused op is one taped node."""
+    fused, chain = {"attention": (nm.attention_residual, attention_chain),
+                    "mlp": (nm.mlp_residual, mlp_chain)}[half]
+    rng = np.random.default_rng(dim + inter)
+    arrays = _half_inputs(rng, dim, inter, half)
+    g = rng.normal(size=arrays[0].shape).astype(np.float32)
+    want_out = _call_half(chain, half, [t(a) for a in arrays], heads).data
+    for subset in itertools.product((False, True), repeat=len(arrays)):
+        runs = []
+        for f in (fused, chain):
+            ts = [t(a, rg=rg) for a, rg in zip(arrays, subset)]
+            tape = nm.Tape()
+            with tape:
+                out = _call_half(f, half, ts, heads)
+                loss = sum_all(mul(out, t(g)))   # upstream gradient g, exactly
+            grads = tape.backward(loss, {str(i): x for i, x in enumerate(ts)}) if any(subset) \
+                else {}
+            runs.append((out.data, [grads.get(str(i)) for i in range(len(ts))],
+                         sum(node.op == fused.__name__ for node in tape.nodes)))
+        (out, grads, nodes), (chain_out, chain_grads, _) = runs
+        assert _same_bits(out, want_out) and _same_bits(chain_out, want_out)
+        assert nodes == any(subset)
+        for i, (got, want) in enumerate(zip(grads, chain_grads)):
+            assert (got is None) == (want is None) == (not subset[i]), (subset, i)
+            assert got is None or _same_bits(got, want), (subset, i)
+
+
+@pytest.mark.parametrize("dim,heads,inter", BLOCK_SHAPES)
+def test_attention_residual_cached_prefill_and_columns_equal_the_chain(dim, heads, inter):
+    """A cached prefill and then single columns, as a decode runs them: each
+    output and the cache's keys and values equal the chain's bit for bit."""
+    rng = np.random.default_rng(dim)
+    arrays = _half_inputs(rng, dim, inter, "attention")
+    x = rng.normal(size=(1, 9, dim)).astype(np.float32)
+    p = 4
+    runs = []
+    for f in (nm.attention_residual, attention_chain):
+        cache = nm.BlockCache(heads, 12, dim // heads)
+        ts = [t(a) for a in arrays]
+        outs = [_call_half(f, "attention", [t(x[:, :p])] + ts[1:], heads, cache, np.arange(p))]
+        for j in range(p, x.shape[1]):
+            outs.append(_call_half(f, "attention", [t(x[:, j:j + 1])] + ts[1:], heads, cache,
+                                   np.array([j]), None))
+        runs.append((cache, [o.data for o in outs]))
+    (fused, outs), (chain, chain_outs) = runs
+    assert fused.length == chain.length == x.shape[1]
+    assert _same_bits(fused.k, chain.k) and _same_bits(fused.v, chain.v)
+    for got, want in zip(outs, chain_outs):
+        assert _same_bits(got, want)
+
+
+def _chain_trunk(params, x, positions, heads, n_blocks, mask):
+    """`nn.trunk` with each block as the two unfused chains."""
+    for i in range(n_blocks):
+        name = f"lm.blk{i}"
+
+        def pair(p):
+            return params[f"{name}.{p}.w"], params[f"{name}.{p}.b"]
+
+        h = attention_chain(x, params[f"{name}.norm1"], pair("q"), pair("k"), pair("v"),
+                            pair("o"), positions, heads, mask)
+        x = mlp_chain(h, params[f"{name}.norm2"], pair("up"), pair("down"))
+    return nm.rms_norm(x, params["lm.final_norm"])
+
+
+def test_trunk_bitwise_equals_the_unfused_chain_blocks():
+    """`nn.trunk` at the LM's default shapes wires every block parameter to
+    its place: the output and the gradient of x and of every parameter equal
+    those of the chain-built trunk bit for bit."""
+    rng = np.random.default_rng(29)
+    params = {}
+    nn.init_trunk(params, rng, "lm", 64, 256, 2)
+    for name, p in params.items():    # no gain of exactly one, no zero bias
+        params[name] = t(p.data + rng.normal(0.0, 0.05, size=p.shape).astype(np.float32),
+                         rg=True)
+    x = t(rng.normal(size=(3, 6, 64)).astype(np.float32), rg=True)
+    g = rng.normal(size=(3, 6, 64)).astype(np.float32)
+    runs = []
+    for f in (lambda *a: nn.trunk(params, "lm", *a), lambda *a: _chain_trunk(params, *a)):
+        tape = nm.Tape()
+        with tape:
+            out = f(x, np.arange(6), 4, 2, nn.causal_mask(6))
+            loss = sum_all(mul(out, t(g)))
+        runs.append((out.data, tape.backward(loss, {"x": x, **params})))
+    (out, grads), (chain_out, chain_grads) = runs
+    assert _same_bits(out, chain_out)
+    assert sorted(grads) == sorted(chain_grads) == sorted(["x", *params])
+    for name in grads:
+        assert _same_bits(grads[name], chain_grads[name]), name
+
+
+def test_fused_halves_check_every_intermediate():
+    """A non-finite value made anywhere inside either half raises, as the
+    op that made it in the chain raised, and leaves the cache as it was."""
+    rng = np.random.default_rng(3)
+    dim, inter = 8, 12
+    for half, f in (("attention", nm.attention_residual), ("mlp", nm.mlp_residual)):
+        base = _half_inputs(rng, dim, inter, half)
+        for i in range(2, len(base), 2):    # one huge weight: that projection overflows
+            arrays = list(base)
+            arrays[i] = np.full_like(arrays[i], 3e38)
+            cache = nm.BlockCache(2 * 4, 8, dim // 4) if half == "attention" else None
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NumericsError, match=f"{f.__name__}: non-finite"):
+                _call_half(f, half, [t(a) for a in arrays], 4, cache, mask=None)
+            if cache is not None and i < 8:     # q, k or v failed before the append
+                assert cache.length == 0
+
+
+def test_every_taped_op_in_numerics_has_a_grad_check():
+    """Each op numerics.py tapes, by the name its `_apply` call gives it, is a
+    key of `_op_checks`, or the start of one followed by `_`."""
+    source = Path(nm.__file__).read_text(encoding="utf-8")
+    ops = set(re.findall(r'_apply\(\s*"([^"]+)"', source))
+    keys = set(_op_checks(0)[1])
+    assert {"add", "affine", "attention_residual", "mlp_residual", "unfold_time"} <= ops
+    missing = sorted(op for op in ops
+                     if op not in keys and not any(k.startswith(op + "_") for k in keys))
+    assert missing == []
 
 
 def test_weighted_sum_rounds_float64_sum_once():
@@ -844,7 +1025,7 @@ def _rms_norm_formula(arr, gn, g):
     return out, gx, prod.reshape(-1, d).sum(axis=0)
 
 
-@pytest.mark.parametrize("shape", [(4, 6), (2, 5, 256), (3, 7, 33)])
+@pytest.mark.parametrize("shape", [(4, 6), (2, 5, 256), (3, 7, 33), (1, 1, 64)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_rms_norm_bitwise_equals_mean_formula(shape, dtype):
     rng = np.random.default_rng(shape[-1])

@@ -328,17 +328,19 @@ def lm(lm_cfg):
 
 
 def test_forward_batch_tape_op_counts(lm):
-    """One taped LM pass at the default config: attention is one `attend` node
-    per block, so un-fusing any op on the LM path changes these counts."""
+    """One taped LM pass at the default config: each block is one
+    `attention_residual` and one `mlp_residual` node, so un-fusing any op on
+    the LM path changes these counts."""
     cfg, params, sem, spk, grid = lm
     tape = nm.Tape()
     with tape:
         sl.forward_batch(params, cfg, nm.reshape(sem, (1,) + sem.shape),
                          nm.reshape(spk, (1, 1, cfg.dim)), grid.tokens[None])
     counts = Counter(node.op for node in tape.nodes if node.op != "leaf")
-    assert counts == {"affine": 29, "add": 12, "rms_norm": 9, "embedding_lookup": 5,
-                      "reshape": 1, "attend": 4, "silu": 4, "concat": 1, "narrow": 1}
-    assert sum(counts.values()) == 66
+    assert counts == {"affine": 5, "add": 4, "rms_norm": 1, "embedding_lookup": 5,
+                      "reshape": 1, "attention_residual": 4, "mlp_residual": 4, "concat": 1,
+                      "narrow": 1}
+    assert sum(counts.values()) == 26
 
 
 def _embed_columns_per_stream(params, cfg, tokens):
@@ -384,9 +386,12 @@ def test_embed_columns_bitwise_equals_per_stream_reshape_then_add(lm, b, length)
 def test_cached_decode_column_op_and_check_counts(lm, monkeypatch):
     """After the prefill, every decode column makes the same taped-op calls:
     10 to embed the previous column (five lookups, four adds, one reshape),
-    65 in the width-1 trunk (16 a block, four of them the public ops inside
-    `attend`, plus the final norm) and one head `affine` per stream still
-    picking. Each op checks its output once, and each `attend` its scores."""
+    25 in the width-1 trunk (6 a block: the two fused halves and the four
+    public ops inside attention, plus the final norm) and one head `affine`
+    per stream still picking. Each op checks its output once; each block
+    also checks its 10 other intermediates (n, q, k, v, the context and the
+    o projection; the MLP's n, up and silu outputs and down projection) and
+    its attention scores, so every check of the unfused chain is kept."""
     cfg, params, sem, spk, _ = lm
     seen = Counter()
     marks = []
@@ -419,7 +424,7 @@ def test_cached_decode_column_op_and_check_counts(lm, monkeypatch):
                for before, after in zip(marks, marks[1:])]
     assert len(columns) == res.steps - 1 > 10
     assert all(1 <= c["head"] <= cfg.layout.n_streams for c in columns)
-    assert {(c["apply"] - c["head"], c["check"] - c["head"]) for c in columns} == {(75, 79)}
+    assert {(c["apply"] - c["head"], c["check"] - c["head"]) for c in columns} == {(35, 79)}
 
 
 def test_forward_shapes_and_finite(lm):
@@ -497,6 +502,26 @@ def test_generate_sampling_mode(lm):
         sl.generate(params, cfg, sem, spk, max_steps=24, tail=4, mode="sample")
     with pytest.raises(ConfigError):
         sl.generate(params, cfg, sem, spk, max_steps=24, tail=4, mode="beam")
+
+
+@pytest.mark.parametrize("temperature,top_k", [(float("nan"), 0), (0.0, 0), (-1.0, 0),
+                                               (1.0, -3)])
+def test_sampled_decoding_rejects_a_bad_temperature_or_top_k(lm, monkeypatch, temperature,
+                                                             top_k):
+    """Sample mode needs a temperature above 0 and a top_k of 0 (off) or
+    more, and says so before the prefill; greedy mode ignores both."""
+    cfg, params, sem, spk, _ = lm
+    trunks = []
+    real_trunk = nn.trunk
+    monkeypatch.setattr(nn, "trunk", lambda *a, **k: trunks.append(1) or real_trunk(*a, **k))
+    with pytest.raises(ConfigError, match="temperature above 0" if top_k == 0 else "top_k"):
+        sl.generate(params, cfg, sem, spk, max_steps=24, tail=4, mode="sample",
+                    temperature=temperature, top_k=top_k, rng=np.random.default_rng(7))
+    assert trunks == []
+    greedy = sl.generate(params, cfg, sem, spk, max_steps=24, tail=4,
+                         temperature=temperature, top_k=top_k)
+    plain = sl.generate(params, cfg, sem, spk, max_steps=24, tail=4)
+    assert np.array_equal(greedy.grid.tokens, plain.grid.tokens)
 
 
 def _record_decode(monkeypatch, params, cfg, sem, spk, **kw):
