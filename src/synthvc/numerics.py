@@ -25,10 +25,11 @@ VJP scatters with one 1-D add.at over the flattened table, at indices
 id * D + column, in place of a 2-D add.at of whole rows: each table element
 still sums its rows in row order.
 
-Three ops are fused: each is taped as a single node whose forward and VJPs
+Three ops are fused: each is taped as a single node whose forward and VJP
 make the same numpy calls, in the same order, as the op chain it stands for,
 so results are bit-identical to that chain. tests/harness.py keeps each
-chain as the reference.
+chain as the reference. A fused op's VJP forms every parent's gradient in
+one pass, as any op's does: the tape asks each node once.
 - `affine` is x @ w + b over the last axis of x: reshape -> matmul -> add
   -> reshape.
 - `attention_residual` is the attention half of a pre-norm transformer
@@ -48,9 +49,11 @@ computed intermediate goes unchecked.
 A tape is single-threaded: activate it with `with tape:` around the forward
 pass, call `tape.backward(loss, params)` afterwards for the gradients of the
 named parameters, and build a fresh tape per training step (`optim.descend`
-does all three). Ops called with no active tape run as pure functions.
-`backward` drops each op node's gradient as soon as that node's VJPs have
-used it, so a pass holds only the gradients still to be propagated; it
+does all three). Ops called with no active tape run as pure functions. Each
+op node holds one VJP, which maps the node's gradient to a sequence with one
+entry per parent: that parent's gradient, or None where it needs none.
+`backward` calls it once per node and drops the node's gradient as soon as
+it has run, so a pass holds only the gradients still to be propagated; it
 leaves the tape as it was, and a second call returns the same bits.
 """
 
@@ -129,20 +132,25 @@ def constant(data, dtype=None) -> Tensor:
 
 class TapeNode:
     """One recorded tensor: the op that made it ("leaf" for an input), parent
-    ids and per-parent vjps. Holding the tensor keeps its id from being
-    reused by a new tensor while the tape lives."""
+    ids and the VJP (None for a leaf). Holding the tensor keeps its id from
+    being reused by a new tensor while the tape lives."""
 
-    __slots__ = ("op", "parents", "vjps", "tensor")
+    __slots__ = ("op", "parents", "vjp", "tensor")
 
-    def __init__(self, op, parents, vjps, tensor):
+    def __init__(self, op, parents, vjp, tensor):
         self.op = op
         self.parents = parents
-        self.vjps = vjps
+        self.vjp = vjp
         self.tensor = tensor
 
 
 class Tape:
-    """Flat record of ops in construction order; node ids are topological."""
+    """Flat record of ops in construction order; node ids are topological.
+
+    A VJP reads its parents' requires_grad flags when it runs, not when the
+    op ran, so a flag must not change between a forward and its backward
+    (`optim.freeze`, the one place that clears flags, runs after training).
+    """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
@@ -168,16 +176,19 @@ class Tape:
         return nid
 
     def record(self, op: str, parents: Sequence[Tensor], out: Tensor,
-               vjps: tuple[Callable[[Array], Array] | None, ...]) -> None:
+               vjp: Callable[[Array], Sequence]) -> None:
+        """Record out = op(*parents) with vjp(g), the gradients of parents in
+        order (None where a parent needs none) given out's gradient g."""
         pids = tuple(self._enroll(p) for p in parents)
         nid = len(self.nodes)
-        self.nodes.append(TapeNode(op, pids, vjps, out))
+        self.nodes.append(TapeNode(op, pids, vjp, out))
         self._ids[id(out)] = nid
 
     def backward(self, loss: Tensor, params: dict[str, Tensor]) -> dict[str, Array]:
         """Gradient of the scalar loss for each requires-grad tensor in
-        params that the loss depends on, keyed by its name. An op node's
-        gradient is dropped once its VJPs have run; a leaf's is kept."""
+        params that the loss depends on, keyed by its name. Each op node's
+        VJP runs once, and its contributions are added in parent order; the
+        node's gradient is then dropped, while a leaf's is kept."""
         lid = self._ids.get(id(loss))
         if lid is None:
             raise NumericsError("backward: loss tensor is not on this tape")
@@ -186,15 +197,14 @@ class Tape:
         grads: dict[int, Array] = {lid: np.ones((), dtype=loss.data.dtype)}
         for nid in range(lid, -1, -1):
             node = self.nodes[nid]
-            if node.vjps is None:
+            if node.vjp is None:
                 continue
             g = grads.pop(nid, None)
             if g is None:
                 continue
-            for pid, fn in zip(node.parents, node.vjps):
-                if fn is None:
+            for pid, contrib in zip(node.parents, node.vjp(g)):
+                if contrib is None:
                     continue
-                contrib = fn(g)
                 prev = grads.get(pid)
                 grads[pid] = contrib if prev is None else prev + contrib
         out: dict[str, Array] = {}
@@ -206,7 +216,10 @@ class Tape:
 
 
 def _apply(op: str, parents: Sequence[Tensor], out_arr: Array,
-           vjps_builder: Callable[[], tuple]) -> Tensor:
+           vjp: Callable[[Array], Sequence]) -> Tensor:
+    """out_arr, checked finite, as a tensor that requires a gradient when a
+    parent does; the active tape, if any, records it with vjp only then. So
+    a single-parent op's VJP runs only when that parent needs a gradient."""
     _finite_or_raise(out_arr, op)
     req = False
     for p in parents:   # cheaper than any() over a generator, per op call
@@ -215,7 +228,7 @@ def _apply(op: str, parents: Sequence[Tensor], out_arr: Array,
             break
     out = _wrap(out_arr, req)
     if _ACTIVE is not None and req:
-        _ACTIVE.record(op, parents, out, vjps_builder())
+        _ACTIVE.record(op, parents, out, vjp)
     return out
 
 
@@ -236,22 +249,17 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
-    def build():
-        fa = (lambda g: _unbroadcast(g, a.data.shape)) if a.requires_grad else None
-        fb = (lambda g: _unbroadcast(g, b.data.shape)) if b.requires_grad else None
-        return (fa, fb)
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
-    return _apply("add", (a, b), out, build)
+    return _apply("add", (a, b), out, vjp)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     cc = a.data.dtype.type(c)
     out = a.data * cc
-
-    def build():
-        return ((lambda g: g * cc) if a.requires_grad else None,)
-
-    return _apply("scale", (a,), out, build)
+    return _apply("scale", (a,), out, lambda g: (g * cc,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -259,20 +267,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} x {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
-    out = np.matmul(a.data, b.data)
+    ad, bd = a.data, b.data
+    out = np.matmul(ad, bd)
 
-    def build():
-        ad, bd = a.data, b.data
+    def vjp(g):
+        return (_unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
+                if a.requires_grad else None,
+                _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+                if b.requires_grad else None)
 
-        def fa(g):
-            return _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-
-        def fb(g):
-            return _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
-
-        return (fa if a.requires_grad else None, fb if b.requires_grad else None)
-
-    return _apply("matmul", (a, b), out, build)
+    return _apply("matmul", (a, b), out, vjp)
 
 
 def _affine_fwd(x: Array, w: Array, b: Array) -> tuple[Array, Array]:
@@ -308,34 +312,23 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     out, flat = _affine_fwd(x.data, w.data, b.data)
 
-    def build():
-        wd, xshape, bshape = w.data, x.data.shape, b.data.shape
-        return ((lambda g: _affine_vjp_x(g, wd, xshape)) if x.requires_grad else None,
-                (lambda g: _affine_vjp_w(g, flat)) if w.requires_grad else None,
-                (lambda g: _affine_vjp_b(g, bshape)) if b.requires_grad else None)
+    def vjp(g):
+        return (_affine_vjp_x(g, w.data, x.data.shape) if x.requires_grad else None,
+                _affine_vjp_w(g, flat) if w.requires_grad else None,
+                _affine_vjp_b(g, b.data.shape) if b.requires_grad else None)
 
-    return _apply("affine", (x, w, b), out, build)
+    return _apply("affine", (x, w, b), out, vjp)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = np.ascontiguousarray(np.transpose(a.data, axes))
-
-    def build():
-        inv = tuple(np.argsort(axes))
-        return ((lambda g: np.ascontiguousarray(np.transpose(g, inv)))
-                if a.requires_grad else None,)
-
-    return _apply("transpose", (a,), out, build)
+    return _apply("transpose", (a,), out,
+                  lambda g: (np.ascontiguousarray(np.transpose(g, tuple(np.argsort(axes)))),))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
-
-    def build():
-        orig = a.data.shape
-        return ((lambda g: g.reshape(orig)) if a.requires_grad else None,)
-
-    return _apply("reshape", (a,), out, build)
+    return _apply("reshape", (a,), out, lambda g: (g.reshape(a.data.shape),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -343,23 +336,16 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError("concat: need at least one tensor")
     out = np.concatenate([t.data for t in tensors], axis=axis)
 
-    def build():
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+    def vjp(g):
+        grads, sl, lo = [], [slice(None)] * g.ndim, 0
+        for t in tensors:
+            hi = lo + t.data.shape[axis]
+            sl[axis] = slice(lo, hi)
+            grads.append(np.ascontiguousarray(g[tuple(sl)]) if t.requires_grad else None)
+            lo = hi
+        return grads
 
-        def make(i):
-            lo, hi = offsets[i], offsets[i + 1]
-
-            def fn(g):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                return np.ascontiguousarray(g[tuple(sl)])
-
-            return fn
-
-        return tuple(make(i) if t.requires_grad else None for i, t in enumerate(tensors))
-
-    return _apply("concat", tuple(tensors), out, build)
+    return _apply("concat", tuple(tensors), out, vjp)
 
 
 def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -370,17 +356,12 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl[axis] = slice(start, stop)
     out = np.ascontiguousarray(a.data[tuple(sl)])
 
-    def build():
-        shape = a.data.shape
+    def vjp(g):
+        full = np.zeros(a.data.shape, dtype=g.dtype)
+        full[tuple(sl)] = g
+        return (full,)
 
-        def fn(g):
-            full = np.zeros(shape, dtype=g.dtype)
-            full[tuple(sl)] = g
-            return full
-
-        return (fn if a.requires_grad else None,)
-
-    return _apply("narrow", (a,), out, build)
+    return _apply("narrow", (a,), out, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +393,7 @@ def _silu_vjp(g: Array, x: Array, sig: Array) -> Array:
 
 def silu(a: Tensor) -> Tensor:
     out, sig = _silu_fwd(a.data)
-
-    def build():
-        x = a.data
-        return ((lambda g: _silu_vjp(g, x, sig)) if a.requires_grad else None,)
-
-    return _apply("silu", (a,), out, build)
+    return _apply("silu", (a,), out, lambda g: (_silu_vjp(g, a.data, sig),))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -428,18 +404,13 @@ def softmax(a: Tensor) -> Tensor:
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
 
-    def build():
-        s = out
+    def vjp(g):
+        gx = g * out
+        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+        gx *= out
+        return (gx,)
 
-        def fn(g):
-            gx = g * s
-            np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
-            gx *= s
-            return gx
-
-        return (fn if a.requires_grad else None,)
-
-    return _apply("softmax", (a,), out, build)
+    return _apply("softmax", (a,), out, vjp)
 
 
 def _rms_norm_fwd(arr: Array, gn: Array) -> tuple[Array, Array]:
@@ -483,12 +454,11 @@ def _rms_norm_vjp_gain(g: Array, arr: Array, inv: Array) -> Array:
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     out, inv = _rms_norm_fwd(x.data, gain.data)
 
-    def build():
-        arr, gn = x.data, gain.data
-        return ((lambda g: _rms_norm_vjp_x(g, arr, gn, inv)) if x.requires_grad else None,
-                (lambda g: _rms_norm_vjp_gain(g, arr, inv)) if gain.requires_grad else None)
+    def vjp(g):
+        return (_rms_norm_vjp_x(g, x.data, gain.data, inv) if x.requires_grad else None,
+                _rms_norm_vjp_gain(g, x.data, inv) if gain.requires_grad else None)
 
-    return _apply("rms_norm", (x, gain), out, build)
+    return _apply("rms_norm", (x, gain), out, vjp)
 
 
 def _rope_tables(positions, d: int, dtype, ndim: int) -> tuple[Array, Array]:
@@ -545,11 +515,7 @@ def rope_apply(x: Tensor, positions) -> Tensor:
     np.multiply(xo, cos, out=t)
     np.multiply(xe, sin, out=odd)
     odd += t             # xe * sin + xo * cos
-
-    def build():
-        return ((lambda g: _rope_vjp(g, cos, sin)) if x.requires_grad else None,)
-
-    return _apply("rope_apply", (x,), out, build)
+    return _apply("rope_apply", (x,), out, lambda g: (_rope_vjp(g, cos, sin),))
 
 
 # ---------------------------------------------------------------------------
@@ -583,27 +549,6 @@ def _merge_heads(x: Array, b: int, t: int, heads: int, dh: int) -> Array:
         return x.reshape(b, 1, heads * dh)
     return np.ascontiguousarray(x.reshape(b, heads, t, dh).transpose(0, 2, 1, 3)
                                 ).reshape(b, t, heads * dh)
-
-
-def _vjps_at_once(parents: Sequence[Tensor], grads_of: Callable[[Array], list]) -> tuple:
-    """One VJP per parent (None where it needs no gradient), all served by
-    one call of grads_of(g), which returns every parent's gradient in order:
-    the tape asks for each parent's in turn with the same g. Nothing is held
-    once the last one is handed out."""
-    memo: dict = {}
-
-    def take(g, i):
-        if memo.get("g") is not g:
-            memo.clear()
-            memo.update((j, gj) for j, gj in enumerate(grads_of(g)) if parents[j].requires_grad)
-            memo["g"] = g
-        out = memo.pop(i)
-        if len(memo) == 1:
-            memo.clear()
-        return out
-
-    return tuple((lambda g, i=i: take(g, i)) if p.requires_grad else None
-                 for i, p in enumerate(parents))
 
 
 def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
@@ -752,7 +697,7 @@ def attention_residual(x: Tensor, norm1: Tensor, q: tuple[Tensor, Tensor],
             grads[1] = _rms_norm_vjp_gain(g_n, xa, inv)
         return grads
 
-    return _apply("attention_residual", parents, out, lambda: _vjps_at_once(parents, grads_of))
+    return _apply("attention_residual", parents, out, grads_of)
 
 
 def mlp_residual(h: Tensor, norm2: Tensor, up: tuple[Tensor, Tensor],
@@ -797,7 +742,7 @@ def mlp_residual(h: Tensor, norm2: Tensor, up: tuple[Tensor, Tensor],
                 grads[1] = _rms_norm_vjp_gain(g_n, ha, inv)
         return grads
 
-    return _apply("mlp_residual", parents, out, lambda: _vjps_at_once(parents, grads_of))
+    return _apply("mlp_residual", parents, out, grads_of)
 
 
 # ---------------------------------------------------------------------------
@@ -812,38 +757,25 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise IndexError(f"embedding_lookup: id {bad} out of range [0, {v})")
     out = table.data[idx]
 
-    def build():
+    def vjp(g):
+        # element (id, c) of the table is element id * D + c of its flat
+        # form, so one 1-D add.at over g's elements in row-major order adds
+        # each element's rows in row order, as a 2-D add.at of whole rows does
         shape = table.data.shape
+        at = (idx.reshape(-1, 1) * shape[1] + np.arange(shape[1])).reshape(-1)
+        gt = np.zeros(shape[0] * shape[1], dtype=g.dtype)
+        np.add.at(gt, at, g.reshape(-1))
+        return (gt.reshape(shape),)
 
-        def fn(g):
-            # element (id, c) of the table is element id * D + c of its flat
-            # form, so one 1-D add.at over g's elements in row-major order
-            # adds each element's rows in row order, as a 2-D add.at of whole
-            # rows does
-            at = (idx.reshape(-1, 1) * shape[1] + np.arange(shape[1])).reshape(-1)
-            gt = np.zeros(shape[0] * shape[1], dtype=g.dtype)
-            np.add.at(gt, at, g.reshape(-1))
-            return gt.reshape(shape)
-
-        return (fn if table.requires_grad else None,)
-
-    return _apply("embedding_lookup", (table,), out, build)
+    return _apply("embedding_lookup", (table,), out, vjp)
 
 
 def mean_axis(a: Tensor, axis: int) -> Tensor:
     """Mean over one axis, kept with size 1."""
     n = a.data.shape[axis]
     out = (np.sum(a.data, axis=axis, keepdims=True, dtype=np.float64) / n).astype(a.data.dtype)
-
-    def build():
-        shape = a.data.shape
-
-        def fn(g):
-            return np.broadcast_to(g, shape).astype(g.dtype) / n
-
-        return (fn if a.requires_grad else None,)
-
-    return _apply("mean_axis", (a,), out, build)
+    return _apply("mean_axis", (a,), out,
+                  lambda g: (np.broadcast_to(g, a.data.shape).astype(g.dtype) / n,))
 
 
 def weighted_sum(tensors: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
@@ -870,16 +802,9 @@ def weighted_sum(tensors: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
             acc = term if acc is None else acc + term
     dtype = np.result_type(*(t.data.dtype for t in tensors))
     out = np.asarray(np.zeros(shape) if acc is None else acc, dtype=dtype)
-
-    def build():
-        def make(w, dt):
-            cc = dt.type(w)
-            return lambda g: g * cc
-
-        return tuple(make(w, t.data.dtype) if t.requires_grad else None
-                     for w, t in zip(ws, tensors))
-
-    return _apply("weighted_sum", tuple(tensors), out, build)
+    return _apply("weighted_sum", tuple(tensors), out,
+                  lambda g: [g * t.data.dtype.type(w) if t.requires_grad else None
+                             for w, t in zip(ws, tensors)])
 
 
 def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
@@ -915,16 +840,13 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     loss64 = -np.sum(logp_t[m]) / n_live
     out = np.asarray(loss64, dtype=x.dtype)
 
-    def build():
-        def fn(g):
-            p = np.exp(x64 - lse[:, None])
-            p[np.arange(n_rows), np.clip(t_idx, 0, n_cls - 1)] -= 1.0
-            p[~m] = 0.0
-            return (p * (float(g) / n_live)).astype(x.dtype)
+    def vjp(g):
+        p = np.exp(x64 - lse[:, None])
+        p[np.arange(n_rows), np.clip(t_idx, 0, n_cls - 1)] -= 1.0
+        p[~m] = 0.0
+        return ((p * (float(g) / n_live)).astype(x.dtype),)
 
-        return (fn if logits.requires_grad else None,)
-
-    return _apply("cross_entropy", (logits,), out, build)
+    return _apply("cross_entropy", (logits,), out, vjp)
 
 
 def unfold_time(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
@@ -944,17 +866,14 @@ def unfold_time(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
     idx = np.arange(n_out)[:, None] * stride + np.arange(kernel)[None, :]
     out = padded[:, idx, :].reshape(b, n_out, kernel * f)
 
-    def build():
-        def fn(g):
-            g4 = g.reshape(b, n_out, kernel, f)
-            gp = np.zeros((b, tp, f), dtype=g.dtype)
-            # Each padded frame sums its windows in window order, which is
-            # kernel offset order from the last down to 0, as np.add.at did.
-            last = (n_out - 1) * stride + 1
-            for j in range(kernel - 1, -1, -1):
-                gp[:, j:j + last:stride] += g4[:, :, j]
-            return np.ascontiguousarray(gp[:, pad:pad + t])
+    def vjp(g):
+        g4 = g.reshape(b, n_out, kernel, f)
+        gp = np.zeros((b, tp, f), dtype=g.dtype)
+        # Each padded frame sums its windows in window order, which is
+        # kernel offset order from the last down to 0, as np.add.at did.
+        last = (n_out - 1) * stride + 1
+        for j in range(kernel - 1, -1, -1):
+            gp[:, j:j + last:stride] += g4[:, :, j]
+        return (np.ascontiguousarray(gp[:, pad:pad + t]),)
 
-        return (fn if x.requires_grad else None,)
-
-    return _apply("unfold_time", (x,), out, build)
+    return _apply("unfold_time", (x,), out, vjp)

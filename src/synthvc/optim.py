@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import numerics as nm
-from .errors import TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError
 from .numerics import Tensor
 
 
@@ -152,7 +152,10 @@ def fit_classifier(params: dict[str, Tensor], logits_fn: Callable[[Tensor], Tens
 
     Adam with warmup 50 and clip 1.0. Logits of any rank are scored over
     their last axis, so per-frame and per-utterance heads share the loop.
+    ConfigError unless steps >= 0 and lr > 0, before the first step.
     """
+    if not (steps >= 0 and lr > 0):     # written so that a NaN lr fails
+        raise ConfigError(f"{what}: needs steps >= 0 and lr > 0, got steps={steps}, lr={lr}")
     opt = Adam(lr=lr, warmup=50, clip=1.0)
     last_loss = float("nan")
     for step in range(steps):

@@ -445,12 +445,13 @@ class PipelineResult:
 def run_pipeline(ctx: PipelineContext, plan: TrainPlan,
                  stages: tuple[str, ...] = STAGES,
                  init_params: dict[str, Tensor] | None = None) -> PipelineResult:
-    """Run the requested stages in order, each resuming the previous
-    parameters, with a metrics snapshot after every stage. The global step
-    starts at the plan's step count for the stages before the first one run."""
-    order = [STAGES.index(name) if name in STAGES else -1 for name in stages]
-    if not order or min(order) < 0 or order != sorted(set(order)):
-        raise ConfigError(f"stages must follow {STAGES}, got {stages}")
+    """Run the requested stages, a contiguous run of STAGES, in order, each
+    resuming the previous parameters, with a metrics snapshot after every
+    stage. The global step starts at the plan's step count for the stages
+    before the first one run."""
+    first = STAGES.index(stages[0]) if stages and stages[0] in STAGES else -1
+    if first < 0 or tuple(stages) != STAGES[first:first + len(stages)]:
+        raise ConfigError(f"stages must be a contiguous run of {STAGES}, got {stages}")
     n_layers = ctx.lm_cfg.layout.n_layers
     if len(plan.lambdas) != n_layers:
         raise ConfigError(f"train plan: lambdas length {len(plan.lambdas)} does not match "
@@ -459,7 +460,7 @@ def run_pipeline(ctx: PipelineContext, plan: TrainPlan,
         raise ConfigError(f"train plan: gen_max_steps={plan.gen_max_steps} below "
                           f"{n_layers + 2} for {n_layers} codec layers")
     params = init_params if init_params is not None else init_pipeline_params(ctx, plan.seed)
-    state = TrainState(params, step=sum(plan.stage_steps(name) for name in STAGES[:order[0]]))
+    state = TrainState(params, step=sum(plan.stage_steps(name) for name in STAGES[:first]))
     result = PipelineResult(params=params, stage_reports={})
     for name in stages:
         report = train_stage(state, ctx, plan, name, metrics_rows=result.metrics_rows)

@@ -3,7 +3,8 @@
 - `grad_check`, the finite-difference gradient checker every differentiable
   op is tested with, and `mul`, `sum_all` and `mean_all`, the product and
   scalar reductions that turn an op's output into a loss in those checks.
-  They are taped ops built on `numerics._apply`, like the package's own.
+  They are taped ops built on `numerics._apply`, like the package's own:
+  each hands it one VJP that returns every parent's gradient.
 - `attend`, multi-head self-attention as one taped op over the package's
   attention kernel, and `attention_chain` and `mlp_chain`, the two halves
   of a transformer block as the public ops composed them before each half
@@ -45,49 +46,37 @@ class DeterminismError(NumericsError):
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
-    def build():
-        ad, bd = a.data, b.data
-        fa = (lambda g: nm._unbroadcast(g * bd, ad.shape)) if a.requires_grad else None
-        fb = (lambda g: nm._unbroadcast(g * ad, bd.shape)) if b.requires_grad else None
-        return (fa, fb)
+    def vjp(g):
+        return (nm._unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
+                nm._unbroadcast(g * ad, bd.shape) if b.requires_grad else None)
 
-    return nm._apply("mul", (a, b), out, build)
+    return nm._apply("mul", (a, b), out, vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
     """Sum of every element, accumulated in float64 and rounded once."""
     out = np.asarray(np.sum(a.data, dtype=np.float64), dtype=a.data.dtype)
-
-    def build():
-        shape, dt = a.data.shape, a.data.dtype
-        return ((lambda g: np.full(shape, g, dtype=dt)) if a.requires_grad else None,)
-
-    return nm._apply("sum_all", (a,), out, build)
+    return nm._apply("sum_all", (a,), out, lambda g: (np.full(a.shape, g, dtype=a.dtype),))
 
 
 def mean_all(a: Tensor) -> Tensor:
     """Mean of every element, accumulated in float64 and rounded once."""
     n = a.data.size
     out = np.asarray(np.sum(a.data, dtype=np.float64) / n, dtype=a.data.dtype)
-
-    def build():
-        shape, dt = a.data.shape, a.data.dtype
-        return ((lambda g: np.full(shape, g / n, dtype=dt)) if a.requires_grad else None,)
-
-    return nm._apply("mean_all", (a,), out, build)
+    return nm._apply("mean_all", (a,), out, lambda g: (np.full(a.shape, g / n, dtype=a.dtype),))
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, positions, heads: int, mask=None,
            cache: nm.BlockCache | None = None) -> Tensor:
     """Multi-head self-attention of (B, t, D) projections at `positions` (see
-    `numerics._attend_fwd`): one taped node, whose VJPs are the kernel's."""
+    `numerics._attend_fwd`): one taped node, whose VJP is the kernel's."""
     need = (q.requires_grad, k.requires_grad, v.requires_grad)
     out, back = nm._attend_fwd(q.data, k.data, v.data, positions, heads, mask, cache,
                                nm._ACTIVE is not None and any(need))
-    return nm._apply("attend", (q, k, v), out,
-                     lambda: nm._vjps_at_once((q, k, v), lambda g: back(g, *need)))
+    return nm._apply("attend", (q, k, v), out, lambda g: back(g, *need))
 
 
 def attention_chain(x: Tensor, norm1: Tensor, q, k, v, o, positions, heads: int, mask=None,

@@ -1,7 +1,8 @@
 """Every CLI command end to end at a tiny config: exit codes, artifacts, one
 logs/run.tsv line per command (failed ones included), the typed failures of
 a missing upstream artifact, a corrupt codec file, malformed input files,
-a non-UTF-8 stored config, an unknown config key, a bad training-plan value,
+a non-UTF-8 stored config, an unknown config key, a bad training-plan or
+pretraining value,
 a head count that does not split the LM width, an eval.pairs below 1, a
 corpus that cannot hold its held-out split or its texts, a stage of 0
 steps, a stage that diverges after the ones before it were saved, an
@@ -193,6 +194,22 @@ def test_bad_plan_value_fails_typed_before_any_stage(prepared_run, tmp_path, cap
     assert stages == []
     assert not list((run / "checkpoints").glob("*.ckpt"))
     assert not list((run / "reports").glob("stage_*.json"))
+
+
+@pytest.mark.parametrize("bad", ["enc.lr = -0.001", "enc.lr = nan", "enc.batch = 0",
+                                 "enc.sem_steps = -1"])
+def test_bad_pretraining_value_fails_typed_before_any_checkpoint(tmp_path, capsys, bad):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(TINY_CONFIG + bad + "\n", encoding="utf-8")
+    run = tmp_path / "run"
+    assert cli.main(["--config", str(cfg_path), "synth-data", "--out", str(run)]) == 0
+    capsys.readouterr()
+    argv = ["--config", str(cfg_path), "--run", str(run), "pretrain-encoders"]
+    assert cli.main(argv) == cli.EXIT_USAGE == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERR:USAGE semantic pretraining: "), err
+    assert _run_log(run) == [("synth-data", "ok"), ("pretrain-encoders", "ERR:USAGE")]
+    assert not list((run / "encoders").glob("*.ckpt"))
 
 
 def test_zero_step_stage_trains_and_logs_ok(prepared_run, tmp_path, capsys):

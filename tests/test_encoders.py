@@ -130,6 +130,12 @@ def test_fit_classifier_overflow_raises_diverged_with_step():
                        steps=4, lr=1e-3, what="toy")
 
 
+
+def test_oracle_transcriber_with_negative_steps_fails_typed(splits, cfg):
+    with pytest.raises(ConfigError, match="oracle transcriber: needs steps >= 0"):
+        ev.train_oracle_transcriber(splits, steps=-5, seed=cfg["oracle.seed"])
+
+
 TINY_CONFIG = """\
 corpus.texts = 120
 codec.iters = 2

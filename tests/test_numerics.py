@@ -326,12 +326,11 @@ def _keep_every_grad_backward(tape, loss, params):
     for nid in range(lid, -1, -1):
         node = tape.nodes[nid]
         g = grads.get(nid)
-        if g is None or node.vjps is None:
+        if g is None or node.vjp is None:
             continue
-        for pid, fn in zip(node.parents, node.vjps):
-            if fn is None:
+        for pid, contrib in zip(node.parents, node.vjp(g)):
+            if contrib is None:
                 continue
-            contrib = fn(g)
             prev = grads.get(pid)
             grads[pid] = contrib if prev is None else prev + contrib
     out = {}
@@ -405,13 +404,43 @@ def test_backward_drops_a_gradient_once_its_vjps_ran():
         return g * 2.0
 
     tape = nm.Tape()
-    tape.record("a", [x], a, (vjp_a,))
-    tape.record("b", [a], b, (vjp_b,))
-    tape.record("loss", [b], loss, (lambda g: np.full(3, g),))
+    tape.record("a", [x], a, lambda g: (vjp_a(g),))
+    tape.record("b", [a], b, lambda g: (vjp_b(g),))
+    tape.record("loss", [b], loss, lambda g: (np.full(3, g),))
     for _ in range(2):     # the tape keeps its VJPs, so a second pass agrees
         grads = tape.backward(loss, {"x": x})
         np.testing.assert_array_equal(grads["x"], np.full(3, 6.0))
     assert alive_later == [False, False]
+
+
+def test_backward_asks_each_op_node_once_on_vc_step(monkeypatch, bare_context, default_plan):
+    """One backward over a vc_step tape runs each op node's VJP at most
+    once, and each fused block half's exactly once: a node hands back every
+    parent's gradient from one call."""
+    real, counted = nm.Tape.backward, []
+
+    def backward(tape, loss, params):
+        ops = [node for node in tape.nodes if node.vjp is not None]
+        calls = [0] * len(ops)
+        for i, node in enumerate(ops):
+            def vjp(g, i=i, inner=node.vjp):
+                calls[i] += 1
+                return inner(g)
+            node.vjp = vjp
+        got = real(tape, loss, params)
+        counted.append([(node.op, n) for node, n in zip(ops, calls)])
+        return got
+
+    monkeypatch.setattr(nm.Tape, "backward", backward)
+    ctx = bare_context
+    state = tr.TrainState(params=tr.init_pipeline_params(ctx, 7401),
+                          opt=optim.Adam(lr=1e-3, warmup=10, clip=1.0))
+    rng = np.random.default_rng(13)
+    tr.vc_step(sample_bucket(ctx.buckets, rng, 3), state, ctx, default_plan, rng)
+    [ops] = counted
+    assert max(n for _, n in ops) == 1
+    fused = [n for op, n in ops if op in ("attention_residual", "mlp_residual")]
+    assert len(fused) == 2 * ctx.lm_cfg.blocks and set(fused) == {1}
 
 
 def test_backward_mlp_against_finite_differences():

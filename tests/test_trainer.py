@@ -478,6 +478,16 @@ def test_run_pipeline_enforces_stage_order(bare_context, default_plan):
         tr.run_pipeline(bare_context, default_plan, stages=("vc", "asr"))
 
 
+def test_run_pipeline_refuses_a_stage_tuple_with_a_gap(bare_context, monkeypatch, default_plan):
+    """("asr", "joint") is in order but skips vc: joint would start from the
+    ASR weights, with steps numbered unlike `train --stage joint`'s."""
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+    monkeypatch.setattr(tr, "train_stage", no_stage)
+    with pytest.raises(ConfigError, match="contiguous"):
+        tr.run_pipeline(bare_context, default_plan, stages=("asr", "joint"))
+
+
 def test_run_pipeline_checks_lambdas_before_any_stage(bare_context, monkeypatch, default_plan):
     def no_stage(*args, **kwargs):
         raise AssertionError("a stage ran")
