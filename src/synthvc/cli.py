@@ -3,10 +3,11 @@ run training stages, convert utterances, evaluate, and inspect artifacts.
 
 Run directory layout (fixed names so commands find upstream artifacts):
     corpus/ codec/ encoders/ checkpoints/ reports/ logs/
-`train` saves each stage's checkpoint, report and logs/metrics.tsv rows as it
-finishes: `--stage all` writes what `asr`, `vc` and `joint` in turn write.
-Before its first stage, `train --stage <s>` deletes those of s and of every
-later stage, and reports/evaluate.json: they came from the chain it replaces.
+`train` writes checkpoints/<s>.ckpt and reports/stage_<s>.json, whose "curve"
+holds the held-out scorings, as each stage s finishes: `--stage all` writes
+what `asr`, `vc` and `joint` in turn write. Before its first stage,
+`train --stage <s>` deletes those two files of s and of every later stage,
+and reports/evaluate.json: they came from the chain it replaces.
 A command holds the directory's lock, one exclusive flock on .runlock, for
 its whole life; the kernel frees it on any exit, a crash or SIGKILL
 included, so no stale lock is left to find. `main` makes the layout once,
@@ -35,6 +36,7 @@ from . import codec as cd
 from . import encoders as en
 from . import evaluation as ev
 from . import numerics as nm
+from . import optim
 from . import streamlm as sl
 from . import synthworld as sw
 from . import trainer as tr
@@ -227,6 +229,13 @@ def cmd_fit_codec(args, cfg: RunConfig, run: RunDir) -> int:
 
 def cmd_pretrain_encoders(args, cfg: RunConfig, run: RunDir) -> int:
     _require(run.path("corpus", "manifest.tsv"), "synth-data")
+    for what, steps, lr, batch in (   # every loop's settings, before any loop runs
+            ("semantic pretraining", cfg["enc.sem_steps"], cfg["enc.lr"], cfg["enc.batch"]),
+            ("speaker pretraining", cfg["enc.spk_steps"], cfg["enc.lr"], cfg["enc.batch"]),
+            ("oracle verifier", cfg["oracle.verifier_steps"], ev.ORACLE_LR, ev.VERIFIER_BATCH),
+            ("oracle transcriber", cfg["oracle.transcriber_steps"], ev.ORACLE_LR,
+             ev.TRANSCRIBER_BATCH)):
+        optim.check_fit(what, steps, lr, batch)
     splits = _world(cfg)
     sem = en.pretrain_semantic_encoder(splits, steps=cfg["enc.sem_steps"],
                                        batch=cfg["enc.batch"], lr=cfg["enc.lr"],
@@ -282,12 +291,10 @@ def cmd_train(args, cfg: RunConfig, run: RunDir) -> int:
                              f"run `synthvc train --stage {prev}` first")
         params = _load_params(prev_path)
     # what the chain this command replaces wrote from its first stage on
-    later = tr.STAGES[tr.STAGES.index(stages[0]):]
-    for name in later:
+    for name in tr.STAGES[tr.STAGES.index(stages[0]):]:
         run.path("checkpoints", f"{name}.ckpt").unlink(missing_ok=True)
         run.path("reports", f"stage_{name}.json").unlink(missing_ok=True)
     run.path("reports", "evaluate.json").unlink(missing_ok=True)
-    tr.drop_metrics_rows(run.path("logs", "metrics.tsv"), later)
     for name in stages:
         result = tr.run_pipeline(ctx, plan, (name,), params)
         params = result.params
@@ -296,7 +303,6 @@ def cmd_train(args, cfg: RunConfig, run: RunDir) -> int:
         rep = result.stage_reports[name]   # with the stage's conversion metrics
         run.path("reports", f"stage_{name}.json").write_text(
             json.dumps(rep, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        tr.write_metrics_log(run.path("logs", "metrics.tsv"), result.metrics_rows)
         loss = "" if rep["final_loss"] is None else f"loss {rep['final_loss']:.4f} "
         print(f"stage {name}: {loss}heldout text accuracy {rep['heldout_text_accuracy']:.4f}")
     return EXIT_OK
@@ -315,10 +321,11 @@ def cmd_convert(args, cfg: RunConfig, run: RunDir) -> int:
     params = _load_params(_latest_checkpoint(run))
     manifest = sw.load_manifest(run.path("corpus", "manifest.tsv"), ctx.splits.vocab)
     by_id = {u.utt_id: u for u in manifest}
-    if args.source not in by_id:
-        raise DataError(f"unknown source utterance id {args.source!r}")
-    if args.target_ref not in by_id:
-        raise DataError(f"unknown target-ref utterance id {args.target_ref!r}")
+    for role, utt_id in (("source", args.source), ("target-ref", args.target_ref)):
+        if utt_id not in by_id:
+            raise DataError(f"unknown {role} utterance id {utt_id!r}")
+        if by_id[utt_id].speaker_id not in ctx.splits.speakers:
+            raise DataError(f"utterance {utt_id!r}: unknown speaker {by_id[utt_id].speaker_id}")
     rng = (np.random.default_rng([0xC04F, cfg["eval.seed"]])
            if cfg["gen.mode"] == "sample" else None)
     res, text_tokens, frames = ev.convert(

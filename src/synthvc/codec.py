@@ -23,7 +23,7 @@ with each row's arithmetic the same as the whole-corpus formula's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,6 @@ class Codebook:
 class RVQCodec:
     codebooks: list[Codebook]
     fit_snr_db: float
-    layer_distortions: list[float] = field(default_factory=list)
 
     @property
     def n_layers(self) -> int:
@@ -229,7 +228,6 @@ def fit_codebooks(frames: np.ndarray, n: int, k: int, iters: int, seed: int) -> 
     for b in _blocks(residual.shape[0]):
         norms[b] = np.sum(residual[b] ** 2, axis=1)
     books: list[Codebook] = []
-    distortions: list[float] = []
     for layer in range(n):
         twice = np.multiply(residual, 2.0, out=scratch)
         cents = _lloyd(residual, twice, norms, k, iters, rng).astype(np.float32)
@@ -240,10 +238,9 @@ def fit_codebooks(frames: np.ndarray, n: int, k: int, iters: int, seed: int) -> 
         for b in _blocks(residual.shape[0]):   # the next residual and its row norms
             residual[b] -= cents64[labels[b]]
             norms[b] = np.sum(residual[b] ** 2, axis=1)
-        distortions.append(float(np.mean(norms)))
     err = float(np.sum(np.square(residual, out=scratch)))
     snr = 10.0 * np.log10(signal / err) if err > 0 else np.inf
-    return RVQCodec(codebooks=books, fit_snr_db=float(snr), layer_distortions=distortions)
+    return RVQCodec(codebooks=books, fit_snr_db=float(snr))
 
 
 def encode(frames: np.ndarray, codec: RVQCodec) -> np.ndarray:

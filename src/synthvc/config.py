@@ -94,7 +94,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: Path) -> "RunConfig":
-        values = {}
+        values, line_of = {}, {}
         for ln_no, line in enumerate(read_text(path, ConfigError).splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -105,6 +105,8 @@ class RunConfig:
             key, raw = key.strip(), raw.strip()
             if key not in DEFAULTS:
                 raise ConfigError(f"{path}:{ln_no}: unknown config key {key!r}")
+            if line_of.setdefault(key, ln_no) != ln_no:
+                raise ConfigError(f"{path}:{ln_no}: {key} is set again, after line {line_of[key]}")
             parser = DEFAULTS[key][0]
             try:
                 values[key] = parser(raw)

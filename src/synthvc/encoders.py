@@ -16,9 +16,8 @@ import numpy as np
 from . import nn
 from . import numerics as nm
 from . import synthworld as sw
-from .errors import ConfigError
 from .numerics import Tensor
-from .optim import fit_classifier, freeze
+from .optim import check_fit, fit_classifier, freeze
 
 SEM_HEADS = 4
 SEM_BLOCKS = 2
@@ -109,10 +108,8 @@ def init_semantic_encoder(width: int, seed: int) -> SemanticEncoder:
 
 def pretrain_semantic_encoder(splits: sw.CorpusSplits, steps: int, batch: int, lr: float,
                               seed: int, width: int) -> SemanticEncoder:
-    """Frame-label classification pretraining; returns a frozen encoder.
-    ConfigError unless batch >= 1."""
-    if batch < 1:
-        raise ConfigError(f"semantic pretraining: batch must be at least 1, got {batch}")
+    """Frame-label classification pretraining; returns a frozen encoder."""
+    check_fit("semantic pretraining", steps, lr, batch)
     enc = init_semantic_encoder(width, seed)
     rng = np.random.default_rng([0xE0C2, seed])
     head_rng = np.random.default_rng([0xE0C3, seed])
@@ -195,9 +192,8 @@ def init_speaker_encoder(width: int, seed: int) -> SpeakerEncoder:
 def pretrain_speaker_encoder(splits: sw.CorpusSplits, steps: int, batch: int, lr: float,
                              seed: int, width: int) -> SpeakerEncoder:
     """Speaker-classification pretraining over train speakers; frozen on
-    return. ConfigError unless batch >= 1."""
-    if batch < 1:
-        raise ConfigError(f"speaker pretraining: batch must be at least 1, got {batch}")
+    return."""
+    check_fit("speaker pretraining", steps, lr, batch)
     enc = init_speaker_encoder(width, seed)
     rng = np.random.default_rng([0xE0C6, seed])
     head_rng = np.random.default_rng([0xE0C7, seed])

@@ -22,7 +22,7 @@ from .codec import RVQCodec, decode
 from .encoders import apply_adapter, bucket_by_length, sample_bucket, speaker_batches
 from .errors import CalibrationError, ConfigError, DataError, read_text
 from .numerics import Tensor
-from .optim import fit_classifier, freeze
+from .optim import check_fit, fit_classifier, freeze
 
 ORACLE_LR = 1e-3
 VERIFIER_BATCH = 16
@@ -98,6 +98,7 @@ def _equal_error_rate(same_scores: np.ndarray, diff_scores: np.ndarray) -> float
 
 def train_oracle_verifier(splits: sw.CorpusSplits, steps: int, seed: int) -> OracleVerifier:
     """Speaker-classification training; EER measured on held-out speakers."""
+    check_fit("oracle verifier", steps, ORACLE_LR, VERIFIER_BATCH)
     rng_init = np.random.default_rng([0x0A17, seed])
     params: dict[str, Tensor] = {}
     nn.init_linear(params, rng_init, "ov.c1", 5 * sw.F_DIM, VERIFIER_WIDTH)
@@ -196,6 +197,7 @@ def train_oracle_transcriber(splits: sw.CorpusSplits, steps: int,
     `seed` is the oracle seed the verifier also takes; the transcriber draws
     from seed + 1, so the two oracles share no random stream.
     """
+    check_fit("oracle transcriber", steps, ORACLE_LR, TRANSCRIBER_BATCH)
     seed += 1
     rng_init = np.random.default_rng([0x0A27, seed])
     params: dict[str, Tensor] = {}

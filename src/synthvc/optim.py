@@ -144,6 +144,14 @@ def descend(opt: Adam, params: dict[str, Tensor], loss_fn: Callable[[], Tensor],
     return loss.item()
 
 
+def check_fit(what: str, steps: int, lr: float, batch: int) -> None:
+    """ConfigError, named for the loop `what`, unless steps >= 0, lr > 0, batch >= 1."""
+    if not (steps >= 0 and lr > 0):     # written so that a NaN lr fails
+        raise ConfigError(f"{what}: needs steps >= 0 and lr > 0, got steps={steps}, lr={lr}")
+    if batch < 1:
+        raise ConfigError(f"{what}: batch must be at least 1, got {batch}")
+
+
 def fit_classifier(params: dict[str, Tensor], logits_fn: Callable[[Tensor], Tensor],
                    sample: Iterator[tuple[np.ndarray, np.ndarray]], steps: int, lr: float,
                    what: str) -> None:
@@ -152,10 +160,8 @@ def fit_classifier(params: dict[str, Tensor], logits_fn: Callable[[Tensor], Tens
 
     Adam with warmup 50 and clip 1.0. Logits of any rank are scored over
     their last axis, so per-frame and per-utterance heads share the loop.
-    ConfigError unless steps >= 0 and lr > 0, before the first step.
+    Its callers pass their settings through `check_fit` first.
     """
-    if not (steps >= 0 and lr > 0):     # written so that a NaN lr fails
-        raise ConfigError(f"{what}: needs steps >= 0 and lr > 0, got steps={steps}, lr={lr}")
     opt = Adam(lr=lr, warmup=50, clip=1.0)
     last_loss = float("nan")
     for step in range(steps):

@@ -344,6 +344,9 @@ def load_manifest(path: Path, vocab: SymbolVocab) -> list[Utterance]:
         if not 0 <= utt.seed < SEED_BOUND:
             raise DataError(f"{path}:{ln_no}: malformed utterance {utt_id!r}: "
                             f"seed {utt.seed} is outside [0, {SEED_BOUND})")
+        if channel not in _CHANNEL_CODE:
+            raise DataError(f"{path}:{ln_no}: malformed utterance {utt_id!r}: "
+                            f"unknown channel {channel!r}")
         utts.append(utt)
     return utts
 

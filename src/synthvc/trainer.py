@@ -14,8 +14,7 @@ Everything is a deterministic function of the plan's seed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -393,17 +392,17 @@ def heldout_acoustic_ce(ctx: PipelineContext, params: dict) -> float:
 # stages and the full schedule
 
 
-def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: str,
-                metrics_rows: list) -> dict:
+def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: str) -> dict:
     """Run stage `name` of the plan on state, scoring the held-out metrics
-    every eval_interval steps and at the stage's end."""
+    every eval_interval steps and at the stage's end. The report's "curve"
+    holds one (global step, loss, held-out metrics) object per scoring."""
     steps = plan.stage_steps(name)
     step_fn = {STAGE_ASR: asr_step, STAGE_VC: vc_step, STAGE_JOINT: joint_step}[name]
     rng = np.random.default_rng([0x7A10, plan.seed + STAGES.index(name)])
     state.opt = Adam(lr=plan.lr, warmup=plan.warmup, clip=plan.clip)
     frozen_start = ctx.frozen_hash()
     last = heldout = None
-    ac_losses = []
+    ac_losses, curve = [], []
     for local_step in range(steps):
         batch = sample_bucket(ctx.buckets, rng, plan.batch)
         last = step_fn(batch, state, ctx, plan, rng)
@@ -412,7 +411,9 @@ def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: 
         if (local_step + 1) % plan.eval_interval == 0 or local_step + 1 == steps:
             heldout = (heldout_text_accuracy(ctx, state.params),
                        heldout_acoustic_ce(ctx, state.params))
-            metrics_rows.append((state.step, name, last.loss, *heldout))
+            curve.append({"step": state.step, "loss": last.loss,
+                          "heldout_text_accuracy": heldout[0],
+                          "heldout_acoustic_ce": heldout[1]})
     if heldout is None:   # a stage of 0 steps: nothing was scored yet
         heldout = (heldout_text_accuracy(ctx, state.params),
                    heldout_acoustic_ce(ctx, state.params))
@@ -429,6 +430,7 @@ def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: 
                                      if ac_losses else None),
         "acoustic_ce_last_window": (float(np.mean([np.mean(a) for a in ac_losses[-200:]]))
                                     if ac_losses else None),
+        "curve": curve,
     }
     if frozen_start != frozen_end:
         raise TrainingDivergedError(f"stage {name}: frozen component bits changed")
@@ -439,7 +441,6 @@ def train_stage(state: TrainState, ctx: PipelineContext, plan: TrainPlan, name: 
 class PipelineResult:
     params: dict[str, Tensor]
     stage_reports: dict[str, dict]
-    metrics_rows: list = field(default_factory=list)
 
 
 def run_pipeline(ctx: PipelineContext, plan: TrainPlan,
@@ -463,7 +464,7 @@ def run_pipeline(ctx: PipelineContext, plan: TrainPlan,
     state = TrainState(params, step=sum(plan.stage_steps(name) for name in STAGES[:first]))
     result = PipelineResult(params=params, stage_reports={})
     for name in stages:
-        report = train_stage(state, ctx, plan, name, metrics_rows=result.metrics_rows)
+        report = train_stage(state, ctx, plan, name)
         result.stage_reports[name] = report
         result.params = state.params
         if ctx.verifier is not None and ctx.eval_pairs is not None:
@@ -473,21 +474,3 @@ def run_pipeline(ctx: PipelineContext, plan: TrainPlan,
                 max_steps=plan.gen_max_steps, tail=plan.gen_tail))
     return result
 
-
-def write_metrics_log(path: Path, rows) -> None:
-    """Append one tab-separated line per (step, stage, loss, heldout text
-    accuracy, heldout acoustic CE) row."""
-    with open(path, "a", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write("\t".join(str(v) for v in row) + "\n")
-
-
-def drop_metrics_rows(path: Path, stages) -> None:
-    """Remove the rows of `stages` from a metrics log that `write_metrics_log`
-    wrote; a missing log, or one with no such row, is left as it is."""
-    if not path.exists():
-        return
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    kept = [line for line in lines if line.split("\t")[1] not in stages]
-    if len(kept) != len(lines):
-        path.write_text("".join(kept), encoding="utf-8")

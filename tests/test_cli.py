@@ -7,8 +7,9 @@ a head count that does not split the LM width, an eval.pairs below 1, a
 corpus that cannot hold its held-out split or its texts, a stage of 0
 steps, a stage that diverges after the ones before it were saved, an
 unexpected exception, and the run-directory lock, held by real processes;
-and that the stages trained one command at a time write what
-`train --stage all` writes."""
+that the stages trained one command at a time write what
+`train --stage all` writes; and that a run directory holds exactly the
+files the pipeline writes."""
 
 import fcntl
 import hashlib
@@ -24,6 +25,8 @@ import pytest
 
 from synthvc import checkpoint as ck
 from synthvc import cli
+from synthvc import encoders as en
+from synthvc import evaluation as ev
 from synthvc import synthworld as sw
 from synthvc import trainer as tr
 from synthvc.config import RunConfig
@@ -44,6 +47,15 @@ train.joint_steps = 10
 eval.pairs = 4
 gen.max_steps = 48
 """
+
+
+def _tiny_with(extra):
+    """TINY_CONFIG with the `key = value` lines of extra in place of its own
+    lines for those keys, since a config file sets each key at most once."""
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in TINY_CONFIG.splitlines()
+            if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + extra.splitlines()) + "\n"
 
 
 def _run_log(run):
@@ -99,7 +111,6 @@ def test_cli_every_command_end_to_end(tmp_path, capsys):
         assert report["metrics"]["pairs"] == 4     # the stage's conversion metrics
     assert sorted(p.name for p in (run / "reports").iterdir()) == [
         "pretrain.json", "stage_asr.json", "stage_joint.json", "stage_vc.json"]
-    assert (run / "logs" / "metrics.tsv").exists()
 
     assert cli.main(convert) == 0
     for suffix in (".frames.bin", ".text.txt", ".grid.txt"):
@@ -128,7 +139,7 @@ def test_cli_every_command_end_to_end(tmp_path, capsys):
 
     # an unknown key fails before the run directory is known: nothing to log in
     bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text(TINY_CONFIG + "gen.beam = 4\n", encoding="utf-8")
+    bad_cfg.write_text(_tiny_with("gen.beam = 4"), encoding="utf-8")
     assert cli.main(["--config", str(bad_cfg), "--run", str(run), "evaluate"]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("ERR:USAGE ")
 
@@ -174,7 +185,7 @@ def test_bad_plan_value_fails_typed_before_any_stage(prepared_run, tmp_path, cap
     run = tmp_path / "run"
     shutil.copytree(prepared_run, run)
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(TINY_CONFIG + bad + "\n", encoding="utf-8")
+    cfg_path.write_text(_tiny_with(bad), encoding="utf-8")
     stages = []
     real_stage = tr.train_stage
 
@@ -196,18 +207,35 @@ def test_bad_plan_value_fails_typed_before_any_stage(prepared_run, tmp_path, cap
     assert not list((run / "reports").glob("stage_*.json"))
 
 
-@pytest.mark.parametrize("bad", ["enc.lr = -0.001", "enc.lr = nan", "enc.batch = 0",
-                                 "enc.sem_steps = -1"])
-def test_bad_pretraining_value_fails_typed_before_any_checkpoint(tmp_path, capsys, bad):
+# a bad pretraining value -> the loop whose check names it
+BAD_PRETRAINING = {"enc.lr = -0.001": "semantic pretraining",
+                   "enc.lr = nan": "semantic pretraining",
+                   "enc.batch = 0": "semantic pretraining",
+                   "enc.sem_steps = -1": "semantic pretraining",
+                   "enc.spk_steps = -1": "speaker pretraining",
+                   "oracle.verifier_steps = -1": "oracle verifier",
+                   "oracle.transcriber_steps = -1": "oracle transcriber"}
+
+
+@pytest.mark.parametrize("bad", list(BAD_PRETRAINING))
+def test_bad_pretraining_value_fails_typed_before_any_checkpoint(tmp_path, capsys,
+                                                                 monkeypatch, bad):
+    """Every loop's settings are checked before the first loop trains."""
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(TINY_CONFIG + bad + "\n", encoding="utf-8")
+    cfg_path.write_text(_tiny_with(bad), encoding="utf-8")
     run = tmp_path / "run"
     assert cli.main(["--config", str(cfg_path), "synth-data", "--out", str(run)]) == 0
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a pretraining loop ran")
+    for module, name in ((en, "pretrain_semantic_encoder"), (en, "pretrain_speaker_encoder"),
+                         (ev, "train_oracle_verifier"), (ev, "train_oracle_transcriber")):
+        monkeypatch.setattr(module, name, no_training)
     capsys.readouterr()
     argv = ["--config", str(cfg_path), "--run", str(run), "pretrain-encoders"]
     assert cli.main(argv) == cli.EXIT_USAGE == 1
     err = capsys.readouterr().err
-    assert err.startswith("ERR:USAGE semantic pretraining: "), err
+    assert err.startswith(f"ERR:USAGE {BAD_PRETRAINING[bad]}: "), err
     assert _run_log(run) == [("synth-data", "ok"), ("pretrain-encoders", "ERR:USAGE")]
     assert not list((run / "encoders").glob("*.ckpt"))
 
@@ -218,7 +246,7 @@ def test_zero_step_stage_trains_and_logs_ok(prepared_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(prepared_run, run)
     cfg_path = tmp_path / "zero.cfg"
-    cfg_path.write_text(TINY_CONFIG + "train.asr_steps = 0\n", encoding="utf-8")
+    cfg_path.write_text(_tiny_with("train.asr_steps = 0"), encoding="utf-8")
     capsys.readouterr()
     argv = ["--config", str(cfg_path), "--run", str(run), "--allow-config-drift",
             "train", "--stage", "asr"]
@@ -231,9 +259,8 @@ def test_zero_step_stage_trains_and_logs_ok(prepared_run, tmp_path, capsys):
 
 
 def _trained_files(run):
-    """The bytes of every checkpoint, every report and logs/metrics.tsv."""
-    files = [*sorted((run / "checkpoints").iterdir()), *sorted((run / "reports").iterdir()),
-             run / "logs" / "metrics.tsv"]
+    """The bytes of every checkpoint and every report."""
+    files = [*sorted((run / "checkpoints").iterdir()), *sorted((run / "reports").iterdir())]
     return {str(f.relative_to(run)): f.read_bytes() for f in files}
 
 
@@ -256,23 +283,43 @@ def trained_run(prepared_run, tmp_path_factory):
 
 def test_stages_run_in_turn_write_what_stage_all_writes(prepared_run, trained_run, tmp_path):
     """`train --stage asr`, `vc` and `joint` run one after another give the
-    checkpoints, reports and metrics.tsv of `train --stage all`, the
-    metrics rows' global steps included."""
+    checkpoints and reports of `train --stage all`, the global steps of
+    the reports' held-out curves included."""
     run = tmp_path / "run"
     shutil.copytree(prepared_run, run)
     _train(prepared_run, run, *tr.STAGES)
     assert _trained_files(run) == _trained_files(trained_run)
-    steps = [line.split("\t")[0] for line in
-             (run / "logs" / "metrics.tsv").read_text(encoding="utf-8").splitlines()]
-    assert steps == ["10", "20", "30"]
+    steps = [[point["step"] for point in
+              json.loads((run / "reports" / f"stage_{name}.json").read_text())["curve"]]
+             for name in tr.STAGES]
+    assert steps == [[10], [20], [30]]
+
+
+def test_run_directory_holds_exactly_what_the_pipeline_writes(prepared_run, trained_run,
+                                                             tmp_path):
+    """After synth-data, fit-codec, pretrain-encoders, `train --stage all`
+    and evaluate, the run directory holds these files and no others, so a
+    stray or revived artifact fails here."""
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    base = ["--config", str(prepared_run.parent / "tiny.cfg"), "--run", str(run)]
+    assert cli.main(base + ["evaluate"]) == cli.EXIT_OK
+    assert sorted(str(f.relative_to(run)) for f in run.rglob("*") if f.is_file()) == [
+        ".runlock", "checkpoints/asr.ckpt", "checkpoints/joint.ckpt", "checkpoints/vc.ckpt",
+        "codec/codec.rvq", "config.resolved", "corpus/eval_manifest.tsv",
+        "corpus/frames.bin", "corpus/manifest.tsv", "corpus/splits.txt",
+        "encoders/oracle_transcriber.ckpt", "encoders/oracle_verifier.ckpt",
+        "encoders/semantic.ckpt", "encoders/speaker.ckpt", "logs/run.tsv",
+        "reports/evaluate.json", "reports/pretrain.json", "reports/stage_asr.json",
+        "reports/stage_joint.json", "reports/stage_vc.json"]
 
 
 def test_retraining_a_stage_deletes_the_later_stages_of_the_old_chain(prepared_run,
                                                                      trained_run, tmp_path):
     """`train --stage asr` on a trained and evaluated run leaves no VC or
-    joint checkpoint or report and no evaluate.json, keeps metrics.tsv rows
-    of the new ASR stage only, and `evaluate` then grades asr.ckpt: every
-    file is what a fresh `train --stage asr` and `evaluate` write."""
+    joint checkpoint or report and no evaluate.json, and `evaluate` then
+    grades asr.ckpt: every file is what a fresh `train --stage asr` and
+    `evaluate` write."""
     base = ["--config", str(prepared_run.parent / "tiny.cfg")]
     fresh = tmp_path / "fresh"
     shutil.copytree(prepared_run, fresh)
@@ -310,9 +357,6 @@ def test_a_failed_stage_keeps_every_stage_before_it(prepared_run, trained_run, t
     kept = {name: clean[name] for name in ("checkpoints/asr.ckpt", "checkpoints/vc.ckpt",
                                            "reports/pretrain.json", "reports/stage_asr.json",
                                            "reports/stage_vc.json")}
-    kept["logs/metrics.tsv"] = b"".join(
-        line for line in clean["logs/metrics.tsv"].splitlines(keepends=True)
-        if line.split(b"\t")[1] != b"joint")
     assert _trained_files(run) == kept
     monkeypatch.undo()
     _train(prepared_run, run, "joint")
@@ -336,7 +380,7 @@ def test_head_count_that_does_not_split_the_width_fails_typed(prepared_run, tmp_
     run = tmp_path / "run"
     shutil.copytree(prepared_run, run)
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(TINY_CONFIG + "lm.heads = 3\n", encoding="utf-8")
+    cfg_path.write_text(_tiny_with("lm.heads = 3"), encoding="utf-8")
     capsys.readouterr()
     argv = ["--config", str(cfg_path), "--run", str(run), "--allow-config-drift",
             "train", "--stage", "all"]
@@ -352,7 +396,7 @@ def test_eval_pairs_below_one_fails_typed_before_any_work(prepared_run, tmp_path
     """synth-data writes no corpus and train runs no stage: both fail on
     building the evaluation pairs, which comes first."""
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(TINY_CONFIG + "eval.pairs = 0\n", encoding="utf-8")
+    cfg_path.write_text(_tiny_with("eval.pairs = 0"), encoding="utf-8")
     fresh = tmp_path / "fresh"
     capsys.readouterr()
     assert cli.main(["--config", str(cfg_path), "synth-data", "--out", str(fresh)]) == 1
@@ -383,7 +427,7 @@ def test_corpus_it_cannot_build_fails_typed_before_any_work(tmp_path, bad, key):
     for. synth-data names the key and writes no corpus. It runs in a child
     process under a timeout, so a corpus build that never ends fails here."""
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(TINY_CONFIG + bad + "\n", encoding="utf-8")
+    cfg_path.write_text(_tiny_with(bad), encoding="utf-8")
     run = tmp_path / "run"
     with _synthvc("-m", "synthvc", "--config", str(cfg_path), "synth-data", "--out", str(run),
                   stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
@@ -420,7 +464,7 @@ def test_synth_data_force_empties_what_the_old_corpus_built(checkpointed_run, tm
     assert all(any((run / d).iterdir()) for d in ("codec", "encoders", "checkpoints", "reports"))
     logged = _run_log(run)
     cfg_path = tmp_path / "seed7.cfg"
-    cfg_path.write_text(TINY_CONFIG + "corpus.seed = 7\n", encoding="utf-8")
+    cfg_path.write_text(_tiny_with("corpus.seed = 7"), encoding="utf-8")
     base = ["--config", str(cfg_path), "--run", str(run)]
     assert cli.main(base + ["synth-data"]) == cli.EXIT_USAGE
     assert cli.main(base + ["synth-data", "--force"]) == cli.EXIT_OK
@@ -440,7 +484,7 @@ def test_sampled_convert_with_nan_temperature_fails_typed(checkpointed_run, tmp_
     run = tmp_path / "run"
     shutil.copytree(checkpointed_run, run)
     cfg_path = tmp_path / "sample.cfg"
-    cfg_path.write_text(TINY_CONFIG + "gen.mode = sample\ngen.temperature = nan\n",
+    cfg_path.write_text(_tiny_with("gen.mode = sample\ngen.temperature = nan"),
                         encoding="utf-8")
     src, ref = (run / "corpus" / "eval_manifest.tsv").read_text().splitlines()[0].split("\t")
     logged = _run_log(run)
@@ -460,7 +504,8 @@ MALFORMED = {"grid-token": None, "grid-int64": None, "grid-missing": None,
              "eval-manifest-not-utf8": None, "eval-manifest-empty": None,
              "config-missing": None, "manifest-symbol": (3, "zz"),
              "manifest-speaker": (1, "one"), "manifest-seed": (4, "4.5"),
-             "manifest-negative-seed": (4, "-1")}
+             "manifest-negative-seed": (4, "-1"), "manifest-channel": (2, "bogus"),
+             "manifest-unknown-speaker": (1, "99")}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -469,7 +514,8 @@ def test_malformed_input_file_fails_typed_and_is_logged(checkpointed_run, tmp_pa
     """A malformed, missing or non-UTF-8 grid dump, evaluation manifest or
     corpus manifest is a typed data error that names the file (and the line
     of a malformed one), not a traceback; so is an evaluation manifest with
-    no pairs. A missing config file is a usage
+    no pairs, and a converted utterance whose speaker id the corpus does not
+    hold, which names the utterance. A missing config file is a usage
     error that, like an unknown key, comes before any run directory is
     resolved, so no log line is written."""
     run = tmp_path / "run"
@@ -512,9 +558,10 @@ def test_malformed_input_file_fails_typed_and_is_logged(checkpointed_run, tmp_pa
         fields[column] = value
         lines[1] = "\t".join(fields)
         manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        argv = ["convert", "--source", lines[0].split("\t")[0], "--target-ref", "eval_tgt00",
+        argv = ["convert", "--source", fields[0], "--target-ref", "eval_tgt00",
                 "--out", str(tmp_path / "conv")]
-        where = f"{manifest}:2: "
+        where = (f"utterance {fields[0]!r}: " if case == "manifest-unknown-speaker"
+                 else f"{manifest}:2: ")
     logged = _run_log(run)
     capsys.readouterr()
     code = cli.main(["--config", str(cfg_path), "--run", str(run)] + argv)

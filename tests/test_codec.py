@@ -26,7 +26,8 @@ def test_fit_exact_cover_zero_distortion():
     pts = rng.normal(scale=2.0, size=(15, 4)).astype(np.float32)
     frames = np.repeat(pts, 20, axis=0)
     codec = cd.fit_codebooks(frames, n=2, k=16, iters=30, seed=1)
-    assert codec.layer_distortions[0] < 1e-6
+    residual = frames - codec.codebooks[0].centroids[cd.encode(frames, codec)[0]]
+    assert np.mean(np.sum(residual.astype(np.float64) ** 2, axis=1)) < 1e-6
 
 
 def test_fit_recovers_two_gaussian_clusters():
@@ -41,12 +42,6 @@ def test_fit_recovers_two_gaussian_clusters():
     sample_means = [pts[:300].mean(axis=0), pts[300:].mean(axis=0)]
     for mu in sample_means:
         assert min(np.linalg.norm(cents - mu, axis=1)) < 0.05
-
-
-def test_fit_distortion_decreases_per_layer(small_codec):
-    _, codec = small_codec
-    d = codec.layer_distortions
-    assert all(d[i + 1] <= d[i] for i in range(len(d) - 1))
 
 
 def test_fit_rejects_small_corpus():
@@ -139,12 +134,6 @@ def test_roundtrip_beats_first_layer_alone(small_codec):
 def test_distortion_decreases_with_layer_count(small_codec):
     frames, codec = small_codec
     codes = cd.encode(frames, codec)
-    errs = []
-    for upto in range(1, codec.n_layers + 1):
-        partial = np.zeros((frames.shape[0], 16), dtype=np.float64)
-        for layer in range(upto):
-            partial += codec.codebooks[layer].centroids.astype(np.float64)[codes[layer]]
-        errs.append(float(np.mean(np.sum(frames - partial.astype(np.float32), axis=1) ** 2)))
     # corpus-average distortion shrinks monotonically in layer count
     d = [float(np.mean(np.sum((frames.astype(np.float64) -
                                sum(codec.codebooks[l].centroids.astype(np.float64)[codes[l]]
@@ -291,7 +280,7 @@ def _dense_fit(frames, n, k, iters, seed):
     residual = np.asarray(frames, dtype=np.float64)
     rng = np.random.default_rng([0xCB00, seed])
     signal = float(np.sum(residual ** 2))
-    books, distortions = [], []
+    books = []
     for _ in range(n):
         cents = _dense_lloyd(residual, k, iters, rng)[0].astype(np.float32)
         cents[0] = 0.0
@@ -300,8 +289,7 @@ def _dense_fit(frames, n, k, iters, seed):
               + np.sum(c64 ** 2, axis=1)[None, :])
         residual = residual - c64[d2.argmin(axis=1)]
         books.append(cents)
-        distortions.append(float(np.mean(np.sum(residual ** 2, axis=1))))
-    return books, distortions, float(10.0 * np.log10(signal / float(np.sum(residual ** 2))))
+    return books, float(10.0 * np.log10(signal / float(np.sum(residual ** 2))))
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
@@ -328,10 +316,9 @@ def test_pruned_kernels_match_dense_oracles_bitwise(case):
 def test_fit_matches_dense_fit_bitwise_across_blocks():
     frames = _corpus("three-blocks").astype(np.float32)
     codec = cd.fit_codebooks(frames, n=2, k=16, iters=3, seed=6)
-    books, distortions, snr = _dense_fit(frames, n=2, k=16, iters=3, seed=6)
+    books, snr = _dense_fit(frames, n=2, k=16, iters=3, seed=6)
     for book, want in zip(codec.codebooks, books, strict=True):
         assert np.array_equal(book.centroids, want)
-    assert codec.layer_distortions == distortions
     assert codec.fit_snr_db == snr
 
 
@@ -399,7 +386,6 @@ def test_codebooks_equal_the_rng_choice_seeding(splits, monkeypatch, corpus):
     want = cd.fit_codebooks(frames, n=3, k=32, iters=2, seed=17)
     for book, ref in zip(got.codebooks, want.codebooks, strict=True):
         assert book.centroids.tobytes() == ref.centroids.tobytes()
-    assert got.layer_distortions == want.layer_distortions
     assert got.fit_snr_db == want.fit_snr_db
 
 

@@ -4,14 +4,16 @@ config default is read outside config.py, no parameter the CLI fills from the
 config restates a default, each function in the package is referenced
 somewhere besides its definition, only `optim.descend` opens a tape, only
 `streamlm` names the LM's token ids and parameters, every error class is
-raised and has an exit code, and the benchmark's tracer still finds every
-function it names."""
+raised and has an exit code, the benchmark's tracer still finds every
+function it names, and a config file sets each key at most once."""
 
 import ast
 import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from synthvc import cli, config, errors
 from synthvc import streamlm as sl
@@ -173,6 +175,15 @@ def test_every_error_class_is_raised_and_has_an_exit_code():
     assert [c.__name__ for c in classes if c.__name__ not in raised] == []
     assert [c.__name__ for c in classes
             if not any(issubclass(c, types) for types, _ in cli._ERROR_CODES)] == []
+
+
+def test_config_file_that_sets_a_key_twice_names_both_lines(tmp_path):
+    """The second value does not silently replace the first."""
+    path = tmp_path / "twice.cfg"
+    path.write_text("train.lr = 0.001\n# a comment\ntrain.lr = 0.002\n", encoding="utf-8")
+    with pytest.raises(errors.ConfigError,
+                       match=r"twice\.cfg:3: train\.lr is set again, after line 1$"):
+        config.RunConfig.from_file(path)
 
 
 def test_perfbench_selftest_passes():

@@ -308,15 +308,15 @@ def test_train_stage_scores_heldout_once_per_eval(bare_context, monkeypatch,
             calls[_name] += 1
             return _f(ctx, params)
         monkeypatch.setattr(tr, name, counted)
-    rows = []
     plan = dataclasses.replace(default_plan, vc_steps=steps, eval_interval=interval)
-    report = tr.train_stage(make_state(bare_context), bare_context, plan, "vc",
-                            metrics_rows=rows)
+    report = tr.train_stage(make_state(bare_context), bare_context, plan, "vc")
     assert calls == {"heldout_text_accuracy": evals, "heldout_acoustic_ce": evals}
-    assert len(rows) == (evals if steps else 0)
-    if rows:
-        assert rows[-1][0] == steps and rows[-1][2] == report["final_loss"]
-        assert rows[-1][3:] == (report["heldout_text_accuracy"], report["heldout_acoustic_ce"])
+    curve = report["curve"]
+    assert len(curve) == (evals if steps else 0)
+    if curve:
+        assert curve[-1] == {"step": steps, "loss": report["final_loss"],
+                             "heldout_text_accuracy": report["heldout_text_accuracy"],
+                             "heldout_acoustic_ce": report["heldout_acoustic_ce"]}
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +521,4 @@ def test_run_pipeline_tiny_deterministic(splits, codec, sem_enc, spk_enc, lm_cfg
     assert set(a.params) == set(b.params)
     for k in a.params:
         assert np.array_equal(a.params[k].data, b.params[k].data), k
-    assert a.metrics_rows == b.metrics_rows
-
-
-def test_metrics_log_format(tmp_path):
-    rows = [(10, "asr", 1.5, 0.9, 3.2), (20, "asr", 1.2, 0.95, 3.0)]
-    path = tmp_path / "metrics.tsv"
-    tr.write_metrics_log(path, rows)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    assert lines[0].split("\t") == ["10", "asr", "1.5", "0.9", "3.2"]
+    assert a.stage_reports == b.stage_reports
