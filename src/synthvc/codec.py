@@ -23,7 +23,7 @@ with each row's arithmetic the same as the whole-corpus formula's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,14 @@ from .errors import ArtifactFormatError, DataError, StateError
 
 @dataclass(frozen=True)
 class Codebook:
+    """One frozen layer. `cents64`, `cnorms` and `cmax` (the centroids in
+    float64, their squared row norms and the largest of those) are derived
+    once here for `encode` and `decode`."""
     layer: int
     centroids: np.ndarray    # (K, F) float32; row 0 is exactly zero; read-only
+    cents64: np.ndarray = field(init=False, repr=False, compare=False)
+    cnorms: np.ndarray = field(init=False, repr=False, compare=False)
+    cmax: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.centroids).all():
@@ -43,6 +49,13 @@ class Codebook:
         if np.any(self.centroids[0] != 0.0):
             raise DataError(f"codebook layer {self.layer}: row 0 must be the zero vector")
         self.centroids.flags.writeable = False
+        cents64 = self.centroids.astype(np.float64)
+        cnorms, cmax = _centroid_norms(cents64)
+        for arr in (cents64, cnorms):
+            arr.flags.writeable = False
+        object.__setattr__(self, "cents64", cents64)
+        object.__setattr__(self, "cnorms", cnorms)
+        object.__setattr__(self, "cmax", cmax)
 
 
 @dataclass
@@ -125,15 +138,21 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator,
     return centroids
 
 
-def _assign(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid per row by exact distance, the lower index on ties.
+def _centroid_norms(centroids: np.ndarray) -> tuple[np.ndarray, float]:
+    """Float64 centroids' squared row norms, and the largest of them."""
+    cnorms = np.sum(centroids ** 2, axis=1)
+    return cnorms, cnorms.max()
+
+
+def _assign(data: np.ndarray, centroids: np.ndarray, cnorms: np.ndarray,
+            cmax: float) -> np.ndarray:
+    """Nearest float64 centroid per row by exact distance, the lower index on
+    ties; `cnorms` and `cmax` are `_centroid_norms(centroids)`.
 
     Every expansion-form distance in row i is within e_i = _SLACK * (||x_i||^2
     + max ||c||^2) + _TINY of the exact one, so a pair more than 2 e_i above
     the row's least expansion-form distance can neither hold the minimum nor
     tie it. Only the other pairs get the exact distance."""
-    cnorms = np.sum(centroids ** 2, axis=1)
-    cmax = cnorms.max()
     labels = np.empty(data.shape[0], dtype=np.intp)
     for b in _blocks(data.shape[0]):
         x = data[b]
@@ -254,10 +273,9 @@ def encode(frames: np.ndarray, codec: RVQCodec) -> np.ndarray:
                         f"{codec.feature_dim}")
     rows = []
     for book in codec.codebooks:
-        cents = book.centroids.astype(np.float64)
-        labels = _assign(residual, cents)
+        labels = _assign(residual, book.cents64, book.cnorms, book.cmax)
         for b in _blocks(residual.shape[0]):
-            residual[b] -= cents[labels[b]]
+            residual[b] -= book.cents64[labels[b]]
         rows.append(labels)
     return np.stack(rows).astype(np.int64)
 
@@ -274,7 +292,7 @@ def decode(codes, codec: RVQCodec) -> np.ndarray:
         raise IndexError(f"decode: code out of range [0, {k})")
     out = np.zeros((codes.shape[1], codec.feature_dim), dtype=np.float64)
     for layer, book in enumerate(codec.codebooks):
-        out += book.centroids.astype(np.float64)[codes[layer]]
+        out += book.cents64[codes[layer]]
     return out.astype(np.float32)
 
 

@@ -39,12 +39,18 @@ one pass, as any op's does: the tape asks each node once.
   to a decode-time key/value cache.
 - `mlp_residual` is the MLP half, h + down(silu(up(rms_norm(h, norm2)))):
   rms_norm -> affine -> silu -> affine -> add.
-rms_norm, affine and silu are each written once, as private forward and
-VJP kernels that the public op and the fused ops call; attend is only a
-kernel, `_attend_fwd`. A fused op checks every intermediate as the op that
-made it in the chain would, and attend its masked scores; the public ops
-attend calls (rope_apply, transpose, matmul, softmax) check theirs, so no
-computed intermediate goes unchecked.
+rms_norm, affine, silu and softmax are each written once, as private
+kernels that the public op and the fused ops call; attend is only a kernel,
+`_attend_fwd`. Its uncached path (training, the frozen encoders) routes
+through the public rope_apply, transpose, matmul and softmax only so that
+the benchmark's per-op spans still see them. Its cached path (a decode's
+prefill and every column) calls their kernels instead, with RoPE in an
+interleaved form of the same bits (`rope_pair_tables`, `_rope_pairs`), and
+keeps a `BlockCache`'s keys transposed, (B * heads, dh, capacity), so the
+scores multiply a view of the cache rather than a copy of every cached
+key. A fused op checks every intermediate as the op that made it in the
+chain would, attend its masked scores, and either path of attend the four
+arrays those public ops check, so no computed intermediate goes unchecked.
 
 A tape is single-threaded: activate it with `with tape:` around the forward
 pass, call `tape.backward(loss, params)` afterwards for the gradients of the
@@ -396,13 +402,19 @@ def silu(a: Tensor) -> Tensor:
     return _apply("silu", (a,), out, lambda g: (_silu_vjp(g, a.data, sig),))
 
 
+def _softmax_fwd(x: Array) -> Array:
+    """exp(x - max) / sum over the last axis, in a new array."""
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
 def softmax(a: Tensor) -> Tensor:
     x = a.data
     if x.shape[-1] < 1:
         raise ShapeError("softmax: last dimension must be >= 1")
-    out = x - x.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out = _softmax_fwd(x)
 
     def vjp(g):
         gx = g * out
@@ -484,6 +496,36 @@ def _rope_tables_of(pos_bytes: bytes, d: int, dtype: np.dtype,
     return tables
 
 
+def rope_pair_tables(positions, d: int, dtype) -> tuple[Array, Array]:
+    """The interleaved rotary tables of the cached attention path, [cos, cos]
+    and [-sin, sin] for each of the d / 2 (even, odd) pairs of each position,
+    shaped (N, 1, d / 2, 2) to broadcast over an (..., N, heads, d) array's
+    pairs. They hold `_rope_tables`' values, negation being exact. Read-only
+    arrays, shared as those are."""
+    pos = np.asarray(positions, dtype=np.float64)
+    return _rope_pair_tables_of(pos.tobytes(), d, np.dtype(dtype))
+
+
+@lru_cache(maxsize=64)
+def _rope_pair_tables_of(pos_bytes: bytes, d: int, dtype: np.dtype) -> tuple[Array, Array]:
+    cos, sin = _rope_tables_of(pos_bytes, d, dtype, 3)
+    tables = (np.stack([cos, cos], axis=-1), np.stack([-sin, sin], axis=-1))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _rope_pairs(x: Array, cos2: Array, sin2: Array) -> Array:
+    """x rotated with `rope_pair_tables`: each (xe, xo) pair times [cos, cos]
+    plus the swapped pair (xo, xe) times [-sin, sin]. These are rope_apply's
+    IEEE operations on the same operands: xe * cos + xo * -sin is
+    xe * cos - xo * sin, and xo * cos + xe * sin is the same sum swapped."""
+    pairs = x.reshape(x.shape[:-1] + (-1, 2))
+    out = pairs * cos2
+    out += pairs[..., ::-1] * sin2
+    return out.reshape(x.shape)
+
+
 def _rope_vjp(g: Array, cos: Array, sin: Array) -> Array:
     ge, go = g[..., 0::2], g[..., 1::2]
     gx = np.empty_like(g)
@@ -523,13 +565,15 @@ def rope_apply(x: Tensor, positions) -> Tensor:
 
 
 class BlockCache:
-    """One attention block's keys and values for positions [0, length), in
-    preallocated (B * heads, capacity, dh) buffers, already rotated (RoPE
-    positions are absolute, so cached keys stay valid). `attention_residual`
-    appends to them. Decode only: nothing cached carries a gradient."""
+    """One attention block's keys and values for positions [0, length),
+    already rotated (RoPE positions are absolute, so cached keys stay valid),
+    in preallocated buffers: the keys transposed, (B * heads, dh, capacity),
+    so the scores read a view of them; the values (B * heads, capacity, dh).
+    `attention_residual` appends to them. Decode only: nothing cached
+    carries a gradient."""
 
     def __init__(self, rows: int, capacity: int, dh: int):
-        self.k = np.zeros((rows, capacity, dh), dtype=STORAGE_DTYPE)
+        self.k = np.zeros((rows, dh, capacity), dtype=STORAGE_DTYPE)
         self.v = np.zeros((rows, capacity, dh), dtype=STORAGE_DTYPE)
         self.length = 0
 
@@ -552,7 +596,8 @@ def _merge_heads(x: Array, b: int, t: int, heads: int, dh: int) -> Array:
 
 
 def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
-                cache: BlockCache | None, taped: bool) -> tuple[Array, Callable]:
+                cache: BlockCache | None, taped: bool,
+                rope: tuple[Array, Array] | None = None) -> tuple[Array, Callable]:
     """Multi-head self-attention of (B, t, D) projections at `positions`:
     the context, and back(g, need_q, need_k, need_v), the three input
     gradients (None where not needed).
@@ -565,9 +610,16 @@ def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
     refused when `taped`, that is when a tape records an input that needs
     one.
 
-    The forward calls the public rope_apply (once, over the stacked q and k
-    heads), transpose, matmul and softmax on untaped inputs; the rest is plain
-    numpy. Forward and back make the same numpy calls, in the same order, as
+    Without a cache (training and the frozen encoders) the forward calls the
+    public rope_apply (once, over the stacked q and k heads), transpose,
+    matmul and softmax on untaped inputs, only so that the benchmark's spans
+    of those ops still see them; the rest is plain numpy. With a cache (a
+    decode's prefill and every column) it calls the kernels those ops share
+    and checks what they check: RoPE by `rope_pair_tables(positions, dh,
+    dtype)`, given as `rope` by a caller that runs several blocks at the
+    same positions, the rotated keys written once into the cache's
+    transposed buffer, and the scores multiplied by a view of it. Either way
+    forward and back make the same IEEE operations, in the same order, as
     the rope -> split -> matmul -> scale -> add -> softmax -> matmul -> merge
     chain they stand for, so results are bit-identical to that chain.
     """
@@ -582,33 +634,48 @@ def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
         if taped:
             raise NumericsError("attend: no gradient flows through a key/value cache")
         start, stop = cache.length, cache.length + t
-        if (dtype != cache.k.dtype or cache.k.shape[0::2] != (b * heads, dh)
-                or stop > cache.k.shape[1]):
+        if (dtype != cache.k.dtype or cache.k.shape[:2] != (b * heads, dh)
+                or stop > cache.k.shape[2]):
             raise ShapeError(f"attend: {dtype} keys for {b * heads} rows of width {dh} at "
-                             f"positions [{start}, {stop}) do not fit {cache.k.dtype} cache "
-                             f"{cache.k.shape}")
+                             f"positions [{start}, {stop}) do not fit {cache.k.dtype} "
+                             f"transposed cache {cache.k.shape}")
     n_keys = t if cache is None else stop
     if mask is not None and np.shape(mask) != (t, n_keys):
         raise ShapeError(f"attend: mask {np.shape(mask)} is not ({t}, {n_keys})")
 
     tiled = positions if b == 1 else np.tile(positions, b)
-    qk = np.concatenate([q, k], axis=-1).reshape(b * t, 2 * heads, dh)
-    qk = rope_apply(_wrap(qk), tiled).data
-    q_h = _split_heads(qk[:, :heads], b, t, heads, dh)
-    k_h = _split_heads(qk[:, heads:], b, t, heads, dh)
-    v_h = _split_heads(v, b, t, heads, dh)
-    if cache is not None:
-        cache.k[:, start:stop] = k_h
-        cache.v[:, start:stop] = v_h
+    if cache is None:
+        qk = np.concatenate([q, k], axis=-1).reshape(b * t, 2 * heads, dh)
+        qk = rope_apply(_wrap(qk), tiled).data
+        q_h = _split_heads(qk[:, :heads], b, t, heads, dh)
+        k_h = _split_heads(qk[:, heads:], b, t, heads, dh)
+        v_h = _split_heads(v, b, t, heads, dh)
+        kt = transpose(_wrap(k_h), (0, 2, 1)).data
+        raw = matmul(_wrap(q_h), _wrap(kt)).data
+    else:
+        cos2, sin2 = rope_pair_tables(positions, dh, dtype) if rope is None else rope
+        qk = _rope_pairs(np.concatenate([q, k], axis=-1).reshape(b, t, 2 * heads, dh),
+                         cos2, sin2)
+        _finite_or_raise(qk, "rope_apply")
+        q_h = _split_heads(qk[:, :, :heads], b, t, heads, dh)
+        keys = cache.k.reshape(b, heads, dh, -1)[..., start:stop]
+        keys[...] = qk[:, :, heads:].transpose(0, 2, 3, 1)
+        cache.v[:, start:stop] = _split_heads(v, b, t, heads, dh)
         cache.length = stop
-        k_h, v_h = cache.k[:, :stop], cache.v[:, :stop]
-    kt = transpose(_wrap(k_h), (0, 2, 1))
+        _finite_or_raise(keys, "transpose")
+        kt, v_h = cache.k[:, :, :stop], cache.v[:, :stop]
+        raw = np.matmul(q_h, kt)
+        _finite_or_raise(raw, "matmul")
     cc = dtype.type(1.0 / math.sqrt(dh))   # correctly rounded, as np.sqrt is
-    scores = np.multiply(matmul(_wrap(q_h), kt).data, cc)
+    scores = np.multiply(raw, cc)
     if mask is not None:
         scores += mask
     _finite_or_raise(scores, "attend")
-    probs = softmax(_wrap(scores)).data
+    if cache is None:
+        probs = softmax(_wrap(scores)).data
+    else:
+        probs = _softmax_fwd(scores)
+        _finite_or_raise(probs, "softmax")
     out = _merge_heads(np.matmul(probs, v_h), b, t, heads, dh)
 
     def back(g: Array, need_q: bool, need_k: bool, need_v: bool) -> tuple:
@@ -630,7 +697,7 @@ def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
                                                     (0, 3, 1, 2))).reshape(b * t, heads, dh)
             g_k = _rope_vjp(g_k, cos, sin).reshape(b, t, d)
         if need_q:
-            g_q = np.matmul(g_raw, np.swapaxes(kt.data, -1, -2))
+            g_q = np.matmul(g_raw, np.swapaxes(kt, -1, -2))
             g_q = _merge_heads(g_q, b, t, heads, dh).reshape(b * t, heads, dh)
             g_q = _rope_vjp(g_q, cos, sin).reshape(b, t, d)
         return g_q, g_k, g_v
@@ -641,11 +708,12 @@ def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
 def attention_residual(x: Tensor, norm1: Tensor, q: tuple[Tensor, Tensor],
                        k: tuple[Tensor, Tensor], v: tuple[Tensor, Tensor],
                        o: tuple[Tensor, Tensor], positions, heads: int, mask,
-                       cache: BlockCache | None) -> Tensor:
+                       cache: BlockCache | None,
+                       rope: tuple[Array, Array] | None = None) -> Tensor:
     """x + o(attend(q(n), k(n), v(n), ...)) with n = rms_norm(x, norm1), where
     q, k, v and o are the (weight, bias) pairs of four affine maps: one taped
     node, the attention half of a pre-norm transformer block. `positions`,
-    `heads`, `mask` and `cache` are attend's.
+    `heads`, `mask`, `cache` and `rope` are attend's (`_attend_fwd`).
 
     Every intermediate is checked as the op that made it in the chain would
     check it. Gradients are grouped as the tape groups the chain's: n gets
@@ -665,7 +733,7 @@ def attention_residual(x: Tensor, norm1: Tensor, q: tuple[Tensor, Tensor],
     n_rg = x.requires_grad or norm1.requires_grad
     need = [n_rg or w.requires_grad or b.requires_grad for w, b in projections]
     ctx, back = _attend_fwd(*qkv, positions, heads, mask, cache,
-                            _ACTIVE is not None and any(need))
+                            _ACTIVE is not None and any(need), rope)
     _finite_or_raise(ctx, "attention_residual")
     a, ctx_flat = _affine_fwd(ctx, o[0].data, o[1].data)
     _finite_or_raise(a, "attention_residual")
@@ -752,7 +820,11 @@ def mlp_residual(h: Tensor, norm2: Tensor, up: tuple[Tensor, Tensor],
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     idx = np.asarray(ids, dtype=np.int64)
     v = table.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= v):
+    if idx.size == 1:   # a decode column's lookup: one range test, no reductions
+        out_of_range = not 0 <= idx.item() < v
+    else:
+        out_of_range = idx.size and (idx.min() < 0 or idx.max() >= v)
+    if out_of_range:
         bad = idx[(idx < 0) | (idx >= v)][0]
         raise IndexError(f"embedding_lookup: id {bad} out of range [0, {v})")
     out = table.data[idx]

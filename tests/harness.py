@@ -10,6 +10,12 @@
   of a transformer block as the public ops composed them before each half
   became one fused op (`numerics.attention_residual`,
   `numerics.mlp_residual`): the references those ops equal bit for bit.
+- `KeyRowCache` and `cached_attend`, the cached path of
+  `numerics._attend_fwd` as it was before it called attention's kernels
+  directly: the public rope_apply, a contiguous transpose of every cached
+  key, matmul and softmax, over keys cached untransposed.
+  `use_cached_reference` routes every cached attention call through them,
+  so a test can decode both ways and compare the bits.
 - `nearest_template_decode`, a decoder that knows the world's templates, so
   a test can show that rendered symbols can be read back.
 - `render_one`, the frames of one item through the batched `sw.render`, and
@@ -27,6 +33,7 @@
   verbatim so tests can show the same ASR grids and initial parameters.
 """
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -87,6 +94,55 @@ def attention_chain(x: Tensor, norm1: Tensor, q, k, v, o, positions, heads: int,
     ctx = attend(nm.affine(n, *q), nm.affine(n, *k), nm.affine(n, *v), positions, heads, mask,
                  cache)
     return nm.add(x, nm.affine(ctx, *o))
+
+
+class KeyRowCache:
+    """`numerics.BlockCache` with its keys untransposed: keys and values
+    both (B * heads, capacity, dh)."""
+
+    def __init__(self, rows: int, capacity: int, dh: int):
+        self.k = np.zeros((rows, capacity, dh), dtype=nm.STORAGE_DTYPE)
+        self.v = np.zeros((rows, capacity, dh), dtype=nm.STORAGE_DTYPE)
+        self.length = 0
+
+
+_ATTEND_KERNEL = nm._attend_fwd
+
+
+def cached_attend(q, k, v, positions, heads: int, mask, cache, taped: bool, rope=None):
+    """`numerics._attend_fwd` with the cached path it had before it called
+    attention's kernels directly, over a `KeyRowCache`; `rope` is ignored.
+    Uncached calls go to the kernel. A cached call has no backward."""
+    if cache is None:
+        return _ATTEND_KERNEL(q, k, v, positions, heads, mask, cache, taped)
+    b, t, d = q.shape
+    dh = d // heads
+    start, stop = cache.length, cache.length + t
+    tiled = positions if b == 1 else np.tile(positions, b)
+    qk = np.concatenate([q, k], axis=-1).reshape(b * t, 2 * heads, dh)
+    qk = nm.rope_apply(nm._wrap(qk), tiled).data
+    q_h = nm._split_heads(qk[:, :heads], b, t, heads, dh)
+    k_h = nm._split_heads(qk[:, heads:], b, t, heads, dh)
+    v_h = nm._split_heads(v, b, t, heads, dh)
+    cache.k[:, start:stop] = k_h
+    cache.v[:, start:stop] = v_h
+    cache.length = stop
+    k_h, v_h = cache.k[:, :stop], cache.v[:, :stop]
+    kt = nm.transpose(nm._wrap(k_h), (0, 2, 1))
+    cc = q.dtype.type(1.0 / math.sqrt(dh))
+    scores = np.multiply(nm.matmul(nm._wrap(q_h), kt).data, cc)
+    if mask is not None:
+        scores += mask
+    nm._finite_or_raise(scores, "attend")
+    probs = nm.softmax(nm._wrap(scores)).data
+    return nm._merge_heads(np.matmul(probs, v_h), b, t, heads, dh), None
+
+
+def use_cached_reference(monkeypatch) -> None:
+    """Every cache made from now on is a `KeyRowCache`, and every cached
+    attention call runs `cached_attend`."""
+    monkeypatch.setattr(nm, "BlockCache", KeyRowCache)
+    monkeypatch.setattr(nm, "_attend_fwd", cached_attend)
 
 
 def mlp_chain(h: Tensor, norm2: Tensor, up, down) -> Tensor:

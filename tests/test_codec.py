@@ -94,6 +94,31 @@ def test_encode_deterministic(small_codec):
     assert np.array_equal(a, b)
 
 
+def test_codebook_tables_derived_once_equal_the_per_call_formula(small_codec):
+    """Each frozen codebook's float64 centroids, squared row norms and
+    largest norm, derived once, are read-only and equal what `encode` and
+    `decode` derived on every call; the codes and frames are those of the
+    per-call form."""
+    frames, codec = small_codec
+    frames = np.concatenate([frames, frames[:40] * 3.0, np.zeros((3, 16), np.float32)])
+    residual = frames.astype(np.float64)
+    rows, out = [], np.zeros(frames.shape)
+    for book in codec.codebooks:
+        cents = book.centroids.astype(np.float64)
+        cnorms = np.sum(cents ** 2, axis=1)
+        assert book.cents64.dtype == np.float64 and book.cents64.tobytes() == cents.tobytes()
+        assert book.cnorms.tobytes() == cnorms.tobytes() and book.cmax == cnorms.max()
+        assert not book.cents64.flags.writeable and not book.cnorms.flags.writeable
+        labels = _assign(residual, cents)
+        residual -= cents[labels]
+        rows.append(labels)
+    codes = cd.encode(frames, codec)
+    assert np.array_equal(codes, np.stack(rows))
+    for layer, book in enumerate(codec.codebooks):
+        out += book.centroids.astype(np.float64)[codes[layer]]
+    assert cd.decode(codes, codec).tobytes() == out.astype(np.float32).tobytes()
+
+
 def test_encode_unfitted_rejected():
     empty = cd.RVQCodec(codebooks=[], fit_snr_db=0.0)
     with pytest.raises(StateError):
@@ -226,6 +251,11 @@ def _dense_init(data, k, rng):
     return centroids
 
 
+def _assign(data, centroids):
+    """`codec._assign` given the centroid norms `encode` gives it."""
+    return cd._assign(data, centroids, *cd._centroid_norms(centroids))
+
+
 def _dense_assign(data, centroids):
     d2 = np.sum((data[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
     return d2.argmin(axis=1)
@@ -307,10 +337,10 @@ def test_pruned_kernels_match_dense_oracles_bitwise(case):
     assert np.array_equal(cents, want)
     assert rng.bit_generator.state == twin.bit_generator.state
     assert (reseeds > 0) == (case in ("all-zero", "empty-cluster"))
-    assert np.array_equal(cd._assign(data, cents), _dense_assign(data, cents))
+    assert np.array_equal(_assign(data, cents), _dense_assign(data, cents))
     probe = data[::7] + np.random.default_rng(10).normal(scale=np.std(data) + 1e-300,
                                                          size=data[::7].shape)
-    assert np.array_equal(cd._assign(probe, cents), _dense_assign(probe, cents))
+    assert np.array_equal(_assign(probe, cents), _dense_assign(probe, cents))
 
 
 def test_fit_matches_dense_fit_bitwise_across_blocks():
@@ -425,8 +455,8 @@ def test_assign_keeps_exact_ties_and_overrules_the_expansion_form():
     data[:, 0] = 0.3
     data[1, 5] = 0.2
     assert _dense_assign(data, cents).tolist() == [1, 1]
-    assert cd._assign(data, cents).tolist() == [1, 1]
-    assert cd._assign(data, cents[[0, 2, 1, 3, 4]]).tolist() == [1, 1]
+    assert _assign(data, cents).tolist() == [1, 1]
+    assert _assign(data, cents[[0, 2, 1, 3, 4]]).tolist() == [1, 1]
     # at a 1e7 offset the expansion form's rounding picks another centroid on
     # some rows; the exact distance still decides
     rng = np.random.default_rng(31)
@@ -437,4 +467,4 @@ def test_assign_keeps_exact_ties_and_overrules_the_expansion_form():
                  + np.sum(cents ** 2, axis=1)).argmin(axis=1)
     want = _dense_assign(data, cents)
     assert np.any(expansion != want)
-    assert np.array_equal(cd._assign(data, cents), want)
+    assert np.array_equal(_assign(data, cents), want)

@@ -21,8 +21,8 @@ from synthvc.errors import (
     ShapeError,
 )
 
-from harness import (DeterminismError, attend, attention_chain, grad_check, mean_all, mlp_chain,
-                     mul, sum_all)
+from harness import (DeterminismError, KeyRowCache, attend, attention_chain, grad_check, mean_all,
+                     mlp_chain, mul, sum_all, use_cached_reference)
 
 
 def t(data, rg=False, dtype=None):
@@ -262,6 +262,21 @@ def test_embedding_repeated_id_grad_sums():
 def test_embedding_out_of_range():
     with pytest.raises(IndexError):
         nm.embedding_lookup(t(np.zeros((4, 2))), [4])
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_embedding_single_id_range_test_raises_the_reductions_text(bad):
+    """One id takes a single range test, many take min/max reductions; a bad
+    id gets the same IndexError text either way, in every id shape."""
+    table = t(np.zeros((4, 2)))
+    texts = set()
+    for ids in ([bad], bad, np.array([[bad]]), [0, bad], [bad, 3, 1]):
+        with pytest.raises(IndexError) as err:
+            nm.embedding_lookup(table, ids)
+        texts.add(str(err.value))
+    assert texts == {f"embedding_lookup: id {bad} out of range [0, 4)"}
+    for good in (0, 3):
+        assert nm.embedding_lookup(table, [good]).shape == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +782,11 @@ def test_attend_cached_prefill_and_steps_equal_one_causal_pass():
     for j in range(p, n):
         parts.append(attend(t(q[:, j:j + 1]), t(k[:, j:j + 1]), t(v[:, j:j + 1]),
                             np.array([j]), heads, None, cache).data)
-    assert cache.length == n and (cache.k[:, n:] == 0).all() and (cache.v[:, n:] == 0).all()
+    assert cache.k.shape == (heads, d // heads, n + 2)     # keys transposed
+    assert cache.length == n and (cache.k[:, :, n:] == 0).all() and (cache.v[:, n:] == 0).all()
+    keys = np.concatenate([q, k], axis=-1).reshape(n, 2 * heads, d // heads)
+    keys = nm.rope_apply(t(keys), np.arange(n)).data[:, heads:]
+    assert _same_bits(cache.k[:, :, :n], keys.transpose(1, 2, 0))
     np.testing.assert_array_equal(parts[0], full[:, :p])    # same shapes, same calls
     for j, part in enumerate(parts[1:], start=p):
         assert part.shape == (1, 1, d)
@@ -784,7 +803,8 @@ def test_attend_cache_rejects_misfits_and_taped_inputs():
         cache.length = length
         with pytest.raises(ShapeError):
             attend(t(arr), t(arr), t(arr), np.arange(arr.shape[1]), heads, None, cache)
-        assert cache.length == length and not cache.k.any()
+        assert cache.k.shape == (heads, dh, 4)
+        assert cache.length == length and not cache.k.any() and not cache.v.any()
     cache = nm.BlockCache(heads, 4, dh)
     with nm.Tape(), pytest.raises(NumericsError, match="no gradient"):
         attend(t(x), t(x, rg=True), t(x), np.arange(2), heads, None, cache)
@@ -864,23 +884,30 @@ def test_fused_half_bitwise_equals_unfused_chain_for_every_gradient_subset(dim, 
 @pytest.mark.parametrize("dim,heads,inter", BLOCK_SHAPES)
 def test_attention_residual_cached_prefill_and_columns_equal_the_chain(dim, heads, inter):
     """A cached prefill and then single columns, as a decode runs them: each
-    output and the cache's keys and values equal the chain's bit for bit."""
+    output and the cache's keys and values equal the chain's bit for bit,
+    the chain taking the cached route through the public ops
+    (`harness.cached_attend`) over untransposed keys."""
     rng = np.random.default_rng(dim)
     arrays = _half_inputs(rng, dim, inter, "attention")
     x = rng.normal(size=(1, 9, dim)).astype(np.float32)
     p = 4
     runs = []
     for f in (nm.attention_residual, attention_chain):
-        cache = nm.BlockCache(heads, 12, dim // heads)
-        ts = [t(a) for a in arrays]
-        outs = [_call_half(f, "attention", [t(x[:, :p])] + ts[1:], heads, cache, np.arange(p))]
-        for j in range(p, x.shape[1]):
-            outs.append(_call_half(f, "attention", [t(x[:, j:j + 1])] + ts[1:], heads, cache,
-                                   np.array([j]), None))
+        with pytest.MonkeyPatch.context() as m:
+            if f is attention_chain:
+                use_cached_reference(m)
+            cache = nm.BlockCache(heads, 12, dim // heads)
+            ts = [t(a) for a in arrays]
+            outs = [_call_half(f, "attention", [t(x[:, :p])] + ts[1:], heads, cache,
+                               np.arange(p))]
+            for j in range(p, x.shape[1]):
+                outs.append(_call_half(f, "attention", [t(x[:, j:j + 1])] + ts[1:], heads,
+                                       cache, np.array([j]), None))
         runs.append((cache, [o.data for o in outs]))
     (fused, outs), (chain, chain_outs) = runs
+    assert isinstance(fused, nm.BlockCache) and isinstance(chain, KeyRowCache)
     assert fused.length == chain.length == x.shape[1]
-    assert _same_bits(fused.k, chain.k) and _same_bits(fused.v, chain.v)
+    assert _same_bits(fused.k, chain.k.transpose(0, 2, 1)) and _same_bits(fused.v, chain.v)
     for got, want in zip(outs, chain_outs):
         assert _same_bits(got, want)
 
@@ -1116,6 +1143,29 @@ def test_rope_bitwise_equals_formula(shape, dtype):
     out, (gx,) = _forward_and_grads(lambda xt: nm.rope_apply(xt, positions), [x], g)
     want_out, want_gx = _rope_formula(x, positions, g)
     assert _same_bits(out, want_out) and _same_bits(gx, want_gx)
+
+
+@pytest.mark.parametrize("positions", [[0], [37], np.arange(25), np.arange(3, 9)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rope_pairs_bitwise_equal_the_formula_signed_zeros_included(positions, dtype):
+    """The cached path's interleaved RoPE, at a decode column's width 1 and
+    at a prefill's width, over (B, t, 2 * heads, dh) stacked q and k heads,
+    equals the strided formula bit for bit; zero inputs and position 0's
+    zero sines make signed zeros, which must come out the same."""
+    rng = np.random.default_rng(len(positions))
+    b, heads, dh = 2, 4, 16
+    x = rng.normal(size=(b, len(positions), 2 * heads, dh)).astype(dtype)
+    x[..., ::3] = 0.0
+    x[..., 1::5] = -0.0
+    cos2, sin2 = nm.rope_pair_tables(positions, dh, dtype)
+    assert cos2.shape == sin2.shape == (len(positions), 1, dh // 2, 2)
+    assert not cos2.flags.writeable and not sin2.flags.writeable
+    got = nm._rope_pairs(x, cos2, sin2)
+    flat = x.reshape(-1, 2 * heads, dh)
+    want, _ = _rope_formula(flat, np.tile(positions, b), flat)
+    assert _same_bits(got, want.reshape(x.shape))
+    assert np.signbit(got[got == 0]).any() and not np.signbit(got[got == 0]).all()
+    assert nm.rope_pair_tables(np.asarray(positions), dh, dtype)[0] is cos2
 
 
 def test_rope_tables_are_cached_read_only_and_equal_a_fresh_build():

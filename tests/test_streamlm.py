@@ -386,12 +386,15 @@ def test_embed_columns_bitwise_equals_per_stream_reshape_then_add(lm, b, length)
 def test_cached_decode_column_op_and_check_counts(lm, monkeypatch):
     """After the prefill, every decode column makes the same taped-op calls:
     10 to embed the previous column (five lookups, four adds, one reshape),
-    25 in the width-1 trunk (6 a block: the two fused halves and the four
-    public ops inside attention, plus the final norm) and one head `affine`
-    per stream still picking. Each op checks its output once; each block
-    also checks its 10 other intermediates (n, q, k, v, the context and the
-    o projection; the MLP's n, up and silu outputs and down projection) and
-    its attention scores, so every check of the unfused chain is kept."""
+    9 in the width-1 trunk (2 a block, its two fused halves, plus the final
+    norm) and one head `affine` per stream still picking. Each op checks its
+    output once; each block also checks its 10 other intermediates (n, q, k,
+    v, the context and the o projection; the MLP's n, up and silu outputs
+    and down projection), its attention scores and the four arrays that the
+    public rope_apply, transpose, matmul and softmax checked before the
+    cached path called their kernels directly (the rotated q and k, the
+    keys it cached, the raw scores and the probabilities), so every check
+    of the unfused chain is kept."""
     cfg, params, sem, spk, _ = lm
     seen = Counter()
     marks = []
@@ -424,7 +427,7 @@ def test_cached_decode_column_op_and_check_counts(lm, monkeypatch):
                for before, after in zip(marks, marks[1:])]
     assert len(columns) == res.steps - 1 > 10
     assert all(1 <= c["head"] <= cfg.layout.n_streams for c in columns)
-    assert {(c["apply"] - c["head"], c["check"] - c["head"]) for c in columns} == {(35, 79)}
+    assert {(c["apply"] - c["head"], c["check"] - c["head"]) for c in columns} == {(19, 79)}
 
 
 def test_forward_shapes_and_finite(lm):
@@ -671,6 +674,82 @@ def test_greedy_pick_argmax_scale_invariance():
         a = sl.greedy_pick(row, allowed)
         b = sl.greedy_pick(row * 3.7, allowed)
         assert a == b
+
+
+def test_greedy_pick_slices_a_range_as_the_id_array_indexes_it():
+    """A range of consecutive ids picks by slicing the row and an id array
+    by indexing it: the same id, the first on planted ties, for ranges from
+    0 (as decoding passes) and from later ids."""
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        row = rng.integers(-3, 3, size=66).astype(np.float32)   # many ties
+        top = row.max()
+        tied = rng.choice(66, size=int(rng.integers(2, 6)), replace=False)
+        row[tied] = top + 1.0
+        start, stop = sorted(int(i) for i in rng.choice(67, size=2, replace=False))
+        ids = range(0 if rng.random() < 0.5 else start, stop)
+        got = sl.greedy_pick(row, ids)
+        want = sl.greedy_pick(row, np.arange(ids.start, ids.stop))
+        assert got == want and type(got) is int
+        assert got == ids.start + int(np.argmax(row[ids.start:ids.stop]))
+    row = np.zeros(66, dtype=np.float32)
+    row[[5, 9]] = 1.0
+    assert sl.greedy_pick(row, range(65)) == sl.greedy_pick(row, np.arange(65)) == 5
+    assert sl.greedy_pick(row, range(9, 0, -4)) == 9     # not consecutive: indexed
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
+def test_decode_logits_equal_the_public_op_cached_route_bit_for_bit(lm_cfg, mode):
+    """Decoding with the cached path's own kernels over transposed keys
+    computes every trunk output (the prefill's included) and every head's
+    logits with the bits of the cached route through the public rope_apply,
+    transpose, matmul and softmax (`harness.cached_attend`), for three LMs
+    and prefixes; so it picks the same tokens."""
+    cfg = lm_cfg
+    for seed, rows, stops in ((11, 9, False), (5, 24, False), (23, 17, True)):
+        params = sl.init_lm(cfg, seed)
+        if stops:
+            params = _stopping_params(params, cfg)
+        rng = np.random.default_rng(seed)
+        sem = nm.constant(rng.normal(size=(rows, cfg.dim)).astype(np.float32))
+        spk = nm.constant(rng.normal(size=(1, cfg.dim)).astype(np.float32))
+        runs = []
+        for reference in (False, True):
+            seen, ropes = [], Counter()
+            real_trunk, real_head, real_rope = nn.trunk, sl._head, nm.rope_apply
+
+            def trunk(*args, **kwargs):
+                out = real_trunk(*args, **kwargs)
+                seen.append(("trunk", out.data.copy()))
+                return out
+
+            def head(params, s, h):
+                out = real_head(params, s, h)
+                seen.append((s, out.data.copy()))
+                return out
+
+            def rope(*args):
+                ropes["calls"] += 1
+                return real_rope(*args)
+
+            with pytest.MonkeyPatch.context() as m:
+                if reference:
+                    parent.use_cached_reference(m)
+                m.setattr(nn, "trunk", trunk)
+                m.setattr(sl, "_head", head)
+                m.setattr(nm, "rope_apply", rope)
+                res = sl.generate(params, cfg, sem, spk, max_steps=40, tail=8, mode=mode,
+                                  temperature=0.8, top_k=5, rng=np.random.default_rng(seed))
+            runs.append((res, seen, ropes["calls"]))
+        (res, seen, ropes), (want_res, want, want_ropes) = runs
+        assert ropes == 0 and want_ropes == cfg.blocks * res.steps
+        assert np.array_equal(res.grid.tokens, want_res.grid.tokens)
+        assert (res.steps, res.truncated) == (want_res.steps, want_res.truncated)
+        assert [k for k, _ in seen] == [k for k, _ in want]
+        assert seen[0][1].shape == (1, rows + 1, cfg.dim)      # the prefill
+        assert len(seen) > 2 * res.steps
+        for (_, got), (_, ref) in zip(seen, want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_grid_dump_parse_round_trip():
