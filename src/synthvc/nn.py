@@ -21,7 +21,6 @@ training.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -40,9 +39,13 @@ def init_linear(params: dict, rng: np.random.Generator, name: str,
     params[f"{name}.b"] = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
 
 
+def _affine_pair(params: dict, name: str) -> tuple[Tensor, Tensor]:
+    return params[f"{name}.w"], params[f"{name}.b"]
+
+
 def linear(params: dict, name: str, x: Tensor) -> Tensor:
     """x @ {name}.w + {name}.b over x's last axis, as one taped `nm.affine`."""
-    return nm.affine(x, params[f"{name}.w"], params[f"{name}.b"])
+    return nm.affine(x, *_affine_pair(params, name))
 
 
 def init_block(params: dict, rng: np.random.Generator, name: str,
@@ -72,51 +75,34 @@ def causal_mask(n: int) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=None)
-def _block_params(name: str) -> tuple[itemgetter, itemgetter]:
-    """Getters of block `name`'s 14 parameters, built once per block name:
-    the attention half's (norm1, then q, k, v and o weight and bias) and the
-    MLP half's (norm2, then up and down weight and bias)."""
-    def pairs(*maps):
-        return [f"{name}.{m}.{wb}" for m in maps for wb in "wb"]
-    return (itemgetter(f"{name}.norm1", *pairs("q", "k", "v", "o")),
-            itemgetter(f"{name}.norm2", *pairs("up", "down")))
-
-
 def attention(params: dict, name: str, x: Tensor, positions: np.ndarray,
               heads: int, mask: np.ndarray | None,
-              cache: nm.BlockCache | None = None,
-              rope: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+              cache: nm.BlockCache | None = None) -> Tensor:
     """The block's attention half, x plus the self-attention of x's t
     rms-normed positions at `positions`, as one taped
     `nm.attention_residual`. With a cache they attend over the cached
-    positions too, so `mask` is (t, cached + t) or None, and `rope` may hold
-    their `nm.rope_pair_tables`."""
-    norm1, qw, qb, kw, kb, vw, vb, ow, ob = _block_params(name)[0](params)
-    return nm.attention_residual(x, norm1, (qw, qb), (kw, kb), (vw, vb), (ow, ob),
-                                 positions, heads, mask, cache, rope)
+    positions too, so `mask` is (t, cached + t) or None."""
+    return nm.attention_residual(
+        x, params[f"{name}.norm1"], _affine_pair(params, f"{name}.q"),
+        _affine_pair(params, f"{name}.k"), _affine_pair(params, f"{name}.v"),
+        _affine_pair(params, f"{name}.o"), positions, heads, mask, cache)
 
 
 def block(params: dict, name: str, x: Tensor, positions: np.ndarray,
-          heads: int, mask: np.ndarray | None, cache: nm.BlockCache | None = None,
-          rope: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+          heads: int, mask: np.ndarray | None, cache: nm.BlockCache | None = None) -> Tensor:
     """A pre-norm transformer block, two taped ops: the attention half, then
     the MLP half h + down(silu(up(rms_norm(h)))) as one `nm.mlp_residual`."""
-    h = attention(params, name, x, positions, heads, mask, cache, rope)
-    norm2, uw, ub, dw, db = _block_params(name)[1](params)
-    return nm.mlp_residual(h, norm2, (uw, ub), (dw, db))
+    h = attention(params, name, x, positions, heads, mask, cache)
+    return nm.mlp_residual(h, params[f"{name}.norm2"], _affine_pair(params, f"{name}.up"),
+                           _affine_pair(params, f"{name}.down"))
 
 
 def trunk(params: dict, prefix: str, x: Tensor, positions: np.ndarray,
           heads: int, n_blocks: int, mask: np.ndarray | None,
           cache: list[nm.BlockCache] | None = None) -> Tensor:
-    # every block rotates at the same positions, so a decode's cached path
-    # looks its RoPE tables up once here, not once a block
-    rope = None if cache is None else nm.rope_pair_tables(positions, x.shape[-1] // heads,
-                                                          x.dtype)
     for i in range(n_blocks):
         x = block(params, f"{prefix}.blk{i}", x, positions, heads, mask,
-                  None if cache is None else cache[i], rope)
+                  None if cache is None else cache[i])
     return nm.rms_norm(x, params[f"{prefix}.final_norm"])
 
 

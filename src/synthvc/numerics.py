@@ -39,18 +39,17 @@ one pass, as any op's does: the tape asks each node once.
   to a decode-time key/value cache.
 - `mlp_residual` is the MLP half, h + down(silu(up(rms_norm(h, norm2)))):
   rms_norm -> affine -> silu -> affine -> add.
-rms_norm, affine, silu and softmax are each written once, as private
-kernels that the public op and the fused ops call; attend is only a kernel,
-`_attend_fwd`. Its uncached path (training, the frozen encoders) routes
-through the public rope_apply, transpose, matmul and softmax only so that
-the benchmark's per-op spans still see them. Its cached path (a decode's
-prefill and every column) calls their kernels instead, with RoPE in an
-interleaved form of the same bits (`rope_pair_tables`, `_rope_pairs`), and
-keeps a `BlockCache`'s keys transposed, (B * heads, dh, capacity), so the
-scores multiply a view of the cache rather than a copy of every cached
-key. A fused op checks every intermediate as the op that made it in the
-chain would, attend its masked scores, and either path of attend the four
-arrays those public ops check, so no computed intermediate goes unchecked.
+rms_norm, affine, silu, softmax and rope_apply are each written once, as
+private kernels that the public op and the fused ops call; attend is only a
+kernel, `_attend_fwd`. Its uncached path (training, the frozen encoders)
+routes through the public rope_apply, transpose, matmul and softmax only so
+that the benchmark's per-op spans still see them. Its cached path (a
+decode's prefill and every column) calls their kernels instead, and keeps a
+`BlockCache`'s keys transposed, (B * heads, dh, capacity), so the scores
+multiply a view of the cache rather than a copy of every cached key. A
+fused op checks every intermediate as the op that made it in the chain
+would, attend its masked scores, and either path of attend the four arrays
+those public ops check, so no computed intermediate goes unchecked.
 
 A tape is single-threaded: activate it with `with tape:` around the forward
 pass, call `tape.backward(loss, params)` afterwards for the gradients of the
@@ -496,34 +495,19 @@ def _rope_tables_of(pos_bytes: bytes, d: int, dtype: np.dtype,
     return tables
 
 
-def rope_pair_tables(positions, d: int, dtype) -> tuple[Array, Array]:
-    """The interleaved rotary tables of the cached attention path, [cos, cos]
-    and [-sin, sin] for each of the d / 2 (even, odd) pairs of each position,
-    shaped (N, 1, d / 2, 2) to broadcast over an (..., N, heads, d) array's
-    pairs. They hold `_rope_tables`' values, negation being exact. Read-only
-    arrays, shared as those are."""
-    pos = np.asarray(positions, dtype=np.float64)
-    return _rope_pair_tables_of(pos.tobytes(), d, np.dtype(dtype))
-
-
-@lru_cache(maxsize=64)
-def _rope_pair_tables_of(pos_bytes: bytes, d: int, dtype: np.dtype) -> tuple[Array, Array]:
-    cos, sin = _rope_tables_of(pos_bytes, d, dtype, 3)
-    tables = (np.stack([cos, cos], axis=-1), np.stack([-sin, sin], axis=-1))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _rope_pairs(x: Array, cos2: Array, sin2: Array) -> Array:
-    """x rotated with `rope_pair_tables`: each (xe, xo) pair times [cos, cos]
-    plus the swapped pair (xo, xe) times [-sin, sin]. These are rope_apply's
-    IEEE operations on the same operands: xe * cos + xo * -sin is
-    xe * cos - xo * sin, and xo * cos + xe * sin is the same sum swapped."""
-    pairs = x.reshape(x.shape[:-1] + (-1, 2))
-    out = pairs * cos2
-    out += pairs[..., ::-1] * sin2
-    return out.reshape(x.shape)
+def _rope_fwd(arr: Array, cos: Array, sin: Array) -> Array:
+    """arr's (even, odd) pairs rotated by `_rope_tables`' cos and sin, in a
+    new array."""
+    xe, xo = arr[..., 0::2], arr[..., 1::2]
+    out = np.empty_like(arr)
+    even, odd = out[..., 0::2], out[..., 1::2]
+    t = xo * sin
+    np.multiply(xe, cos, out=even)
+    even -= t            # xe * cos - xo * sin
+    np.multiply(xo, cos, out=t)
+    np.multiply(xe, sin, out=odd)
+    odd += t             # xe * sin + xo * cos
+    return out
 
 
 def _rope_vjp(g: Array, cos: Array, sin: Array) -> Array:
@@ -548,15 +532,7 @@ def rope_apply(x: Tensor, positions) -> Tensor:
         raise ShapeError(f"rope_apply: positions length {np.shape(positions)} does not match "
                          f"axis 0 of {arr.shape}")
     cos, sin = _rope_tables(positions, d, arr.dtype, arr.ndim)
-    xe, xo = arr[..., 0::2], arr[..., 1::2]
-    out = np.empty_like(arr)
-    even, odd = out[..., 0::2], out[..., 1::2]
-    t = xo * sin
-    np.multiply(xe, cos, out=even)
-    even -= t            # xe * cos - xo * sin
-    np.multiply(xo, cos, out=t)
-    np.multiply(xe, sin, out=odd)
-    odd += t             # xe * sin + xo * cos
+    out = _rope_fwd(arr, cos, sin)
     return _apply("rope_apply", (x,), out, lambda g: (_rope_vjp(g, cos, sin),))
 
 
@@ -596,8 +572,7 @@ def _merge_heads(x: Array, b: int, t: int, heads: int, dh: int) -> Array:
 
 
 def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
-                cache: BlockCache | None, taped: bool,
-                rope: tuple[Array, Array] | None = None) -> tuple[Array, Callable]:
+                cache: BlockCache | None, taped: bool) -> tuple[Array, Callable]:
     """Multi-head self-attention of (B, t, D) projections at `positions`:
     the context, and back(g, need_q, need_k, need_v), the three input
     gradients (None where not needed).
@@ -615,13 +590,12 @@ def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
     matmul and softmax on untaped inputs, only so that the benchmark's spans
     of those ops still see them; the rest is plain numpy. With a cache (a
     decode's prefill and every column) it calls the kernels those ops share
-    and checks what they check: RoPE by `rope_pair_tables(positions, dh,
-    dtype)`, given as `rope` by a caller that runs several blocks at the
-    same positions, the rotated keys written once into the cache's
-    transposed buffer, and the scores multiplied by a view of it. Either way
-    forward and back make the same IEEE operations, in the same order, as
-    the rope -> split -> matmul -> scale -> add -> softmax -> matmul -> merge
-    chain they stand for, so results are bit-identical to that chain.
+    and checks what they check, writes the rotated keys once into the
+    cache's transposed buffer, and multiplies the queries by a view of it.
+    Either way forward and back make the same IEEE operations, in the same
+    order, as the rope -> split -> matmul -> scale -> add -> softmax ->
+    matmul -> merge chain they stand for, so results are bit-identical to
+    that chain.
     """
     shape, dtype = q.shape, q.dtype
     if (len(shape) != 3 or k.shape != shape or v.shape != shape
@@ -633,6 +607,9 @@ def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
     if cache is not None:
         if taped:
             raise NumericsError("attend: no gradient flows through a key/value cache")
+        if np.shape(positions) != (t,):
+            raise ShapeError(f"attend: positions length {np.shape(positions)} does not "
+                             f"match {t} cached rows")
         start, stop = cache.length, cache.length + t
         if (dtype != cache.k.dtype or cache.k.shape[:2] != (b * heads, dh)
                 or stop > cache.k.shape[2]):
@@ -643,8 +620,8 @@ def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
     if mask is not None and np.shape(mask) != (t, n_keys):
         raise ShapeError(f"attend: mask {np.shape(mask)} is not ({t}, {n_keys})")
 
-    tiled = positions if b == 1 else np.tile(positions, b)
     if cache is None:
+        tiled = positions if b == 1 else np.tile(positions, b)
         qk = np.concatenate([q, k], axis=-1).reshape(b * t, 2 * heads, dh)
         qk = rope_apply(_wrap(qk), tiled).data
         q_h = _split_heads(qk[:, :heads], b, t, heads, dh)
@@ -653,9 +630,9 @@ def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
         kt = transpose(_wrap(k_h), (0, 2, 1)).data
         raw = matmul(_wrap(q_h), _wrap(kt)).data
     else:
-        cos2, sin2 = rope_pair_tables(positions, dh, dtype) if rope is None else rope
-        qk = _rope_pairs(np.concatenate([q, k], axis=-1).reshape(b, t, 2 * heads, dh),
-                         cos2, sin2)
+        cos, sin = _rope_tables(positions, dh, dtype, 3)   # broadcast over B
+        qk = _rope_fwd(np.concatenate([q, k], axis=-1).reshape(b, t, 2 * heads, dh),
+                       cos, sin)
         _finite_or_raise(qk, "rope_apply")
         q_h = _split_heads(qk[:, :, :heads], b, t, heads, dh)
         keys = cache.k.reshape(b, heads, dh, -1)[..., start:stop]
@@ -679,6 +656,7 @@ def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
     out = _merge_heads(np.matmul(probs, v_h), b, t, heads, dh)
 
     def back(g: Array, need_q: bool, need_k: bool, need_v: bool) -> tuple:
+        # only the uncached path is ever taped
         g_q = g_k = g_v = None
         cos, sin = _rope_tables(tiled, dh, dtype, 3)
         g_ctx = _split_heads(g, b, t, heads, dh)
@@ -708,12 +686,11 @@ def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
 def attention_residual(x: Tensor, norm1: Tensor, q: tuple[Tensor, Tensor],
                        k: tuple[Tensor, Tensor], v: tuple[Tensor, Tensor],
                        o: tuple[Tensor, Tensor], positions, heads: int, mask,
-                       cache: BlockCache | None,
-                       rope: tuple[Array, Array] | None = None) -> Tensor:
+                       cache: BlockCache | None) -> Tensor:
     """x + o(attend(q(n), k(n), v(n), ...)) with n = rms_norm(x, norm1), where
     q, k, v and o are the (weight, bias) pairs of four affine maps: one taped
     node, the attention half of a pre-norm transformer block. `positions`,
-    `heads`, `mask`, `cache` and `rope` are attend's (`_attend_fwd`).
+    `heads`, `mask` and `cache` are attend's.
 
     Every intermediate is checked as the op that made it in the chain would
     check it. Gradients are grouped as the tape groups the chain's: n gets
@@ -733,7 +710,7 @@ def attention_residual(x: Tensor, norm1: Tensor, q: tuple[Tensor, Tensor],
     n_rg = x.requires_grad or norm1.requires_grad
     need = [n_rg or w.requires_grad or b.requires_grad for w, b in projections]
     ctx, back = _attend_fwd(*qkv, positions, heads, mask, cache,
-                            _ACTIVE is not None and any(need), rope)
+                            _ACTIVE is not None and any(need))
     _finite_or_raise(ctx, "attention_residual")
     a, ctx_flat = _affine_fwd(ctx, o[0].data, o[1].data)
     _finite_or_raise(a, "attention_residual")

@@ -299,18 +299,13 @@ class GenerationResult:
     steps: int
 
 
-def greedy_pick(logits_row: np.ndarray, allowed: np.ndarray | range) -> int:
-    """Argmax over an allowed id subset, the first in `allowed` on ties;
-    invariant to positive scaling. A range of consecutive ids slices the row
-    where an id array indexes it: the same values in the same order."""
-    if isinstance(allowed, range) and allowed.step == 1:
-        return allowed.start + int(np.argmax(logits_row[allowed.start:allowed.stop]))
+def greedy_pick(logits_row: np.ndarray, allowed: np.ndarray) -> int:
+    """Argmax over an allowed id subset; invariant to positive scaling."""
     return int(allowed[np.argmax(logits_row[allowed])])
 
 
-def sample_pick(logits_row: np.ndarray, allowed: np.ndarray | range, temperature: float,
+def sample_pick(logits_row: np.ndarray, allowed: np.ndarray, temperature: float,
                 top_k: int, rng: np.random.Generator) -> int:
-    allowed = np.asarray(allowed)
     vals = logits_row[allowed].astype(np.float64) / temperature
     if top_k > 0 and top_k < len(vals):
         keep = np.argsort(-vals)[:top_k]
@@ -360,11 +355,8 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
             raise ConfigError(f"generate: top_k must be 0 (off) or more, got {top_k}")
 
     stop, pad, bos = layout.stop_ids, layout.pad_ids, layout.bos_ids
-    # content ids, then also the stop: a range where that is consecutive ids
-    # from 0 (an acoustic stream's stop is its PAD, just past its codes)
-    first = [range(c) for c in layout.content_ids]
-    later = [range(c + 1) if x == c else np.append(np.arange(c), x)
-             for c, x in zip(layout.content_ids, stop)]
+    first = [np.arange(c) for c in layout.content_ids]
+    later = [np.append(ids, x) for ids, x in zip(first, stop)]
     streams = range(layout.n_streams)
 
     p = 1 + sem.shape[0]

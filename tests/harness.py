@@ -109,9 +109,9 @@ class KeyRowCache:
 _ATTEND_KERNEL = nm._attend_fwd
 
 
-def cached_attend(q, k, v, positions, heads: int, mask, cache, taped: bool, rope=None):
+def cached_attend(q, k, v, positions, heads: int, mask, cache, taped: bool):
     """`numerics._attend_fwd` with the cached path it had before it called
-    attention's kernels directly, over a `KeyRowCache`; `rope` is ignored.
+    attention's kernels directly, over a `KeyRowCache`.
     Uncached calls go to the kernel. A cached call has no backward."""
     if cache is None:
         return _ATTEND_KERNEL(q, k, v, positions, heads, mask, cache, taped)

@@ -805,6 +805,11 @@ def test_attend_cache_rejects_misfits_and_taped_inputs():
             attend(t(arr), t(arr), t(arr), np.arange(arr.shape[1]), heads, None, cache)
         assert cache.k.shape == (heads, dh, 4)
         assert cache.length == length and not cache.k.any() and not cache.v.any()
+    for positions in (np.arange(1), np.arange(3)):   # not one position per row
+        cache = nm.BlockCache(heads, 4, dh)
+        with pytest.raises(ShapeError, match="positions"):
+            attend(t(x), t(x), t(x), positions, heads, None, cache)
+        assert cache.length == 0 and not cache.k.any() and not cache.v.any()
     cache = nm.BlockCache(heads, 4, dh)
     with nm.Tape(), pytest.raises(NumericsError, match="no gradient"):
         attend(t(x), t(x, rg=True), t(x), np.arange(2), heads, None, cache)
@@ -1147,25 +1152,24 @@ def test_rope_bitwise_equals_formula(shape, dtype):
 
 @pytest.mark.parametrize("positions", [[0], [37], np.arange(25), np.arange(3, 9)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_rope_pairs_bitwise_equal_the_formula_signed_zeros_included(positions, dtype):
-    """The cached path's interleaved RoPE, at a decode column's width 1 and
-    at a prefill's width, over (B, t, 2 * heads, dh) stacked q and k heads,
-    equals the strided formula bit for bit; zero inputs and position 0's
-    zero sines make signed zeros, which must come out the same."""
+def test_cached_rope_broadcast_over_the_batch_equals_the_formula_signed_zeros_included(
+        positions, dtype):
+    """The cached path's RoPE, at a decode column's width 1 and at a
+    prefill's width, rotates (B, t, 2 * heads, dh) stacked q and k heads with
+    (t, 1, dh / 2) tables broadcast over B rather than tiled positions; it
+    equals the formula bit for bit. Zero inputs and position 0's zero sines
+    make signed zeros, which must come out the same."""
     rng = np.random.default_rng(len(positions))
     b, heads, dh = 2, 4, 16
     x = rng.normal(size=(b, len(positions), 2 * heads, dh)).astype(dtype)
     x[..., ::3] = 0.0
     x[..., 1::5] = -0.0
-    cos2, sin2 = nm.rope_pair_tables(positions, dh, dtype)
-    assert cos2.shape == sin2.shape == (len(positions), 1, dh // 2, 2)
-    assert not cos2.flags.writeable and not sin2.flags.writeable
-    got = nm._rope_pairs(x, cos2, sin2)
+    cos, sin = nm._rope_tables(positions, dh, dtype, 3)
+    got = nm._rope_fwd(x, cos, sin)
     flat = x.reshape(-1, 2 * heads, dh)
     want, _ = _rope_formula(flat, np.tile(positions, b), flat)
     assert _same_bits(got, want.reshape(x.shape))
     assert np.signbit(got[got == 0]).any() and not np.signbit(got[got == 0]).all()
-    assert nm.rope_pair_tables(np.asarray(positions), dh, dtype)[0] is cos2
 
 
 def test_rope_tables_are_cached_read_only_and_equal_a_fresh_build():

@@ -676,28 +676,6 @@ def test_greedy_pick_argmax_scale_invariance():
         assert a == b
 
 
-def test_greedy_pick_slices_a_range_as_the_id_array_indexes_it():
-    """A range of consecutive ids picks by slicing the row and an id array
-    by indexing it: the same id, the first on planted ties, for ranges from
-    0 (as decoding passes) and from later ids."""
-    rng = np.random.default_rng(43)
-    for _ in range(200):
-        row = rng.integers(-3, 3, size=66).astype(np.float32)   # many ties
-        top = row.max()
-        tied = rng.choice(66, size=int(rng.integers(2, 6)), replace=False)
-        row[tied] = top + 1.0
-        start, stop = sorted(int(i) for i in rng.choice(67, size=2, replace=False))
-        ids = range(0 if rng.random() < 0.5 else start, stop)
-        got = sl.greedy_pick(row, ids)
-        want = sl.greedy_pick(row, np.arange(ids.start, ids.stop))
-        assert got == want and type(got) is int
-        assert got == ids.start + int(np.argmax(row[ids.start:ids.stop]))
-    row = np.zeros(66, dtype=np.float32)
-    row[[5, 9]] = 1.0
-    assert sl.greedy_pick(row, range(65)) == sl.greedy_pick(row, np.arange(65)) == 5
-    assert sl.greedy_pick(row, range(9, 0, -4)) == 9     # not consecutive: indexed
-
-
 @pytest.mark.parametrize("mode", ["greedy", "sample"])
 def test_decode_logits_equal_the_public_op_cached_route_bit_for_bit(lm_cfg, mode):
     """Decoding with the cached path's own kernels over transposed keys
