@@ -9,13 +9,13 @@ A block is two taped ops, each the fused form of a chain of public ops that
   is one `nm.attention_residual`;
 - the MLP half, h + down(silu(up(rms_norm(h, norm2)))), is one
   `nm.mlp_residual`.
-Training, the frozen encoders and decoding all run these two ops.
+Training and the frozen encoders run these two ops.
 
-For incremental decoding, `trunk` takes an optional `cache`, one
-`nm.BlockCache` per block: each block's attention half then appends its new
-keys and values to preallocated buffers and attends over every position
-cached so far. With no cache the ops are those of a plain causal pass, as in
-training.
+Incremental decoding runs the same two kernels on plain arrays, untaped:
+`trunk_arrays` gathers a trunk's weight arrays once per decode, and
+`decode_trunk` runs them over the new positions, each block's attention
+half appending its keys and values to that block's `nm.BlockCache` and
+attending over every position cached so far.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ def init_linear(params: dict, rng: np.random.Generator, name: str,
 
 def _affine_pair(params: dict, name: str) -> tuple[Tensor, Tensor]:
     return params[f"{name}.w"], params[f"{name}.b"]
+
+
+def affine_arrays(params: dict, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (weight, bias) arrays of the affine map `name`."""
+    return params[f"{name}.w"].data, params[f"{name}.b"].data
 
 
 def linear(params: dict, name: str, x: Tensor) -> Tensor:
@@ -76,34 +81,64 @@ def causal_mask(n: int) -> np.ndarray:
 
 
 def attention(params: dict, name: str, x: Tensor, positions: np.ndarray,
-              heads: int, mask: np.ndarray | None,
-              cache: nm.BlockCache | None = None) -> Tensor:
+              heads: int, mask: np.ndarray | None) -> Tensor:
     """The block's attention half, x plus the self-attention of x's t
     rms-normed positions at `positions`, as one taped
-    `nm.attention_residual`. With a cache they attend over the cached
-    positions too, so `mask` is (t, cached + t) or None."""
+    `nm.attention_residual`."""
     return nm.attention_residual(
         x, params[f"{name}.norm1"], _affine_pair(params, f"{name}.q"),
         _affine_pair(params, f"{name}.k"), _affine_pair(params, f"{name}.v"),
-        _affine_pair(params, f"{name}.o"), positions, heads, mask, cache)
+        _affine_pair(params, f"{name}.o"), positions, heads, mask)
 
 
 def block(params: dict, name: str, x: Tensor, positions: np.ndarray,
-          heads: int, mask: np.ndarray | None, cache: nm.BlockCache | None = None) -> Tensor:
+          heads: int, mask: np.ndarray | None) -> Tensor:
     """A pre-norm transformer block, two taped ops: the attention half, then
     the MLP half h + down(silu(up(rms_norm(h)))) as one `nm.mlp_residual`."""
-    h = attention(params, name, x, positions, heads, mask, cache)
+    h = attention(params, name, x, positions, heads, mask)
     return nm.mlp_residual(h, params[f"{name}.norm2"], _affine_pair(params, f"{name}.up"),
                            _affine_pair(params, f"{name}.down"))
 
 
 def trunk(params: dict, prefix: str, x: Tensor, positions: np.ndarray,
-          heads: int, n_blocks: int, mask: np.ndarray | None,
-          cache: list[nm.BlockCache] | None = None) -> Tensor:
+          heads: int, n_blocks: int, mask: np.ndarray | None) -> Tensor:
     for i in range(n_blocks):
-        x = block(params, f"{prefix}.blk{i}", x, positions, heads, mask,
-                  None if cache is None else cache[i])
+        x = block(params, f"{prefix}.blk{i}", x, positions, heads, mask)
     return nm.rms_norm(x, params[f"{prefix}.final_norm"])
+
+
+def trunk_arrays(params: dict, prefix: str, n_blocks: int) -> tuple[list[tuple], np.ndarray]:
+    """The weight arrays `decode_trunk` runs: per block its 14, as norm1,
+    the q, k, v and o (weight, bias) pairs, norm2 and the up and down pairs;
+    then the final norm's gain."""
+    blocks = []
+    for i in range(n_blocks):
+        name = f"{prefix}.blk{i}"
+        blocks.append((params[f"{name}.norm1"].data,
+                       *(affine_arrays(params, f"{name}.{m}") for m in ("q", "k", "v", "o")),
+                       params[f"{name}.norm2"].data,
+                       affine_arrays(params, f"{name}.up"), affine_arrays(params, f"{name}.down")))
+    return blocks, params[f"{prefix}.final_norm"].data
+
+
+def decode_trunk(arrays: tuple[list[tuple], np.ndarray], x: np.ndarray,
+                 positions: np.ndarray, heads: int, mask: np.ndarray | None,
+                 caches: list[nm.BlockCache]) -> np.ndarray:
+    """`trunk` for a decode, on plain arrays and untaped: `trunk_arrays`'
+    weights over x (1, t, D) at t new `positions`, whose RoPE tables are
+    looked up once for every block. Each block's attention half appends its
+    keys and values to its cache and attends over every cached position, so
+    `mask` is (t, cached + t) or None. Every array is checked as `trunk`
+    checks it, and the result has its bits."""
+    blocks, final_norm = arrays
+    cos, sin = nm._rope_tables(positions, x.shape[-1] // heads, x.dtype, 3)
+    for (norm1, q, k, v, o, norm2, up, down), cache in zip(blocks, caches):
+        x, _ = nm._attention_residual_fwd(x, norm1, q, k, v, o, nm._attend_cached_fwd,
+                                          cos, sin, heads, mask, cache)
+        x, _ = nm._mlp_residual_fwd(x, norm2, up, down)
+    out, _ = nm._rms_norm_fwd(x, final_norm)
+    nm._finite_or_raise(out, "rms_norm")
+    return out
 
 
 def init_trunk(params: dict, rng: np.random.Generator, prefix: str,

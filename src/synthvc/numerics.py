@@ -34,22 +34,30 @@ one pass, as any op's does: the tape asks each node once.
   -> reshape.
 - `attention_residual` is the attention half of a pre-norm transformer
   block, x + o(attend(q(n), k(n), v(n))) with n = rms_norm(x, norm1):
-  rms_norm -> three affines -> attend -> affine -> add. attend is
-  multi-head self-attention between the projections, including the append
-  to a decode-time key/value cache.
+  rms_norm -> three affines -> attend -> affine -> add, where attend is
+  multi-head self-attention between the projections.
 - `mlp_residual` is the MLP half, h + down(silu(up(rms_norm(h, norm2)))):
   rms_norm -> affine -> silu -> affine -> add.
 rms_norm, affine, silu, softmax and rope_apply are each written once, as
-private kernels that the public op and the fused ops call; attend is only a
-kernel, `_attend_fwd`. Its uncached path (training, the frozen encoders)
-routes through the public rope_apply, transpose, matmul and softmax only so
-that the benchmark's per-op spans still see them. Its cached path (a
-decode's prefill and every column) calls their kernels instead, and keeps a
-`BlockCache`'s keys transposed, (B * heads, dh, capacity), so the scores
-multiply a view of the cache rather than a copy of every cached key. A
-fused op checks every intermediate as the op that made it in the chain
-would, attend its masked scores, and either path of attend the four arrays
-those public ops check, so no computed intermediate goes unchecked.
+private kernels that the public op and the fused ops call, and each block
+half's forward is written once, as an untaped kernel on plain arrays
+(`_attention_residual_fwd`, `_mlp_residual_fwd`) that checks every
+intermediate as the op that made it in the chain would, and its output.
+The two fused ops wrap those kernels and build their VJPs from what they
+return. attend is only a kernel, and has two:
+- `_attend_fwd`, the tapeable one (training, the frozen encoders), routes
+  through the public rope_apply, transpose, matmul and softmax only so that
+  the benchmark's per-op spans still see them;
+- `_attend_cached_fwd`, a decode's (its prefill and every column), has no
+  backward. It takes the RoPE tables of the new positions, looked up once
+  for every block, appends the rotated keys and the values to a
+  `BlockCache`, whose keys lie transposed, (B * heads, dh, capacity), so
+  the scores multiply a view of the cache rather than a copy of every
+  cached key, and calls those four ops' kernels instead.
+Both check the masked scores and the four arrays those public ops check,
+so no computed intermediate goes unchecked. A decode (`nn.decode_trunk`)
+calls the block kernels with `_attend_cached_fwd` on plain arrays: it
+makes no Tensor and meets no tape.
 
 A tape is single-threaded: activate it with `with tape:` around the forward
 pass, call `tape.backward(loss, params)` afterwards for the gradients of the
@@ -222,10 +230,18 @@ class Tape:
 
 def _apply(op: str, parents: Sequence[Tensor], out_arr: Array,
            vjp: Callable[[Array], Sequence]) -> Tensor:
-    """out_arr, checked finite, as a tensor that requires a gradient when a
-    parent does; the active tape, if any, records it with vjp only then. So
-    a single-parent op's VJP runs only when that parent needs a gradient."""
+    """out_arr, checked finite, as `_record` returns it."""
     _finite_or_raise(out_arr, op)
+    return _record(op, parents, out_arr, vjp)
+
+
+def _record(op: str, parents: Sequence[Tensor], out_arr: Array,
+            vjp: Callable[[Array], Sequence]) -> Tensor:
+    """out_arr, already checked finite, as a tensor that requires a gradient
+    when a parent does; the active tape, if any, records it with vjp only
+    then. So a single-parent op's VJP runs only when that parent needs a
+    gradient. The fused ops call it directly: their kernels check their
+    outputs."""
     req = False
     for p in parents:   # cheaper than any() over a generator, per op call
         if p.requires_grad:
@@ -425,21 +441,23 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def _rms_norm_fwd(arr: Array, gn: Array) -> tuple[Array, Array]:
-    """arr / rms(arr) * gn over the last axis, and the per-row 1 / rms."""
+    """arr / rms(arr) * gn over the last axis, and the per-row 1 / rms: an
+    array with a last axis of 1, or for a single row a scalar of arr's dtype."""
     d = arr.shape[-1]
     if gn.shape != (d,):
         raise ShapeError(f"rms_norm: gain shape {gn.shape} does not match last axis {d}")
     ms = np.add.reduce(np.square(arr, dtype=np.float64), axis=-1, keepdims=True)
     if ms.size == 1:
         # one row, as in a decode column: the same four IEEE double
-        # operations on a Python float cost less than four numpy calls
-        ms.fill(1.0 / math.sqrt(ms.item() / d + RMS_NORM_EPS))
+        # operations on a Python float, rounded once to arr's dtype, cost
+        # less than four numpy calls and a cast
+        inv = arr.dtype.type(1.0 / math.sqrt(ms.item() / d + RMS_NORM_EPS))
     else:
         ms /= d     # the mean, as np.mean forms it
         ms += RMS_NORM_EPS
         np.sqrt(ms, out=ms)
         np.divide(1.0, ms, out=ms)
-    inv = ms.astype(arr.dtype)
+        inv = ms.astype(arr.dtype)
     out = arr * inv
     out *= gn
     return out, inv
@@ -449,7 +467,8 @@ def _rms_norm_vjp_x(g: Array, arr: Array, gn: Array, inv: Array) -> Array:
     gp = g * gn
     t = gp * arr
     dot = t.sum(axis=-1, keepdims=True)
-    np.multiply(arr, inv ** 3, out=t)
+    # np.power, as ** on an array calls it: ** on a one-row scalar inv rounds differently
+    np.multiply(arr, np.power(inv, 3), out=t)
     t *= dot / arr.shape[-1]
     gp *= inv
     gp -= t
@@ -545,8 +564,8 @@ class BlockCache:
     already rotated (RoPE positions are absolute, so cached keys stay valid),
     in preallocated buffers: the keys transposed, (B * heads, dh, capacity),
     so the scores read a view of them; the values (B * heads, capacity, dh).
-    `attention_residual` appends to them. Decode only: nothing cached
-    carries a gradient."""
+    `_attend_cached_fwd` appends to them. A decode's arrays fill it, so
+    nothing cached carries a gradient."""
 
     def __init__(self, rows: int, capacity: int, dh: int):
         self.k = np.zeros((rows, dh, capacity), dtype=STORAGE_DTYPE)
@@ -571,92 +590,63 @@ def _merge_heads(x: Array, b: int, t: int, heads: int, dh: int) -> Array:
                                 ).reshape(b, t, heads * dh)
 
 
-def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
-                cache: BlockCache | None, taped: bool) -> tuple[Array, Callable]:
-    """Multi-head self-attention of (B, t, D) projections at `positions`:
-    the context, and back(g, need_q, need_k, need_v), the three input
-    gradients (None where not needed).
-
-    Rotary on q and k, a split into `heads` heads of width dh = D / heads,
-    softmax(q k^T / sqrt(dh) + mask) v, and the heads merged back to (B, t, D).
-    With a `cache` the rotated keys and values are first appended to its
-    buffers and the t queries attend over every cached position, so `mask`
-    is (t, cached + t) or None. No gradient flows through a cache, so one is
-    refused when `taped`, that is when a tape records an input that needs
-    one.
-
-    Without a cache (training and the frozen encoders) the forward calls the
-    public rope_apply (once, over the stacked q and k heads), transpose,
-    matmul and softmax on untaped inputs, only so that the benchmark's spans
-    of those ops still see them; the rest is plain numpy. With a cache (a
-    decode's prefill and every column) it calls the kernels those ops share
-    and checks what they check, writes the rotated keys once into the
-    cache's transposed buffer, and multiplies the queries by a view of it.
-    Either way forward and back make the same IEEE operations, in the same
-    order, as the rope -> split -> matmul -> scale -> add -> softmax ->
-    matmul -> merge chain they stand for, so results are bit-identical to
-    that chain.
-    """
+def _attend_shape(q: Array, k: Array, v: Array, heads: int) -> tuple[int, int, int, int]:
+    """(B, t, D, dh) of (B, t, D) projections split into `heads` heads of
+    width dh; a ShapeError unless q, k and v share one such shape and dtype."""
     shape, dtype = q.shape, q.dtype
     if (len(shape) != 3 or k.shape != shape or v.shape != shape
             or k.dtype != dtype or v.dtype != dtype or heads < 1 or shape[2] % heads):
         raise ShapeError(f"attend: q {shape}, k {k.shape}, v {v.shape} are not one "
                          f"(B, t, D) shape and dtype with D divisible by {heads} heads")
-    b, t, d = shape
-    dh = d // heads
-    if cache is not None:
-        if taped:
-            raise NumericsError("attend: no gradient flows through a key/value cache")
-        if np.shape(positions) != (t,):
-            raise ShapeError(f"attend: positions length {np.shape(positions)} does not "
-                             f"match {t} cached rows")
-        start, stop = cache.length, cache.length + t
-        if (dtype != cache.k.dtype or cache.k.shape[:2] != (b * heads, dh)
-                or stop > cache.k.shape[2]):
-            raise ShapeError(f"attend: {dtype} keys for {b * heads} rows of width {dh} at "
-                             f"positions [{start}, {stop}) do not fit {cache.k.dtype} "
-                             f"transposed cache {cache.k.shape}")
-    n_keys = t if cache is None else stop
+    return shape[0], shape[1], shape[2], shape[2] // heads
+
+
+def _check_mask(mask, t: int, n_keys: int) -> None:
     if mask is not None and np.shape(mask) != (t, n_keys):
         raise ShapeError(f"attend: mask {np.shape(mask)} is not ({t}, {n_keys})")
 
-    if cache is None:
-        tiled = positions if b == 1 else np.tile(positions, b)
-        qk = np.concatenate([q, k], axis=-1).reshape(b * t, 2 * heads, dh)
-        qk = rope_apply(_wrap(qk), tiled).data
-        q_h = _split_heads(qk[:, :heads], b, t, heads, dh)
-        k_h = _split_heads(qk[:, heads:], b, t, heads, dh)
-        v_h = _split_heads(v, b, t, heads, dh)
-        kt = transpose(_wrap(k_h), (0, 2, 1)).data
-        raw = matmul(_wrap(q_h), _wrap(kt)).data
-    else:
-        cos, sin = _rope_tables(positions, dh, dtype, 3)   # broadcast over B
-        qk = _rope_fwd(np.concatenate([q, k], axis=-1).reshape(b, t, 2 * heads, dh),
-                       cos, sin)
-        _finite_or_raise(qk, "rope_apply")
-        q_h = _split_heads(qk[:, :, :heads], b, t, heads, dh)
-        keys = cache.k.reshape(b, heads, dh, -1)[..., start:stop]
-        keys[...] = qk[:, :, heads:].transpose(0, 2, 3, 1)
-        cache.v[:, start:stop] = _split_heads(v, b, t, heads, dh)
-        cache.length = stop
-        _finite_or_raise(keys, "transpose")
-        kt, v_h = cache.k[:, :, :stop], cache.v[:, :stop]
-        raw = np.matmul(q_h, kt)
-        _finite_or_raise(raw, "matmul")
-    cc = dtype.type(1.0 / math.sqrt(dh))   # correctly rounded, as np.sqrt is
+
+def _scaled_scores(raw: Array, dh: int, mask):
+    """raw / sqrt(dh) + mask (None for none), checked, and the scale."""
+    cc = raw.dtype.type(1.0 / math.sqrt(dh))   # correctly rounded, as np.sqrt is
     scores = np.multiply(raw, cc)
     if mask is not None:
         scores += mask
     _finite_or_raise(scores, "attend")
-    if cache is None:
-        probs = softmax(_wrap(scores)).data
-    else:
-        probs = _softmax_fwd(scores)
-        _finite_or_raise(probs, "softmax")
+    return scores, cc
+
+
+def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int,
+                mask) -> tuple[Array, Callable]:
+    """Multi-head self-attention of (B, t, D) projections at `positions`:
+    the context, and back(g, need_q, need_k, need_v), the three input
+    gradients (None where not needed).
+
+    Rotary on q and k, a split into `heads` heads of width dh = D / heads,
+    softmax(q k^T / sqrt(dh) + mask) v with mask (t, t) or None, and the
+    heads merged back to (B, t, D). The forward calls the public rope_apply
+    (once, over the stacked q and k heads), transpose, matmul and softmax on
+    untaped inputs, only so that the benchmark's spans of those ops still
+    see them; the rest is plain numpy. Forward and back make the same IEEE
+    operations, in the same order, as the rope -> split -> matmul -> scale
+    -> add -> softmax -> matmul -> merge chain they stand for, so results
+    are bit-identical to that chain.
+    """
+    b, t, d, dh = _attend_shape(q, k, v, heads)
+    _check_mask(mask, t, t)
+    dtype = q.dtype
+    tiled = positions if b == 1 else np.tile(positions, b)
+    qk = np.concatenate([q, k], axis=-1).reshape(b * t, 2 * heads, dh)
+    qk = rope_apply(_wrap(qk), tiled).data
+    q_h = _split_heads(qk[:, :heads], b, t, heads, dh)
+    k_h = _split_heads(qk[:, heads:], b, t, heads, dh)
+    v_h = _split_heads(v, b, t, heads, dh)
+    kt = transpose(_wrap(k_h), (0, 2, 1)).data
+    scores, cc = _scaled_scores(matmul(_wrap(q_h), _wrap(kt)).data, dh, mask)
+    probs = softmax(_wrap(scores)).data
     out = _merge_heads(np.matmul(probs, v_h), b, t, heads, dh)
 
     def back(g: Array, need_q: bool, need_k: bool, need_v: bool) -> tuple:
-        # only the uncached path is ever taped
         g_q = g_k = g_v = None
         cos, sin = _rope_tables(tiled, dh, dtype, 3)
         g_ctx = _split_heads(g, b, t, heads, dh)
@@ -683,38 +673,97 @@ def _attend_fwd(q: Array, k: Array, v: Array, positions, heads: int, mask,
     return out, back
 
 
+def _attend_cached_fwd(q: Array, k: Array, v: Array, cos: Array, sin: Array, heads: int,
+                       mask, cache: BlockCache) -> tuple[Array, None]:
+    """`_attend_fwd`'s forward for a decode, over a `BlockCache`: the
+    context, and None, as there is no backward.
+
+    `cos` and `sin` are the (t, 1, dh / 2) tables `_rope_tables` builds for
+    the t new positions at rank 3, so they broadcast over B. The rotated
+    keys and the values are first appended to the cache's buffers, the keys
+    written once into its transposed buffer, and the t queries attend over
+    every cached position, so `mask` is (t, cached + t) or None. It calls
+    the kernels rope_apply, transpose, matmul and softmax share and checks
+    the four arrays they check (the rotated q and k, the keys it caches, the
+    raw scores and the probabilities), and multiplies the queries by a view
+    of the cached keys. It makes the same IEEE operations, in the same
+    order, as `_attend_fwd` over the cached keys and values.
+    """
+    b, t, d, dh = _attend_shape(q, k, v, heads)
+    dtype = q.dtype
+    if cos.shape != (t, 1, dh // 2) or sin.shape != cos.shape or cos.dtype != dtype:
+        raise ShapeError(f"attend: rope tables {cos.shape} are not those of {t} positions "
+                         f"of width {dh} in {dtype}")
+    start, stop = cache.length, cache.length + t
+    if (dtype != cache.k.dtype or cache.k.shape[:2] != (b * heads, dh)
+            or stop > cache.k.shape[2]):
+        raise ShapeError(f"attend: {dtype} keys for {b * heads} rows of width {dh} at "
+                         f"positions [{start}, {stop}) do not fit {cache.k.dtype} "
+                         f"transposed cache {cache.k.shape}")
+    _check_mask(mask, t, stop)
+    qk = _rope_fwd(np.concatenate([q, k], axis=-1).reshape(b, t, 2 * heads, dh), cos, sin)
+    _finite_or_raise(qk, "rope_apply")
+    q_h = _split_heads(qk[:, :, :heads], b, t, heads, dh)
+    keys = cache.k.reshape(b, heads, dh, -1)[..., start:stop]
+    keys[...] = qk[:, :, heads:].transpose(0, 2, 3, 1)
+    cache.v[:, start:stop] = _split_heads(v, b, t, heads, dh)
+    cache.length = stop
+    _finite_or_raise(keys, "transpose")
+    raw = np.matmul(q_h, cache.k[:, :, :stop])
+    _finite_or_raise(raw, "matmul")
+    probs = _softmax_fwd(_scaled_scores(raw, dh, mask)[0])
+    _finite_or_raise(probs, "softmax")
+    return _merge_heads(np.matmul(probs, cache.v[:, :stop]), b, t, heads, dh), None
+
+
+def _attention_residual_fwd(x: Array, norm1: Array, q: tuple[Array, Array],
+                            k: tuple[Array, Array], v: tuple[Array, Array],
+                            o: tuple[Array, Array], attend: Callable, *attend_args):
+    """x + o(attend(q(n), k(n), v(n), *attend_args)) with n = rms_norm(x,
+    norm1), where q, k, v and o are (weight, bias) pairs and attend is
+    `_attend_fwd` or `_attend_cached_fwd`: the attention half of a pre-norm
+    transformer block on plain arrays. Returns the output and what its VJP
+    reads, (n, 1 / rms, n's rows, the context, its rows, attend's back).
+
+    Every intermediate, and the output, is checked as the op that made it in
+    the chain would check it."""
+    n, inv = _rms_norm_fwd(x, norm1)
+    _finite_or_raise(n, "attention_residual")
+    qkv = []
+    for w, b in (q, k, v):
+        arr, n_flat = _affine_fwd(n, w, b)
+        _finite_or_raise(arr, "attention_residual")
+        qkv.append(arr)
+    ctx, back = attend(*qkv, *attend_args)
+    _finite_or_raise(ctx, "attention_residual")
+    a, ctx_flat = _affine_fwd(ctx, *o)
+    _finite_or_raise(a, "attention_residual")
+    out = x + a
+    _finite_or_raise(out, "attention_residual")
+    return out, (n, inv, n_flat, ctx, ctx_flat, back)
+
+
 def attention_residual(x: Tensor, norm1: Tensor, q: tuple[Tensor, Tensor],
                        k: tuple[Tensor, Tensor], v: tuple[Tensor, Tensor],
-                       o: tuple[Tensor, Tensor], positions, heads: int, mask,
-                       cache: BlockCache | None) -> Tensor:
+                       o: tuple[Tensor, Tensor], positions, heads: int, mask) -> Tensor:
     """x + o(attend(q(n), k(n), v(n), ...)) with n = rms_norm(x, norm1), where
     q, k, v and o are the (weight, bias) pairs of four affine maps: one taped
-    node, the attention half of a pre-norm transformer block. `positions`,
-    `heads`, `mask` and `cache` are attend's.
+    node, the attention half of a pre-norm transformer block, over
+    `_attention_residual_fwd` with `_attend_fwd`. `positions`, `heads` and
+    `mask` are attend's.
 
-    Every intermediate is checked as the op that made it in the chain would
-    check it. Gradients are grouped as the tape groups the chain's: n gets
+    Gradients are grouped as the tape groups the chain's: n gets
     (g_v + g_k) + g_q, the projections in reverse order, and x gets the
     residual gradient plus the norm path.
     """
     projections = (q, k, v)
     parents = (x, norm1, *q, *k, *v, *o)
     xa = x.data
-    n, inv = _rms_norm_fwd(xa, norm1.data)
-    _finite_or_raise(n, "attention_residual")
-    qkv = []
-    for w, b in projections:
-        arr, n_flat = _affine_fwd(n, w.data, b.data)
-        _finite_or_raise(arr, "attention_residual")
-        qkv.append(arr)
+    out, (n, inv, n_flat, ctx, ctx_flat, back) = _attention_residual_fwd(
+        xa, norm1.data, *((w.data, b.data) for w, b in (q, k, v, o)),
+        _attend_fwd, positions, heads, mask)
     n_rg = x.requires_grad or norm1.requires_grad
     need = [n_rg or w.requires_grad or b.requires_grad for w, b in projections]
-    ctx, back = _attend_fwd(*qkv, positions, heads, mask, cache,
-                            _ACTIVE is not None and any(need))
-    _finite_or_raise(ctx, "attention_residual")
-    a, ctx_flat = _affine_fwd(ctx, o[0].data, o[1].data)
-    _finite_or_raise(a, "attention_residual")
-    out = xa + a
 
     def grads_of(g):
         grads = [None] * len(parents)
@@ -742,27 +791,40 @@ def attention_residual(x: Tensor, norm1: Tensor, q: tuple[Tensor, Tensor],
             grads[1] = _rms_norm_vjp_gain(g_n, xa, inv)
         return grads
 
-    return _apply("attention_residual", parents, out, grads_of)
+    return _record("attention_residual", parents, out, grads_of)
+
+
+def _mlp_residual_fwd(h: Array, norm2: Array, up: tuple[Array, Array],
+                      down: tuple[Array, Array]):
+    """h + down(silu(up(rms_norm(h, norm2)))), where up and down are (weight,
+    bias) pairs: the MLP half of a pre-norm transformer block on plain
+    arrays. Returns the output and what its VJP reads, (n, 1 / rms, n's
+    rows, up's output, its sigmoid, silu's output, its rows). Every
+    intermediate, and the output, is checked as the op that made it in the
+    chain would check it."""
+    n, inv = _rms_norm_fwd(h, norm2)
+    _finite_or_raise(n, "mlp_residual")
+    u, n_flat = _affine_fwd(n, *up)
+    _finite_or_raise(u, "mlp_residual")
+    s, sig = _silu_fwd(u)
+    _finite_or_raise(s, "mlp_residual")
+    dn, s_flat = _affine_fwd(s, *down)
+    _finite_or_raise(dn, "mlp_residual")
+    out = h + dn
+    _finite_or_raise(out, "mlp_residual")
+    return out, (n, inv, n_flat, u, sig, s, s_flat)
 
 
 def mlp_residual(h: Tensor, norm2: Tensor, up: tuple[Tensor, Tensor],
                  down: tuple[Tensor, Tensor]) -> Tensor:
     """h + down(silu(up(rms_norm(h, norm2)))), where up and down are the
     (weight, bias) pairs of two affine maps: one taped node, the MLP half of
-    a pre-norm transformer block. Every intermediate is checked as the op
-    that made it in the chain would check it, and h gets the residual
-    gradient plus the norm path."""
+    a pre-norm transformer block, over `_mlp_residual_fwd`. h gets the
+    residual gradient plus the norm path."""
     parents = (h, norm2, *up, *down)
     ha = h.data
-    n, inv = _rms_norm_fwd(ha, norm2.data)
-    _finite_or_raise(n, "mlp_residual")
-    u, n_flat = _affine_fwd(n, up[0].data, up[1].data)
-    _finite_or_raise(u, "mlp_residual")
-    s, sig = _silu_fwd(u)
-    _finite_or_raise(s, "mlp_residual")
-    dn, s_flat = _affine_fwd(s, down[0].data, down[1].data)
-    _finite_or_raise(dn, "mlp_residual")
-    out = ha + dn
+    out, (n, inv, n_flat, u, sig, s, s_flat) = _mlp_residual_fwd(
+        ha, norm2.data, (up[0].data, up[1].data), (down[0].data, down[1].data))
 
     def grads_of(g):
         grads = [None] * len(parents)
@@ -787,7 +849,7 @@ def mlp_residual(h: Tensor, norm2: Tensor, up: tuple[Tensor, Tensor],
                 grads[1] = _rms_norm_vjp_gain(g_n, ha, inv)
         return grads
 
-    return _apply("mlp_residual", parents, out, grads_of)
+    return _record("mlp_residual", parents, out, grads_of)
 
 
 # ---------------------------------------------------------------------------

@@ -133,15 +133,20 @@ def descend(opt: Adam, params: dict[str, Tensor], loss_fn: Callable[[], Tensor],
             what: str) -> float:
     """One Adam step on the scalar loss_fn() records on a fresh tape; returns
     the loss. A non-finite forward value raises TrainingDivergedError(what)
-    before any parameter or optimizer state changes."""
+    before any parameter or optimizer state changes. The tape, and with it
+    every activation of the step, is dropped before Adam allocates its
+    buffers."""
     tape = nm.Tape()
     try:
         with tape:
             loss = loss_fn()
     except nm.NumericsError as e:
         raise TrainingDivergedError(what) from e
-    opt.step(params, tape.backward(loss, params))
-    return loss.item()
+    value = loss.item()
+    grads = tape.backward(loss, params)
+    del tape, loss
+    opt.step(params, grads)
+    return value
 
 
 def check_fit(what: str, steps: int, lr: float, batch: int) -> None:

@@ -12,11 +12,13 @@ the summed per-stream embeddings of previous grid columns; the output at
 position p - 1 + j predicts column j.
 
 Training scores a whole grid in one teacher-forced causal pass
-(`forward_batch`). Decoding (`generate`) prefills the prefix once, which
+(`forward_batch`) on the taped ops. Decoding (`generate`) runs untaped on
+plain arrays through the same kernels: it prefills the prefix once, which
 fills per-block key/value caches and gives the logits of column 0, then
-runs the trunk over one new position per column: column j - 1's summed
-embeddings at position p - 1 + j, attending over the cache. Both share the
-embeddings, the trunk and the stream heads.
+runs the trunk (`nn.decode_trunk`) over one new position per column:
+column j - 1's summed embeddings at position p - 1 + j, attending over the
+cache. Both read the same embeddings, trunk weights and stream heads, and
+a decode's logits have the bits of the taped ops'.
 
 `StreamLayout` owns every token id and vocabulary, and `_param` names each
 stream's embedding and head: no other module spells either out.
@@ -317,16 +319,48 @@ def sample_pick(logits_row: np.ndarray, allowed: np.ndarray, temperature: float,
     return int(allowed[rng.choice(len(allowed), p=p)])
 
 
+def _prefix_rows(spk: Tensor, sem: Tensor) -> np.ndarray:
+    """A decode's prefix [speaker row, semantic rows], (1, p, dim), checked
+    as `forward`'s two reshapes and concat check it."""
+    rows = (spk.data.reshape(1, 1, -1), sem.data.reshape((1,) + sem.shape))
+    for arr in rows:
+        nm._finite_or_raise(arr, "reshape")
+    x = np.concatenate(rows, axis=1)
+    nm._finite_or_raise(x, "concat")
+    return x
+
+
+def _embed_column(tables: list[np.ndarray], col: np.ndarray) -> np.ndarray:
+    """`_embed_columns` of one column on plain arrays, (1, 1, dim): a row
+    gather from each stream's table, summed in stream order, with the 10
+    checks of its ops (each lookup, each add and the reshape)."""
+    out = None
+    for table, tok in zip(tables, col):
+        row = table[tok:tok + 1]
+        nm._finite_or_raise(row, "embedding_lookup")
+        if out is not None:
+            row = out + row
+            nm._finite_or_raise(row, "add")
+        out = row
+    out = out.reshape(1, 1, -1)
+    nm._finite_or_raise(out, "reshape")
+    return out
+
+
 def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
              max_steps: int, tail: int, mode: str = "greedy",
              temperature: float = 1.0, top_k: int = 0,
              rng: np.random.Generator | None = None) -> GenerationResult:
     """Greedy or sampled decoding with structural tokens forced by construction.
 
-    A prefill over [speaker row, semantic rows] (p positions) fills per-block
+    The decode runs untaped on plain arrays (`nn.decode_trunk`), with the
+    trunk's weights, the embedding tables and the heads gathered once. A
+    prefill over [speaker row, semantic rows] (p positions) fills per-block
     key/value caches, sized p + max_steps, and yields column 0's logits;
     each later column j runs the trunk over one position, column j - 1's
-    summed embeddings at p - 1 + j, against the cache.
+    summed embeddings at p - 1 + j, against the cache. Every array is
+    checked, and every logit has the bits, of the same decode through the
+    taped ops.
 
     In column j, stream s is BOS while j < s and PAD once it has stopped;
     otherwise its head picks a content id, or from column s + 1 on also its
@@ -359,13 +393,17 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
     later = [np.append(ids, x) for ids, x in zip(first, stop)]
     streams = range(layout.n_streams)
 
+    trunk = nn.trunk_arrays(params, "lm", cfg.blocks)
+    tables = [params[_param(s, "emb")].data for s in streams]
+    heads = [nn.affine_arrays(params, _param(s, "head")) for s in streams]
     p = 1 + sem.shape[0]
     cache = [nm.BlockCache(cfg.heads, p + max_steps, cfg.dim // cfg.heads)
              for _ in range(cfg.blocks)]
 
     def pick(s, allowed):
-        """Stream s's token for the current column, from the latest trunk output h."""
-        row = _head(params, s, h).data[0, 0]
+        """Stream s's token for the current column, from the latest trunk row h."""
+        row, _ = nm._affine_fwd(h, *heads[s])
+        nm._finite_or_raise(row, "affine")
         if mode == "greedy":
             return greedy_pick(row, allowed)
         return sample_pick(row, allowed, temperature, top_k, rng)
@@ -376,14 +414,12 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor,
 
     for j in range(max_steps):
         if j == 0:
-            x = nm.concat([nm.reshape(spk, (1, 1, cfg.dim)), nm.reshape(sem, (1,) + sem.shape)],
-                          axis=1)
-            h = nm.narrow(nn.trunk(params, "lm", x, np.arange(p), cfg.heads, cfg.blocks,
-                                   nn.causal_mask(p), cache), 1, p - 1, p)
+            h = nn.decode_trunk(trunk, _prefix_rows(spk, sem), np.arange(p), cfg.heads,
+                                nn.causal_mask(p), cache)[0, p - 1]
+            nm._finite_or_raise(h, "narrow")
         else:
-            x = _embed_columns(params, cfg, col[None, :, None])
-            h = nn.trunk(params, "lm", x, np.array([p - 1 + j]), cfg.heads, cfg.blocks,
-                         None, cache)
+            h = nn.decode_trunk(trunk, _embed_column(tables, col), np.array([p - 1 + j]),
+                                cfg.heads, None, cache)[0, 0]
         col = np.empty(layout.n_streams, dtype=np.int64)
         for s in streams:
             if j < s:

@@ -280,7 +280,7 @@ def make_corpus(seed: int, n_speakers: int, n_texts: int, text_len_min: int,
     seen = set()
     while len(texts) < n_texts:
         length = int(rng_t.integers(text_len_min, text_len_max + 1))
-        cand = tuple(int(v) for v in rng_t.integers(0, N_SYMBOLS, size=length))
+        cand = tuple(rng_t.integers(0, N_SYMBOLS, size=length).tolist())
         if cand not in seen:
             seen.add(cand)
             texts.append(cand)
@@ -293,16 +293,18 @@ def make_corpus(seed: int, n_speakers: int, n_texts: int, text_len_min: int,
     reps = -(-n_train // len(train_ids))
     speaker_seq = np.tile(np.asarray(train_ids), reps)[:n_train]
     rng_u.shuffle(speaker_seq)
+    # one draw of n_train seeds takes the values of n_train scalar draws
+    seeds = rng_u.integers(0, 2**31 - 1, size=n_train).tolist()
     utts = tuple(
         Utterance(
             utt_id=f"utt{i:04d}",
             text=train_txt[i],
-            speaker_id=int(speaker_seq[i]),
+            speaker_id=spk,
             channel=PRISTINE,
-            seed=int(rng_u.integers(0, 2**31 - 1)),
+            seed=seeds[i],
             split="train",
         )
-        for i in range(n_train)
+        for i, spk in enumerate(speaker_seq.tolist())
     )
     return CorpusSplits(
         seed=seed, vocab=vocab, speakers=speakers,

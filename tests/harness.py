@@ -10,12 +10,14 @@
   of a transformer block as the public ops composed them before each half
   became one fused op (`numerics.attention_residual`,
   `numerics.mlp_residual`): the references those ops equal bit for bit.
-- `KeyRowCache` and `cached_attend`, the cached path of
-  `numerics._attend_fwd` as it was before it called attention's kernels
-  directly: the public rope_apply, a contiguous transpose of every cached
-  key, matmul and softmax, over keys cached untransposed.
-  `use_cached_reference` routes every cached attention call through them,
-  so a test can decode both ways and compare the bits.
+- `KeyRowCache` and `cached_attend`, the cached path of attention as it
+  was before it called attention's kernels directly: the public
+  rope_apply, a contiguous transpose of every cached key, matmul and
+  softmax, over keys cached untransposed. `attend` and `attention_chain`
+  take that route when given a `KeyRowCache`, and `chain_trunk`, `nn.trunk`
+  with each block as the two chains, takes it with one cache per block: the
+  public-op decode that `nn.decode_trunk`, the decode on plain arrays,
+  equals bit for bit.
 - `nearest_template_decode`, a decoder that knows the world's templates, so
   a test can show that rendered symbols can be read back.
 - `render_one`, the frames of one item through the batched `sw.render`, and
@@ -27,10 +29,15 @@
   paths, kept verbatim so tests can show the rule gives the same grids,
   masks, inversions, exception classes and decodes. `generate` has lost
   only its two `lm.capacity` check lines and the `min(capacity, ...)` in
-  its cache size, since that setting was removed.
+  its cache size, since that setting was removed, and runs `chain_trunk`
+  over `KeyRowCache`s where it ran `nn.trunk` over the package's caches;
+  so it is the whole public-op decode that `streamlm.generate` equals.
 - `build_asr_grid` and `init_lm` as `synthvc.streamlm` wrote them before
   they read the text stream and every vocabulary off those tables, kept
   verbatim so tests can show the same ASR grids and initial parameters.
+- `make_corpus` as `synthvc.synthworld` wrote it before it drew a text's
+  symbols and the utterance seeds as whole arrays, kept verbatim so tests
+  can show the same corpus.
 """
 
 import math
@@ -46,6 +53,8 @@ from synthvc.numerics import Tensor
 from synthvc.streamlm import (TEXT_CONTENT, TEXT_EOS, TEXT_PAD, TEXT_VOCAB, DelayedGrid,
                               GenerationResult, LMConfig, StreamLayout, _embed_columns, _head,
                               greedy_pick, sample_pick)
+from synthvc.synthworld import (N_SYMBOLS, PRISTINE, CorpusSplits, SymbolVocab, Utterance,
+                                speaker_profile)
 
 
 class DeterminismError(NumericsError):
@@ -77,17 +86,24 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, positions, heads: int, mask=None,
-           cache: nm.BlockCache | None = None) -> Tensor:
+           cache: "KeyRowCache | None" = None) -> Tensor:
     """Multi-head self-attention of (B, t, D) projections at `positions` (see
-    `numerics._attend_fwd`): one taped node, whose VJP is the kernel's."""
+    `numerics._attend_fwd`): one taped node, whose VJP is the kernel's. With
+    a `cache` it runs `cached_attend` instead, which has no backward."""
+    if cache is not None:
+        out = cached_attend(q.data, k.data, v.data, positions, heads, mask, cache)
+        return nm._apply("attend", (q, k, v), out, _no_backward)
     need = (q.requires_grad, k.requires_grad, v.requires_grad)
-    out, back = nm._attend_fwd(q.data, k.data, v.data, positions, heads, mask, cache,
-                               nm._ACTIVE is not None and any(need))
+    out, back = nm._attend_fwd(q.data, k.data, v.data, positions, heads, mask)
     return nm._apply("attend", (q, k, v), out, lambda g: back(g, *need))
 
 
+def _no_backward(g):
+    raise NumericsError("attend: no gradient flows through a key/value cache")
+
+
 def attention_chain(x: Tensor, norm1: Tensor, q, k, v, o, positions, heads: int, mask=None,
-                    cache: nm.BlockCache | None = None) -> Tensor:
+                    cache: "KeyRowCache | None" = None) -> Tensor:
     """x + o(attend(q(n), k(n), v(n))) with n = rms_norm(x, norm1), as seven
     taped ops; q, k, v and o are (weight, bias) pairs."""
     n = nm.rms_norm(x, norm1)
@@ -106,15 +122,11 @@ class KeyRowCache:
         self.length = 0
 
 
-_ATTEND_KERNEL = nm._attend_fwd
-
-
-def cached_attend(q, k, v, positions, heads: int, mask, cache, taped: bool):
-    """`numerics._attend_fwd` with the cached path it had before it called
-    attention's kernels directly, over a `KeyRowCache`.
-    Uncached calls go to the kernel. A cached call has no backward."""
-    if cache is None:
-        return _ATTEND_KERNEL(q, k, v, positions, heads, mask, cache, taped)
+def cached_attend(q, k, v, positions, heads: int, mask, cache: KeyRowCache):
+    """The context of `numerics._attend_cached_fwd` as its cached path was
+    before it called attention's kernels directly, over a `KeyRowCache`:
+    the public rope_apply, a contiguous transpose of every cached key,
+    matmul and softmax."""
     b, t, d = q.shape
     dh = d // heads
     start, stop = cache.length, cache.length + t
@@ -135,19 +147,30 @@ def cached_attend(q, k, v, positions, heads: int, mask, cache, taped: bool):
         scores += mask
     nm._finite_or_raise(scores, "attend")
     probs = nm.softmax(nm._wrap(scores)).data
-    return nm._merge_heads(np.matmul(probs, v_h), b, t, heads, dh), None
-
-
-def use_cached_reference(monkeypatch) -> None:
-    """Every cache made from now on is a `KeyRowCache`, and every cached
-    attention call runs `cached_attend`."""
-    monkeypatch.setattr(nm, "BlockCache", KeyRowCache)
-    monkeypatch.setattr(nm, "_attend_fwd", cached_attend)
+    return nm._merge_heads(np.matmul(probs, v_h), b, t, heads, dh)
 
 
 def mlp_chain(h: Tensor, norm2: Tensor, up, down) -> Tensor:
     """h + down(silu(up(rms_norm(h, norm2)))), as five taped ops."""
     return nm.add(h, nm.affine(nm.silu(nm.affine(nm.rms_norm(h, norm2), *up)), *down))
+
+
+def chain_trunk(params, prefix: str, x: Tensor, positions, heads: int, n_blocks: int, mask,
+                cache: "list[KeyRowCache] | None" = None) -> Tensor:
+    """`nn.trunk` with each block as the two unfused chains. With a cache,
+    one `KeyRowCache` per block, it is the public-op cached route a decode
+    took before it ran `nn.decode_trunk` on arrays: the reference that
+    decode equals bit for bit."""
+    for i in range(n_blocks):
+        name = f"{prefix}.blk{i}"
+
+        def pair(p):
+            return params[f"{name}.{p}.w"], params[f"{name}.{p}.b"]
+
+        h = attention_chain(x, params[f"{name}.norm1"], pair("q"), pair("k"), pair("v"),
+                            pair("o"), positions, heads, mask, None if cache is None else cache[i])
+        x = mlp_chain(h, params[f"{name}.norm2"], pair("up"), pair("down"))
+    return nm.rms_norm(x, params[f"{prefix}.final_norm"])
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-4) -> float:
@@ -405,7 +428,7 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
     if spk is None:
         spk = params["lm.null_spk"]
     p = 1 + sem.shape[0]
-    cache = [nm.BlockCache(cfg.heads, p + max_steps, cfg.dim // cfg.heads)
+    cache = [KeyRowCache(cfg.heads, p + max_steps, cfg.dim // cfg.heads)
              for _ in range(cfg.blocks)]
 
     def pick(s, allowed):
@@ -426,12 +449,12 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
         if j == 0:
             x = nm.concat([nm.reshape(spk, (1, 1, cfg.dim)), nm.reshape(sem, (1,) + sem.shape)],
                           axis=1)
-            h = nm.narrow(nn.trunk(params, "lm", x, np.arange(p), cfg.heads, cfg.blocks,
-                                   nn.causal_mask(p), cache), 1, p - 1, p)
+            h = nm.narrow(chain_trunk(params, "lm", x, np.arange(p), cfg.heads, cfg.blocks,
+                                      nn.causal_mask(p), cache), 1, p - 1, p)
         else:
             x = _embed_columns(params, cfg, col[None, :, None])
-            h = nn.trunk(params, "lm", x, np.array([p - 1 + j]), cfg.heads, cfg.blocks,
-                         None, cache)
+            h = chain_trunk(params, "lm", x, np.array([p - 1 + j]), cfg.heads, cfg.blocks,
+                            None, cache)
         col = np.empty(layout.n_streams, dtype=np.int64)
 
         if eos_step is None:
@@ -474,3 +497,67 @@ def generate(params: dict, cfg: LMConfig, sem: Tensor, spk: Tensor | None,
     code_arr = np.asarray([c[:t_a] for c in codes], dtype=np.int64)
     grid = build_delayed_grid(text, code_arr, layout)
     return GenerationResult(grid=grid, truncated=truncated, steps=steps)
+
+
+def make_corpus(seed: int, n_speakers: int, n_texts: int, text_len_min: int,
+                text_len_max: int, heldout_speakers: int, heldout_texts: int) -> CorpusSplits:
+    """The corpus.* world; a ConfigError names each key it cannot be built from."""
+    if n_speakers < 4:
+        raise ConfigError(f"corpus.speakers: need at least 4 speakers, got {n_speakers}")
+    if n_texts < 20:
+        raise ConfigError(f"corpus.texts: need at least 20 texts, got {n_texts}")
+    if not (2 <= heldout_speakers < n_speakers):   # an eval pair takes two of each
+        raise ConfigError(f"corpus.heldout_speakers: {heldout_speakers} not in [2, {n_speakers})")
+    if not (2 <= heldout_texts < n_texts):
+        raise ConfigError(f"corpus.heldout_texts: {heldout_texts} not in [2, {n_texts})")
+    if not (1 <= text_len_min <= text_len_max):
+        raise ConfigError(f"corpus.text_len_min: {text_len_min} not in [1, {text_len_max}]")
+    possible, length = 0, text_len_min
+    while possible < n_texts and length <= text_len_max:   # 32**length grows fast
+        possible += N_SYMBOLS ** length
+        length += 1
+    if possible < n_texts:
+        raise ConfigError(f"corpus.texts: {n_texts} wanted, only {possible} distinct texts exist")
+
+    vocab = SymbolVocab.build(seed)
+    speakers = {i: speaker_profile(seed, i) for i in range(n_speakers)}
+
+    rng_s = np.random.default_rng([0xC0A1, seed])
+    perm = rng_s.permutation(n_speakers)
+    heldout_ids = tuple(sorted(int(i) for i in perm[:heldout_speakers]))
+    train_ids = tuple(sorted(int(i) for i in perm[heldout_speakers:]))
+
+    rng_t = np.random.default_rng([0xC0A2, seed])
+    texts: list[tuple[int, ...]] = []
+    seen = set()
+    while len(texts) < n_texts:
+        length = int(rng_t.integers(text_len_min, text_len_max + 1))
+        cand = tuple(int(v) for v in rng_t.integers(0, N_SYMBOLS, size=length))
+        if cand not in seen:
+            seen.add(cand)
+            texts.append(cand)
+    tperm = rng_t.permutation(n_texts)
+    heldout_txt = tuple(texts[i] for i in tperm[:heldout_texts])
+    train_txt = tuple(texts[i] for i in tperm[heldout_texts:])
+
+    rng_u = np.random.default_rng([0xC0A3, seed])
+    n_train = len(train_txt)
+    reps = -(-n_train // len(train_ids))
+    speaker_seq = np.tile(np.asarray(train_ids), reps)[:n_train]
+    rng_u.shuffle(speaker_seq)
+    utts = tuple(
+        Utterance(
+            utt_id=f"utt{i:04d}",
+            text=train_txt[i],
+            speaker_id=int(speaker_seq[i]),
+            channel=PRISTINE,
+            seed=int(rng_u.integers(0, 2**31 - 1)),
+            split="train",
+        )
+        for i in range(n_train)
+    )
+    return CorpusSplits(
+        seed=seed, vocab=vocab, speakers=speakers,
+        train_speaker_ids=train_ids, heldout_speaker_ids=heldout_ids,
+        train_texts=train_txt, heldout_texts=heldout_txt, utterances=utts,
+    )

@@ -21,8 +21,8 @@ from synthvc.errors import (
     ShapeError,
 )
 
-from harness import (DeterminismError, KeyRowCache, attend, attention_chain, grad_check, mean_all,
-                     mlp_chain, mul, sum_all, use_cached_reference)
+from harness import (DeterminismError, KeyRowCache, attend, attention_chain, chain_trunk,
+                     grad_check, mean_all, mlp_chain, mul, sum_all)
 
 
 def t(data, rg=False, dtype=None):
@@ -648,7 +648,7 @@ def _op_checks(seed):
         # gradient of the fused op reaches the check
         "attention_residual": lambda xt: mean_all(mul(nm.attention_residual(
             nm.reshape(xt, (1, 3, 4)), _row(xt, 0), *(_pair(xt, sq4[i], i) for i in range(4)),
-            [2, 5, 9], 2, CAUSAL3, None), nm.constant(b3[:1] + 1.0, dtype=xt.dtype))),
+            [2, 5, 9], 2, CAUSAL3), nm.constant(b3[:1] + 1.0, dtype=xt.dtype))),
         "mlp_residual": lambda xt: mean_all(mul(nm.mlp_residual(
             nm.reshape(xt, (1, 3, 4)), _row(xt, 2), _pair(xt, sq4[0], 1), _pair(xt, sq4[1], 2)),
             nm.constant(b3[1:] - 0.5, dtype=xt.dtype))),
@@ -770,6 +770,14 @@ def test_attend_bitwise_equals_unfused_chain(masked, grad):
     assert fused_nodes == (7 if grad != "none" else 0)
 
 
+def _cached_attend(q, k, v, positions, heads, mask, cache):
+    """`nm._attend_cached_fwd` at `positions`, with their RoPE tables."""
+    cos, sin = nm._rope_tables(positions, q.shape[-1] // heads, q.dtype, 3)
+    out, back = nm._attend_cached_fwd(q, k, v, cos, sin, heads, mask, cache)
+    assert back is None
+    return out
+
+
 def test_attend_cached_prefill_and_steps_equal_one_causal_pass():
     rng = np.random.default_rng(83)
     n, p, d, heads = 7, 4, 12, 2
@@ -777,11 +785,11 @@ def test_attend_cached_prefill_and_steps_equal_one_causal_pass():
     causal = np.triu(np.full((n, n), -1e9, dtype=np.float32), k=1)
     full = attend(t(q), t(k), t(v), np.arange(n), heads, causal).data
     cache = nm.BlockCache(heads, n + 2, d // heads)
-    parts = [attend(t(q[:, :p]), t(k[:, :p]), t(v[:, :p]), np.arange(p), heads,
-                    causal[:p, :p], cache).data]
+    parts = [_cached_attend(q[:, :p], k[:, :p], v[:, :p], np.arange(p), heads, causal[:p, :p],
+                            cache)]
     for j in range(p, n):
-        parts.append(attend(t(q[:, j:j + 1]), t(k[:, j:j + 1]), t(v[:, j:j + 1]),
-                            np.array([j]), heads, None, cache).data)
+        parts.append(_cached_attend(q[:, j:j + 1], k[:, j:j + 1], v[:, j:j + 1],
+                                    np.array([j]), heads, None, cache))
     assert cache.k.shape == (heads, d // heads, n + 2)     # keys transposed
     assert cache.length == n and (cache.k[:, :, n:] == 0).all() and (cache.v[:, n:] == 0).all()
     keys = np.concatenate([q, k], axis=-1).reshape(n, 2 * heads, d // heads)
@@ -793,7 +801,7 @@ def test_attend_cached_prefill_and_steps_equal_one_causal_pass():
         np.testing.assert_allclose(part[0, 0], full[0, j], rtol=1e-5, atol=1e-6)
 
 
-def test_attend_cache_rejects_misfits_and_taped_inputs():
+def test_attend_and_cached_attend_reject_misfits():
     heads, dh = 2, 6
     x = np.zeros((1, 2, heads * dh), np.float32)
     for arr, length in ((x, 3),                                      # past the end
@@ -802,17 +810,18 @@ def test_attend_cache_rejects_misfits_and_taped_inputs():
         cache = nm.BlockCache(heads, 4, dh)
         cache.length = length
         with pytest.raises(ShapeError):
-            attend(t(arr), t(arr), t(arr), np.arange(arr.shape[1]), heads, None, cache)
+            _cached_attend(arr, arr, arr, np.arange(arr.shape[1]), heads, None, cache)
         assert cache.k.shape == (heads, dh, 4)
         assert cache.length == length and not cache.k.any() and not cache.v.any()
     for positions in (np.arange(1), np.arange(3)):   # not one position per row
         cache = nm.BlockCache(heads, 4, dh)
         with pytest.raises(ShapeError, match="positions"):
-            attend(t(x), t(x), t(x), positions, heads, None, cache)
+            _cached_attend(x, x, x, positions, heads, None, cache)
         assert cache.length == 0 and not cache.k.any() and not cache.v.any()
     cache = nm.BlockCache(heads, 4, dh)
-    with nm.Tape(), pytest.raises(NumericsError, match="no gradient"):
-        attend(t(x), t(x, rg=True), t(x), np.arange(2), heads, None, cache)
+    with pytest.raises(ShapeError):      # a mask that does not cover every cached key
+        _cached_attend(x, x, x, np.arange(2), heads, np.zeros((2, 3), np.float32), cache)
+    assert cache.length == 0 and not cache.k.any() and not cache.v.any()
     with pytest.raises(ShapeError):      # heads that do not split the width
         attend(t(x), t(x), t(x), np.arange(2), 5, None)
     with pytest.raises(ShapeError):      # a mask that does not cover every key
@@ -840,9 +849,9 @@ def _half_inputs(rng, dim, inter, half):
     return [a.astype(np.float32) for a in arrays]
 
 
-def _call_half(f, half, ts, heads=4, cache=None, positions=None, mask="causal"):
-    """f over tensors in `_half_inputs` order; the attention half at
-    positions 3, 4, ... under a causal mask unless given others."""
+def _call_half(f, half, ts, heads=4, positions=None, mask="causal", *extra):
+    """f over tensors in `_half_inputs` order, then `extra`; the attention
+    half at positions 3, 4, ... under a causal mask unless given others."""
     x, gain, *flat = ts
     pairs = [tuple(flat[i:i + 2]) for i in range(0, len(flat), 2)]
     if half == "mlp":
@@ -850,7 +859,7 @@ def _call_half(f, half, ts, heads=4, cache=None, positions=None, mask="causal"):
     t_len = x.shape[1]
     positions = np.arange(3, 3 + t_len) if positions is None else positions
     mask = nn.causal_mask(t_len) if mask == "causal" else mask
-    return f(x, gain, *pairs, positions, heads, mask, cache)
+    return f(x, gain, *pairs, positions, heads, mask, *extra)
 
 
 @pytest.mark.parametrize("dim,heads,inter", BLOCK_SHAPES)
@@ -886,49 +895,42 @@ def test_fused_half_bitwise_equals_unfused_chain_for_every_gradient_subset(dim, 
             assert got is None or _same_bits(got, want), (subset, i)
 
 
+def _cached_attention_half(x, gain, q, k, v, o, positions, heads, mask, cache):
+    """The output array of `nm._attention_residual_fwd` over tensors, as a
+    decode runs it: with `nm._attend_cached_fwd` and `positions`' tables."""
+    cos, sin = nm._rope_tables(positions, x.shape[-1] // heads, x.dtype, 3)
+    out, _ = nm._attention_residual_fwd(x.data, gain.data,
+                                        *((w.data, b.data) for w, b in (q, k, v, o)),
+                                        nm._attend_cached_fwd, cos, sin, heads, mask, cache)
+    return out
+
+
 @pytest.mark.parametrize("dim,heads,inter", BLOCK_SHAPES)
 def test_attention_residual_cached_prefill_and_columns_equal_the_chain(dim, heads, inter):
-    """A cached prefill and then single columns, as a decode runs them: each
-    output and the cache's keys and values equal the chain's bit for bit,
-    the chain taking the cached route through the public ops
-    (`harness.cached_attend`) over untransposed keys."""
+    """A cached prefill and then single columns, as a decode runs them
+    through `attention_residual`'s kernel: each output and the cache's keys
+    and values equal the chain's bit for bit, the chain taking the cached
+    route through the public ops (`harness.cached_attend`) over
+    untransposed keys."""
     rng = np.random.default_rng(dim)
     arrays = _half_inputs(rng, dim, inter, "attention")
     x = rng.normal(size=(1, 9, dim)).astype(np.float32)
     p = 4
     runs = []
-    for f in (nm.attention_residual, attention_chain):
-        with pytest.MonkeyPatch.context() as m:
-            if f is attention_chain:
-                use_cached_reference(m)
-            cache = nm.BlockCache(heads, 12, dim // heads)
-            ts = [t(a) for a in arrays]
-            outs = [_call_half(f, "attention", [t(x[:, :p])] + ts[1:], heads, cache,
-                               np.arange(p))]
-            for j in range(p, x.shape[1]):
-                outs.append(_call_half(f, "attention", [t(x[:, j:j + 1])] + ts[1:], heads,
-                                       cache, np.array([j]), None))
-        runs.append((cache, [o.data for o in outs]))
+    for f, cache in ((_cached_attention_half, nm.BlockCache(heads, 12, dim // heads)),
+                     (attention_chain, KeyRowCache(heads, 12, dim // heads))):
+        ts = [t(a) for a in arrays]
+        outs = [_call_half(f, "attention", [t(x[:, :p])] + ts[1:], heads, np.arange(p),
+                           "causal", cache)]
+        for j in range(p, x.shape[1]):
+            outs.append(_call_half(f, "attention", [t(x[:, j:j + 1])] + ts[1:], heads,
+                                   np.array([j]), None, cache))
+        runs.append((cache, [getattr(o, "data", o) for o in outs]))
     (fused, outs), (chain, chain_outs) = runs
-    assert isinstance(fused, nm.BlockCache) and isinstance(chain, KeyRowCache)
     assert fused.length == chain.length == x.shape[1]
     assert _same_bits(fused.k, chain.k.transpose(0, 2, 1)) and _same_bits(fused.v, chain.v)
     for got, want in zip(outs, chain_outs):
         assert _same_bits(got, want)
-
-
-def _chain_trunk(params, x, positions, heads, n_blocks, mask):
-    """`nn.trunk` with each block as the two unfused chains."""
-    for i in range(n_blocks):
-        name = f"lm.blk{i}"
-
-        def pair(p):
-            return params[f"{name}.{p}.w"], params[f"{name}.{p}.b"]
-
-        h = attention_chain(x, params[f"{name}.norm1"], pair("q"), pair("k"), pair("v"),
-                            pair("o"), positions, heads, mask)
-        x = mlp_chain(h, params[f"{name}.norm2"], pair("up"), pair("down"))
-    return nm.rms_norm(x, params["lm.final_norm"])
 
 
 def test_trunk_bitwise_equals_the_unfused_chain_blocks():
@@ -944,7 +946,7 @@ def test_trunk_bitwise_equals_the_unfused_chain_blocks():
     x = t(rng.normal(size=(3, 6, 64)).astype(np.float32), rg=True)
     g = rng.normal(size=(3, 6, 64)).astype(np.float32)
     runs = []
-    for f in (lambda *a: nn.trunk(params, "lm", *a), lambda *a: _chain_trunk(params, *a)):
+    for f in (lambda *a: nn.trunk(params, "lm", *a), lambda *a: chain_trunk(params, "lm", *a)):
         tape = nm.Tape()
         with tape:
             out = f(x, np.arange(6), 4, 2, nn.causal_mask(6))
@@ -959,7 +961,8 @@ def test_trunk_bitwise_equals_the_unfused_chain_blocks():
 
 def test_fused_halves_check_every_intermediate():
     """A non-finite value made anywhere inside either half raises, as the
-    op that made it in the chain raised, and leaves the cache as it was."""
+    op that made it in the chain raised, both in the taped op and in its
+    kernel as a decode runs it, which leaves the cache as it was."""
     rng = np.random.default_rng(3)
     dim, inter = 8, 12
     for half, f in (("attention", nm.attention_residual), ("mlp", nm.mlp_residual)):
@@ -967,19 +970,22 @@ def test_fused_halves_check_every_intermediate():
         for i in range(2, len(base), 2):    # one huge weight: that projection overflows
             arrays = list(base)
             arrays[i] = np.full_like(arrays[i], 3e38)
-            cache = nm.BlockCache(2 * 4, 8, dim // 4) if half == "attention" else None
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(NumericsError, match=f"{f.__name__}: non-finite"):
-                _call_half(f, half, [t(a) for a in arrays], 4, cache, mask=None)
-            if cache is not None and i < 8:     # q, k or v failed before the append
+            cache = nm.BlockCache(2 * 4, 8, dim // 4)
+            runs = [(f, ())] + ([(_cached_attention_half, (cache,))] if half == "attention"
+                                else [])
+            for g, extra in runs:
+                with np.errstate(over="ignore", invalid="ignore"), \
+                        pytest.raises(NumericsError, match=f"{f.__name__}: non-finite"):
+                    _call_half(g, half, [t(a) for a in arrays], 4, None, None, *extra)
+            if half == "attention" and i < 8:     # q, k or v failed before the append
                 assert cache.length == 0
 
 
 def test_every_taped_op_in_numerics_has_a_grad_check():
-    """Each op numerics.py tapes, by the name its `_apply` call gives it, is a
-    key of `_op_checks`, or the start of one followed by `_`."""
+    """Each op numerics.py tapes, by the name its `_apply` or `_record` call
+    gives it, is a key of `_op_checks`, or the start of one followed by `_`."""
     source = Path(nm.__file__).read_text(encoding="utf-8")
-    ops = set(re.findall(r'_apply\(\s*"([^"]+)"', source))
+    ops = set(re.findall(r'_(?:apply|record)\(\s*"([^"]+)"', source))
     keys = set(_op_checks(0)[1])
     assert {"add", "affine", "attention_residual", "mlp_residual", "unfold_time"} <= ops
     missing = sorted(op for op in ops

@@ -384,22 +384,23 @@ def test_embed_columns_bitwise_equals_per_stream_reshape_then_add(lm, b, length)
 
 
 def test_cached_decode_column_op_and_check_counts(lm, monkeypatch):
-    """After the prefill, every decode column makes the same taped-op calls:
-    10 to embed the previous column (five lookups, four adds, one reshape),
-    9 in the width-1 trunk (2 a block, its two fused halves, plus the final
-    norm) and one head `affine` per stream still picking. Each op checks its
-    output once; each block also checks its 10 other intermediates (n, q, k,
-    v, the context and the o projection; the MLP's n, up and silu outputs
-    and down projection), its attention scores and the four arrays that the
-    public rope_apply, transpose, matmul and softmax checked before the
-    cached path called their kernels directly (the rotated q and k, the
-    keys it cached, the raw scores and the probabilities), so every check
-    of the unfused chain is kept."""
+    """After the prefill, every decode column runs on plain arrays: it makes
+    no taped-op call, and the same 79 finite checks as the taped ops it
+    stands for, plus one for each head it evaluates. That is 10 to embed
+    the previous column (five lookups, four adds, one reshape), 17 in each
+    of the 4 blocks and 1 for the final norm. A block checks its two halves'
+    outputs and their 10 other intermediates (n, q, k, v, the context and
+    the o projection; the MLP's n, up and silu outputs and down
+    projection), its attention scores and the four arrays that the public
+    rope_apply, transpose, matmul and softmax checked before the cached path
+    called their kernels directly (the rotated q and k, the keys it cached,
+    the raw scores and the probabilities), so every check of the unfused
+    chain is kept."""
     cfg, params, sem, spk, _ = lm
     seen = Counter()
     marks = []
     real_apply, real_check = nm._apply, nm._finite_or_raise
-    real_head, real_embed = sl._head, sl._embed_columns
+    real_pick, real_embed = sl.greedy_pick, sl._embed_column
 
     def apply(*args):
         seen["apply"] += 1
@@ -409,9 +410,9 @@ def test_cached_decode_column_op_and_check_counts(lm, monkeypatch):
         seen["check"] += 1
         return real_check(*args)
 
-    def head(*args):
+    def pick(*args):
         seen["head"] += 1
-        return real_head(*args)
+        return real_pick(*args)
 
     def embed(*args):
         marks.append(seen.copy())     # a column after the prefill starts here
@@ -419,15 +420,17 @@ def test_cached_decode_column_op_and_check_counts(lm, monkeypatch):
 
     monkeypatch.setattr(nm, "_apply", apply)
     monkeypatch.setattr(nm, "_finite_or_raise", check)
-    monkeypatch.setattr(sl, "_head", head)
-    monkeypatch.setattr(sl, "_embed_columns", embed)
+    monkeypatch.setattr(sl, "greedy_pick", pick)
+    monkeypatch.setattr(sl, "_embed_column", embed)
     res = sl.generate(params, cfg, sem, spk, max_steps=40, tail=8)
     marks.append(seen.copy())
     columns = [{k: after[k] - before[k] for k in ("apply", "check", "head")}
                for before, after in zip(marks, marks[1:])]
     assert len(columns) == res.steps - 1 > 10
     assert all(1 <= c["head"] <= cfg.layout.n_streams for c in columns)
-    assert {(c["apply"] - c["head"], c["check"] - c["head"]) for c in columns} == {(19, 79)}
+    assert len({c["head"] for c in columns}) > 1     # so one check per head is pinned
+    assert {(c["apply"], c["check"] - c["head"]) for c in columns} == {(0, 79)}
+    assert seen["apply"] == 0
 
 
 def test_forward_shapes_and_finite(lm):
@@ -515,8 +518,9 @@ def test_sampled_decoding_rejects_a_bad_temperature_or_top_k(lm, monkeypatch, te
     more, and says so before the prefill; greedy mode ignores both."""
     cfg, params, sem, spk, _ = lm
     trunks = []
-    real_trunk = nn.trunk
-    monkeypatch.setattr(nn, "trunk", lambda *a, **k: trunks.append(1) or real_trunk(*a, **k))
+    real_trunk = nn.decode_trunk
+    monkeypatch.setattr(nn, "decode_trunk",
+                        lambda *a, **k: trunks.append(1) or real_trunk(*a, **k))
     with pytest.raises(ConfigError, match="temperature above 0" if top_k == 0 else "top_k"):
         sl.generate(params, cfg, sem, spk, max_steps=24, tail=4, mode="sample",
                     temperature=temperature, top_k=top_k, rng=np.random.default_rng(7))
@@ -531,20 +535,20 @@ def _record_decode(monkeypatch, params, cfg, sem, spk, **kw):
     """Greedy decode that records the width of every trunk call and, per
     column, every (row, allowed, token) pick; returns (result, widths, picks)."""
     widths, picks = [], []
-    real_pick, real_trunk = sl.greedy_pick, nn.trunk
+    real_pick, real_trunk = sl.greedy_pick, nn.decode_trunk
 
     def pick(row, allowed):
         tok = real_pick(row, allowed)
         picks[-1].append((row.copy(), allowed, tok))
         return tok
 
-    def trunk(params, prefix, x, *args, **kwargs):
+    def trunk(arrays, x, *args, **kwargs):
         widths.append(x.shape[1])
         picks.append([])
-        return real_trunk(params, prefix, x, *args, **kwargs)
+        return real_trunk(arrays, x, *args, **kwargs)
 
     monkeypatch.setattr(sl, "greedy_pick", pick)
-    monkeypatch.setattr(nn, "trunk", trunk)
+    monkeypatch.setattr(nn, "decode_trunk", trunk)
     try:
         out = sl.generate(params, cfg, sem, spk, **kw)
     finally:
@@ -678,11 +682,13 @@ def test_greedy_pick_argmax_scale_invariance():
 
 @pytest.mark.parametrize("mode", ["greedy", "sample"])
 def test_decode_logits_equal_the_public_op_cached_route_bit_for_bit(lm_cfg, mode):
-    """Decoding with the cached path's own kernels over transposed keys
-    computes every trunk output (the prefill's included) and every head's
-    logits with the bits of the cached route through the public rope_apply,
-    transpose, matmul and softmax (`harness.cached_attend`), for three LMs
-    and prefixes; so it picks the same tokens."""
+    """`generate`'s decode on plain arrays computes every trunk output and
+    every head's logits, the prefill's included, with the bits of
+    `harness.generate`, which runs the taped public ops over untransposed
+    caches (`harness.chain_trunk` with `harness.cached_attend`: rope_apply,
+    transpose, matmul and softmax), for three LMs and prefixes; so it picks
+    the same tokens, draws the same samples and leaves every block's cache
+    holding the same keys and values."""
     cfg = lm_cfg
     for seed, rows, stops in ((11, 9, False), (5, 24, False), (23, 17, True)):
         params = sl.init_lm(cfg, seed)
@@ -692,34 +698,45 @@ def test_decode_logits_equal_the_public_op_cached_route_bit_for_bit(lm_cfg, mode
         sem = nm.constant(rng.normal(size=(rows, cfg.dim)).astype(np.float32))
         spk = nm.constant(rng.normal(size=(1, cfg.dim)).astype(np.float32))
         runs = []
-        for reference in (False, True):
-            seen, ropes = [], Counter()
-            real_trunk, real_head, real_rope = nn.trunk, sl._head, nm.rope_apply
+        for module, trunk_at, cache_at in ((sl, (nn, "decode_trunk"), (nm, "BlockCache")),
+                                           (parent, (parent, "chain_trunk"),
+                                            (parent, "KeyRowCache"))):
+            seen, caches, ropes = [], [], Counter()
+            real_greedy, real_sample, real_rope = sl.greedy_pick, sl.sample_pick, nm.rope_apply
+            real_trunk, real_cache = getattr(*trunk_at), getattr(*cache_at)
 
-            def trunk(*args, **kwargs):
-                out = real_trunk(*args, **kwargs)
-                seen.append(("trunk", out.data.copy()))
+            def trunk(*args):
+                out = real_trunk(*args)
+                seen.append(("trunk", np.array(getattr(out, "data", out))))
                 return out
 
-            def head(params, s, h):
-                out = real_head(params, s, h)
-                seen.append((s, out.data.copy()))
-                return out
+            def greedy(row, allowed):
+                seen.append(("head", row.copy()))
+                return real_greedy(row, allowed)
+
+            def sample(row, *args):
+                seen.append(("head", row.copy()))
+                return real_sample(row, *args)
+
+            def cache(*args):
+                caches.append(real_cache(*args))
+                return caches[-1]
 
             def rope(*args):
                 ropes["calls"] += 1
                 return real_rope(*args)
 
             with pytest.MonkeyPatch.context() as m:
-                if reference:
-                    parent.use_cached_reference(m)
-                m.setattr(nn, "trunk", trunk)
-                m.setattr(sl, "_head", head)
+                m.setattr(module, "greedy_pick", greedy)
+                m.setattr(module, "sample_pick", sample)
+                m.setattr(*trunk_at, trunk)
+                m.setattr(*cache_at, cache)
                 m.setattr(nm, "rope_apply", rope)
-                res = sl.generate(params, cfg, sem, spk, max_steps=40, tail=8, mode=mode,
-                                  temperature=0.8, top_k=5, rng=np.random.default_rng(seed))
-            runs.append((res, seen, ropes["calls"]))
-        (res, seen, ropes), (want_res, want, want_ropes) = runs
+                res = module.generate(params, cfg, sem, spk, max_steps=40, tail=8, mode=mode,
+                                      temperature=0.8, top_k=5,
+                                      rng=np.random.default_rng(seed))
+            runs.append((res, seen, caches, ropes["calls"]))
+        (res, seen, caches, ropes), (want_res, want, want_caches, want_ropes) = runs
         assert ropes == 0 and want_ropes == cfg.blocks * res.steps
         assert np.array_equal(res.grid.tokens, want_res.grid.tokens)
         assert (res.steps, res.truncated) == (want_res.steps, want_res.truncated)
@@ -728,6 +745,12 @@ def test_decode_logits_equal_the_public_op_cached_route_bit_for_bit(lm_cfg, mode
         assert len(seen) > 2 * res.steps
         for (_, got), (_, ref) in zip(seen, want):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert len(caches) == len(want_caches) == cfg.blocks
+        for got, ref in zip(caches, want_caches):
+            assert isinstance(got, nm.BlockCache) and isinstance(ref, parent.KeyRowCache)
+            assert got.length == ref.length == rows + res.steps
+            k_ref = np.ascontiguousarray(ref.k.transpose(0, 2, 1))
+            assert got.k.tobytes() == k_ref.tobytes() and got.v.tobytes() == ref.v.tobytes()
 
 
 def test_grid_dump_parse_round_trip():

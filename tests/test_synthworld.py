@@ -11,6 +11,7 @@ from synthvc import synthworld as sw
 from synthvc.config import RunConfig
 from synthvc.errors import ConfigError, DataError
 
+import harness as parent
 from harness import nearest_template_decode, render_one
 
 
@@ -289,3 +290,35 @@ def test_frames_file_round_trip(tmp_path, splits):
     assert set(back) == set(renders)
     for k in renders:
         np.testing.assert_array_equal(back[k], renders[k])
+
+
+def _corpus_args(cfg: RunConfig) -> dict:
+    return dict(seed=cfg["corpus.seed"], n_speakers=cfg["corpus.speakers"],
+                n_texts=cfg["corpus.texts"], text_len_min=cfg["corpus.text_len_min"],
+                text_len_max=cfg["corpus.text_len_max"],
+                heldout_speakers=cfg["corpus.heldout_speakers"],
+                heldout_texts=cfg["corpus.heldout_texts"])
+
+
+@pytest.mark.parametrize("seed,texts", [(7001, 400), (7001, 120), (0, 400), (1, 400),
+                                        (2, 400), (5, 120), (9, 60)])
+def test_make_corpus_equals_the_per_element_loop(seed, texts):
+    """Whole-array draws of a text's symbols and of the utterance seeds build
+    the corpus the per-element loop built, at the default config, the tiny
+    CLI config's 120 texts and other corpus seeds: the same splits, texts,
+    utterances (ids, speakers, seeds as Python ints), speakers and vocab."""
+    args = _corpus_args(RunConfig({"corpus.seed": seed, "corpus.texts": texts}))
+    got, want = sw.make_corpus(**args), parent.make_corpus(**args)
+    for field in ("seed", "train_speaker_ids", "heldout_speaker_ids", "train_texts",
+                  "heldout_texts", "utterances"):
+        assert getattr(got, field) == getattr(want, field), field
+    for utt in got.utterances:
+        assert type(utt.seed) is int and type(utt.speaker_id) is int
+        assert all(type(s) is int for s in utt.text)
+    assert got.vocab.templates.tobytes() == want.vocab.templates.tobytes()
+    assert got.speakers.keys() == want.speakers.keys()
+    for i, prof in got.speakers.items():
+        ref = want.speakers[i]
+        assert prof.gain.tobytes() == ref.gain.tobytes()
+        assert prof.offset.tobytes() == ref.offset.tobytes()
+        assert prof.pitch_rate == ref.pitch_rate

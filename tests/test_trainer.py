@@ -1,11 +1,13 @@
 """Trainer mechanics: loss algebra, routing, freezing, mixing, determinism."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
 from synthvc import numerics as nm
+from synthvc import optim
 from synthvc import streamlm as sl
 from synthvc import synthworld as sw
 from synthvc import trainer as tr
@@ -454,6 +456,51 @@ def test_adam_bitwise_equals_formula(clip):
             assert m.tobytes() == old.m[n].tobytes() and v.tobytes() == old.v[n].tobytes()
         else:
             assert not m.any() and not v.any()
+
+
+def test_descend_drops_the_tape_before_the_adam_step(monkeypatch):
+    """By the time Adam steps, nothing holds the step's tape (so none of its
+    activations), and descend takes the bits and returns the losses of
+    backward then step with the tape still alive."""
+    rng = np.random.default_rng(43)
+    init = {"a.w": rng.normal(size=(4, 3)).astype(np.float32),
+            "a.b": rng.normal(size=3).astype(np.float32)}
+    x = nm.constant(rng.normal(size=(5, 4)).astype(np.float32))
+    labels = rng.integers(0, 3, size=5)
+    refs, alive = [], []
+    real_tape, real_step = nm.Tape, Adam.step
+
+    def tape():
+        made = real_tape()
+        refs.append(weakref.ref(made))
+        return made
+
+    def step(self, params, grads):
+        alive.append(refs[-1]() is not None)
+        return real_step(self, params, grads)
+
+    sides = []
+    for via_descend in (True, False):
+        params = {n: nm.Tensor(a, requires_grad=True) for n, a in init.items()}
+        opt = Adam(lr=1e-2, warmup=2, clip=1.0)
+        losses = []
+        for _ in range(3):
+            def loss_fn():
+                return nm.cross_entropy(nm.affine(x, params["a.w"], params["a.b"]), labels)
+
+            if via_descend:
+                with monkeypatch.context() as m:
+                    m.setattr(nm, "Tape", tape)
+                    m.setattr(Adam, "step", step)
+                    losses.append(optim.descend(opt, params, loss_fn, "probe"))
+            else:
+                with real_tape() as tp:
+                    loss = loss_fn()
+                opt.step(params, tp.backward(loss, params))
+                losses.append(loss.item())
+        sides.append((losses, {n: p.data.tobytes() for n, p in params.items()}))
+    assert len(refs) == 3 and alive == [False] * 3
+    assert sides[0] == sides[1]
 
 
 # ---------------------------------------------------------------------------
